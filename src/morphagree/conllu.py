@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from .errors import (
+    DuplicateSentIdError,
     EncodingError,
     InvalidHeadError,
     InvalidIdError,
@@ -171,8 +172,10 @@ def parse_conllu(stream: IO | Iterable[str], source_path: str = "<stream>") -> T
     """Parse a CoNLL-U text (or UTF-8 byte) stream into a Treebank.
 
     Comment ``# sent_id = X`` populates the sentence id; sentences without
-    one get their 1-based ordinal as a string. Parsing is deterministic and
-    order-preserving.
+    one get their 1-based ordinal as a string. Ids must be unique, since
+    instance provenance refers to sentences by id: a repeated one, including
+    an ordinal that collides with an explicit id, raises
+    DuplicateSentIdError. Parsing is deterministic and order-preserving.
     """
     sentences: list[Sentence] = []
     tokens: list[Token] = []
@@ -202,6 +205,13 @@ def parse_conllu(stream: IO | Iterable[str], source_path: str = "<stream>") -> T
         raise EncodingError(str(exc)) from None
     if tokens:
         sentences.append(_finish_sentence(tokens, sent_id, text, len(sentences) + 1))
+    seen: set[str] = set()
+    for ordinal, sentence in enumerate(sentences, start=1):
+        if sentence.sent_id in seen:
+            raise DuplicateSentIdError(
+                f"sentence {ordinal}: duplicate sent_id {sentence.sent_id!r}"
+            )
+        seen.add(sentence.sent_id)
     return Treebank(sentences=tuple(sentences), source_path=source_path)
 
 

@@ -27,6 +27,10 @@ class MalformedFeatsError(MorphagreeError):
     """A FEATS entry lacks '=' or repeats a feature name."""
 
 
+class DuplicateSentIdError(MorphagreeError):
+    """Two sentences of one treebank share a sent_id (explicit or ordinal)."""
+
+
 # --- datasets and statistics ---
 
 class EmptyMarginalsError(MorphagreeError):
@@ -49,6 +53,10 @@ class VerdictMismatchError(MorphagreeError):
 
 class NoMatchingRuleError(MorphagreeError):
     """A triple matched no rule (or more than one); the rule set is corrupt."""
+
+
+class MalformedRulesError(MorphagreeError):
+    """A rules document lacks a key, or holds a non-object where one is needed."""
 
 
 # --- evaluation ---

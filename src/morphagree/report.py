@@ -15,10 +15,7 @@ SHEET_COLUMNS = ("feature", "relation", "head_pos", "dep_pos", "label", "example
 
 
 def sentence_index(treebank: Treebank) -> dict[str, Sentence]:
-    index: dict[str, Sentence] = {}
-    for sentence in treebank.sentences:
-        index.setdefault(sentence.sent_id, sentence)
-    return index
+    return {sentence.sent_id: sentence for sentence in treebank.sentences}
 
 
 def render_example(sentence: Sentence, head_id: int, dep_id: int) -> str:
@@ -190,10 +187,7 @@ def render_feature_page(
                 agree_pool, disagree_pool = by_rule[rule.rule_id]
                 (agree_pool if inst.agree else disagree_pool).append(inst)
                 break
-    verdict_by_leaf = {
-        v["leaf_id"]: v
-        for v in doc.raw["features"][feature].get("leaf_verdicts", [])
-    }
+    verdict_by_leaf = {v.leaf_id: v for v in doc.verdicts[feature]}
     chance = doc.chance_models[feature]
     body = [f"<h1>{html.escape(feature)} agreement rules</h1>"]
     body.append(
@@ -226,11 +220,11 @@ def render_feature_page(
             if verdict is None:
                 continue
             rows.append(
-                f"<tr><td>{leaf_id}</td><td>{verdict['label']}</td>"
-                f"<td>{_stats_cell(verdict['agree_ratio'])}</td>"
-                f"<td>{_stats_cell(verdict['chi2'])}</td>"
-                f"<td>{_stats_cell(verdict['p_value'], '{:.3g}')}</td>"
-                f"<td>{_stats_cell(verdict['phi_c'])}</td></tr>"
+                f"<tr><td>{leaf_id}</td><td>{verdict.label.value}</td>"
+                f"<td>{_stats_cell(verdict.agree_ratio)}</td>"
+                f"<td>{_stats_cell(verdict.chi2)}</td>"
+                f"<td>{_stats_cell(verdict.p_value, '{:.3g}')}</td>"
+                f"<td>{_stats_cell(verdict.phi_c)}</td></tr>"
             )
         if rows:
             body.append(

@@ -12,6 +12,7 @@ import math
 from pathlib import Path
 from typing import Any
 
+from .errors import MalformedRulesError
 from .evaluation import EvalReport
 from .labeling import (
     ChanceModel,
@@ -235,9 +236,15 @@ def rules_document(
 
 
 class RulesDocument:
-    """A loaded rules.json: per-feature rule sets plus training metadata."""
+    """A loaded rules.json: per-feature rule sets plus training metadata.
+
+    A feature entry that lacks a key the loader reads, or holds a value of
+    the wrong JSON type, raises MalformedRulesError naming the feature.
+    """
 
     def __init__(self, doc: dict):
+        if not isinstance(doc, dict):
+            raise MalformedRulesError("rules document is not a JSON object")
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported rules format_version {doc.get('format_version')!r}"
@@ -250,38 +257,57 @@ class RulesDocument:
         self.absent: set[str] = set()
         self.trees: dict[str, DecisionTree] = {}
         self.chance_models: dict[str, ChanceModel] = {}
+        self.verdicts: dict[str, tuple[LeafVerdict, ...]] = {}
         self.training_triples: dict[str, list[tuple[Triple, int]]] = {}
         mode = ThresholdMode(self.params.get("threshold_mode", "statistical"))
-        for feature, entry in doc.get("features", {}).items():
-            if entry.get("absent"):
-                self.absent.add(feature)
-                continue
-            tree = tree_from_dict(entry["tree"])
-            self.trees[feature] = tree
-            chance = entry["chance_model"]
-            self.chance_models[feature] = ChanceModel(
-                feature=feature,
-                value_probs=dict(chance["value_probs"]),
-                p_chance=chance["p_chance"],
+        features = doc.get("features", {})
+        if not isinstance(features, dict):
+            raise MalformedRulesError("'features' is not a JSON object")
+        for feature, entry in features.items():
+            # the loader indexes the JSON directly; a missing key or a value
+            # of the wrong type surfaces here as KeyError or TypeError
+            try:
+                self._load_feature(feature, entry, mode)
+            except KeyError as exc:
+                raise MalformedRulesError(
+                    f"feature {feature!r}: missing key {exc.args[0]!r}"
+                ) from None
+            except (TypeError, AttributeError) as exc:
+                raise MalformedRulesError(f"feature {feature!r}: {exc}") from None
+
+    def _load_feature(self, feature: str, entry: dict, mode: ThresholdMode) -> None:
+        if entry.get("absent"):
+            self.absent.add(feature)
+            return
+        tree = tree_from_dict(entry["tree"])
+        self.trees[feature] = tree
+        chance = entry["chance_model"]
+        self.chance_models[feature] = ChanceModel(
+            feature=feature,
+            value_probs=dict(chance["value_probs"]),
+            p_chance=chance["p_chance"],
+        )
+        self.rulesets[feature] = RuleSet(
+            feature=feature,
+            rules=tuple(rule_from_dict(r) for r in entry["rules"]),
+            threshold_mode=mode,
+            training_size=entry["training_size"],
+            tree=tree,
+        )
+        self.verdicts[feature] = tuple(
+            verdict_from_dict(v) for v in entry.get("leaf_verdicts", [])
+        )
+        self.training_triples[feature] = [
+            (
+                Triple(
+                    head_pos=t["head_pos"],
+                    relation=t["relation"],
+                    dep_pos=t["dep_pos"],
+                ),
+                t["count"],
             )
-            self.rulesets[feature] = RuleSet(
-                feature=feature,
-                rules=tuple(rule_from_dict(r) for r in entry["rules"]),
-                threshold_mode=mode,
-                training_size=entry["training_size"],
-                tree=tree,
-            )
-            self.training_triples[feature] = [
-                (
-                    Triple(
-                        head_pos=t["head_pos"],
-                        relation=t["relation"],
-                        dep_pos=t["dep_pos"],
-                    ),
-                    t["count"],
-                )
-                for t in entry.get("training_triples", [])
-            ]
+            for t in entry.get("training_triples", [])
+        ]
 
     @property
     def features(self) -> list[str]:

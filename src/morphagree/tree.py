@@ -6,13 +6,22 @@ deterministic: candidate splits are scored in slot order (relation,
 head_pos, dep_pos) then lexicographic value order, and the first maximal
 impurity decrease wins. The seed passed to grid_search only shuffles
 cross-validation folds.
+
+Depth nesting: for a fixed criterion and min_impurity_decrease, the split
+chosen at a node depends only on the groups reaching it; max_depth only
+stops growth. So the tree fitted with max_depth d is the tree fitted with
+any larger max_depth cut at depth d, each cut node frozen as a leaf over
+its own groups in their original order, which gives the same leaf ids,
+counts and instance_refs. grid_search relies on this: per criterion (and
+per cross-validation fold) it grows one tree at the grid's largest depth
+and freezes it once per grid point.
 """
 from __future__ import annotations
 
 import enum
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import EmptyDatasetError
 from .triples import FeatureDataset, Triple
@@ -33,9 +42,14 @@ SLOT_ORDER = (Slot.RELATION, Slot.HEAD_POS, Slot.DEP_POS)
 class SplitPredicate:
     slot: Slot
     value: str
+    # the Triple attribute the slot names, kept so matching skips Enum.value
+    attr: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "attr", self.slot.value)
 
     def matches(self, triple: Triple) -> bool:
-        return getattr(triple, self.slot.value) == self.value
+        return getattr(triple, self.attr) == self.value
 
 
 @dataclass(frozen=True)
@@ -134,28 +148,35 @@ class _Group:
         return self.n_agree + self.n_disagree
 
 
-class _MutableLeaf:
-    __slots__ = ("n_agree", "n_disagree", "refs", "depth")
+class _Node:
+    """A grown node: the groups reaching it (in their original order), its
+    depth and totals, and, unless growth stopped here, its split as
+    (predicate, match child, nomatch child)."""
 
-    def __init__(self, groups: list[_Group], depth: int):
-        self.n_agree = sum(g.n_agree for g in groups)
-        self.n_disagree = sum(g.n_disagree for g in groups)
-        self.refs = tuple(r for g in groups for r in g.refs)
+    __slots__ = ("groups", "depth", "n_agree", "n_disagree", "split")
+
+    def __init__(self, groups: list[_Group], depth: int, n_agree: int, n_disagree: int):
+        self.groups = groups
         self.depth = depth
+        self.n_agree = n_agree
+        self.n_disagree = n_disagree
+        self.split: tuple[SplitPredicate, _Node, _Node] | None = None
 
 
 def _best_split(
-    groups: list[_Group], impurity, n_total: int
+    groups: list[_Group], node_agree: int, node_disagree: int, impurity, n_total: int
 ) -> tuple[SplitPredicate, float] | None:
-    node_agree = sum(g.n_agree for g in groups)
-    node_disagree = sum(g.n_disagree for g in groups)
     n_node = node_agree + node_disagree
     node_impurity = impurity(node_agree, node_disagree)
     best: tuple[SplitPredicate, float] | None = None
     for slot in SLOT_ORDER:
+        attr = slot.value
         per_value: dict[str, list[int]] = {}
         for g in groups:
-            counts = per_value.setdefault(getattr(g.triple, slot.value), [0, 0])
+            key = getattr(g.triple, attr)
+            counts = per_value.get(key)
+            if counts is None:
+                counts = per_value[key] = [0, 0]
             counts[0] += g.n_agree
             counts[1] += g.n_disagree
         for value in sorted(per_value):
@@ -174,41 +195,58 @@ def _best_split(
     return best
 
 
-def _grow(groups: list[_Group], depth: int, hp: HyperParams, impurity, n_total: int):
-    node_agree = sum(g.n_agree for g in groups)
-    node_disagree = sum(g.n_disagree for g in groups)
+def _grow(
+    groups: list[_Group],
+    depth: int,
+    max_depth: int,
+    min_impurity_decrease: float,
+    impurity,
+    n_total: int,
+) -> _Node:
+    node = _Node(
+        groups,
+        depth,
+        sum(g.n_agree for g in groups),
+        sum(g.n_disagree for g in groups),
+    )
     if (
-        node_agree == 0
-        or node_disagree == 0
-        or depth >= hp.max_depth
+        node.n_agree == 0
+        or node.n_disagree == 0
+        or depth >= max_depth
         or len(groups) == 1
     ):
-        return _MutableLeaf(groups, depth)
-    best = _best_split(groups, impurity, n_total)
-    if best is None or best[1] < hp.min_impurity_decrease:
-        return _MutableLeaf(groups, depth)
-    predicate, _ = best
-    match = [g for g in groups if predicate.matches(g.triple)]
-    nomatch = [g for g in groups if not predicate.matches(g.triple)]
-    return (
+        return node
+    best = _best_split(groups, node.n_agree, node.n_disagree, impurity, n_total)
+    if best is None or best[1] < min_impurity_decrease:
+        return node
+    predicate = best[0]
+    attr, value = predicate.attr, predicate.value
+    match: list[_Group] = []
+    nomatch: list[_Group] = []
+    for g in groups:
+        (match if getattr(g.triple, attr) == value else nomatch).append(g)
+    node.split = (
         predicate,
-        _grow(match, depth + 1, hp, impurity, n_total),
-        _grow(nomatch, depth + 1, hp, impurity, n_total),
+        _grow(match, depth + 1, max_depth, min_impurity_decrease, impurity, n_total),
+        _grow(nomatch, depth + 1, max_depth, min_impurity_decrease, impurity, n_total),
     )
+    return node
 
 
-def _freeze(node, counter: list[int]) -> TreeNode:
-    if isinstance(node, _MutableLeaf):
+def _freeze(node: _Node, max_depth: int, counter: list[int]) -> TreeNode:
+    """The grown tree cut at max_depth; a cut node becomes a leaf over its
+    groups. Leaf ids count up in match-before-nomatch preorder."""
+    if node.split is None or node.depth >= max_depth:
         counter[0] += 1
         return Leaf(
             leaf_id=counter[0],
             n_agree=node.n_agree,
             n_disagree=node.n_disagree,
-            instance_refs=node.refs,
+            instance_refs=tuple(r for g in node.groups for r in g.refs),
         )
-    predicate, match, nomatch = node
-    match_child = _freeze(match, counter)
-    nomatch_child = _freeze(nomatch, counter)
+    predicate, match, nomatch = node.split
+    match_child = _freeze(match, max_depth, counter)
+    nomatch_child = _freeze(nomatch, max_depth, counter)
     return Internal(predicate, match_child, nomatch_child)
 
 
@@ -226,19 +264,33 @@ def _aggregate_groups(dataset: FeatureDataset) -> dict[Triple, _Group]:
     return groups
 
 
-def _fit_groups(
-    feature: str, groups: list[_Group], hyperparams: HyperParams
-) -> DecisionTree:
-    if hyperparams.criterion not in _IMPURITY:
-        raise ValueError(f"unknown criterion {hyperparams.criterion!r}")
+def _fit_points(
+    feature: str, groups: list[_Group], points: list[HyperParams]
+) -> list[DecisionTree]:
+    """One tree per point, in order. Points sharing a criterion and impurity
+    floor are cut from one growth at their largest max_depth (depth nesting,
+    see the module docstring)."""
     n_total = sum(g.size for g in groups)
-    grown = _grow(
-        groups, 0, hyperparams, _IMPURITY[hyperparams.criterion], n_total
-    )
-    root = _freeze(grown, [0])
-    return DecisionTree(
-        feature=feature, root=root, hyperparams=hyperparams, training_size=n_total
-    )
+    grown: dict[tuple[str, float], _Node] = {}
+    trees = []
+    for hp in points:
+        key = (hp.criterion, hp.min_impurity_decrease)
+        if key not in grown:
+            if hp.criterion not in _IMPURITY:
+                raise ValueError(f"unknown criterion {hp.criterion!r}")
+            depth = max(
+                p.max_depth
+                for p in points
+                if (p.criterion, p.min_impurity_decrease) == key
+            )
+            grown[key] = _grow(
+                groups, 0, depth, hp.min_impurity_decrease, _IMPURITY[hp.criterion], n_total
+            )
+        root = _freeze(grown[key], hp.max_depth, [0])
+        trees.append(
+            DecisionTree(feature=feature, root=root, hyperparams=hp, training_size=n_total)
+        )
+    return trees
 
 
 def fit(dataset: FeatureDataset, hyperparams: HyperParams, seed: int = 0) -> DecisionTree:
@@ -247,17 +299,20 @@ def fit(dataset: FeatureDataset, hyperparams: HyperParams, seed: int = 0) -> Dec
     del seed
     if not dataset.instances:
         raise EmptyDatasetError(f"no instances for feature {dataset.feature!r}")
-    return _fit_groups(
-        dataset.feature, list(_aggregate_groups(dataset).values()), hyperparams
-    )
+    groups = list(_aggregate_groups(dataset).values())
+    return _fit_points(dataset.feature, groups, [hyperparams])[0]
+
+
+def _leaf_for(tree: DecisionTree, triple: Triple) -> Leaf:
+    node = tree.root
+    while isinstance(node, Internal):
+        node = node.match_child if node.predicate.matches(triple) else node.nomatch_child
+    return node
 
 
 def predict_leaf(tree: DecisionTree, triple: Triple) -> int:
     """Route a triple (seen or unseen) to the id of its unique leaf."""
-    node = tree.root
-    while isinstance(node, Internal):
-        node = node.match_child if node.predicate.matches(triple) else node.nomatch_child
-    return node.leaf_id
+    return _leaf_for(tree, triple).leaf_id
 
 
 def leaves(tree: DecisionTree) -> list[Leaf]:
@@ -278,13 +333,6 @@ def leaf_count(tree: DecisionTree) -> int:
     return len(leaves(tree))
 
 
-def _route_to_leaf(tree: DecisionTree, triple: Triple) -> Leaf:
-    node = tree.root
-    while isinstance(node, Internal):
-        node = node.match_child if node.predicate.matches(triple) else node.nomatch_child
-    return node
-
-
 def _count_by_triple(dataset: FeatureDataset) -> dict[Triple, list[int]]:
     counts: dict[Triple, list[int]] = {}
     for inst in dataset.instances:
@@ -299,7 +347,7 @@ def _accuracy_from_counts(tree: DecisionTree, counts: dict[Triple, list[int]]) -
     # instances sharing a triple route identically, so score per triple
     hits = total = 0
     for triple, (n_disagree, n_agree) in counts.items():
-        leaf = _route_to_leaf(tree, triple)
+        leaf = _leaf_for(tree, triple)
         hits += n_agree if leaf.n_agree > leaf.n_disagree else n_disagree
         total += n_agree + n_disagree
     return hits / total if total else 0.0
@@ -309,7 +357,7 @@ def _macro_f1_from_counts(tree: DecisionTree, counts: dict[Triple, list[int]]) -
     # per-class confusion counts: tp, fp, fn
     stats = {True: [0, 0, 0], False: [0, 0, 0]}
     for triple, (n_disagree, n_agree) in counts.items():
-        predicted = _route_to_leaf(tree, triple)
+        predicted = _leaf_for(tree, triple)
         predicted_agree = predicted.n_agree > predicted.n_disagree
         correct, wrong = (
             (n_agree, n_disagree) if predicted_agree else (n_disagree, n_agree)
@@ -339,14 +387,18 @@ def macro_f1(tree: DecisionTree, dataset: FeatureDataset) -> float:
     return _macro_f1_from_counts(tree, _count_by_triple(dataset))
 
 
-def _cv_score(
-    train: FeatureDataset, hp: HyperParams, seed: int, metric, n_folds: int = 5
-) -> float:
-    """Seed-shuffled k-fold score, evaluated at triple-count granularity."""
+def _cv_scores(
+    train: FeatureDataset, points: list[HyperParams], seed: int, metric, n_folds: int = 5
+) -> list[float]:
+    """Seed-shuffled k-fold score of every point, at triple-count granularity.
+
+    The folds and their training groups are built once; each fold then
+    grows once per criterion for all points.
+    """
     n = len(train.instances)
     k = min(n_folds, n)
     if k < 2:
-        return 0.0
+        return [0.0] * len(points)
     indices = list(range(n))
     random.Random(seed).shuffle(indices)
     fold_of = [0] * n
@@ -362,7 +414,7 @@ def _cv_score(
             entry = counts[inst.triple] = [0, 0]
         entry[inst.agree] += 1
     totals = _count_by_triple(train)
-    scores = []
+    scores: list[list[float]] = [[] for _ in points]
     for held in fold_counts:
         groups = []
         for triple, (n_disagree, n_agree) in totals.items():
@@ -372,9 +424,9 @@ def _cv_score(
             group.n_agree = n_agree - held_agree
             if group.size:
                 groups.append(group)
-        tree = _fit_groups(train.feature, groups, hp)
-        scores.append(metric(tree, held))
-    return sum(scores) / len(scores)
+        for point_scores, tree in zip(scores, _fit_points(train.feature, groups, points)):
+            point_scores.append(metric(tree, held))
+    return [sum(s) / len(s) for s in scores]
 
 
 def grid_search(
@@ -393,17 +445,16 @@ def grid_search(
     if not train.instances:
         raise EmptyDatasetError(f"no instances for feature {train.feature!r}")
     metric_fn = _METRICS[metric]
-    use_validation = validation is not None and len(validation.instances) > 0
-    validation_counts = _count_by_triple(validation) if use_validation else None
-    shared_groups = list(_aggregate_groups(train).values())
+    points = grid.points()
+    trees = _fit_points(train.feature, list(_aggregate_groups(train).values()), points)
+    if validation is not None and len(validation.instances) > 0:
+        validation_counts = _count_by_triple(validation)
+        scores = [metric_fn(tree, validation_counts) for tree in trees]
+    else:
+        scores = _cv_scores(train, points, seed, metric_fn)
     best_tree: DecisionTree | None = None
     best_key: tuple[float, int] | None = None
-    for hp in grid.points():
-        tree = _fit_groups(train.feature, shared_groups, hp)
-        if validation_counts is not None:
-            score = metric_fn(tree, validation_counts)
-        else:
-            score = _cv_score(train, hp, seed, metric_fn)
+    for tree, score in zip(trees, scores):
         key = (score, -leaf_count(tree))
         if best_key is None or key > best_key:
             best_key = key

@@ -433,3 +433,39 @@ def test_extract_with_dev_set_and_flags(workspace, tmp_path):
     assert params["depth_range"] is True
     assert params["selection_metric"] == "macro_f1"
     assert params["alpha"] == 0.05
+
+
+def _broken(doc, feature, edit):
+    """A copy of a rules document with one feature entry edited."""
+    broken = json.loads(json.dumps(doc))
+    edit(broken["features"][feature])
+    return broken
+
+
+@pytest.mark.parametrize(
+    "command, edit, named",
+    [
+        ("evaluate", lambda entry: entry.pop("tree"), "'tree'"),
+        ("report", lambda entry: entry["rules"][0].pop("label"), "'label'"),
+        ("evaluate", lambda entry: entry.update(tree=[]), "list"),
+    ],
+)
+def test_malformed_rules_fail_with_error_line(
+    workspace, tmp_path, capsys, command, edit, named
+):
+    doc = json.loads((workspace / "rules.json").read_text(encoding="utf-8"))
+    rules = tmp_path / "broken.json"
+    write_json(_broken(doc, "Gender", edit), rules)
+    argv = {
+        "evaluate": ["evaluate", "--rules", str(rules),
+                     "--test", str(workspace / "test.conllu"),
+                     "--out", str(tmp_path / "eval.json")],
+        "report": ["report", "--rules", str(rules),
+                   "--train", str(workspace / "train.conllu"),
+                   "--out", str(tmp_path / "report")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "'Gender'" in err and named in err
+    assert "Traceback" not in err

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from morphagree import parse_conllu, parse_conllu_file, parse_feats, feats_to_string
 from morphagree.errors import (
+    DuplicateSentIdError,
     EncodingError,
     InvalidHeadError,
     InvalidIdError,
@@ -62,6 +63,28 @@ def test_non_consecutive_ids_rejected():
             "1\ta\ta\tDET\t_\t_\t0\troot\t_\t_\n"
             "3\tb\tb\tNOUN\t_\t_\t1\tdet\t_\t_\n"
         )
+
+
+_ONE_TOKEN = "1\tla\tel\tDET\t_\tGender=Fem\t0\troot\t_\t_\n"
+
+
+def test_duplicate_sent_id_rejected():
+    with pytest.raises(DuplicateSentIdError, match="'a'"):
+        make_treebank(
+            f"# sent_id = a\n{_ONE_TOKEN}\n# sent_id = b\n{_ONE_TOKEN}\n"
+            f"# sent_id = a\n{_ONE_TOKEN}"
+        )
+
+
+def test_ordinal_fallback_colliding_with_explicit_id_rejected():
+    # the second sentence has no sent_id, so its id is its ordinal "2"
+    with pytest.raises(DuplicateSentIdError, match="'2'"):
+        make_treebank(f"# sent_id = 2\n{_ONE_TOKEN}\n{_ONE_TOKEN}")
+
+
+def test_distinct_explicit_and_ordinal_ids_accepted():
+    tb = make_treebank(f"# sent_id = x\n{_ONE_TOKEN}\n{_ONE_TOKEN}")
+    assert [s.sent_id for s in tb.sentences] == ["x", "2"]
 
 
 def test_range_and_empty_node_lines_skipped():

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphagree import (
     FeatureDataset,
@@ -15,11 +16,20 @@ from morphagree import (
 )
 from morphagree.errors import EmptyDatasetError
 from morphagree.serialization import tree_to_dict
-from morphagree.tree import Internal, Leaf, Slot, SplitPredicate, classification_accuracy, leaves
+from morphagree.tree import (
+    Internal,
+    Leaf,
+    Slot,
+    SplitPredicate,
+    _aggregate_groups,
+    _fit_points,
+    classification_accuracy,
+    leaves,
+)
 
 
 from conftest import make_dataset
-from oracles import brute_force_best_first_split
+from oracles import brute_force_best_first_split, grid_search_per_point
 
 HP = HyperParams(criterion="gini", max_depth=6, min_impurity_decrease=1e-3)
 
@@ -283,3 +293,47 @@ def test_cross_validation_is_seed_stable():
     a = grid_search(dataset, None, HyperGrid(), seed=123)
     b = grid_search(dataset, None, HyperGrid(), seed=123)
     assert a == b
+
+
+# random datasets over a vocabulary wide enough for trees deeper than the
+# grid's largest depth when no impurity floor stops growth
+_triples = st.builds(
+    Triple,
+    head_pos=st.sampled_from(["NOUN", "VERB", "ADJ", "PRON"]),
+    relation=st.sampled_from([f"r{i}" for i in range(8)]),
+    dep_pos=st.sampled_from(["DET", "NOUN", "ADJ", "ADV"]),
+)
+_datasets = st.lists(st.tuples(_triples, st.booleans()), min_size=1, max_size=160).map(
+    make_dataset
+)
+DEEP_GRID = HyperGrid(max_depths=tuple(range(1, 16)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_datasets, st.sampled_from([0.0, 1e-3, 2e-2]))
+def test_trees_cut_from_one_growth_equal_separate_fits(dataset, floor):
+    grid = HyperGrid(max_depths=DEEP_GRID.max_depths, min_impurity_decrease=floor)
+    groups = list(_aggregate_groups(dataset).values())
+    nested = _fit_points(dataset.feature, groups, grid.points())
+    # structure, leaf ids, counts, instance_refs and hyperparams
+    assert nested == [fit(dataset, hp) for hp in grid.points()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    _datasets,
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["accuracy", "macro_f1"]),
+)
+def test_grid_search_equals_per_point_cross_validation(dataset, seed, metric):
+    assert grid_search(dataset, None, DEEP_GRID, seed, metric) == grid_search_per_point(
+        dataset, DEEP_GRID, seed, metric
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123, 2024])
+def test_grid_search_equals_per_point_cross_validation_on_deep_rule(seed):
+    dataset = _deep_rule_dataset(copies=3)
+    assert grid_search(dataset, None, DEEP_GRID, seed) == grid_search_per_point(
+        dataset, DEEP_GRID, seed
+    )

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .complexity import conciseness_correlation, word_entropy
 from .conllu import Treebank, parse_conllu_file
-from .errors import MorphagreeError, ZeroVarianceError
+from .errors import MalformedScoresError, MorphagreeError, ZeroVarianceError
 from .evaluation import (
     all_test_triples,
     arm,
@@ -257,28 +257,46 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     return 0
 
 
+def _score_entries(path: str) -> dict[str, dict]:
+    """The per-feature entries of an eval or hrm document."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    entries = doc.get("features", {}) if isinstance(doc, dict) else None
+    if not isinstance(entries, dict) or not all(
+        isinstance(e, dict) for e in entries.values()
+    ):
+        raise MalformedScoresError(f"{path}: 'features' is not an object of objects")
+    return entries
+
+
+def _score(path: str, entries: dict[str, dict], feature: str, key: str) -> float:
+    value = entries[feature].get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedScoresError(
+            f"{path}: feature {feature!r}: {key!r} is missing or not a number"
+        )
+    return value
+
+
 def cmd_correlate(args: argparse.Namespace) -> int:
     if len(args.eval) != len(args.hrm):
         return _fail("--eval and --hrm must list the same number of files")
     if len(args.eval) < 2:
         return _fail("need at least two settings to correlate")
-    eval_docs = [json.loads(Path(p).read_text(encoding="utf-8")) for p in args.eval]
-    hrm_docs = [json.loads(Path(p).read_text(encoding="utf-8")) for p in args.hrm]
+    eval_docs = [(p, _score_entries(p)) for p in args.eval]
+    hrm_docs = [(p, _score_entries(p)) for p in args.hrm]
     features: set[str] | None = None
-    for doc in eval_docs:
-        present = {
-            f for f, e in doc.get("features", {}).items() if not e.get("absent")
-        }
+    for _, entries in eval_docs:
+        present = {f for f, e in entries.items() if not e.get("absent")}
         features = present if features is None else features & present
-    for doc in hrm_docs:
-        features &= set(doc.get("features", {}))
+    for _, entries in hrm_docs:
+        features &= set(entries)
     if not features:
         return _fail("no feature is present in every eval and hrm file")
     per_feature: dict[str, dict] = {}
     rs = []
     for feature in sorted(features):
-        xs = [doc["features"][feature]["arm"] for doc in eval_docs]
-        ys = [doc["features"][feature]["hrm"] for doc in hrm_docs]
+        xs = [_score(p, entries, feature, "arm") for p, entries in eval_docs]
+        ys = [_score(p, entries, feature, "hrm") for p, entries in hrm_docs]
         try:
             r = pearson(xs, ys)
             rs.append(r)

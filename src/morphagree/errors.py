@@ -61,6 +61,10 @@ class MalformedRulesError(MorphagreeError):
 
 # --- evaluation ---
 
+class MalformedScoresError(MorphagreeError):
+    """An eval or hrm document lacks a score, or holds a value of the wrong JSON type."""
+
+
 class FeatureMismatchError(MorphagreeError):
     """Inputs refer to different morphological features."""
 

@@ -16,7 +16,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .labeling import Label, RuleSet, label_triple
-from .triples import FeatureDataset, Triple, top_k_triples, triple_counts
+from .triples import FeatureDataset, Triple
 
 
 class HumanLabel(str, enum.Enum):
@@ -61,44 +61,20 @@ class EvalReport:
     hrm_details: tuple[AnnotationVerdict, ...] | None = None
 
 
-def _agreement_counts(test: FeatureDataset) -> dict[Triple, tuple[int, int]]:
-    counts: dict[Triple, list[int]] = {}
-    for inst in test.instances:
-        entry = counts.setdefault(inst.triple, [0, 0])
-        entry[0] += inst.agree
-        entry[1] += 1
-    return {t: (a, n) for t, (a, n) in counts.items()}
-
-
 def empirical_agreement(test: FeatureDataset, triple: Triple) -> tuple[float | None, int]:
     """Fraction of test instances of this triple that agree.
 
     Returns (None, 0) when the triple does not occur in the test data.
     """
-    agreeing = total = 0
-    for inst in test.instances:
-        if inst.triple == triple:
-            total += 1
-            agreeing += inst.agree
-    if total == 0:
+    group = test.triples.get(triple)
+    if group is None:
         return None, 0
-    return agreeing / total, total
+    return group.n_agree / group.size, group.size
 
 
 def all_test_triples(test: FeatureDataset) -> list[Triple]:
     """Every distinct test triple, most frequent first."""
-    n = len(triple_counts(test))
-    return top_k_triples(test, n) if n else []
-
-
-def _dedupe(triples: Iterable[Triple]) -> list[Triple]:
-    seen: set[Triple] = set()
-    out: list[Triple] = []
-    for t in triples:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+    return list(test.ranking)
 
 
 def _score_triples(
@@ -108,13 +84,13 @@ def _score_triples(
     tree_label_of,
     feature: str,
 ) -> EvalReport:
-    counts = _agreement_counts(test)
     verdicts: list[TripleVerdict] = []
-    for triple in _dedupe(triples):
-        if triple not in counts:
+    for triple in dict.fromkeys(triples):  # deduplicated, first occurrence kept
+        group = test.triples.get(triple)
+        if group is None:
             continue
-        agreeing, total = counts[triple]
-        q = agreeing / total
+        total = group.size
+        q = group.n_agree / total
         test_label = Label.REQUIRED if q > tau else Label.CHANCE
         tree_label = tree_label_of(triple)
         verdicts.append(

@@ -4,12 +4,13 @@ from __future__ import annotations
 import html
 import random
 from pathlib import Path
+from typing import Sequence
 
 from .conllu import Sentence, Treebank
 from .labeling import Label, LabeledRule, RuleSet
 from .serialization import RulesDocument
 from .tree import SLOT_ORDER, Slot
-from .triples import AgreementInstance, Triple, extract_instances, top_k_triples
+from .triples import AgreementInstance, extract_instances, top_k_triples
 
 SHEET_COLUMNS = ("feature", "relation", "head_pos", "dep_pos", "label", "examples")
 
@@ -31,14 +32,13 @@ def render_example(sentence: Sentence, head_id: int, dep_id: int) -> str:
     return " ".join(parts)
 
 
-def _sample_instances(
-    instances: list[AgreementInstance], k: int, seed_key: str
-) -> list[AgreementInstance]:
-    if len(instances) <= k:
-        return list(instances)
+def _sample(items: Sequence, k: int, seed_key: str) -> list:
+    """k items drawn by a generator seeded with seed_key, kept in order."""
+    if len(items) <= k:
+        return list(items)
     rng = random.Random(seed_key)
-    picked = sorted(rng.sample(range(len(instances)), k))
-    return [instances[i] for i in picked]
+    picked = sorted(rng.sample(range(len(items)), k))
+    return [items[i] for i in picked]
 
 
 def build_annotation_rows(
@@ -55,15 +55,11 @@ def build_annotation_rows(
         dataset = extract_instances(train, feature)
         if not dataset.instances:
             continue
-        by_triple: dict[Triple, list[AgreementInstance]] = {}
-        for inst in dataset.instances:
-            by_triple.setdefault(inst.triple, []).append(inst)
         for triple in top_k_triples(dataset, top_k):
-            pool = by_triple[triple]
             key = f"{seed}:{feature}:{triple.relation}:{triple.head_pos}:{triple.dep_pos}"
             rendered = []
-            for inst in _sample_instances(pool, examples, key):
-                sent_id, head_id, dep_id = inst.provenance
+            for ref in _sample(dataset.triples[triple].refs, examples, key):
+                sent_id, head_id, dep_id = dataset.instances[ref].provenance
                 rendered.append(
                     f"{sent_id}:h{head_id}:d{dep_id} "
                     + render_example(index[sent_id], head_id, dep_id)
@@ -178,15 +174,19 @@ def render_feature_page(
     eval_entry: dict | None,
 ) -> str:
     dataset = extract_instances(train, feature)
+    # (agreeing, disagreeing) example pools per rule, in document order
     by_rule: dict[int, tuple[list[AgreementInstance], list[AgreementInstance]]] = {
         rule.rule_id: ([], []) for rule in ruleset.rules
     }
+    pools_of = {}
+    for triple in dataset.triples:
+        rule = next((r for r in ruleset.rules if r.matches(triple)), None)
+        if rule is not None:
+            pools_of[triple] = by_rule[rule.rule_id]
     for inst in dataset.instances:
-        for rule in ruleset.rules:
-            if rule.matches(inst.triple):
-                agree_pool, disagree_pool = by_rule[rule.rule_id]
-                (agree_pool if inst.agree else disagree_pool).append(inst)
-                break
+        pools = pools_of.get(inst.triple)
+        if pools is not None:
+            pools[not inst.agree].append(inst)
     verdict_by_leaf = {v.leaf_id: v for v in doc.verdicts[feature]}
     chance = doc.chance_models[feature]
     body = [f"<h1>{html.escape(feature)} agreement rules</h1>"]
@@ -242,7 +242,7 @@ def render_feature_page(
                 body.append('<p class="muted">none in the training data</p>')
                 continue
             key = f"{seed}:{feature}:{rule.rule_id}:{kind}"
-            for inst in _sample_instances(pool, examples, key):
+            for inst in _sample(pool, examples, key):
                 body.append(_render_instance_html(index, inst, feature))
         body.append("</div>")
     body.append('<p><a href="index.html">&larr; all features</a></p>')

@@ -25,7 +25,7 @@ from .labeling import (
 )
 from .pipeline import ExtractionConfig, FeatureRules
 from .tree import DecisionTree, HyperParams, Internal, Leaf, Slot, SplitPredicate
-from .triples import Triple, triple_counts
+from .triples import Triple
 
 FORMAT_VERSION = "1"
 EXAMPLE_REFS_CAP = 100  # per rule, document order
@@ -184,10 +184,8 @@ def feature_rules_to_dict(result: FeatureRules) -> dict:
     if result.absent or result.ruleset is None:
         return {"absent": True}
     assert result.tree is not None and result.chance is not None
-    counts = triple_counts(result.dataset) if result.dataset is not None else {}
-    ordered = sorted(
-        counts, key=lambda t: (-counts[t], t.relation, t.head_pos, t.dep_pos)
-    )
+    dataset = result.dataset
+    ranked = [dataset.triples[t] for t in dataset.ranking] if dataset is not None else []
     return {
         "absent": False,
         "training_size": result.ruleset.training_size,
@@ -199,13 +197,7 @@ def feature_rules_to_dict(result: FeatureRules) -> dict:
         "leaf_verdicts": [verdict_to_dict(v) for v in result.verdicts],
         "rules": [rule_to_dict(r) for r in result.ruleset.rules],
         "training_triples": [
-            {
-                "relation": t.relation,
-                "head_pos": t.head_pos,
-                "dep_pos": t.dep_pos,
-                "count": counts[t],
-            }
-            for t in ordered
+            {**_triple_fields(g.triple), "count": g.size} for g in ranked
         ],
     }
 

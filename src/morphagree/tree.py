@@ -22,9 +22,10 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import EmptyDatasetError
-from .triples import FeatureDataset, Triple
+from .triples import FeatureDataset, Triple, TripleGroup
 
 
 class Slot(str, enum.Enum):
@@ -132,22 +133,6 @@ def _entropy(n_agree: int, n_disagree: int) -> float:
 _IMPURITY = {"gini": _gini, "entropy": _entropy}
 
 
-class _Group:
-    """All instances sharing one triple, aggregated for fast split scoring."""
-
-    __slots__ = ("triple", "n_agree", "n_disagree", "refs")
-
-    def __init__(self, triple: Triple):
-        self.triple = triple
-        self.n_agree = 0
-        self.n_disagree = 0
-        self.refs: list[int] = []
-
-    @property
-    def size(self) -> int:
-        return self.n_agree + self.n_disagree
-
-
 class _Node:
     """A grown node: the groups reaching it (in their original order), its
     depth and totals, and, unless growth stopped here, its split as
@@ -155,7 +140,7 @@ class _Node:
 
     __slots__ = ("groups", "depth", "n_agree", "n_disagree", "split")
 
-    def __init__(self, groups: list[_Group], depth: int, n_agree: int, n_disagree: int):
+    def __init__(self, groups: list[TripleGroup], depth: int, n_agree: int, n_disagree: int):
         self.groups = groups
         self.depth = depth
         self.n_agree = n_agree
@@ -164,7 +149,7 @@ class _Node:
 
 
 def _best_split(
-    groups: list[_Group], node_agree: int, node_disagree: int, impurity, n_total: int
+    groups: list[TripleGroup], node_agree: int, node_disagree: int, impurity, n_total: int
 ) -> tuple[SplitPredicate, float] | None:
     n_node = node_agree + node_disagree
     node_impurity = impurity(node_agree, node_disagree)
@@ -196,7 +181,7 @@ def _best_split(
 
 
 def _grow(
-    groups: list[_Group],
+    groups: list[TripleGroup],
     depth: int,
     max_depth: int,
     min_impurity_decrease: float,
@@ -221,8 +206,8 @@ def _grow(
         return node
     predicate = best[0]
     attr, value = predicate.attr, predicate.value
-    match: list[_Group] = []
-    nomatch: list[_Group] = []
+    match: list[TripleGroup] = []
+    nomatch: list[TripleGroup] = []
     for g in groups:
         (match if getattr(g.triple, attr) == value else nomatch).append(g)
     node.split = (
@@ -250,22 +235,8 @@ def _freeze(node: _Node, max_depth: int, counter: list[int]) -> TreeNode:
     return Internal(predicate, match_child, nomatch_child)
 
 
-def _aggregate_groups(dataset: FeatureDataset) -> dict[Triple, _Group]:
-    groups: dict[Triple, _Group] = {}
-    for idx, inst in enumerate(dataset.instances):
-        group = groups.get(inst.triple)
-        if group is None:
-            group = groups[inst.triple] = _Group(inst.triple)
-        if inst.agree:
-            group.n_agree += 1
-        else:
-            group.n_disagree += 1
-        group.refs.append(idx)
-    return groups
-
-
 def _fit_points(
-    feature: str, groups: list[_Group], points: list[HyperParams]
+    feature: str, groups: list[TripleGroup], points: list[HyperParams]
 ) -> list[DecisionTree]:
     """One tree per point, in order. Points sharing a criterion and impurity
     floor are cut from one growth at their largest max_depth (depth nesting,
@@ -293,14 +264,11 @@ def _fit_points(
     return trees
 
 
-def fit(dataset: FeatureDataset, hyperparams: HyperParams, seed: int = 0) -> DecisionTree:
-    """Fit a tree on the dataset. The seed is accepted for interface parity
-    with grid_search but induction itself is deterministic."""
-    del seed
+def fit(dataset: FeatureDataset, hyperparams: HyperParams) -> DecisionTree:
+    """Fit a tree on the dataset's triple groups; induction is deterministic."""
     if not dataset.instances:
         raise EmptyDatasetError(f"no instances for feature {dataset.feature!r}")
-    groups = list(_aggregate_groups(dataset).values())
-    return _fit_points(dataset.feature, groups, [hyperparams])[0]
+    return _fit_points(dataset.feature, list(dataset.triples.values()), [hyperparams])[0]
 
 
 def _leaf_for(tree: DecisionTree, triple: Triple) -> Leaf:
@@ -333,34 +301,24 @@ def leaf_count(tree: DecisionTree) -> int:
     return len(leaves(tree))
 
 
-def _count_by_triple(dataset: FeatureDataset) -> dict[Triple, list[int]]:
-    counts: dict[Triple, list[int]] = {}
-    for inst in dataset.instances:
-        entry = counts.get(inst.triple)
-        if entry is None:
-            entry = counts[inst.triple] = [0, 0]
-        entry[inst.agree] += 1
-    return counts
-
-
-def _accuracy_from_counts(tree: DecisionTree, counts: dict[Triple, list[int]]) -> float:
+def _accuracy_of_groups(tree: DecisionTree, groups: Iterable[TripleGroup]) -> float:
     # instances sharing a triple route identically, so score per triple
     hits = total = 0
-    for triple, (n_disagree, n_agree) in counts.items():
-        leaf = _leaf_for(tree, triple)
-        hits += n_agree if leaf.n_agree > leaf.n_disagree else n_disagree
-        total += n_agree + n_disagree
+    for g in groups:
+        leaf = _leaf_for(tree, g.triple)
+        hits += g.n_agree if leaf.n_agree > leaf.n_disagree else g.n_disagree
+        total += g.size
     return hits / total if total else 0.0
 
 
-def _macro_f1_from_counts(tree: DecisionTree, counts: dict[Triple, list[int]]) -> float:
+def _macro_f1_of_groups(tree: DecisionTree, groups: Iterable[TripleGroup]) -> float:
     # per-class confusion counts: tp, fp, fn
     stats = {True: [0, 0, 0], False: [0, 0, 0]}
-    for triple, (n_disagree, n_agree) in counts.items():
-        predicted = _leaf_for(tree, triple)
+    for g in groups:
+        predicted = _leaf_for(tree, g.triple)
         predicted_agree = predicted.n_agree > predicted.n_disagree
         correct, wrong = (
-            (n_agree, n_disagree) if predicted_agree else (n_disagree, n_agree)
+            (g.n_agree, g.n_disagree) if predicted_agree else (g.n_disagree, g.n_agree)
         )
         stats[predicted_agree][0] += correct
         stats[predicted_agree][1] += wrong
@@ -372,19 +330,17 @@ def _macro_f1_from_counts(tree: DecisionTree, counts: dict[Triple, list[int]]) -
     return sum(f1s) / len(f1s)
 
 
-_METRICS = {"accuracy": _accuracy_from_counts, "macro_f1": _macro_f1_from_counts}
+_METRICS = {"accuracy": _accuracy_of_groups, "macro_f1": _macro_f1_of_groups}
 
 
 def classification_accuracy(tree: DecisionTree, dataset: FeatureDataset) -> float:
     """Accuracy of majority-class leaf predictions (tie predicts disagree)."""
-    return _accuracy_from_counts(tree, _count_by_triple(dataset))
+    return _accuracy_of_groups(tree, dataset.triples.values())
 
 
 def macro_f1(tree: DecisionTree, dataset: FeatureDataset) -> float:
     """Macro-averaged F1 over the agree/disagree classes."""
-    if not dataset.instances:
-        return 0.0
-    return _macro_f1_from_counts(tree, _count_by_triple(dataset))
+    return _macro_f1_of_groups(tree, dataset.triples.values())
 
 
 def _cv_scores(
@@ -405,27 +361,30 @@ def _cv_scores(
     for fold in range(k):
         for idx in indices[fold::k]:
             fold_of[idx] = fold
-    # per-fold (disagree, agree) counts per triple, one pass
-    fold_counts: list[dict[Triple, list[int]]] = [{} for _ in range(k)]
-    for idx, inst in enumerate(train.instances):
-        counts = fold_counts[fold_of[idx]]
-        entry = counts.get(inst.triple)
-        if entry is None:
-            entry = counts[inst.triple] = [0, 0]
-        entry[inst.agree] += 1
-    totals = _count_by_triple(train)
+    # split every triple group into its held-out part per fold and the rest
+    held: list[list[TripleGroup]] = [[] for _ in range(k)]
+    rest: list[list[TripleGroup]] = [[] for _ in range(k)]
+    instances = train.instances
+    for group in train.triples.values():
+        counts = [[0, 0] for _ in range(k)]
+        for idx in group.refs:
+            counts[fold_of[idx]][instances[idx].agree] += 1
+        for fold, (held_disagree, held_agree) in enumerate(counts):
+            if held_disagree + held_agree:
+                held[fold].append(TripleGroup(group.triple, held_disagree, held_agree))
+            if held_disagree + held_agree < group.size:
+                rest[fold].append(
+                    TripleGroup(
+                        group.triple,
+                        group.n_disagree - held_disagree,
+                        group.n_agree - held_agree,
+                    )
+                )
     scores: list[list[float]] = [[] for _ in points]
-    for held in fold_counts:
-        groups = []
-        for triple, (n_disagree, n_agree) in totals.items():
-            held_disagree, held_agree = held.get(triple, (0, 0))
-            group = _Group(triple)
-            group.n_disagree = n_disagree - held_disagree
-            group.n_agree = n_agree - held_agree
-            if group.size:
-                groups.append(group)
-        for point_scores, tree in zip(scores, _fit_points(train.feature, groups, points)):
-            point_scores.append(metric(tree, held))
+    for held_groups, rest_groups in zip(held, rest):
+        trees = _fit_points(train.feature, rest_groups, points)
+        for point_scores, tree in zip(scores, trees):
+            point_scores.append(metric(tree, held_groups))
     return [sum(s) / len(s) for s in scores]
 
 
@@ -446,10 +405,9 @@ def grid_search(
         raise EmptyDatasetError(f"no instances for feature {train.feature!r}")
     metric_fn = _METRICS[metric]
     points = grid.points()
-    trees = _fit_points(train.feature, list(_aggregate_groups(train).values()), points)
+    trees = _fit_points(train.feature, list(train.triples.values()), points)
     if validation is not None and len(validation.instances) > 0:
-        validation_counts = _count_by_triple(validation)
-        scores = [metric_fn(tree, validation_counts) for tree in trees]
+        scores = [metric_fn(tree, validation.triples.values()) for tree in trees]
     else:
         scores = _cv_scores(train, points, seed, metric_fn)
     best_tree: DecisionTree | None = None

@@ -3,11 +3,20 @@
 Every edge whose head and dependent both carry a morphological feature
 becomes one binary-labeled instance; tokens are characterized by UPOS only.
 Root edges (head = 0) are excluded.
+
+Each FeatureDataset carries its per-triple table, built once from its
+instances: ``triples`` maps every distinct triple, in order of first
+occurrence, to a TripleGroup holding its disagree and agree counts and the
+indices of its instances in document order. ``ranking`` lists the same
+triples by count descending, ties broken by (relation, head_pos, dep_pos).
+Tree fitting, scoring, ARM, ``training_triples``, the annotation sheet and
+the report all read this one table; its two orders are what keep their
+outputs byte-stable.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .conllu import Treebank
 from .errors import EmptyMarginalsError
@@ -15,13 +24,34 @@ from .errors import EmptyMarginalsError
 DEFAULT_FEATURES = ("Gender", "Person", "Number", "Mood", "Case", "Tense")
 
 
-@dataclass(frozen=True, order=True)
-class Triple:
+class Triple(NamedTuple):
     """The ⟨head POS, relation, dependent POS⟩ shape of one dependency edge."""
 
     head_pos: str
     relation: str
     dep_pos: str
+
+
+class TripleGroup:
+    """All instances sharing one triple: counts and document-order indices.
+
+    Treated as read-only once built. A plain slotted class, because split
+    search reads these attributes in its innermost loop.
+    """
+
+    __slots__ = ("triple", "n_disagree", "n_agree", "refs")
+
+    def __init__(
+        self, triple: Triple, n_disagree: int, n_agree: int, refs: list[int] | None = None
+    ):
+        self.triple = triple
+        self.n_disagree = n_disagree
+        self.n_agree = n_agree
+        self.refs = [] if refs is None else refs
+
+    @property
+    def size(self) -> int:
+        return self.n_disagree + self.n_agree
 
 
 @dataclass(frozen=True)
@@ -36,14 +66,31 @@ class AgreementInstance:
 
 @dataclass(frozen=True)
 class FeatureDataset:
-    """All agreement instances of one feature, plus corpus-level tallies."""
+    """All agreement instances of one feature, plus corpus-level tallies and
+    the per-triple table (see the module docstring)."""
 
     feature: str
     instances: tuple[AgreementInstance, ...]
-    relation_vocab: tuple[str, ...]
-    head_pos_vocab: tuple[str, ...]
-    dep_pos_vocab: tuple[str, ...]
     value_marginals: dict[str, int] = field(default_factory=dict)
+    triples: dict[Triple, TripleGroup] = field(init=False, repr=False, compare=False)
+    ranking: tuple[Triple, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        triples: dict[Triple, TripleGroup] = {}
+        for idx, inst in enumerate(self.instances):
+            group = triples.get(inst.triple)
+            if group is None:
+                group = triples[inst.triple] = TripleGroup(inst.triple, 0, 0)
+            if inst.agree:
+                group.n_agree += 1
+            else:
+                group.n_disagree += 1
+            group.refs.append(idx)
+        ranking = sorted(
+            triples, key=lambda t: (-triples[t].size, t.relation, t.head_pos, t.dep_pos)
+        )
+        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "ranking", tuple(ranking))
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -55,24 +102,7 @@ class FeatureDataset:
         instances: list[AgreementInstance] | tuple[AgreementInstance, ...],
         value_marginals: dict[str, int] | None = None,
     ) -> "FeatureDataset":
-        return cls(
-            feature=feature,
-            instances=tuple(instances),
-            relation_vocab=tuple(sorted({i.triple.relation for i in instances})),
-            head_pos_vocab=tuple(sorted({i.triple.head_pos for i in instances})),
-            dep_pos_vocab=tuple(sorted({i.triple.dep_pos for i in instances})),
-            value_marginals=dict(value_marginals or {}),
-        )
-
-
-def _count_feature_values(treebank: Treebank, feature: str) -> Counter[str]:
-    counts: Counter[str] = Counter()
-    for sentence in treebank.sentences:
-        for token in sentence.tokens:
-            value = token.feats.get(feature)
-            if value is not None:
-                counts[value] += 1
-    return counts
+        return cls(feature, tuple(instances), dict(value_marginals or {}))
 
 
 def value_marginals(treebank: Treebank, feature: str) -> dict[str, int]:
@@ -81,33 +111,37 @@ def value_marginals(treebank: Treebank, feature: str) -> dict[str, int]:
     Raises EmptyMarginalsError when no token carries the feature, which
     signals that the feature is absent from the language.
     """
-    counts = _count_feature_values(treebank, feature)
+    counts = extract_instances(treebank, feature).value_marginals
     if not counts:
         raise EmptyMarginalsError(f"no token carries feature {feature!r}")
-    return dict(counts)
+    return counts
 
 
 def extract_instances(treebank: Treebank, feature: str) -> FeatureDataset:
     """Build the agreement dataset for one feature, in document order.
 
     An edge contributes an instance only when both endpoints carry the
-    feature; agreement is verbatim string equality of the two values.
+    feature; agreement is verbatim string equality of the two values, so a
+    multi-valued entry such as ``Nom,Acc`` agrees only with ``Nom,Acc``.
+    The value marginals are counted over every token in the same walk.
     """
     instances: list[AgreementInstance] = []
+    marginals: dict[str, int] = {}
     for sentence in treebank.sentences:
         for token in sentence.tokens:
+            dep_value = token.feats.get(feature)
+            if dep_value is None:
+                continue
+            marginals[dep_value] = marginals.get(dep_value, 0) + 1
             if token.head == 0:
                 continue
             head = sentence.token_by_id(token.head)
             head_value = head.feats.get(feature)
-            dep_value = token.feats.get(feature)
-            if head_value is None or dep_value is None:
+            if head_value is None:
                 continue
             instances.append(
                 AgreementInstance(
-                    triple=Triple(
-                        head_pos=head.upos, relation=token.deprel, dep_pos=token.upos
-                    ),
+                    triple=Triple(head.upos, token.deprel, token.upos),
                     feature=feature,
                     head_value=head_value,
                     dep_value=dep_value,
@@ -115,16 +149,7 @@ def extract_instances(treebank: Treebank, feature: str) -> FeatureDataset:
                     provenance=(sentence.sent_id, head.id, token.id),
                 )
             )
-    return FeatureDataset.from_instances(
-        feature, instances, dict(_count_feature_values(treebank, feature))
-    )
-
-
-def triple_counts(dataset: FeatureDataset) -> dict[Triple, int]:
-    counts: dict[Triple, int] = {}
-    for inst in dataset.instances:
-        counts[inst.triple] = counts.get(inst.triple, 0) + 1
-    return counts
+    return FeatureDataset.from_instances(feature, instances, marginals)
 
 
 def top_k_triples(dataset: FeatureDataset, k: int) -> list[Triple]:
@@ -132,8 +157,4 @@ def top_k_triples(dataset: FeatureDataset, k: int) -> list[Triple]:
     by (relation, head_pos, dep_pos)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    counts = triple_counts(dataset)
-    ordered = sorted(
-        counts, key=lambda t: (-counts[t], t.relation, t.head_pos, t.dep_pos)
-    )
-    return ordered[:k]
+    return list(dataset.ranking[:k])

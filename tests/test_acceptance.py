@@ -95,9 +95,7 @@ def test_criterion_3_planted_rule_recovery():
         assert sum(1 for _ in treebank.sentences) == 10_000
         result = extract_feature_rules(treebank, "Gender", config)
         # every vocabulary triple drew well over 200 instances
-        from morphagree.triples import triple_counts
-
-        assert min(triple_counts(result.dataset).values()) >= 200
+        assert min(g.size for g in result.dataset.triples.values()) >= 200
         assert recovery_score(grammar, result.ruleset) == (1.0, 1.0)
 
         noisy = _recovery_grammar(0.03)

@@ -306,6 +306,35 @@ def test_correlate_identical_scores_and_protocol_shape(workspace, tmp_path):
     assert len(doc["settings"]) == 4
 
 
+_GOOD_EVAL = {"format_version": "1", "features": {"Gender": {"arm": 0.5, "absent": False}}}
+_GOOD_HRM = {"format_version": "1", "features": {"Gender": {"hrm": 0.5}}}
+
+
+@pytest.mark.parametrize(
+    "bad_eval, bad_hrm, message",
+    [
+        ({"features": {"Gender": {"absent": False}}}, _GOOD_HRM, "'arm' is missing"),
+        (_GOOD_EVAL, {"features": {"Gender": {"n_triples": 3}}}, "'hrm' is missing"),
+        ([_GOOD_EVAL], _GOOD_HRM, "'features' is not an object"),
+    ],
+    ids=["eval-without-arm", "hrm-without-hrm", "top-level-list"],
+)
+def test_correlate_rejects_malformed_documents(tmp_path, capsys, bad_eval, bad_hrm, message):
+    paths = {}
+    for name, doc in (("eval-a", _GOOD_EVAL), ("eval-b", bad_eval),
+                      ("hrm-a", _GOOD_HRM), ("hrm-b", bad_hrm)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+    code = main(
+        ["correlate", "--eval", str(paths["eval-a"]), str(paths["eval-b"]),
+         "--hrm", str(paths["hrm-a"]), str(paths["hrm-b"])]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_correlate_rejects_mismatched_setting_lists(tmp_path):
     code = main(["correlate", "--eval", "a.json", "--hrm", "b.json", "c.json"])
     assert code == 1

@@ -85,8 +85,16 @@ def test_chi2_hand_computed_example():
 
 
 def test_chi2_survival_matches_integration_oracle():
-    for x in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 17.344, 50.0):
-        assert abs(chi_square_survival(x) - chi2_sf_oracle(x)) < 1e-9
+    oracles = [chi2_sf_oracle]
+    try:  # scipy is optional: its survival function is a second oracle when present
+        from scipy.stats import chi2
+    except ImportError:
+        pass
+    else:
+        oracles.append(lambda x: float(chi2.sf(x, 1)))
+    for oracle in oracles:
+        for x in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 17.344, 50.0):
+            assert abs(chi_square_survival(x) - oracle(x)) < 1e-9
 
 
 def test_chi2_survival_monotone_and_anchored():

@@ -98,4 +98,4 @@ def test_person_is_absent_without_two_sided_marking(mini_spanish_rules):
 
 def test_subtyped_relation_labels_kept_verbatim(mini_spanish_rules):
     dataset = mini_spanish_rules["Number"].dataset
-    assert "comp:obj" in dataset.relation_vocab
+    assert "comp:obj" in {t.relation for t in dataset.triples}

@@ -21,7 +21,6 @@ from morphagree.tree import (
     Leaf,
     Slot,
     SplitPredicate,
-    _aggregate_groups,
     _fit_points,
     classification_accuracy,
     leaves,
@@ -280,8 +279,8 @@ def test_fit_is_deterministic_and_serializes_identically():
         for _ in range(250)
     ]
     dataset = make_dataset(pairs)
-    t1 = fit(dataset, HP, seed=1)
-    t2 = fit(dataset, HP, seed=99)  # seed must not affect induction
+    t1 = fit(dataset, HP)
+    t2 = fit(dataset, HP)
     assert t1 == t2
     assert json.dumps(tree_to_dict(t1), sort_keys=True) == json.dumps(
         tree_to_dict(t2), sort_keys=True
@@ -313,7 +312,7 @@ DEEP_GRID = HyperGrid(max_depths=tuple(range(1, 16)))
 @given(_datasets, st.sampled_from([0.0, 1e-3, 2e-2]))
 def test_trees_cut_from_one_growth_equal_separate_fits(dataset, floor):
     grid = HyperGrid(max_depths=DEEP_GRID.max_depths, min_impurity_decrease=floor)
-    groups = list(_aggregate_groups(dataset).values())
+    groups = list(dataset.triples.values())
     nested = _fit_points(dataset.feature, groups, grid.points())
     # structure, leaf ids, counts, instance_refs and hyperparams
     assert nested == [fit(dataset, hp) for hp in grid.points()]

@@ -143,11 +143,41 @@ def test_top_k_count_ordering():
     assert top_k_triples(dataset, 2) == [a, b]
 
 
+def test_multi_valued_feats_compared_verbatim():
+    tb = make_treebank(
+        "1\tlo\tél\tPRON\t_\tCase=Nom\t2\tsubj\t_\t_\n"
+        "2\tve\tver\tVERB\t_\tCase=Nom,Acc\t0\troot\t_\t_\n"
+    )
+    dataset = extract_instances(tb, "Case")
+    assert [(i.head_value, i.dep_value, i.agree) for i in dataset.instances] == [
+        ("Nom,Acc", "Nom", False)
+    ]
+    assert dataset.value_marginals == {"Nom": 1, "Nom,Acc": 1}
+
+
+def test_triple_table_matches_instances(gender_tally_path):
+    dataset = extract_instances(parse_conllu_file(gender_tally_path), "Gender")
+    first_seen = list(dict.fromkeys(i.triple for i in dataset.instances))
+    assert list(dataset.triples) == first_seen
+    for triple, group in dataset.triples.items():
+        refs = [k for k, i in enumerate(dataset.instances) if i.triple == triple]
+        agree = sum(dataset.instances[k].agree for k in refs)
+        assert (group.triple, group.n_disagree, group.n_agree, group.refs) == (
+            triple, len(refs) - agree, agree, refs
+        )
+    assert sorted(dataset.ranking) == sorted(first_seen)
+    sizes = [dataset.triples[t].size for t in dataset.ranking]
+    assert sizes == sorted(sizes, reverse=True)
+
+
+def test_triple_is_an_ordered_named_tuple():
+    a = Triple(head_pos="NOUN", relation="det", dep_pos="DET")
+    assert repr(a) == "Triple(head_pos='NOUN', relation='det', dep_pos='DET')"
+    assert a < Triple("NOUN", "det", "NOUN") < Triple("VERB", "amod", "ADJ")
+    assert hash(a) == hash(Triple("NOUN", "det", "DET"))
+
+
 def test_vocab_covers_all_instances(gender_tally_path):
     tb = parse_conllu_file(gender_tally_path)
     dataset = extract_instances(tb, "Gender")
-    for inst in dataset.instances:
-        assert inst.triple.relation in dataset.relation_vocab
-        assert inst.triple.head_pos in dataset.head_pos_vocab
-        assert inst.triple.dep_pos in dataset.dep_pos_vocab
     assert sum(dataset.value_marginals.values()) == 9

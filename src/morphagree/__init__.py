@@ -16,7 +16,6 @@ from .evaluation import (
     TripleVerdict,
     arm,
     baseline_arm,
-    empirical_agreement,
     hrm,
     pearson,
     read_annotations,
@@ -37,8 +36,8 @@ from .labeling import (
     label_triple,
     merge_rules,
 )
-from .pipeline import ExtractionConfig, FeatureRules, extract_all, extract_feature_rules
-from .synthetic import PlantedGrammar, FeatureSpec, RulePattern, generate, load_grammar, recovery_score, treebank_to_conllu
+from .pipeline import ExtractionConfig, FeatureRules, extract_feature_rules
+from .synthetic import PlantedGrammar, FeatureSpec, RulePattern, generate, recovery_score, treebank_to_conllu
 from .tree import (
     DecisionTree,
     HyperGrid,
@@ -59,7 +58,6 @@ from .triples import (
     Triple,
     extract_instances,
     top_k_triples,
-    value_marginals,
 )
 
 __version__ = "0.1.0"

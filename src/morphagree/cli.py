@@ -7,10 +7,9 @@ import sys
 from pathlib import Path
 
 from .complexity import conciseness_correlation, word_entropy
-from .conllu import Treebank, parse_conllu_file
+from .conllu import parse_conllu_file
 from .errors import MalformedScoresError, MorphagreeError, ZeroVarianceError
 from .evaluation import (
-    all_test_triples,
     arm,
     baseline_arm,
     hrm,
@@ -46,10 +45,6 @@ def _report_failures(failures: dict[str, str]) -> int:
     return 1
 
 
-def _load_treebank(path: str) -> Treebank:
-    return parse_conllu_file(path)
-
-
 def cmd_extract(args: argparse.Namespace) -> int:
     config = ExtractionConfig(
         features=tuple(args.features),
@@ -63,8 +58,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
         selection_metric=args.metric.replace("-", "_"),
         seed=args.seed,
     )
-    train = _load_treebank(args.train)
-    dev = _load_treebank(args.dev) if args.dev else None
+    train = parse_conllu_file(args.train)
+    dev = parse_conllu_file(args.dev) if args.dev else None
     results = {}
     failures: dict[str, str] = {}
     for feature in config.features:
@@ -96,7 +91,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     doc = load_rules(args.rules)
-    test = _load_treebank(args.test)
+    test = parse_conllu_file(args.test)
     features_out: dict[str, dict] = {}
     failures: dict[str, str] = {}
     for feature in doc.features:
@@ -107,7 +102,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if args.top_k is not None:
             triples = [t for t, _ in doc.training_triples[feature][: args.top_k]]
         else:
-            triples = all_test_triples(dataset)
+            triples = dataset.ranking
         ruleset = doc.rulesets[feature]
         try:
             report = arm(ruleset, dataset, triples, tau=args.tau)
@@ -141,7 +136,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_annotation_sheet(args: argparse.Namespace) -> int:
     doc = load_rules(args.rules)
-    train = _load_treebank(args.train)
+    train = parse_conllu_file(args.train)
     features = [f for f in doc.features if f not in doc.absent]
     rows = build_annotation_rows(features, train, args.top_k, args.examples, args.seed)
     write_annotation_sheet(rows, args.out)
@@ -210,7 +205,7 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     entropies: dict[str, float] = {}
     leaf_means: dict[str, float] = {}
     for i, path in enumerate(args.train):
-        treebank = _load_treebank(path)
+        treebank = parse_conllu_file(path)
         forms = (t.form for s in treebank.sentences for t in s.tokens)
         estimate = word_entropy(forms, args.lambda_override)
         entry = {
@@ -326,7 +321,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     doc = load_rules(args.rules)
-    train = _load_treebank(args.train)
+    train = parse_conllu_file(args.train)
     eval_doc = None
     if args.eval:
         eval_doc = json.loads(Path(args.eval).read_text(encoding="utf-8"))

@@ -56,11 +56,6 @@ class Sentence:
 @dataclass(frozen=True)
 class Treebank:
     sentences: tuple[Sentence, ...]
-    source_path: str = "<stream>"
-
-    @property
-    def sentence_count(self) -> int:
-        return len(self.sentences)
 
     @property
     def token_count(self) -> int:
@@ -168,7 +163,7 @@ def _iter_lines(stream: IO | Iterable[str]) -> Iterator[str]:
         yield raw.rstrip("\n").rstrip("\r")
 
 
-def parse_conllu(stream: IO | Iterable[str], source_path: str = "<stream>") -> Treebank:
+def parse_conllu(stream: IO | Iterable[str]) -> Treebank:
     """Parse a CoNLL-U text (or UTF-8 byte) stream into a Treebank.
 
     Comment ``# sent_id = X`` populates the sentence id; sentences without
@@ -212,7 +207,7 @@ def parse_conllu(stream: IO | Iterable[str], source_path: str = "<stream>") -> T
                 f"sentence {ordinal}: duplicate sent_id {sentence.sent_id!r}"
             )
         seen.add(sentence.sent_id)
-    return Treebank(sentences=tuple(sentences), source_path=source_path)
+    return Treebank(sentences=tuple(sentences))
 
 
 def parse_conllu_file(path: str | Path) -> Treebank:
@@ -224,4 +219,4 @@ def parse_conllu_file(path: str | Path) -> Treebank:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"{path}: {exc}") from None
-    return parse_conllu(io.StringIO(text), source_path=str(path))
+    return parse_conllu(io.StringIO(text))

@@ -56,25 +56,6 @@ class EvalReport:
     feature: str
     arm: float
     verdicts: tuple[TripleVerdict, ...]
-    baseline_arm: float | None = None
-    hrm: float | None = None
-    hrm_details: tuple[AnnotationVerdict, ...] | None = None
-
-
-def empirical_agreement(test: FeatureDataset, triple: Triple) -> tuple[float | None, int]:
-    """Fraction of test instances of this triple that agree.
-
-    Returns (None, 0) when the triple does not occur in the test data.
-    """
-    group = test.triples.get(triple)
-    if group is None:
-        return None, 0
-    return group.n_agree / group.size, group.size
-
-
-def all_test_triples(test: FeatureDataset) -> list[Triple]:
-    """Every distinct test triple, most frequent first."""
-    return list(test.ranking)
 
 
 def _score_triples(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import EmptyMarginalsError, NoMatchingRuleError, VerdictMismatchError
@@ -190,11 +190,6 @@ class Constraint:
     mode: str  # "in" or "not_in"
     values: frozenset[str]
 
-    def matches(self, value: str) -> bool:
-        if self.mode == "in":
-            return value in self.values
-        return value not in self.values
-
     @property
     def trivial(self) -> bool:
         return self.mode == "not_in" and not self.values
@@ -231,7 +226,6 @@ class RuleSet:
     rules: tuple[LabeledRule, ...]
     threshold_mode: ThresholdMode
     training_size: int
-    tree: DecisionTree | None = None
 
 
 def _descend(state: dict[Slot, tuple[str, frozenset[str]]], slot: Slot, value: str,
@@ -323,21 +317,35 @@ def _try_merge(a: LabeledRule, b: LabeledRule) -> LabeledRule | None:
 
 
 def _merge_to_fixpoint(rules: list[LabeledRule]) -> list[LabeledRule]:
+    """Merge the first mergeable pair (i, j), i < j in leaf order, until no
+    pair merges.
+
+    A merge keeps rule i's first leaf and deletes j, so the list stays in
+    leaf order. _try_merge depends only on its two rules, and every pair of
+    rules before i has already failed, so after rule i grows only the pairs
+    (p, i) with p < i and then row i can hold the next first pair.
+    """
     rules = sorted(rules, key=lambda r: r.source_leaf_ids[0])
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rules)):
-            for j in range(i + 1, len(rules)):
-                merged = _try_merge(rules[i], rules[j])
-                if merged is not None:
-                    rules[i] = merged
-                    del rules[j]
-                    rules.sort(key=lambda r: r.source_leaf_ids[0])
-                    changed = True
-                    break
-            if changed:
+    i = 0
+    while i < len(rules):
+        for j in range(i + 1, len(rules)):
+            merged = _try_merge(rules[i], rules[j])
+            if merged is not None:
                 break
+        else:
+            i += 1
+            continue
+        rules[i] = merged
+        del rules[j]
+        p = 0
+        while p < i:
+            merged = _try_merge(rules[p], rules[i])
+            if merged is None:
+                p += 1
+                continue
+            rules[p] = merged
+            del rules[i]
+            i, p = p, 0
     return rules
 
 
@@ -363,25 +371,12 @@ def merge_rules(
             f"tree has leaves {tree_leaf_ids}"
         )
     merged = _merge_to_fixpoint(_leaf_rules(tree, verdict_by_leaf, dataset))
-    rules = tuple(
-        LabeledRule(
-            rule_id=idx,
-            label=r.label,
-            constraints=r.constraints,
-            n_agree=r.n_agree,
-            n_disagree=r.n_disagree,
-            source_leaf_ids=r.source_leaf_ids,
-            example_refs=r.example_refs,
-            counterexample_refs=r.counterexample_refs,
-        )
-        for idx, r in enumerate(merged, start=1)
-    )
+    rules = tuple(replace(r, rule_id=idx) for idx, r in enumerate(merged, start=1))
     return RuleSet(
         feature=tree.feature,
         rules=rules,
         threshold_mode=threshold_mode,
         training_size=tree.training_size,
-        tree=tree,
     )
 
 

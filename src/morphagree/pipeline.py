@@ -108,11 +108,3 @@ def extract_feature_rules(
         ruleset=ruleset,
     )
 
-
-def extract_all(
-    train: Treebank, config: ExtractionConfig, dev: Treebank | None = None
-) -> dict[str, FeatureRules]:
-    return {
-        feature: extract_feature_rules(train, feature, config, dev)
-        for feature in config.features
-    }

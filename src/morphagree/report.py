@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .conllu import Sentence, Treebank
+from .errors import NoMatchingRuleError
 from .labeling import Label, LabeledRule, RuleSet
 from .serialization import RulesDocument
 from .tree import SLOT_ORDER, Slot
@@ -181,12 +182,13 @@ def render_feature_page(
     pools_of = {}
     for triple in dataset.triples:
         rule = next((r for r in ruleset.rules if r.matches(triple)), None)
-        if rule is not None:
-            pools_of[triple] = by_rule[rule.rule_id]
+        if rule is None:
+            raise NoMatchingRuleError(
+                f"feature {feature!r}: no rule matches training triple {triple}"
+            )
+        pools_of[triple] = by_rule[rule.rule_id]
     for inst in dataset.instances:
-        pools = pools_of.get(inst.triple)
-        if pools is not None:
-            pools[not inst.agree].append(inst)
+        pools_of[inst.triple][not inst.agree].append(inst)
     verdict_by_leaf = {v.leaf_id: v for v in doc.verdicts[feature]}
     chance = doc.chance_models[feature]
     body = [f"<h1>{html.escape(feature)} agreement rules</h1>"]

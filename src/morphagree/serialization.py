@@ -28,7 +28,9 @@ from .tree import DecisionTree, HyperParams, Internal, Leaf, Slot, SplitPredicat
 from .triples import Triple
 
 FORMAT_VERSION = "1"
-EXAMPLE_REFS_CAP = 100  # per rule, document order
+# per rule; refs run leaf by leaf in merge order, and within a leaf triple
+# by triple in order of first occurrence, each triple's in document order
+EXAMPLE_REFS_CAP = 100
 
 
 def dump_canonical(doc: dict) -> str:
@@ -243,7 +245,6 @@ class RulesDocument:
             )
         self.raw = doc
         self.treebank: str = doc.get("treebank", "")
-        self.seed: int = doc.get("seed", 0)
         self.params: dict = doc.get("params", {})
         self.rulesets: dict[str, RuleSet] = {}
         self.absent: set[str] = set()
@@ -271,8 +272,7 @@ class RulesDocument:
         if entry.get("absent"):
             self.absent.add(feature)
             return
-        tree = tree_from_dict(entry["tree"])
-        self.trees[feature] = tree
+        self.trees[feature] = tree_from_dict(entry["tree"])
         chance = entry["chance_model"]
         self.chance_models[feature] = ChanceModel(
             feature=feature,
@@ -284,7 +284,6 @@ class RulesDocument:
             rules=tuple(rule_from_dict(r) for r in entry["rules"]),
             threshold_mode=mode,
             training_size=entry["training_size"],
-            tree=tree,
         )
         self.verdicts[feature] = tuple(
             verdict_from_dict(v) for v in entry.get("leaf_verdicts", [])

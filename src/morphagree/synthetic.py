@@ -8,11 +8,9 @@ head/dependent token pair, since linear order is irrelevant downstream.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
 
 from .conllu import Sentence, Token, Treebank, feats_to_string
 from .errors import FeatureMismatchError, InvalidGrammarError
@@ -151,7 +149,7 @@ def generate(
                       head=head_id, deprel=triple.relation)
             )
         sentences.append(Sentence(sent_id=f"synth-{s}", tokens=tuple(tokens)))
-    return Treebank(sentences=tuple(sentences), source_path="<synthetic>")
+    return Treebank(sentences=tuple(sentences))
 
 
 def recovery_score(
@@ -195,51 +193,3 @@ def treebank_to_conllu(treebank: Treebank) -> str:
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
-
-def grammar_to_dict(grammar: PlantedGrammar) -> dict:
-    return {
-        "seed": grammar.seed,
-        "noise_rate": grammar.noise_rate,
-        "relations": list(grammar.relations),
-        "head_pos": list(grammar.head_pos),
-        "dep_pos": list(grammar.dep_pos),
-        "features": [
-            {"name": s.name, "values": list(s.values), "marginals": list(s.marginals)}
-            for s in grammar.features
-        ],
-        "required_rules": [
-            {"head_pos": r.head_pos, "relation": r.relation, "dep_pos": r.dep_pos}
-            for r in grammar.required_rules
-        ],
-    }
-
-
-def grammar_from_dict(doc: dict) -> PlantedGrammar:
-    grammar = PlantedGrammar(
-        features=tuple(
-            FeatureSpec(
-                name=s["name"], values=tuple(s["values"]), marginals=tuple(s["marginals"])
-            )
-            for s in doc["features"]
-        ),
-        relations=tuple(doc["relations"]),
-        head_pos=tuple(doc["head_pos"]),
-        dep_pos=tuple(doc["dep_pos"]),
-        required_rules=tuple(
-            RulePattern(
-                head_pos=r.get("head_pos", WILDCARD),
-                relation=r.get("relation", WILDCARD),
-                dep_pos=r.get("dep_pos", WILDCARD),
-            )
-            for r in doc.get("required_rules", [])
-        ),
-        noise_rate=doc.get("noise_rate", 0.0),
-        seed=doc.get("seed", 0),
-    )
-    grammar.validate()
-    return grammar
-
-
-def load_grammar(path: str | Path) -> PlantedGrammar:
-    with open(path, encoding="utf-8") as fh:
-        return grammar_from_dict(json.load(fh))

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .conllu import Treebank
-from .errors import EmptyMarginalsError
 
 DEFAULT_FEATURES = ("Gender", "Person", "Number", "Mood", "Case", "Tense")
 
@@ -54,10 +53,10 @@ class TripleGroup:
         return self.n_disagree + self.n_agree
 
 
-@dataclass(frozen=True)
-class AgreementInstance:
+class AgreementInstance(NamedTuple):
+    """One dependency edge of a feature dataset; the feature is the dataset's."""
+
     triple: Triple
-    feature: str
     head_value: str
     dep_value: str
     agree: bool
@@ -92,9 +91,6 @@ class FeatureDataset:
         object.__setattr__(self, "triples", triples)
         object.__setattr__(self, "ranking", tuple(ranking))
 
-    def __len__(self) -> int:
-        return len(self.instances)
-
     @classmethod
     def from_instances(
         cls,
@@ -103,18 +99,6 @@ class FeatureDataset:
         value_marginals: dict[str, int] | None = None,
     ) -> "FeatureDataset":
         return cls(feature, tuple(instances), dict(value_marginals or {}))
-
-
-def value_marginals(treebank: Treebank, feature: str) -> dict[str, int]:
-    """Count every token occurrence carrying the feature, corpus-wide.
-
-    Raises EmptyMarginalsError when no token carries the feature, which
-    signals that the feature is absent from the language.
-    """
-    counts = extract_instances(treebank, feature).value_marginals
-    if not counts:
-        raise EmptyMarginalsError(f"no token carries feature {feature!r}")
-    return counts
 
 
 def extract_instances(treebank: Treebank, feature: str) -> FeatureDataset:
@@ -142,7 +126,6 @@ def extract_instances(treebank: Treebank, feature: str) -> FeatureDataset:
             instances.append(
                 AgreementInstance(
                     triple=Triple(head.upos, token.deprel, token.upos),
-                    feature=feature,
                     head_value=head_value,
                     dep_value=dep_value,
                     agree=head_value == dep_value,

@@ -20,7 +20,6 @@ def make_dataset(pairs, feature="Gender"):
     instances = [
         AgreementInstance(
             triple=t,
-            feature=feature,
             head_value="Fem",
             dep_value="Fem" if agree else "Masc",
             agree=agree,

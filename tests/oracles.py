@@ -3,14 +3,17 @@
 These deliberately avoid the package's own code paths: the chi-square
 survival function is adaptive-Simpson integration of the density (the
 package uses erfc), splits are found by exhaustive enumeration,
-entropy/correlation are recomputed from their definitions, and grid search
-fits every grid point and every cross-validation fold separately.
+entropy/correlation are recomputed from their definitions, grid search
+fits every grid point and every cross-validation fold separately, and rule
+merging rescans every pair from the start after each merge.
 """
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
+from morphagree.labeling import RuleSet, ThresholdMode, _leaf_rules, _try_merge
 from morphagree.tree import classification_accuracy, fit, leaf_count, macro_f1
 from morphagree.triples import FeatureDataset
 
@@ -139,3 +142,36 @@ def grid_search_per_point(train, grid, seed: int, metric: str = "accuracy", n_fo
         if best_key is None or key > best_key:
             best_tree, best_key = tree, key
     return best_tree
+
+
+def merge_rules_restarting(
+    tree, verdicts, dataset=None, threshold_mode=ThresholdMode.STATISTICAL
+) -> RuleSet:
+    """merge_rules with the fixpoint written the direct way: merge the first
+    mergeable pair in leaf order, re-sort, and rescan every pair from the
+    start. It shares the package's leaf rules and pairwise merge step, so it
+    checks only the order in which pairs are tried."""
+    rules = sorted(
+        _leaf_rules(tree, {v.leaf_id: v for v in verdicts}, dataset),
+        key=lambda r: r.source_leaf_ids[0],
+    )
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(rules)):
+            for j in range(i + 1, len(rules)):
+                merged = _try_merge(rules[i], rules[j])
+                if merged is not None:
+                    rules[i] = merged
+                    del rules[j]
+                    rules.sort(key=lambda r: r.source_leaf_ids[0])
+                    changed = True
+                    break
+            if changed:
+                break
+    return RuleSet(
+        feature=tree.feature,
+        rules=tuple(replace(r, rule_id=idx) for idx, r in enumerate(rules, start=1)),
+        threshold_mode=threshold_mode,
+        training_size=tree.training_size,
+    )

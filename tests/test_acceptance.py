@@ -242,7 +242,7 @@ SUD_DIR = os.environ.get("MORPHAGREE_SUD_ES_GSD", "")
 )
 def test_criterion_10_es_gsd_reproduction():
     with criterion(10, "SUD es-gsd Gender reproduces published ARM and labels"):
-        from morphagree import all_test_triples, arm, extract_instances, parse_conllu_file
+        from morphagree import arm, extract_instances, parse_conllu_file
 
         train = parse_conllu_file(Path(SUD_DIR) / "es_gsd-sud-train.conllu")
         test = parse_conllu_file(Path(SUD_DIR) / "es_gsd-sud-test.conllu")
@@ -257,7 +257,7 @@ def test_criterion_10_es_gsd_reproduction():
         for head in ("NOUN", "PROPN", "VERB"):
             assert label_triple(ruleset, Triple(head, "conj", "NOUN")) is Label.CHANCE
         test_data = extract_instances(test, "Gender")
-        triples = all_test_triples(test_data)
+        triples = test_data.ranking
         report = arm(ruleset, test_data, triples)
         baseline = baseline_arm(test_data, triples)
         assert abs(report.arm - 0.718) <= 0.05

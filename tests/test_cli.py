@@ -477,6 +477,13 @@ def _broken(doc, feature, edit):
         ("evaluate", lambda entry: entry.pop("tree"), "'tree'"),
         ("report", lambda entry: entry["rules"][0].pop("label"), "'label'"),
         ("evaluate", lambda entry: entry.update(tree=[]), "list"),
+        (
+            "report",
+            lambda entry: entry["rules"][0].update(
+                constraints={"relation": {"mode": "in", "values": ["__none__"]}}
+            ),
+            "no rule matches",
+        ),
     ],
 )
 def test_malformed_rules_fail_with_error_line(

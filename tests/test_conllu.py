@@ -18,7 +18,7 @@ from conftest import make_treebank
 
 def test_empty_stream_yields_empty_treebank():
     tb = parse_conllu(io.StringIO(""))
-    assert tb.sentence_count == 0
+    assert tb.sentences == ()
     assert tb.token_count == 0
 
 
@@ -27,7 +27,7 @@ def test_two_token_sentence_det_attaches_to_noun():
         "1\tLos\tlos\tDET\t_\tNumber=Plur\t2\tdet\t_\t_\n"
         "2\tenigmas\tenigma\tNOUN\t_\tNumber=Plur\t0\troot\t_\t_\n"
     )
-    assert tb.sentence_count == 1
+    assert len(tb.sentences) == 1
     token = tb.sentences[0].tokens[0]
     assert token.head == 2
     assert token.deprel == "det"
@@ -162,7 +162,6 @@ def test_fixture_file_total_matches_line_count(gender_tally_path):
                 continue
             countable += 1
     assert tb.token_count == countable == 12
-    assert tb.source_path.endswith("gender_tally.conllu")
 
 
 def test_parse_is_deterministic_and_order_preserving(spanish_fig):

@@ -10,7 +10,7 @@ from morphagree import (
     Triple,
     arm,
     baseline_arm,
-    empirical_agreement,
+    extract_instances,
     hrm,
     merge_rules,
     pearson,
@@ -23,7 +23,6 @@ from morphagree.errors import (
     NoEvaluableTriplesError,
     ZeroVarianceError,
 )
-from morphagree.evaluation import all_test_triples
 from morphagree.labeling import LeafVerdict
 from morphagree.tree import DecisionTree, HyperParams, Leaf
 
@@ -44,12 +43,18 @@ def universal_ruleset(label: Label, feature: str = "Gender"):
 
 def test_empirical_agreement_absent_triple():
     dataset = make_dataset([(DET, True)])
-    assert empirical_agreement(dataset, SUBJ) == (None, 0)
+    assert SUBJ not in dataset.triples
+    # an absent triple scores nothing, not a zero-agreement verdict
+    report = arm(universal_ruleset(Label.CHANCE), dataset, [SUBJ, DET])
+    assert [v.triple for v in report.verdicts] == [DET]
 
 
 def test_empirical_agreement_ratio():
     dataset = make_dataset([(DET, True)] * 19 + [(DET, False)])
-    assert empirical_agreement(dataset, DET) == (0.95, 20)
+    group = dataset.triples[DET]
+    assert (group.n_agree / group.size, group.size) == (0.95, 20)
+    (verdict,) = arm(universal_ruleset(Label.CHANCE), dataset, [DET]).verdicts
+    assert (verdict.q, verdict.n_test) == (0.95, 20)
 
 
 def test_empirical_agreement_hand_counted_fixture():
@@ -61,12 +66,9 @@ def test_empirical_agreement_hand_counted_fixture():
             f"1\tla\tel\tDET\t_\tGender={g}\t2\tdet\t_\t_\n"
             "2\tcasa\tcasa\tNOUN\t_\tGender=Fem\t0\troot\t_\t_\n\n"
         )
-    tb = make_treebank("".join(blocks))
-    from morphagree import extract_instances
-
-    dataset = extract_instances(tb, "Gender")
-    q, n = empirical_agreement(dataset, DET)
-    assert (q, n) == (0.875, 8)
+    dataset = extract_instances(make_treebank("".join(blocks)), "Gender")
+    group = dataset.triples[DET]
+    assert (group.n_agree / group.size, group.size) == (0.875, 8)
 
 
 def test_arm_perfect_fit_is_one():
@@ -146,7 +148,8 @@ def test_baseline_identity_property():
 
 def test_all_test_triples_orders_by_frequency():
     dataset = make_dataset([(DET, True)] * 3 + [(SUBJ, True)] * 5)
-    assert all_test_triples(dataset) == [SUBJ, DET]
+    # evaluate --all scores the test triples in this order
+    assert dataset.ranking == (SUBJ, DET)
 
 
 # --- HRM ---

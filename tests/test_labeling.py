@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphagree import (
     ChanceModel,
@@ -28,9 +29,20 @@ from morphagree.labeling import (
     _merge_to_fixpoint,
     chi_square_survival,
 )
-from morphagree.tree import DecisionTree, HyperParams, Internal, Leaf, Slot, SplitPredicate, predict_leaf
+from morphagree.tree import (
+    DecisionTree,
+    HyperParams,
+    Internal,
+    Leaf,
+    Slot,
+    SplitPredicate,
+    fit,
+    leaves,
+    predict_leaf,
+)
+from morphagree.triples import AgreementInstance, FeatureDataset
 
-from oracles import chi2_sf_oracle
+from oracles import chi2_sf_oracle, merge_rules_restarting
 from treegen import random_labeled_tree, random_triple
 
 
@@ -330,6 +342,35 @@ def test_merge_equivalence_on_random_trees():
         for _ in range(50):
             triple = random_triple(rng)
             assert label_triple(ruleset, triple) is by_leaf[predict_leaf(tree, triple)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7))
+def test_merge_equals_restarting_oracle_on_random_trees(seed, max_depth):
+    tree, verdicts = random_labeled_tree(random.Random(seed), max_depth=max_depth)
+    assert merge_rules(tree, verdicts) == merge_rules_restarting(tree, verdicts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_merge_equals_restarting_oracle_on_deep_fitted_trees(seed):
+    # every instance has its own provenance, so the comparison also pins
+    # the order of example_refs and counterexample_refs
+    rng = random.Random(seed)
+    instances = [
+        AgreementInstance(random_triple(rng), "Fem", "Fem" if agree else "Masc", agree,
+                          (f"s{k}", 1, 2))
+        for k, agree in enumerate(rng.random() < 0.6 for _ in range(rng.randint(1, 400)))
+    ]
+    dataset = FeatureDataset.from_instances("Gender", instances)
+    tree = fit(dataset, HyperParams(max_depth=15, min_impurity_decrease=0.0))
+    verdicts = [
+        LeafVerdict(leaf.leaf_id, rng.choice((Label.REQUIRED, Label.CHANCE)), leaf.agree_ratio)
+        for leaf in leaves(tree)
+    ]
+    assert merge_rules(tree, verdicts, dataset, ThresholdMode.HARD) == merge_rules_restarting(
+        tree, verdicts, dataset, ThresholdMode.HARD
+    )
 
 
 def test_merge_rejects_bad_verdicts():

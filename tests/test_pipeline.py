@@ -5,7 +5,6 @@ from morphagree import (
     Label,
     ThresholdMode,
     Triple,
-    extract_all,
     extract_feature_rules,
     label_triple,
 )
@@ -69,14 +68,6 @@ def test_absent_feature_yields_marker_not_ruleset():
     result = extract_feature_rules(tb, "Case", ExtractionConfig(features=("Case",)))
     assert result.absent
     assert result.ruleset is None and result.tree is None
-
-
-def test_extract_all_covers_requested_features():
-    tb = make_treebank(_det_plus_subj_corpus())
-    results = extract_all(tb, ExtractionConfig(features=("Gender", "Case")))
-    assert set(results) == {"Gender", "Case"}
-    assert not results["Gender"].absent
-    assert results["Case"].absent
 
 
 def test_empty_dev_set_falls_back_to_cross_validation():

@@ -16,11 +16,9 @@ from morphagree import (
     parse_conllu,
     recovery_score,
     treebank_to_conllu,
-    value_marginals,
 )
 from morphagree.errors import FeatureMismatchError, InvalidGrammarError
 from morphagree.labeling import LeafVerdict
-from morphagree.synthetic import grammar_from_dict, grammar_to_dict
 from morphagree.tree import DecisionTree, HyperParams, Internal, Leaf, Slot, SplitPredicate
 
 
@@ -87,7 +85,7 @@ def test_chance_edges_converge_to_sum_of_squared_marginals():
 def test_generated_marginals_track_declared_distribution():
     g = simple_grammar(seed=9)
     tb = generate(g, 5000, 3)
-    counts = value_marginals(tb, "Gender")
+    counts = extract_instances(tb, "Gender").value_marginals
     total = sum(counts.values())
     assert abs(counts["Fem"] / total - 0.9) < 0.02
 
@@ -156,15 +154,6 @@ def test_recovery_feature_mismatch():
     )
     with pytest.raises(FeatureMismatchError):
         recovery_score(g, ruleset)
-
-
-def test_grammar_json_round_trip():
-    g = simple_grammar(
-        required_rules=(RulePattern(relation="det"), RulePattern(head_pos="VERB")),
-        noise_rate=0.05,
-        seed=42,
-    )
-    assert grammar_from_dict(grammar_to_dict(g)) == g
 
 
 def test_wildcard_rules_cover_all_matching_triples():

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import pytest
 
 from morphagree import (
     FeatureDataset,
     Triple,
+    chance_agreement_prob,
     extract_instances,
     parse_conllu_file,
     top_k_triples,
-    value_marginals,
 )
 from morphagree.errors import EmptyMarginalsError
 from morphagree.triples import AgreementInstance
@@ -14,10 +16,9 @@ from morphagree.triples import AgreementInstance
 from conftest import make_treebank
 
 
-def _instance(triple: Triple, agree: bool = True, feature: str = "Gender"):
+def _instance(triple: Triple, agree: bool = True):
     return AgreementInstance(
         triple=triple,
-        feature=feature,
         head_value="Fem",
         dep_value="Fem" if agree else "Masc",
         agree=agree,
@@ -42,7 +43,6 @@ def test_object_verb_edge_agrees_by_chance(spanish_fig):
     assert obj == [
         AgreementInstance(
             triple=Triple(head_pos="VERB", relation="comp:obj", dep_pos="NOUN"),
-            feature="Number",
             head_value="Sing",
             dep_value="Sing",
             agree=True,
@@ -72,28 +72,30 @@ def test_marginal_proportions_ninety_ten():
         lines.append(f"1\tw{i}\tw\tNOUN\t_\tNumber=Sing\t0\troot\t_\t_\n\n")
     lines.append("1\tws\tw\tNOUN\t_\tNumber=Plur\t0\troot\t_\t_\n")
     tb = make_treebank("".join(lines))
-    counts = value_marginals(tb, "Number")
+    counts = extract_instances(tb, "Number").value_marginals
     assert counts == {"Sing": 9, "Plur": 1}
 
 
 def test_marginal_singleton():
     tb = make_treebank("1\ta\ta\tNOUN\t_\tGender=Fem\t0\troot\t_\t_\n")
-    assert value_marginals(tb, "Gender") == {"Fem": 1}
+    assert extract_instances(tb, "Gender").value_marginals == {"Fem": 1}
 
 
 def test_marginals_hand_tally_fixture(gender_tally_path):
     # hand tally over tests/data/gender_tally.conllu, done before implementation
-    tb = parse_conllu_file(gender_tally_path)
-    assert value_marginals(tb, "Gender") == {"Fem": 5, "Masc": 3, "Neut": 1}
-    dataset = extract_instances(tb, "Gender")
+    dataset = extract_instances(parse_conllu_file(gender_tally_path), "Gender")
+    assert dataset.value_marginals == {"Fem": 5, "Masc": 3, "Neut": 1}
     assert len(dataset.instances) == 6
     assert sum(i.agree for i in dataset.instances) == 1
 
 
 def test_empty_marginals_error():
+    # no token carries the feature: the chance model cannot be built
     tb = make_treebank("1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n")
+    marginals = extract_instances(tb, "Gender").value_marginals
+    assert marginals == {}
     with pytest.raises(EmptyMarginalsError):
-        value_marginals(tb, "Gender")
+        chance_agreement_prob(marginals, "Gender")
 
 
 def test_instance_count_matches_independent_double_loop(gender_tally_path):
@@ -181,3 +183,20 @@ def test_vocab_covers_all_instances(gender_tally_path):
     tb = parse_conllu_file(gender_tally_path)
     dataset = extract_instances(tb, "Gender")
     assert sum(dataset.value_marginals.values()) == 9
+
+
+def test_instances_carry_no_per_object_dict():
+    # a 5-field tuple: about 97 bytes per instance under tracemalloc, list
+    # slot included, against about 137 for a dataclass without __slots__
+    triple, provenance = Triple("NOUN", "det", "DET"), ("s", 1, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        instances = [
+            AgreementInstance(triple, "Fem", "Masc", False, provenance) for _ in range(10_000)
+        ]
+        per_instance = (tracemalloc.get_traced_memory()[0] - before) / len(instances)
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(instances[0], "__dict__")
+    assert per_instance < 110

@@ -2,8 +2,9 @@
 
 Multiword-token range lines (``3-4``) and empty-node lines (``3.1``) are
 skipped: agreement triples are defined over single-token head/dependent
-pairs. Only HEAD/DEPREL define edges; the DEPS column is kept verbatim but
-never interpreted.
+pairs. Only HEAD/DEPREL define edges. A token keeps only the columns the
+pipeline reads (ID, FORM, UPOS, FEATS, HEAD, DEPREL); LEMMA, XPOS, DEPS,
+MISC and comments other than ``sent_id`` are read past.
 """
 from __future__ import annotations
 
@@ -24,33 +25,24 @@ from .errors import (
 N_COLUMNS = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One syntactic word: a simple (non-range, non-empty) CoNLL-U line."""
 
     id: int
     form: str
-    lemma: str
     upos: str
-    xpos: str | None
     feats: dict[str, str]
     head: int
     deprel: str
-    deps: str | None = None
-    misc: str | None = None
 
 
 @dataclass(frozen=True)
 class Sentence:
+    """Tokens in id order, so token ``i`` is ``tokens[i - 1]``."""
+
     sent_id: str
     tokens: tuple[Token, ...]
-    text: str | None = None
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def token_by_id(self, token_id: int) -> Token:
-        return self.tokens[token_id - 1]
 
 
 @dataclass(frozen=True)
@@ -59,7 +51,7 @@ class Treebank:
 
     @property
     def token_count(self) -> int:
-        return sum(len(s) for s in self.sentences)
+        return sum(len(s.tokens) for s in self.sentences)
 
 
 def parse_feats(raw: str) -> dict[str, str]:
@@ -91,12 +83,13 @@ def feats_to_string(feats: dict[str, str]) -> str:
     return "|".join(f"{k}={feats[k]}" for k in sorted(feats))
 
 
-def _is_range_id(col: str) -> bool:
-    return "-" in col
-
-
-def _is_empty_node_id(col: str) -> bool:
-    return "." in col
+def _is_range_or_empty_node_id(col: str) -> bool:
+    """``N-M`` (multiword range) or ``N.M`` (empty node), digits on both sides."""
+    for sep in "-.":
+        first, found, second = col.partition(sep)
+        if found:
+            return first.isdecimal() and second.isdecimal()
+    return False
 
 
 def _parse_token_line(line: str, line_no: int) -> Token | None:
@@ -105,9 +98,9 @@ def _parse_token_line(line: str, line_no: int) -> Token | None:
         raise MalformedLineError(
             f"line {line_no}: expected {N_COLUMNS} columns, got {len(cols)}"
         )
-    if _is_range_id(cols[0]) or _is_empty_node_id(cols[0]):
+    if _is_range_or_empty_node_id(cols[0]):
         return None
-    if not cols[0].isdigit() or int(cols[0]) < 1:
+    if not cols[0].isdecimal() or int(cols[0]) < 1:
         raise InvalidIdError(f"line {line_no}: bad token id {cols[0]!r}")
     token_id = int(cols[0])
     try:
@@ -121,22 +114,11 @@ def _parse_token_line(line: str, line_no: int) -> Token | None:
     except MalformedFeatsError as exc:
         raise MalformedFeatsError(f"line {line_no}: {exc}") from None
     return Token(
-        id=token_id,
-        form=cols[1],
-        lemma=cols[2],
-        upos=cols[3],
-        xpos=None if cols[4] == "_" else cols[4],
-        feats=feats,
-        head=head,
-        deprel=cols[7],
-        deps=None if cols[8] == "_" else cols[8],
-        misc=None if cols[9] == "_" else cols[9],
+        id=token_id, form=cols[1], upos=cols[3], feats=feats, head=head, deprel=cols[7]
     )
 
 
-def _finish_sentence(
-    tokens: list[Token], sent_id: str | None, text: str | None, ordinal: int
-) -> Sentence:
+def _finish_sentence(tokens: list[Token], sent_id: str | None, ordinal: int) -> Sentence:
     ids = [t.id for t in tokens]
     if ids != list(range(1, len(ids) + 1)):
         raise InvalidIdError(
@@ -148,7 +130,7 @@ def _finish_sentence(
             raise InvalidHeadError(
                 f"sentence {sent_id or ordinal}: token {t.id} points to missing head {t.head}"
             )
-    return Sentence(sent_id=sent_id or str(ordinal), tokens=tuple(tokens), text=text)
+    return Sentence(sent_id=sent_id or str(ordinal), tokens=tuple(tokens))
 
 
 def _iter_lines(stream: IO | Iterable[str]) -> Iterator[str]:
@@ -175,23 +157,17 @@ def parse_conllu(stream: IO | Iterable[str]) -> Treebank:
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     sent_id: str | None = None
-    text: str | None = None
     try:
         for line_no, line in enumerate(_iter_lines(stream), start=1):
             if not line:
                 if tokens:
-                    sentences.append(
-                        _finish_sentence(tokens, sent_id, text, len(sentences) + 1)
-                    )
-                tokens, sent_id, text = [], None, None
+                    sentences.append(_finish_sentence(tokens, sent_id, len(sentences) + 1))
+                tokens, sent_id = [], None
                 continue
             if line.startswith("#"):
                 key, sep, value = line[1:].partition("=")
-                if sep:
-                    if key.strip() == "sent_id":
-                        sent_id = value.strip()
-                    elif key.strip() == "text":
-                        text = value.strip()
+                if sep and key.strip() == "sent_id":
+                    sent_id = value.strip()
                 continue
             token = _parse_token_line(line, line_no)
             if token is not None:
@@ -199,7 +175,7 @@ def parse_conllu(stream: IO | Iterable[str]) -> Treebank:
     except UnicodeDecodeError as exc:
         raise EncodingError(str(exc)) from None
     if tokens:
-        sentences.append(_finish_sentence(tokens, sent_id, text, len(sentences) + 1))
+        sentences.append(_finish_sentence(tokens, sent_id, len(sentences) + 1))
     seen: set[str] = set()
     for ordinal, sentence in enumerate(sentences, start=1):
         if sentence.sent_id in seen:

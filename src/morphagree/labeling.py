@@ -14,8 +14,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import EmptyMarginalsError, NoMatchingRuleError, VerdictMismatchError
-from .tree import SLOT_ORDER, DecisionTree, Leaf, Slot, leaves
+from .tree import SLOT_ORDER, DecisionTree, Leaf, Slot, leaf_refs, leaves
 from .triples import FeatureDataset, Triple
+
+# example and counterexample refs kept per rule; refs run leaf by leaf in
+# merge order, and within a leaf triple by triple in order of first
+# occurrence, each triple's in document order. Capping each leaf's lists
+# and each merge's concatenations keeps the same first refs as capping the
+# full lists once.
+EXAMPLE_REFS_CAP = 100
 
 
 class Label(str, enum.Enum):
@@ -170,10 +177,11 @@ def label_leaf_statistical(
     )
 
 
-def leaf_marginals(leaf: Leaf, dataset: FeatureDataset) -> dict[str, int]:
-    """Value counts over the head and dependent occurrences of one leaf."""
+def leaf_marginals(refs: list[int], dataset: FeatureDataset) -> dict[str, int]:
+    """Value counts over the head and dependent occurrences of one leaf's
+    instances (its entry in leaf_refs)."""
     counts: dict[str, int] = {}
-    for ref in leaf.instance_refs:
+    for ref in refs:
         inst = dataset.instances[ref]
         counts[inst.head_value] = counts.get(inst.head_value, 0) + 1
         counts[inst.dep_value] = counts.get(inst.dep_value, 0) + 1
@@ -253,15 +261,15 @@ def _leaf_rules(
     dataset: FeatureDataset | None,
 ) -> list[LabeledRule]:
     rules: list[LabeledRule] = []
+    refs_by_leaf = leaf_refs(tree, dataset) if dataset is not None else {}
 
     def walk(node, state):
         if isinstance(node, Leaf):
             examples: list[tuple[str, int, int]] = []
             counters: list[tuple[str, int, int]] = []
-            if dataset is not None:
-                for ref in node.instance_refs:
-                    inst = dataset.instances[ref]
-                    (examples if inst.agree else counters).append(inst.provenance)
+            for ref in refs_by_leaf.get(node.leaf_id, ()):
+                inst = dataset.instances[ref]
+                (examples if inst.agree else counters).append(inst.provenance)
             rules.append(
                 LabeledRule(
                     rule_id=0,
@@ -273,8 +281,8 @@ def _leaf_rules(
                     n_agree=node.n_agree,
                     n_disagree=node.n_disagree,
                     source_leaf_ids=(node.leaf_id,),
-                    example_refs=tuple(examples),
-                    counterexample_refs=tuple(counters),
+                    example_refs=tuple(examples[:EXAMPLE_REFS_CAP]),
+                    counterexample_refs=tuple(counters[:EXAMPLE_REFS_CAP]),
                 )
             )
             return
@@ -311,8 +319,8 @@ def _try_merge(a: LabeledRule, b: LabeledRule) -> LabeledRule | None:
         n_agree=a.n_agree + b.n_agree,
         n_disagree=a.n_disagree + b.n_disagree,
         source_leaf_ids=tuple(sorted(a.source_leaf_ids + b.source_leaf_ids)),
-        example_refs=a.example_refs + b.example_refs,
-        counterexample_refs=a.counterexample_refs + b.counterexample_refs,
+        example_refs=(a.example_refs + b.example_refs)[:EXAMPLE_REFS_CAP],
+        counterexample_refs=(a.counterexample_refs + b.counterexample_refs)[:EXAMPLE_REFS_CAP],
     )
 
 
@@ -361,7 +369,8 @@ def merge_rules(
     uniform subtrees collapse entirely, and single-value rules that differ
     in one slot union their value sets. The resulting rules partition
     triple space and preserve the labeled tree's triple -> label function.
-    Passing the training dataset fills per-rule example provenance.
+    Passing the training dataset fills per-rule example provenance, at most
+    EXAMPLE_REFS_CAP refs per list.
     """
     tree_leaf_ids = [leaf.leaf_id for leaf in leaves(tree)]
     verdict_by_leaf = {v.leaf_id: v for v in verdicts}
@@ -380,8 +389,9 @@ def merge_rules(
     )
 
 
-def label_triple(ruleset: RuleSet, triple: Triple) -> Label:
-    """Label of the unique rule matching the triple."""
+def rule_for(ruleset: RuleSet, triple: Triple) -> LabeledRule:
+    """The unique rule matching the triple; NoMatchingRuleError when no
+    rule or more than one matches."""
     matched: LabeledRule | None = None
     for rule in ruleset.rules:
         if rule.matches(triple):
@@ -392,4 +402,9 @@ def label_triple(ruleset: RuleSet, triple: Triple) -> Label:
             matched = rule
     if matched is None:
         raise NoMatchingRuleError(f"no rule matches triple {triple}")
-    return matched.label
+    return matched
+
+
+def label_triple(ruleset: RuleSet, triple: Triple) -> Label:
+    """Label of the unique rule matching the triple."""
+    return rule_for(ruleset, triple).label

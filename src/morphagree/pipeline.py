@@ -15,7 +15,7 @@ from .labeling import (
     leaf_marginals,
     merge_rules,
 )
-from .tree import DecisionTree, HyperGrid, grid_search, leaves
+from .tree import DecisionTree, HyperGrid, grid_search, leaf_refs, leaves
 from .triples import DEFAULT_FEATURES, FeatureDataset, extract_instances
 
 
@@ -57,14 +57,16 @@ def label_leaves(
     config: ExtractionConfig,
 ) -> tuple[LeafVerdict, ...]:
     """One verdict per leaf under the configured threshold strategy."""
+    if config.threshold_mode is ThresholdMode.HARD:
+        return tuple(label_leaf_hard(leaf, config.hard_threshold) for leaf in leaves(tree))
+    refs_by_leaf = leaf_refs(tree, dataset) if config.marginals_scope == "per-leaf" else None
     verdicts = []
     for leaf in leaves(tree):
-        if config.threshold_mode is ThresholdMode.HARD:
-            verdicts.append(label_leaf_hard(leaf, config.hard_threshold))
-            continue
         model = chance
-        if config.marginals_scope == "per-leaf":
-            model = chance_agreement_prob(leaf_marginals(leaf, dataset), dataset.feature)
+        if refs_by_leaf is not None:
+            model = chance_agreement_prob(
+                leaf_marginals(refs_by_leaf.get(leaf.leaf_id, []), dataset), dataset.feature
+            )
         verdicts.append(
             label_leaf_statistical(
                 leaf, model, config.alpha, config.phi_min, config.phi_sqrt

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .conllu import Sentence, Treebank
 from .errors import NoMatchingRuleError
-from .labeling import Label, LabeledRule, RuleSet
+from .labeling import Label, LabeledRule, RuleSet, rule_for
 from .serialization import RulesDocument
 from .tree import SLOT_ORDER, Slot
 from .triples import AgreementInstance, extract_instances, top_k_triples
@@ -181,11 +181,10 @@ def render_feature_page(
     }
     pools_of = {}
     for triple in dataset.triples:
-        rule = next((r for r in ruleset.rules if r.matches(triple)), None)
-        if rule is None:
-            raise NoMatchingRuleError(
-                f"feature {feature!r}: no rule matches training triple {triple}"
-            )
+        try:
+            rule = rule_for(ruleset, triple)
+        except NoMatchingRuleError as exc:
+            raise NoMatchingRuleError(f"feature {feature!r}: {exc}") from None
         pools_of[triple] = by_rule[rule.rule_id]
     for inst in dataset.instances:
         pools_of[inst.triple][not inst.agree].append(inst)

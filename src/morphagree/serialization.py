@@ -28,9 +28,6 @@ from .tree import DecisionTree, HyperParams, Internal, Leaf, Slot, SplitPredicat
 from .triples import Triple
 
 FORMAT_VERSION = "1"
-# per rule; refs run leaf by leaf in merge order, and within a leaf triple
-# by triple in order of first occurrence, each triple's in document order
-EXAMPLE_REFS_CAP = 100
 
 
 def dump_canonical(doc: dict) -> str:
@@ -138,10 +135,8 @@ def rule_to_dict(rule: LabeledRule) -> dict:
         "n_agree": rule.n_agree,
         "n_disagree": rule.n_disagree,
         "source_leaf_ids": list(rule.source_leaf_ids),
-        "example_refs": [list(r) for r in rule.example_refs[:EXAMPLE_REFS_CAP]],
-        "counterexample_refs": [
-            list(r) for r in rule.counterexample_refs[:EXAMPLE_REFS_CAP]
-        ],
+        "example_refs": [list(r) for r in rule.example_refs],
+        "counterexample_refs": [list(r) for r in rule.counterexample_refs],
     }
 
 

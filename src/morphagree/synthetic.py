@@ -113,10 +113,7 @@ def generate(
     rng = random.Random(grammar.seed)
     sentences = []
     for s in range(1, n_sentences + 1):
-        tokens = [
-            Token(id=1, form="x0", lemma="x0", upos="X", xpos=None, feats={},
-                  head=0, deprel="root")
-        ]
+        tokens = [Token(id=1, form="x0", upos="X", feats={}, head=0, deprel="root")]
         for e in range(edges):
             head_id, dep_id = 2 * e + 2, 2 * e + 3
             triple = Triple(
@@ -139,14 +136,12 @@ def generate(
                 head_feats[spec.name] = head_value
                 dep_feats[spec.name] = dep_value
             tokens.append(
-                Token(id=head_id, form=f"h{head_id}", lemma=f"h{head_id}",
-                      upos=triple.head_pos, xpos=None, feats=head_feats,
-                      head=1, deprel="link")
+                Token(id=head_id, form=f"h{head_id}", upos=triple.head_pos,
+                      feats=head_feats, head=1, deprel="link")
             )
             tokens.append(
-                Token(id=dep_id, form=f"d{dep_id}", lemma=f"d{dep_id}",
-                      upos=triple.dep_pos, xpos=None, feats=dep_feats,
-                      head=head_id, deprel=triple.relation)
+                Token(id=dep_id, form=f"d{dep_id}", upos=triple.dep_pos,
+                      feats=dep_feats, head=head_id, deprel=triple.relation)
             )
         sentences.append(Sentence(sent_id=f"synth-{s}", tokens=tuple(tokens)))
     return Treebank(sentences=tuple(sentences))
@@ -174,19 +169,20 @@ def recovery_score(
 
 
 def treebank_to_conllu(treebank: Treebank) -> str:
-    """Serialize a treebank as standard 10-column CoNLL-U text."""
+    """Serialize a treebank as standard 10-column CoNLL-U text.
+
+    Tokens keep no LEMMA, XPOS, DEPS or MISC: LEMMA repeats FORM and the
+    other three are ``_``.
+    """
     blocks = []
     for sentence in treebank.sentences:
         lines = [f"# sent_id = {sentence.sent_id}"]
-        if sentence.text is not None:
-            lines.append(f"# text = {sentence.text}")
         for t in sentence.tokens:
             lines.append(
                 "\t".join(
                     (
-                        str(t.id), t.form, t.lemma, t.upos, t.xpos or "_",
-                        feats_to_string(t.feats), str(t.head), t.deprel,
-                        t.deps or "_", t.misc or "_",
+                        str(t.id), t.form, t.form, t.upos, "_",
+                        feats_to_string(t.feats), str(t.head), t.deprel, "_", "_",
                     )
                 )
             )

@@ -11,10 +11,12 @@ Depth nesting: for a fixed criterion and min_impurity_decrease, the split
 chosen at a node depends only on the groups reaching it; max_depth only
 stops growth. So the tree fitted with max_depth d is the tree fitted with
 any larger max_depth cut at depth d, each cut node frozen as a leaf over
-its own groups in their original order, which gives the same leaf ids,
-counts and instance_refs. grid_search relies on this: per criterion (and
-per cross-validation fold) it grows one tree at the grid's largest depth
-and freezes it once per grid point.
+its own groups, which gives the same leaf ids and counts. grid_search
+relies on this: per criterion (and per cross-validation fold) it grows one
+tree at the grid's largest depth and freezes it once per grid point.
+
+Leaves hold counts only. leaf_refs recovers the instances of each leaf of
+one chosen tree by routing the dataset's triples through it.
 """
 from __future__ import annotations
 
@@ -58,7 +60,6 @@ class Leaf:
     leaf_id: int
     n_agree: int
     n_disagree: int
-    instance_refs: tuple[int, ...] = ()
 
     @property
     def size(self) -> int:
@@ -134,14 +135,12 @@ _IMPURITY = {"gini": _gini, "entropy": _entropy}
 
 
 class _Node:
-    """A grown node: the groups reaching it (in their original order), its
-    depth and totals, and, unless growth stopped here, its split as
-    (predicate, match child, nomatch child)."""
+    """A grown node: its depth and totals and, unless growth stopped here,
+    its split as (predicate, match child, nomatch child)."""
 
-    __slots__ = ("groups", "depth", "n_agree", "n_disagree", "split")
+    __slots__ = ("depth", "n_agree", "n_disagree", "split")
 
-    def __init__(self, groups: list[TripleGroup], depth: int, n_agree: int, n_disagree: int):
-        self.groups = groups
+    def __init__(self, depth: int, n_agree: int, n_disagree: int):
         self.depth = depth
         self.n_agree = n_agree
         self.n_disagree = n_disagree
@@ -188,12 +187,7 @@ def _grow(
     impurity,
     n_total: int,
 ) -> _Node:
-    node = _Node(
-        groups,
-        depth,
-        sum(g.n_agree for g in groups),
-        sum(g.n_disagree for g in groups),
-    )
+    node = _Node(depth, sum(g.n_agree for g in groups), sum(g.n_disagree for g in groups))
     if (
         node.n_agree == 0
         or node.n_disagree == 0
@@ -219,16 +213,11 @@ def _grow(
 
 
 def _freeze(node: _Node, max_depth: int, counter: list[int]) -> TreeNode:
-    """The grown tree cut at max_depth; a cut node becomes a leaf over its
-    groups. Leaf ids count up in match-before-nomatch preorder."""
+    """The grown tree cut at max_depth; a cut node becomes a leaf with its
+    totals. Leaf ids count up in match-before-nomatch preorder."""
     if node.split is None or node.depth >= max_depth:
         counter[0] += 1
-        return Leaf(
-            leaf_id=counter[0],
-            n_agree=node.n_agree,
-            n_disagree=node.n_disagree,
-            instance_refs=tuple(r for g in node.groups for r in g.refs),
-        )
+        return Leaf(leaf_id=counter[0], n_agree=node.n_agree, n_disagree=node.n_disagree)
     predicate, match, nomatch = node.split
     match_child = _freeze(match, max_depth, counter)
     nomatch_child = _freeze(nomatch, max_depth, counter)
@@ -281,6 +270,16 @@ def _leaf_for(tree: DecisionTree, triple: Triple) -> Leaf:
 def predict_leaf(tree: DecisionTree, triple: Triple) -> int:
     """Route a triple (seen or unseen) to the id of its unique leaf."""
     return _leaf_for(tree, triple).leaf_id
+
+
+def leaf_refs(tree: DecisionTree, dataset: FeatureDataset) -> dict[int, list[int]]:
+    """Indices of the dataset's instances per leaf id, triple by triple in
+    the order of the dataset's triple table, each triple's in document
+    order. Leaves that no instance reaches are absent."""
+    refs: dict[int, list[int]] = {}
+    for group in dataset.triples.values():
+        refs.setdefault(_leaf_for(tree, group.triple).leaf_id, []).extend(group.refs)
+    return refs
 
 
 def leaves(tree: DecisionTree) -> list[Leaf]:

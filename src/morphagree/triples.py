@@ -119,7 +119,7 @@ def extract_instances(treebank: Treebank, feature: str) -> FeatureDataset:
             marginals[dep_value] = marginals.get(dep_value, 0) + 1
             if token.head == 0:
                 continue
-            head = sentence.token_by_id(token.head)
+            head = sentence.tokens[token.head - 1]
             head_value = head.feats.get(feature)
             if head_value is None:
                 continue

@@ -484,6 +484,12 @@ def _broken(doc, feature, edit):
             ),
             "no rule matches",
         ),
+        # rule 2 overlapping rule 1: report must not pick the first match
+        (
+            "report",
+            lambda entry: entry["rules"][1].update(constraints={}),
+            "matches rules 1 and 2",
+        ),
     ],
 )
 def test_malformed_rules_fail_with_error_line(

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import pytest
@@ -110,16 +111,30 @@ def test_sent_id_comment_and_ordinal_fallback():
 
 
 def test_text_comment_and_verbatim_extras():
+    # a text comment and LEMMA/XPOS/DEPS/MISC values parse and are dropped
     tb = make_treebank(
         "# text = hello there\n"
-        "1\ta\ta\tNOUN\tNN\t_\t0\troot\t0:root\tSpaceAfter=No\n"
+        "1\ta\tlemma\tNOUN\tNN\tGender=Fem\t0\troot\t0:root\tSpaceAfter=No\n"
     )
     sentence = tb.sentences[0]
-    assert sentence.text == "hello there"
+    assert [f.name for f in dataclasses.fields(sentence)] == ["sent_id", "tokens"]
     token = sentence.tokens[0]
-    assert token.xpos == "NN"
-    assert token.deps == "0:root"
-    assert token.misc == "SpaceAfter=No"
+    assert [f.name for f in dataclasses.fields(token)] == [
+        "id", "form", "upos", "feats", "head", "deprel"
+    ]
+    assert (token.id, token.form, token.upos, token.feats, token.head, token.deprel) == (
+        1, "a", "NOUN", {"Gender": "Fem"}, 0, "root"
+    )
+    assert not hasattr(token, "__dict__")
+
+
+@pytest.mark.parametrize("bad_id", ["x-y", "-5", "1.", "a.b", "1-", "1-2-3", "\u00b2"])
+def test_malformed_range_or_empty_node_id_rejected(bad_id):
+    with pytest.raises(InvalidIdError, match=r"^line 2: bad token id"):
+        make_treebank(
+            "1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"
+            f"{bad_id}\tb\tb\tDET\t_\t_\t1\tdet\t_\t_\n"
+        )
 
 
 def test_crlf_line_endings():

@@ -22,6 +22,7 @@ from morphagree.errors import (
     VerdictMismatchError,
 )
 from morphagree.labeling import (
+    EXAMPLE_REFS_CAP,
     Constraint,
     LeafVerdict,
     RuleSet,
@@ -371,6 +372,37 @@ def test_merge_equals_restarting_oracle_on_deep_fitted_trees(seed):
     assert merge_rules(tree, verdicts, dataset, ThresholdMode.HARD) == merge_rules_restarting(
         tree, verdicts, dataset, ThresholdMode.HARD
     )
+
+
+def test_merged_refs_are_the_first_hundred_of_the_leaves_refs():
+    # det and amod edges alternate in the document and agree 70 + 70 times,
+    # obj edges disagree; det and amod end in two required leaves that merge
+    det, amod, obj = (Triple("NOUN", r, "DET") for r in ("det", "amod", "obj"))
+    order = [det, amod] * 70 + [det, amod] * 3 + [obj] * 70
+    agree = [True] * 140 + [False] * 6 + [False] * 70
+    instances = [
+        AgreementInstance(t, "Fem", "Fem" if a else "Masc", a, (f"s{k}", 1, 2))
+        for k, (t, a) in enumerate(zip(order, agree))
+    ]
+    dataset = FeatureDataset.from_instances("Gender", instances)
+    tree = fit(dataset, HyperParams(max_depth=15, min_impurity_decrease=0.0))
+    verdicts = [label_leaf_hard(leaf, 0.9) for leaf in leaves(tree)]
+    ruleset = merge_rules(tree, verdicts, dataset, ThresholdMode.HARD)
+    (merged,) = [r for r in ruleset.rules if r.label is Label.REQUIRED]
+    assert len(merged.source_leaf_ids) == 2
+
+    def provenance(leaf_id, agreeing):
+        return [
+            inst.provenance
+            for inst in dataset.instances
+            if inst.agree is agreeing and predict_leaf(tree, inst.triple) == leaf_id
+        ]
+
+    examples = [p for leaf in merged.source_leaf_ids for p in provenance(leaf, True)]
+    counters = [p for leaf in merged.source_leaf_ids for p in provenance(leaf, False)]
+    assert len(examples) == 140
+    assert list(merged.example_refs) == examples[:EXAMPLE_REFS_CAP]
+    assert list(merged.counterexample_refs) == counters
 
 
 def test_merge_rejects_bad_verdicts():

@@ -23,6 +23,7 @@ from morphagree.tree import (
     SplitPredicate,
     _fit_points,
     classification_accuracy,
+    leaf_refs,
     leaves,
 )
 
@@ -38,7 +39,7 @@ def test_single_instance_single_leaf():
     tree = fit(dataset, HP)
     assert isinstance(tree.root, Leaf)
     assert tree.root.leaf_id == 1
-    assert tree.root.instance_refs == (0,)
+    assert leaf_refs(tree, dataset) == {1: [0]}
     assert leaf_count(tree) == 1
     assert predict_leaf(tree, Triple("X", "y", "Z")) == 1
 
@@ -314,8 +315,26 @@ def test_trees_cut_from_one_growth_equal_separate_fits(dataset, floor):
     grid = HyperGrid(max_depths=DEEP_GRID.max_depths, min_impurity_decrease=floor)
     groups = list(dataset.triples.values())
     nested = _fit_points(dataset.feature, groups, grid.points())
-    # structure, leaf ids, counts, instance_refs and hyperparams
+    # structure, leaf ids, counts and hyperparams
     assert nested == [fit(dataset, hp) for hp in grid.points()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_datasets, st.integers(min_value=1, max_value=15))
+def test_leaf_refs_group_instances_by_first_occurrence_of_their_triple(dataset, depth):
+    tree = fit(dataset, HyperParams(max_depth=depth, min_impurity_decrease=0.0))
+    first = {}
+    for idx, inst in enumerate(dataset.instances):
+        first.setdefault(inst.triple, idx)
+    expected = {}
+    for idx in sorted(range(len(dataset.instances)),
+                      key=lambda i: (first[dataset.instances[i].triple], i)):
+        expected.setdefault(predict_leaf(tree, dataset.instances[idx].triple), []).append(idx)
+    refs = leaf_refs(tree, dataset)
+    assert refs == expected
+    assert {leaf_id: len(r) for leaf_id, r in refs.items()} == {
+        leaf.leaf_id: leaf.size for leaf in leaves(tree)
+    }
 
 
 @settings(max_examples=25, deadline=None)

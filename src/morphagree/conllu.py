@@ -5,13 +5,23 @@ skipped: agreement triples are defined over single-token head/dependent
 pairs. Only HEAD/DEPREL define edges. A token keeps only the columns the
 pipeline reads (ID, FORM, UPOS, FEATS, HEAD, DEPREL); LEMMA, XPOS, DEPS,
 MISC and comments other than ``sent_id`` are read past.
+
+Within one parse, tokens with the same FEATS string share one dict, so
+``Token.feats`` is read-only; UPOS and DEPREL strings are interned.
+``Treebank.edges`` is built once, on first use, for every feature's
+instance extraction to read: each non-root edge whose two tokens have
+FEATS, in document order, plus the token count of each distinct FEATS dict.
 """
 from __future__ import annotations
 
+import functools
+import gc
 import io
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import (
     DuplicateSentIdError,
@@ -23,6 +33,19 @@ from .errors import (
 )
 
 N_COLUMNS = 10
+
+
+@contextmanager
+def _gc_paused():
+    """Suspend the cyclic GC, restoring the caller's setting on exit. For
+    code that builds only acyclic objects, which collections would rescan."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,6 +68,15 @@ class Sentence:
     tokens: tuple[Token, ...]
 
 
+class Edges(NamedTuple):
+    """A treebank's edge table (see the module docstring). An entry is
+    (shape, provenance, head FEATS, dependent FEATS), with shape (head UPOS,
+    DEPREL, dependent UPOS) and provenance (sent_id, head id, dependent id)."""
+
+    entries: tuple[tuple[tuple[str, str, str], tuple[str, int, int], dict, dict], ...]
+    feats_counts: tuple[tuple[dict[str, str], int], ...]  # non-empty dicts only
+
+
 @dataclass(frozen=True)
 class Treebank:
     sentences: tuple[Sentence, ...]
@@ -52,6 +84,25 @@ class Treebank:
     @property
     def token_count(self) -> int:
         return sum(len(s.tokens) for s in self.sentences)
+
+    @functools.cached_property
+    def edges(self) -> Edges:
+        entries, shapes, counts, dicts = [], {}, {}, {}  # the last two by id(FEATS)
+        with _gc_paused():
+            for sentence in self.sentences:
+                tokens = sentence.tokens
+                for token in tokens:
+                    feats = token.feats
+                    counts[id(feats)] = counts.get(id(feats), 0) + 1
+                    dicts.setdefault(id(feats), feats)
+                    if token.head == 0 or not feats or not tokens[token.head - 1].feats:
+                        continue
+                    head = tokens[token.head - 1]
+                    shape = (head.upos, token.deprel, token.upos)
+                    entries.append((shapes.setdefault(shape, shape),
+                                    (sentence.sent_id, head.id, token.id), head.feats, feats))
+            return Edges(tuple(entries),
+                         tuple((dicts[k], n) for k, n in counts.items() if dicts[k]))
 
 
 def parse_feats(raw: str) -> dict[str, str]:
@@ -92,30 +143,31 @@ def _is_range_or_empty_node_id(col: str) -> bool:
     return False
 
 
-def _parse_token_line(line: str, line_no: int) -> Token | None:
+def _parse_token_line(line: str, line_no: int, feats_of: dict[str, dict]) -> Token | None:
+    """One token line. ``feats_of`` memoises the parse's FEATS strings
+    (successful parses only, so a bad one raises on every line it is on)."""
     cols = line.split("\t")
     if len(cols) != N_COLUMNS:
         raise MalformedLineError(
             f"line {line_no}: expected {N_COLUMNS} columns, got {len(cols)}"
         )
-    if _is_range_or_empty_node_id(cols[0]):
+    if not cols[0].isdecimal() and _is_range_or_empty_node_id(cols[0]):
         return None
     if not cols[0].isdecimal() or int(cols[0]) < 1:
         raise InvalidIdError(f"line {line_no}: bad token id {cols[0]!r}")
     token_id = int(cols[0])
-    try:
-        head = int(cols[6])
-    except ValueError:
-        raise InvalidHeadError(f"line {line_no}: bad head {cols[6]!r}") from None
-    if head < 0 or head == token_id:
+    if not cols[6].isdecimal():
+        raise InvalidHeadError(f"line {line_no}: bad head {cols[6]!r}")
+    head = int(cols[6])
+    if head == token_id:
         raise InvalidHeadError(f"line {line_no}: head {head} invalid for token {token_id}")
-    try:
-        feats = parse_feats(cols[5])
-    except MalformedFeatsError as exc:
-        raise MalformedFeatsError(f"line {line_no}: {exc}") from None
-    return Token(
-        id=token_id, form=cols[1], upos=cols[3], feats=feats, head=head, deprel=cols[7]
-    )
+    feats = feats_of.get(cols[5])
+    if feats is None:
+        try:
+            feats = feats_of[cols[5]] = parse_feats(cols[5])
+        except MalformedFeatsError as exc:
+            raise MalformedFeatsError(f"line {line_no}: {exc}") from None
+    return Token(token_id, cols[1], sys.intern(cols[3]), feats, head, sys.intern(cols[7]))
 
 
 def _finish_sentence(tokens: list[Token], sent_id: str | None, ordinal: int) -> Sentence:
@@ -157,25 +209,27 @@ def parse_conllu(stream: IO | Iterable[str]) -> Treebank:
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     sent_id: str | None = None
-    try:
-        for line_no, line in enumerate(_iter_lines(stream), start=1):
-            if not line:
-                if tokens:
-                    sentences.append(_finish_sentence(tokens, sent_id, len(sentences) + 1))
-                tokens, sent_id = [], None
-                continue
-            if line.startswith("#"):
-                key, sep, value = line[1:].partition("=")
-                if sep and key.strip() == "sent_id":
-                    sent_id = value.strip()
-                continue
-            token = _parse_token_line(line, line_no)
-            if token is not None:
-                tokens.append(token)
-    except UnicodeDecodeError as exc:
-        raise EncodingError(str(exc)) from None
-    if tokens:
-        sentences.append(_finish_sentence(tokens, sent_id, len(sentences) + 1))
+    feats_of: dict[str, dict[str, str]] = {}
+    with _gc_paused():
+        try:
+            for line_no, line in enumerate(_iter_lines(stream), start=1):
+                if not line:
+                    if tokens:
+                        sentences.append(_finish_sentence(tokens, sent_id, len(sentences) + 1))
+                    tokens, sent_id = [], None
+                    continue
+                if line.startswith("#"):
+                    key, sep, value = line[1:].partition("=")
+                    if sep and key.strip() == "sent_id":
+                        sent_id = value.strip()
+                    continue
+                token = _parse_token_line(line, line_no, feats_of)
+                if token is not None:
+                    tokens.append(token)
+        except UnicodeDecodeError as exc:
+            raise EncodingError(str(exc)) from None
+        if tokens:
+            sentences.append(_finish_sentence(tokens, sent_id, len(sentences) + 1))
     seen: set[str] = set()
     for ordinal, sentence in enumerate(sentences, start=1):
         if sentence.sent_id in seen:

@@ -2,7 +2,9 @@
 
 Every edge whose head and dependent both carry a morphological feature
 becomes one binary-labeled instance; tokens are characterized by UPOS only.
-Root edges (head = 0) are excluded.
+Root edges (head = 0) are excluded. ``extract_instances`` reads the
+treebank's edge table (``Treebank.edges``), built once per treebank, so
+each feature costs one pass over the edges rather than over the tokens.
 
 Each FeatureDataset carries its per-triple table, built once from its
 instances: ``triples`` maps every distinct triple, in order of first
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .conllu import Treebank
+from .conllu import Treebank, _gc_paused
 
 DEFAULT_FEATURES = ("Gender", "Person", "Number", "Mood", "Case", "Tense")
 
@@ -107,31 +109,35 @@ def extract_instances(treebank: Treebank, feature: str) -> FeatureDataset:
     An edge contributes an instance only when both endpoints carry the
     feature; agreement is verbatim string equality of the two values, so a
     multi-valued entry such as ``Nom,Acc`` agrees only with ``Nom,Acc``.
-    The value marginals are counted over every token in the same walk.
+    Reads the treebank's edge table: instances of one shape share one
+    Triple, and the value marginals, counted over every token, are summed
+    from its per-FEATS token counts in order of first occurrence.
     """
     instances: list[AgreementInstance] = []
-    marginals: dict[str, int] = {}
-    for sentence in treebank.sentences:
-        for token in sentence.tokens:
-            dep_value = token.feats.get(feature)
-            if dep_value is None:
-                continue
-            marginals[dep_value] = marginals.get(dep_value, 0) + 1
-            if token.head == 0:
-                continue
-            head = sentence.tokens[token.head - 1]
-            head_value = head.feats.get(feature)
+    triples: dict[tuple[str, str, str], Triple] = {}
+    edges = treebank.edges
+    # The loop allocates only acyclic tuples; pausing the cyclic GC for it
+    # cut GSD-scale `extract` by ~10% and `annotation-sheet` by ~30%.
+    # tuple.__new__ skips the NamedTuple constructor's Python-level frame.
+    with _gc_paused():
+        for shape, provenance, head_feats, dep_feats in edges.entries:
+            head_value = head_feats.get(feature)
             if head_value is None:
                 continue
-            instances.append(
-                AgreementInstance(
-                    triple=Triple(head.upos, token.deprel, token.upos),
-                    head_value=head_value,
-                    dep_value=dep_value,
-                    agree=head_value == dep_value,
-                    provenance=(sentence.sent_id, head.id, token.id),
-                )
-            )
+            dep_value = dep_feats.get(feature)
+            if dep_value is None:
+                continue
+            triple = triples.get(shape)
+            if triple is None:
+                triple = triples[shape] = Triple(*shape)
+            instances.append(tuple.__new__(
+                AgreementInstance, (triple, head_value, dep_value, head_value == dep_value, provenance)
+            ))
+    marginals: dict[str, int] = {}
+    for feats, count in edges.feats_counts:
+        value = feats.get(feature)
+        if value is not None:
+            marginals[value] = marginals.get(value, 0) + count
     return FeatureDataset.from_instances(feature, instances, marginals)
 
 

@@ -4,8 +4,10 @@ These deliberately avoid the package's own code paths: the chi-square
 survival function is adaptive-Simpson integration of the density (the
 package uses erfc), splits are found by exhaustive enumeration,
 entropy/correlation are recomputed from their definitions, grid search
-fits every grid point and every cross-validation fold separately, and rule
-merging rescans every pair from the start after each merge.
+fits every grid point and every cross-validation fold separately, rule
+merging rescans every pair from the start after each merge, and CoNLL-U is
+parsed token by token with a fresh FEATS dict per token and walked once per
+feature, with no shared edge table.
 """
 from __future__ import annotations
 
@@ -13,9 +15,18 @@ import math
 import random
 from dataclasses import replace
 
+from morphagree.conllu import Sentence, Token, Treebank, parse_feats
+from morphagree.errors import (
+    DuplicateSentIdError,
+    EncodingError,
+    InvalidHeadError,
+    InvalidIdError,
+    MalformedFeatsError,
+    MalformedLineError,
+)
 from morphagree.labeling import RuleSet, ThresholdMode, _leaf_rules, _try_merge
 from morphagree.tree import classification_accuracy, fit, leaf_count, macro_f1
-from morphagree.triples import FeatureDataset
+from morphagree.triples import AgreementInstance, FeatureDataset, Triple
 
 
 def chi2_density(t: float) -> float:
@@ -175,3 +186,116 @@ def merge_rules_restarting(
         threshold_mode=threshold_mode,
         training_size=tree.training_size,
     )
+
+
+def _is_range_or_empty_node_id(col: str) -> bool:
+    for sep in "-.":
+        first, found, second = col.partition(sep)
+        if found:
+            return first.isdecimal() and second.isdecimal()
+    return False
+
+
+def _parse_token_line(line: str, line_no: int) -> Token | None:
+    cols = line.split("\t")
+    if len(cols) != 10:
+        raise MalformedLineError(f"line {line_no}: expected 10 columns, got {len(cols)}")
+    if _is_range_or_empty_node_id(cols[0]):
+        return None
+    if not cols[0].isdecimal() or int(cols[0]) < 1:
+        raise InvalidIdError(f"line {line_no}: bad token id {cols[0]!r}")
+    token_id = int(cols[0])
+    if not cols[6].isdecimal():
+        raise InvalidHeadError(f"line {line_no}: bad head {cols[6]!r}")
+    head = int(cols[6])
+    if head == token_id:
+        raise InvalidHeadError(f"line {line_no}: head {head} invalid for token {token_id}")
+    try:
+        feats = parse_feats(cols[5])
+    except MalformedFeatsError as exc:
+        raise MalformedFeatsError(f"line {line_no}: {exc}") from None
+    return Token(
+        id=token_id, form=cols[1], upos=cols[3], feats=feats, head=head, deprel=cols[7]
+    )
+
+
+def _finish_sentence(tokens: list[Token], sent_id: str | None, ordinal: int) -> Sentence:
+    ids = [t.id for t in tokens]
+    if ids != list(range(1, len(ids) + 1)):
+        raise InvalidIdError(
+            f"sentence {sent_id or ordinal}: token ids are not consecutive 1..n: {ids}"
+        )
+    valid = set(ids)
+    for t in tokens:
+        if t.head != 0 and t.head not in valid:
+            raise InvalidHeadError(
+                f"sentence {sent_id or ordinal}: token {t.id} points to missing head {t.head}"
+            )
+    return Sentence(sent_id=sent_id or str(ordinal), tokens=tuple(tokens))
+
+
+def parse_conllu_reference(stream) -> Treebank:
+    """parse_conllu line by line: every token gets its own FEATS dict, and
+    nothing is memoised, interned or built ahead for extraction."""
+    sentences: list[Sentence] = []
+    tokens: list[Token] = []
+    sent_id = None
+    try:
+        for line_no, raw in enumerate(stream, start=1):
+            if isinstance(raw, bytes):
+                raw = raw.decode("utf-8")
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line:
+                if tokens:
+                    sentences.append(_finish_sentence(tokens, sent_id, len(sentences) + 1))
+                tokens, sent_id = [], None
+                continue
+            if line.startswith("#"):
+                key, sep, value = line[1:].partition("=")
+                if sep and key.strip() == "sent_id":
+                    sent_id = value.strip()
+                continue
+            token = _parse_token_line(line, line_no)
+            if token is not None:
+                tokens.append(token)
+    except UnicodeDecodeError as exc:
+        raise EncodingError(str(exc)) from None
+    if tokens:
+        sentences.append(_finish_sentence(tokens, sent_id, len(sentences) + 1))
+    seen: set[str] = set()
+    for ordinal, sentence in enumerate(sentences, start=1):
+        if sentence.sent_id in seen:
+            raise DuplicateSentIdError(
+                f"sentence {ordinal}: duplicate sent_id {sentence.sent_id!r}"
+            )
+        seen.add(sentence.sent_id)
+    return Treebank(sentences=tuple(sentences))
+
+
+def extract_instances_reference(treebank: Treebank, feature: str) -> FeatureDataset:
+    """extract_instances as one walk over the tokens per feature: a fresh
+    Triple per instance, marginals counted token by token."""
+    instances: list[AgreementInstance] = []
+    marginals: dict[str, int] = {}
+    for sentence in treebank.sentences:
+        for token in sentence.tokens:
+            dep_value = token.feats.get(feature)
+            if dep_value is None:
+                continue
+            marginals[dep_value] = marginals.get(dep_value, 0) + 1
+            if token.head == 0:
+                continue
+            head = sentence.tokens[token.head - 1]
+            head_value = head.feats.get(feature)
+            if head_value is None:
+                continue
+            instances.append(
+                AgreementInstance(
+                    triple=Triple(head.upos, token.deprel, token.upos),
+                    head_value=head_value,
+                    dep_value=dep_value,
+                    agree=head_value == dep_value,
+                    provenance=(sentence.sent_id, head.id, token.id),
+                )
+            )
+    return FeatureDataset.from_instances(feature, instances, marginals)

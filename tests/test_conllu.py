@@ -1,10 +1,22 @@
 import dataclasses
+import gc
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from morphagree import parse_conllu, parse_conllu_file, parse_feats, feats_to_string
+from morphagree import (
+    FeatureSpec,
+    PlantedGrammar,
+    extract_instances,
+    feats_to_string,
+    generate,
+    parse_conllu,
+    parse_conllu_file,
+    parse_feats,
+    treebank_to_conllu,
+)
 from morphagree.errors import (
     DuplicateSentIdError,
     EncodingError,
@@ -40,6 +52,16 @@ def test_unresolvable_head_rejected():
         make_treebank(
             "1\ta\ta\tDET\t_\t_\t9\tdet\t_\t_\n"
             "2\tb\tb\tNOUN\t_\t_\t0\troot\t_\t_\n"
+        )
+
+
+@pytest.mark.parametrize("bad_head", ["1_0", " +1", "+1", "1 "])
+def test_head_accepted_only_as_plain_digits(bad_head):
+    # int() would read these as 10, 1, 1 and 1
+    with pytest.raises(InvalidHeadError, match=r"^line 2: bad head"):
+        make_treebank(
+            "1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"
+            f"2\tb\tb\tDET\t_\t_\t{bad_head}\tdet\t_\t_\n"
         )
 
 
@@ -199,3 +221,63 @@ _feat_values = st.text(
 @given(st.dictionaries(_feat_names, _feat_values, max_size=6))
 def test_feats_round_trip(feats):
     assert parse_feats(feats_to_string(feats)) == feats
+
+
+def test_tokens_with_equal_feats_strings_share_one_dict():
+    tb = make_treebank(
+        "1\tla\tel\tDET\t_\tGender=Fem|Number=Sing\t2\tdet\t_\t_\n"
+        "2\tcasa\tcasa\tNOUN\t_\tGender=Fem|Number=Sing\t0\troot\t_\t_\n"
+        "\n"
+        "1\tuna\tuno\tDET\t_\tGender=Fem|Number=Sing\t2\tdet\t_\t_\n"
+        "2\tmesa\tmesa\tNOUN\t_\tGender=Fem\t0\troot\t_\t_\n"
+    )
+    (la, casa), (una, mesa) = (s.tokens for s in tb.sentences)
+    assert la.feats is casa.feats is una.feats
+    assert mesa.feats is not la.feats
+    assert la.upos is una.upos and la.deprel is una.deprel
+
+
+def test_parsed_treebank_retains_few_bytes_per_token():
+    # a fresh FEATS dict and UPOS/DEPREL strings per token retain about 690
+    # bytes per token here (about 1,080 with six features per token); shared
+    # dicts and interned strings about 150
+    grammar = PlantedGrammar(
+        features=(
+            FeatureSpec("Gender", ("Fem", "Masc"), (0.6, 0.4)),
+            FeatureSpec("Number", ("Sing", "Plur"), (0.7, 0.3)),
+            FeatureSpec("Person", ("1", "2", "3"), (0.2, 0.2, 0.6)),
+        ),
+        relations=("det", "amod", "nsubj"),
+        head_pos=("NOUN", "VERB"),
+        dep_pos=("DET", "ADJ", "NOUN"),
+        seed=3,
+    )
+    text = treebank_to_conllu(generate(grammar, 200, 29))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tb = parse_conllu(io.StringIO(text))
+        per_token = (tracemalloc.get_traced_memory()[0] - before) / tb.token_count
+    finally:
+        tracemalloc.stop()
+    assert tb.token_count == 200 * 29
+    assert per_token < 300
+
+
+_BAD_FEATS = "1\ta\ta\tNOUN\t_\tGender\t0\troot\t_\t_\n"
+_BAD_HEAD = "1\ta\ta\tNOUN\t_\t_\t+0\troot\t_\t_\n"
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+def test_parse_and_extraction_restore_the_callers_gc_state(caller_enabled, spanish_fig):
+    was_enabled = gc.isenabled()
+    (gc.enable if caller_enabled else gc.disable)()
+    try:
+        assert extract_instances(make_treebank(spanish_fig), "Number").instances
+        assert gc.isenabled() is caller_enabled
+        for text, error in ((_BAD_FEATS, MalformedFeatsError), (_BAD_HEAD, InvalidHeadError)):
+            with pytest.raises(error):
+                make_treebank(text)
+            assert gc.isenabled() is caller_enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

@@ -1,0 +1,140 @@
+"""The parser and the edge-table extraction against the reference copies in
+oracles.py, which parse token by token and walk the tokens once per
+feature."""
+import io
+
+from hypothesis import given, settings, strategies as st
+
+from morphagree import extract_instances, parse_conllu
+from morphagree.errors import MorphagreeError
+
+from oracles import extract_instances_reference, parse_conllu_reference
+
+FEATURE_VALUES = {
+    "Gender": ["Fem", "Masc", "Fem,Masc"],
+    "Number": ["Sing", "Plur"],
+    "Case": ["Nom", "Acc", "Nom,Acc"],
+}
+# Mood is on no token, so its dataset is empty
+FEATURES = ("Gender", "Number", "Case", "Mood")
+BAD_FEATS = ["Gender", "=Fem", "Gender=", "Gender=Fem|Gender=Masc", "Number=Sing|"]
+BAD_HEADS = ["1_0", " +1", "+1", "1 ", "-1", "x", ""]
+
+# a FEATS column: "_", or some of FEATURE_VALUES' names in any order
+_present_feats = st.sets(st.sampled_from(sorted(FEATURE_VALUES)), min_size=1).flatmap(
+    lambda names: st.permutations(sorted(names)).flatmap(
+        lambda order: st.tuples(*(st.sampled_from(FEATURE_VALUES[n]) for n in order)).map(
+            lambda values: "|".join(f"{n}={v}" for n, v in zip(order, values))
+        )
+    )
+)
+_feats = st.one_of(st.just("_"), _present_feats, _present_feats)
+
+
+@st.composite
+def _sentence(draw, index: int) -> list[str]:
+    n = draw(st.integers(1, 6))
+    lines = []
+    if draw(st.booleans()):
+        # "2" may collide with another sentence's id or ordinal
+        lines.append(f"# sent_id = {draw(st.sampled_from([f's{index}'] * 4 + ['2']))}")
+    if draw(st.booleans()):
+        lines.append("# text = some words")
+    for i in range(1, n + 1):
+        if i < n and draw(st.booleans()):
+            lines.append(f"{i}-{i + 1}\tdel\t_\t_\t_\t_\t_\t_\t_\t_")
+        head = draw(st.sampled_from([0] + [j for j in range(1, n + 1) if j != i]))
+        upos = draw(st.sampled_from(["NOUN", "DET", "VERB", "ADJ", "_"]))
+        deprel = draw(st.sampled_from(["det", "amod", "nsubj", "root"]))
+        lines.append(f"{i}\tw{i}\tl{i}\t{upos}\t_\t{draw(_feats)}\t{head}\t{deprel}\t_\t_")
+        if draw(st.booleans()):
+            lines.append(f"{i}.1\tghost\t_\t_\t_\t_\t_\t_\t_\t_")
+    return lines
+
+
+@st.composite
+def _document(draw) -> list[str]:
+    count = draw(st.integers(0, 6))
+    lines: list[str] = []
+    for index in range(count):
+        lines += draw(_sentence(index))
+        lines.append("")
+    return lines
+
+
+def _corrupt(draw, lines: list[str]) -> list[str]:
+    """Break one token line (or, for a bad FEATS, every token line from a
+    random one on with probability 1/2, so the bad string repeats)."""
+    token_rows = [i for i, line in enumerate(lines) if line.split("\t")[0].isdecimal()]
+    if not token_rows:
+        return lines
+    row = draw(st.sampled_from(token_rows))
+    cols = lines[row].split("\t")
+    kind = draw(st.sampled_from(["feats", "head", "id", "columns", "missing_head"]))
+    lines = list(lines)
+    if kind == "feats":
+        bad = draw(st.sampled_from(BAD_FEATS))
+        for i in [r for r in token_rows if r >= row and (r == row or draw(st.booleans()))]:
+            row_cols = lines[i].split("\t")
+            row_cols[5] = bad
+            lines[i] = "\t".join(row_cols)
+        return lines
+    if kind == "head":
+        cols[6] = draw(st.sampled_from(BAD_HEADS))
+    elif kind == "id":
+        cols[0] = draw(st.sampled_from(["0", "x", "1-", "2.", "²"]))
+    elif kind == "columns":
+        cols = cols[:-1]
+    else:
+        cols[6] = "99"
+    lines[row] = "\t".join(cols)
+    return lines
+
+
+def _outcome(parse, text: str, as_bytes: bool):
+    stream = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
+    try:
+        return parse(stream), None
+    except MorphagreeError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _check_equivalent(lines: list[str], crlf: bool, as_bytes: bool) -> None:
+    text = ("\r\n" if crlf else "\n").join(lines)
+    treebank, error = _outcome(parse_conllu, text, as_bytes)
+    reference, reference_error = _outcome(parse_conllu_reference, text, as_bytes)
+    assert error == reference_error
+    if error is not None:
+        return
+    assert treebank == reference
+    for feature in FEATURES:
+        got = extract_instances(treebank, feature)
+        want = extract_instances_reference(reference, feature)
+        assert got.instances == want.instances
+        assert list(got.value_marginals.items()) == list(want.value_marginals.items())
+        assert list(got.triples) == list(want.triples)
+        assert [(g.n_disagree, g.n_agree, g.refs) for g in got.triples.values()] == [
+            (g.n_disagree, g.n_agree, g.refs) for g in want.triples.values()
+        ]
+        assert got.ranking == want.ranking
+
+
+@settings(max_examples=150, deadline=None)
+@given(_document(), st.booleans(), st.booleans())
+def test_parse_and_extract_match_reference(lines, crlf, as_bytes):
+    _check_equivalent(lines, crlf, as_bytes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), _document(), st.booleans())
+def test_malformed_input_raises_like_reference(data, lines, crlf):
+    _check_equivalent(_corrupt(data.draw, lines), crlf, as_bytes=False)
+
+
+def test_repeated_bad_feats_reports_its_first_line():
+    good = "1\ta\ta\tNOUN\t_\tGender=Fem\t0\troot\t_\t_"
+    bad = "1\ta\ta\tNOUN\t_\tGender=Fem|Gender=Masc\t0\troot\t_\t_"
+    lines = [good, "", good, "", bad, "", bad, ""]
+    _check_equivalent(lines, crlf=False, as_bytes=False)
+    _, error = _outcome(parse_conllu, "\n".join(lines), as_bytes=False)
+    assert error[1].startswith("line 5: duplicate feature name")

@@ -53,7 +53,6 @@ from .tree import (
 )
 from .triples import (
     DEFAULT_FEATURES,
-    AgreementInstance,
     FeatureDataset,
     Triple,
     extract_instances,

@@ -6,17 +6,20 @@ pairs. Only HEAD/DEPREL define edges. A token keeps only the columns the
 pipeline reads (ID, FORM, UPOS, FEATS, HEAD, DEPREL); LEMMA, XPOS, DEPS,
 MISC and comments other than ``sent_id`` are read past.
 
-Within one parse, tokens with the same FEATS string share one dict, so
-``Token.feats`` is read-only; UPOS and DEPREL strings are interned.
-``Treebank.edges`` is built once, on first use, for every feature's
-instance extraction to read: each non-root edge whose two tokens have
-FEATS, in document order, plus the token count of each distinct FEATS dict.
+Files are streamed and decoded line by line, so no whole-file copy is
+held. Within one parse, tokens with the same FEATS string share one dict,
+so ``Token.feats`` is read-only; UPOS and DEPREL strings are interned.
+
+``Treebank.edges`` is the one edge table every feature's dataset shares,
+built on first use: an ``Edge`` per non-root edge whose two tokens have
+FEATS, in document order, with one ``Triple`` per distinct shape, plus the
+token count of each distinct FEATS dict. A feature's dataset holds these
+same ``Edge`` objects, not copies.
 """
 from __future__ import annotations
 
 import functools
 import gc
-import io
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -68,12 +71,28 @@ class Sentence:
     tokens: tuple[Token, ...]
 
 
-class Edges(NamedTuple):
-    """A treebank's edge table (see the module docstring). An entry is
-    (shape, provenance, head FEATS, dependent FEATS), with shape (head UPOS,
-    DEPREL, dependent UPOS) and provenance (sent_id, head id, dependent id)."""
+class Triple(NamedTuple):
+    """The ⟨head POS, relation, dependent POS⟩ shape of one dependency edge."""
 
-    entries: tuple[tuple[tuple[str, str, str], tuple[str, int, int], dict, dict], ...]
+    head_pos: str
+    relation: str
+    dep_pos: str
+
+
+class Edge(NamedTuple):
+    """One dependency edge of the edge table; both FEATS dicts are the
+    tokens' own (shared, read-only)."""
+
+    triple: Triple
+    provenance: tuple[str, int, int]  # (sent_id, head token id, dep token id)
+    head_feats: dict[str, str]
+    dep_feats: dict[str, str]
+
+
+class Edges(NamedTuple):
+    """A treebank's edge table (see the module docstring)."""
+
+    entries: tuple[Edge, ...]
     feats_counts: tuple[tuple[dict[str, str], int], ...]  # non-empty dicts only
 
 
@@ -87,7 +106,7 @@ class Treebank:
 
     @functools.cached_property
     def edges(self) -> Edges:
-        entries, shapes, counts, dicts = [], {}, {}, {}  # the last two by id(FEATS)
+        entries, triples, counts, dicts = [], {}, {}, {}  # the last two by id(FEATS)
         with _gc_paused():
             for sentence in self.sentences:
                 tokens = sentence.tokens
@@ -99,8 +118,11 @@ class Treebank:
                         continue
                     head = tokens[token.head - 1]
                     shape = (head.upos, token.deprel, token.upos)
-                    entries.append((shapes.setdefault(shape, shape),
-                                    (sentence.sent_id, head.id, token.id), head.feats, feats))
+                    triple = triples.get(shape)
+                    if triple is None:
+                        triple = triples[shape] = Triple(*shape)
+                    entries.append(Edge(triple, (sentence.sent_id, head.id, token.id),
+                                        head.feats, feats))
             return Edges(tuple(entries),
                          tuple((dicts[k], n) for k, n in counts.items() if dicts[k]))
 
@@ -185,16 +207,17 @@ def _finish_sentence(tokens: list[Token], sent_id: str | None, ordinal: int) -> 
     return Sentence(sent_id=sent_id or str(ordinal), tokens=tuple(tokens))
 
 
-def _iter_lines(stream: IO | Iterable[str]) -> Iterator[str]:
-    # Byte streams yield bytes lines; \n is unambiguous in UTF-8, so
-    # per-line decoding is safe.
-    for raw in stream:
+def _iter_lines(stream: IO | Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(1-based line number, line without its LF or CRLF) pairs. Byte
+    streams yield bytes lines; the LF byte occurs in UTF-8 only as LF, so
+    per-line decoding is safe."""
+    for line_no, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
             try:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise EncodingError(str(exc)) from None
-        yield raw.rstrip("\n").rstrip("\r")
+                raise EncodingError(f"line {line_no}: {exc}") from None
+        yield line_no, raw.rstrip("\n").rstrip("\r")
 
 
 def parse_conllu(stream: IO | Iterable[str]) -> Treebank:
@@ -212,7 +235,7 @@ def parse_conllu(stream: IO | Iterable[str]) -> Treebank:
     feats_of: dict[str, dict[str, str]] = {}
     with _gc_paused():
         try:
-            for line_no, line in enumerate(_iter_lines(stream), start=1):
+            for line_no, line in _iter_lines(stream):
                 if not line:
                     if tokens:
                         sentences.append(_finish_sentence(tokens, sent_id, len(sentences) + 1))
@@ -241,12 +264,10 @@ def parse_conllu(stream: IO | Iterable[str]) -> Treebank:
 
 
 def parse_conllu_file(path: str | Path) -> Treebank:
-    """Parse a CoNLL-U file (UTF-8, LF or CRLF line endings)."""
-    path = Path(path)
+    """Parse a CoNLL-U file (UTF-8, LF or CRLF line endings), streamed line
+    by line. An EncodingError names the path and the line."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EncodingError(f"{path}: {exc}") from None
-    return parse_conllu(io.StringIO(text))
+        try:
+            return parse_conllu(fh)
+        except EncodingError as exc:
+            raise EncodingError(f"{path}: {exc}") from None

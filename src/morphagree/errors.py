@@ -56,7 +56,8 @@ class NoMatchingRuleError(MorphagreeError):
 
 
 class MalformedRulesError(MorphagreeError):
-    """A rules document lacks a key, or holds a non-object where one is needed."""
+    """A rules document lacks a key, or holds a value of the wrong type or
+    an unknown constraint mode."""
 
 
 # --- evaluation ---

@@ -180,11 +180,12 @@ def label_leaf_statistical(
 def leaf_marginals(refs: list[int], dataset: FeatureDataset) -> dict[str, int]:
     """Value counts over the head and dependent occurrences of one leaf's
     instances (its entry in leaf_refs)."""
+    feature = dataset.feature
     counts: dict[str, int] = {}
     for ref in refs:
         inst = dataset.instances[ref]
-        counts[inst.head_value] = counts.get(inst.head_value, 0) + 1
-        counts[inst.dep_value] = counts.get(inst.dep_value, 0) + 1
+        for value in (inst.head_feats[feature], inst.dep_feats[feature]):
+            counts[value] = counts.get(value, 0) + 1
     return counts
 
 
@@ -260,37 +261,39 @@ def _leaf_rules(
     verdict_by_leaf: dict[int, LeafVerdict],
     dataset: FeatureDataset | None,
 ) -> list[LabeledRule]:
+    """One rule per leaf, in leaf order, constrained by the leaf's path."""
     rules: list[LabeledRule] = []
     refs_by_leaf = leaf_refs(tree, dataset) if dataset is not None else {}
-
-    def walk(node, state):
-        if isinstance(node, Leaf):
-            examples: list[tuple[str, int, int]] = []
-            counters: list[tuple[str, int, int]] = []
-            for ref in refs_by_leaf.get(node.leaf_id, ()):
-                inst = dataset.instances[ref]
-                (examples if inst.agree else counters).append(inst.provenance)
-            rules.append(
-                LabeledRule(
-                    rule_id=0,
-                    label=verdict_by_leaf[node.leaf_id].label,
-                    constraints={
-                        slot: Constraint(*state.get(slot, _UNCONSTRAINED))
-                        for slot in SLOT_ORDER
-                    },
-                    n_agree=node.n_agree,
-                    n_disagree=node.n_disagree,
-                    source_leaf_ids=(node.leaf_id,),
-                    example_refs=tuple(examples[:EXAMPLE_REFS_CAP]),
-                    counterexample_refs=tuple(counters[:EXAMPLE_REFS_CAP]),
-                )
+    stack = [(tree.root, {})]
+    while stack:
+        node, state = stack.pop()
+        if not isinstance(node, Leaf):
+            slot, value = node.predicate.slot, node.predicate.value
+            stack.append((node.nomatch_child, _descend(state, slot, value, False)))
+            stack.append((node.match_child, _descend(state, slot, value, True)))
+            continue
+        examples: list[tuple[str, int, int]] = []
+        counters: list[tuple[str, int, int]] = []
+        for ref in refs_by_leaf.get(node.leaf_id, ()):
+            kept = examples if dataset.agree[ref] else counters
+            if len(kept) < EXAMPLE_REFS_CAP:
+                kept.append(dataset.instances[ref].provenance)
+            elif len(examples) == len(counters) == EXAMPLE_REFS_CAP:
+                break
+        rules.append(
+            LabeledRule(
+                rule_id=0,
+                label=verdict_by_leaf[node.leaf_id].label,
+                constraints={
+                    slot: Constraint(*state.get(slot, _UNCONSTRAINED)) for slot in SLOT_ORDER
+                },
+                n_agree=node.n_agree,
+                n_disagree=node.n_disagree,
+                source_leaf_ids=(node.leaf_id,),
+                example_refs=tuple(examples),
+                counterexample_refs=tuple(counters),
             )
-            return
-        slot, value = node.predicate.slot, node.predicate.value
-        walk(node.match_child, _descend(state, slot, value, True))
-        walk(node.nomatch_child, _descend(state, slot, value, False))
-
-    walk(tree.root, {})
+        )
     return rules
 
 

@@ -6,12 +6,12 @@ import random
 from pathlib import Path
 from typing import Sequence
 
-from .conllu import Sentence, Treebank
+from .conllu import Edge, Sentence, Treebank
 from .errors import NoMatchingRuleError
 from .labeling import Label, LabeledRule, RuleSet, rule_for
 from .serialization import RulesDocument
 from .tree import SLOT_ORDER, Slot
-from .triples import AgreementInstance, extract_instances, top_k_triples
+from .triples import extract_instances, top_k_triples
 
 SHEET_COLUMNS = ("feature", "relation", "head_pos", "dep_pos", "label", "examples")
 
@@ -20,17 +20,20 @@ def sentence_index(treebank: Treebank) -> dict[str, Sentence]:
     return {sentence.sent_id: sentence for sentence in treebank.sentences}
 
 
-def render_example(sentence: Sentence, head_id: int, dep_id: int) -> str:
-    """Plain-text sentence with the head in [[..]] and the dependent in ((..))."""
-    parts = []
-    for token in sentence.tokens:
-        if token.id == head_id:
-            parts.append(f"[[{token.form}]]")
-        elif token.id == dep_id:
-            parts.append(f"(({token.form}))")
-        else:
-            parts.append(token.form)
-    return " ".join(parts)
+def render_example(
+    sentence: Sentence, head_id: int, dep_id: int,
+    marks: tuple[str, str] = ("[[{}]]", "(({}))"), escape=str,
+) -> str:
+    """The sentence's forms, each passed through escape, joined by spaces;
+    the head's and the dependent's forms are set in their marks (plain text
+    [[head]] and ((dependent)) by default)."""
+    head_mark, dep_mark = marks
+    return " ".join(
+        head_mark.format(escape(token.form)) if token.id == head_id
+        else dep_mark.format(escape(token.form)) if token.id == dep_id
+        else escape(token.form)
+        for token in sentence.tokens
+    )
 
 
 def _sample(items: Sequence, k: int, seed_key: str) -> list:
@@ -137,25 +140,7 @@ def _constraint_text(rule: LabeledRule) -> str:
     return "<br>".join(parts)
 
 
-def _render_instance_html(
-    index: dict[str, Sentence], inst: AgreementInstance, feature: str
-) -> str:
-    sent_id, head_id, dep_id = inst.provenance
-    sentence = index[sent_id]
-    parts = []
-    for token in sentence.tokens:
-        form = html.escape(token.form)
-        if token.id == head_id:
-            parts.append(f'<span class="head">{form}</span>')
-        elif token.id == dep_id:
-            parts.append(f'<span class="dep">{form}</span>')
-        else:
-            parts.append(form)
-    values = f"{feature}: {html.escape(inst.head_value)} / {html.escape(inst.dep_value)}"
-    return (
-        f'<div class="example">{" ".join(parts)} '
-        f'<span class="muted">[{html.escape(sent_id)}; {values}]</span></div>'
-    )
+_HTML_MARKS = ('<span class="head">{}</span>', '<span class="dep">{}</span>')
 
 
 def _stats_cell(value: float | None, fmt: str = "{:.4g}") -> str:
@@ -176,7 +161,7 @@ def render_feature_page(
 ) -> str:
     dataset = extract_instances(train, feature)
     # (agreeing, disagreeing) example pools per rule, in document order
-    by_rule: dict[int, tuple[list[AgreementInstance], list[AgreementInstance]]] = {
+    by_rule: dict[int, tuple[list[Edge], list[Edge]]] = {
         rule.rule_id: ([], []) for rule in ruleset.rules
     }
     pools_of = {}
@@ -186,8 +171,8 @@ def render_feature_page(
         except NoMatchingRuleError as exc:
             raise NoMatchingRuleError(f"feature {feature!r}: {exc}") from None
         pools_of[triple] = by_rule[rule.rule_id]
-    for inst in dataset.instances:
-        pools_of[inst.triple][not inst.agree].append(inst)
+    for inst, agree in zip(dataset.instances, dataset.agree):
+        pools_of[inst.triple][not agree].append(inst)
     verdict_by_leaf = {v.leaf_id: v for v in doc.verdicts[feature]}
     chance = doc.chance_models[feature]
     body = [f"<h1>{html.escape(feature)} agreement rules</h1>"]
@@ -244,7 +229,17 @@ def render_feature_page(
                 continue
             key = f"{seed}:{feature}:{rule.rule_id}:{kind}"
             for inst in _sample(pool, examples, key):
-                body.append(_render_instance_html(index, inst, feature))
+                sent_id, head_id, dep_id = inst.provenance
+                sentence = render_example(
+                    index[sent_id], head_id, dep_id, _HTML_MARKS, html.escape
+                )
+                values = " / ".join(
+                    html.escape(feats[feature]) for feats in (inst.head_feats, inst.dep_feats)
+                )
+                body.append(
+                    f'<div class="example">{sentence} <span class="muted">'
+                    f"[{html.escape(sent_id)}; {feature}: {values}]</span></div>"
+                )
         body.append("</div>")
     body.append('<p><a href="index.html">&larr; all features</a></p>')
     return _page(f"{feature} agreement rules", "\n".join(body))

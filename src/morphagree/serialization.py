@@ -121,9 +121,12 @@ def _constraints_to_dict(constraints: dict[Slot, Constraint]) -> dict:
 def _constraints_from_dict(doc: dict) -> dict[Slot, Constraint]:
     constraints = {slot: Constraint("not_in", frozenset()) for slot in Slot}
     for slot_name, entry in doc.items():
-        constraints[Slot(slot_name)] = Constraint(
-            entry["mode"], frozenset(entry["values"])
-        )
+        mode, values = entry["mode"], entry["values"]
+        if mode not in ("in", "not_in"):
+            raise MalformedRulesError(f"constraint mode {mode!r} is not 'in' or 'not_in'")
+        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+            raise MalformedRulesError(f"constraint values {values!r} are not a list of strings")
+        constraints[Slot(slot_name)] = Constraint(mode, frozenset(values))
     return constraints
 
 
@@ -260,7 +263,7 @@ class RulesDocument:
                 raise MalformedRulesError(
                     f"feature {feature!r}: missing key {exc.args[0]!r}"
                 ) from None
-            except (TypeError, AttributeError) as exc:
+            except (TypeError, AttributeError, MalformedRulesError) as exc:
                 raise MalformedRulesError(f"feature {feature!r}: {exc}") from None
 
     def _load_feature(self, feature: str, entry: dict, mode: ThresholdMode) -> None:

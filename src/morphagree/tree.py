@@ -363,11 +363,11 @@ def _cv_scores(
     # split every triple group into its held-out part per fold and the rest
     held: list[list[TripleGroup]] = [[] for _ in range(k)]
     rest: list[list[TripleGroup]] = [[] for _ in range(k)]
-    instances = train.instances
+    agree = train.agree
     for group in train.triples.values():
         counts = [[0, 0] for _ in range(k)]
         for idx in group.refs:
-            counts[fold_of[idx]][instances[idx].agree] += 1
+            counts[fold_of[idx]][agree[idx]] += 1
         for fold, (held_disagree, held_agree) in enumerate(counts):
             if held_disagree + held_agree:
                 held[fold].append(TripleGroup(group.triple, held_disagree, held_agree))

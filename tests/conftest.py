@@ -5,8 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from morphagree import parse_conllu
-from morphagree.triples import AgreementInstance, FeatureDataset
+from morphagree import (
+    FeatureSpec,
+    PlantedGrammar,
+    RulePattern,
+    generate,
+    parse_conllu,
+    treebank_to_conllu,
+)
+from morphagree.conllu import Edge
+from morphagree.triples import FeatureDataset
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -15,19 +23,44 @@ def make_treebank(text: str):
     return parse_conllu(io.StringIO(text))
 
 
+# the six default features, with the benchmark's marginals
+SIX_FEATURES = PlantedGrammar(
+    features=(
+        FeatureSpec("Gender", ("Fem", "Masc"), (0.55, 0.45)),
+        FeatureSpec("Person", ("3", "1", "2"), (0.6, 0.25, 0.15)),
+        FeatureSpec("Number", ("Sing", "Plur"), (0.7, 0.3)),
+        FeatureSpec("Mood", ("Ind", "Sub", "Imp"), (0.85, 0.1, 0.05)),
+        FeatureSpec("Case", ("Nom", "Acc", "Dat", "Gen"), (0.4, 0.3, 0.2, 0.1)),
+        FeatureSpec("Tense", ("Pres", "Past", "Fut"), (0.5, 0.4, 0.1)),
+    ),
+    relations=("det", "amod", "nsubj", "obj", "case", "advmod", "obl", "nmod"),
+    head_pos=("NOUN", "VERB", "ADJ", "PRON"),
+    dep_pos=("NOUN", "DET", "ADJ", "PRON"),
+    required_rules=(RulePattern(relation="det"), RulePattern(relation="amod", head_pos="NOUN")),
+    noise_rate=0.02,
+    seed=5,
+)
+
+
+def six_feature_conllu(n_sentences: int = 600) -> str:
+    """A generated corpus of 29-token sentences carrying all six features."""
+    return treebank_to_conllu(generate(SIX_FEATURES, n_sentences, 29))
+
+
+def make_edge(triple, agree, provenance=("s", 1, 2), feature="Gender"):
+    """An edge whose head is Fem and whose dependent is Fem or Masc."""
+    return Edge(triple, provenance, {feature: "Fem"}, {feature: "Fem" if agree else "Masc"})
+
+
+def agrees(edge, feature="Gender") -> bool:
+    """Whether the edge's two values of the feature are equal, read from its
+    FEATS rather than from a dataset's agree column."""
+    return edge.head_feats[feature] == edge.dep_feats[feature]
+
+
 def make_dataset(pairs, feature="Gender"):
     """Build a FeatureDataset from (triple, agree) pairs."""
-    instances = [
-        AgreementInstance(
-            triple=t,
-            head_value="Fem",
-            dep_value="Fem" if agree else "Masc",
-            agree=agree,
-            provenance=("s", 1, 2),
-        )
-        for t, agree in pairs
-    ]
-    return FeatureDataset.from_instances(feature, instances)
+    return FeatureDataset(feature, tuple(make_edge(t, a, feature=feature) for t, a in pairs))
 
 
 @pytest.fixture

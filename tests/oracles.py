@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import replace
 
-from morphagree.conllu import Sentence, Token, Treebank, parse_feats
+from morphagree.conllu import Edge, Sentence, Token, Treebank, parse_feats
 from morphagree.errors import (
     DuplicateSentIdError,
     EncodingError,
@@ -26,7 +26,7 @@ from morphagree.errors import (
 )
 from morphagree.labeling import RuleSet, ThresholdMode, _leaf_rules, _try_merge
 from morphagree.tree import classification_accuracy, fit, leaf_count, macro_f1
-from morphagree.triples import AgreementInstance, FeatureDataset, Triple
+from morphagree.triples import FeatureDataset, Triple
 
 
 def chi2_density(t: float) -> float:
@@ -143,9 +143,9 @@ def grid_search_per_point(train, grid, seed: int, metric: str = "accuracy", n_fo
         for held in folds:
             rest = [i for idx, i in enumerate(train.instances) if idx not in held]
             held_out = [i for idx, i in enumerate(train.instances) if idx in held]
-            tree = fit(FeatureDataset.from_instances(train.feature, rest), hp)
+            tree = fit(FeatureDataset(train.feature, tuple(rest)), hp)
             scores.append(
-                score_fn(tree, FeatureDataset.from_instances(train.feature, held_out))
+                score_fn(tree, FeatureDataset(train.feature, tuple(held_out)))
             )
         score = sum(scores) / len(scores) if scores else 0.0
         tree = fit(train, hp)
@@ -274,8 +274,8 @@ def parse_conllu_reference(stream) -> Treebank:
 
 def extract_instances_reference(treebank: Treebank, feature: str) -> FeatureDataset:
     """extract_instances as one walk over the tokens per feature: a fresh
-    Triple per instance, marginals counted token by token."""
-    instances: list[AgreementInstance] = []
+    Edge and Triple per instance, marginals counted token by token."""
+    instances: list[Edge] = []
     marginals: dict[str, int] = {}
     for sentence in treebank.sentences:
         for token in sentence.tokens:
@@ -290,12 +290,11 @@ def extract_instances_reference(treebank: Treebank, feature: str) -> FeatureData
             if head_value is None:
                 continue
             instances.append(
-                AgreementInstance(
+                Edge(
                     triple=Triple(head.upos, token.deprel, token.upos),
-                    head_value=head_value,
-                    dep_value=dep_value,
-                    agree=head_value == dep_value,
                     provenance=(sentence.sent_id, head.id, token.id),
+                    head_feats=head.feats,
+                    dep_feats=token.feats,
                 )
             )
-    return FeatureDataset.from_instances(feature, instances, marginals)
+    return FeatureDataset(feature, tuple(instances), marginals)

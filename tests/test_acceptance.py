@@ -36,7 +36,7 @@ from morphagree.cli import main
 from morphagree.labeling import ChanceModel, chi_square_survival
 from morphagree.tree import Leaf
 
-from conftest import make_dataset
+from conftest import agrees, make_dataset
 from oracles import chi2_sf_oracle
 from treegen import random_labeled_tree, random_triple
 
@@ -157,7 +157,7 @@ def test_criterion_6_baseline_identity():
             above = 0
             for t in {v.triple for v in report.verdicts}:
                 insts = [i for i in dataset.instances if i.triple == t]
-                above += sum(i.agree for i in insts) / len(insts) > 0.95
+                above += sum(agrees(i) for i in insts) / len(insts) > 0.95
             n = len(report.verdicts)
             # exact in rational arithmetic, and bit-equal as one division
             assert Fraction(sum(v.score for v in report.verdicts), n) == 1 - Fraction(above, n)

@@ -490,6 +490,21 @@ def _broken(doc, feature, edit):
             lambda entry: entry["rules"][1].update(constraints={}),
             "matches rules 1 and 2",
         ),
+        # a string of values would read as its set of characters
+        (
+            "evaluate",
+            lambda entry: entry["rules"][0]["constraints"].update(
+                relation={"mode": "in", "values": "det"}
+            ),
+            "'det' are not a list of strings",
+        ),
+        (
+            "report",
+            lambda entry: entry["rules"][0]["constraints"].update(
+                relation={"mode": "IN", "values": ["det"]}
+            ),
+            "mode 'IN'",
+        ),
     ],
 )
 def test_malformed_rules_fail_with_error_line(

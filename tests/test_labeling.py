@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -11,6 +12,7 @@ from morphagree import (
     chance_agreement_prob,
     chi_squared_gof,
     cramers_phi,
+    extract_instances,
     label_leaf_hard,
     label_leaf_statistical,
     label_triple,
@@ -41,8 +43,9 @@ from morphagree.tree import (
     leaves,
     predict_leaf,
 )
-from morphagree.triples import AgreementInstance, FeatureDataset
+from morphagree.triples import FeatureDataset
 
+from conftest import agrees, make_edge, make_treebank, six_feature_conllu
 from oracles import chi2_sf_oracle, merge_rules_restarting
 from treegen import random_labeled_tree, random_triple
 
@@ -359,11 +362,10 @@ def test_merge_equals_restarting_oracle_on_deep_fitted_trees(seed):
     # the order of example_refs and counterexample_refs
     rng = random.Random(seed)
     instances = [
-        AgreementInstance(random_triple(rng), "Fem", "Fem" if agree else "Masc", agree,
-                          (f"s{k}", 1, 2))
+        make_edge(random_triple(rng), agree, (f"s{k}", 1, 2))
         for k, agree in enumerate(rng.random() < 0.6 for _ in range(rng.randint(1, 400)))
     ]
-    dataset = FeatureDataset.from_instances("Gender", instances)
+    dataset = FeatureDataset("Gender", tuple(instances))
     tree = fit(dataset, HyperParams(max_depth=15, min_impurity_decrease=0.0))
     verdicts = [
         LeafVerdict(leaf.leaf_id, rng.choice((Label.REQUIRED, Label.CHANCE)), leaf.agree_ratio)
@@ -381,10 +383,10 @@ def test_merged_refs_are_the_first_hundred_of_the_leaves_refs():
     order = [det, amod] * 70 + [det, amod] * 3 + [obj] * 70
     agree = [True] * 140 + [False] * 6 + [False] * 70
     instances = [
-        AgreementInstance(t, "Fem", "Fem" if a else "Masc", a, (f"s{k}", 1, 2))
+        make_edge(t, a, (f"s{k}", 1, 2))
         for k, (t, a) in enumerate(zip(order, agree))
     ]
-    dataset = FeatureDataset.from_instances("Gender", instances)
+    dataset = FeatureDataset("Gender", tuple(instances))
     tree = fit(dataset, HyperParams(max_depth=15, min_impurity_decrease=0.0))
     verdicts = [label_leaf_hard(leaf, 0.9) for leaf in leaves(tree)]
     ruleset = merge_rules(tree, verdicts, dataset, ThresholdMode.HARD)
@@ -395,7 +397,7 @@ def test_merged_refs_are_the_first_hundred_of_the_leaves_refs():
         return [
             inst.provenance
             for inst in dataset.instances
-            if inst.agree is agreeing and predict_leaf(tree, inst.triple) == leaf_id
+            if agrees(inst) is agreeing and predict_leaf(tree, inst.triple) == leaf_id
         ]
 
     examples = [p for leaf in merged.source_leaf_ids for p in provenance(leaf, True)]
@@ -403,6 +405,24 @@ def test_merged_refs_are_the_first_hundred_of_the_leaves_refs():
     assert len(examples) == 140
     assert list(merged.example_refs) == examples[:EXAMPLE_REFS_CAP]
     assert list(merged.counterexample_refs) == counters
+
+
+def test_merge_leaves_no_cyclic_garbage():
+    # a recursive closure over the tree walk left a cycle holding the rule
+    # list and every leaf's refs until the cyclic GC ran
+    dataset = extract_instances(make_treebank(six_feature_conllu(600)), "Gender")
+    tree = fit(dataset, HyperParams(max_depth=15, min_impurity_decrease=0.0))
+    verdicts = [label_leaf_hard(leaf, 0.9) for leaf in leaves(tree)]
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        ruleset = merge_rules(tree, verdicts, dataset, ThresholdMode.HARD)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(ruleset.rules) > 1
 
 
 def test_merge_rejects_bad_verdicts():

@@ -2,11 +2,14 @@
 oracles.py, which parse token by token and walk the tokens once per
 feature."""
 import io
+import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphagree import extract_instances, parse_conllu
-from morphagree.errors import MorphagreeError
+from morphagree import extract_instances, parse_conllu, parse_conllu_file
+from morphagree.errors import EncodingError, MorphagreeError
 
 from oracles import extract_instances_reference, parse_conllu_reference
 
@@ -111,6 +114,7 @@ def _check_equivalent(lines: list[str], crlf: bool, as_bytes: bool) -> None:
         got = extract_instances(treebank, feature)
         want = extract_instances_reference(reference, feature)
         assert got.instances == want.instances
+        assert got.agree == want.agree
         assert list(got.value_marginals.items()) == list(want.value_marginals.items())
         assert list(got.triples) == list(want.triples)
         assert [(g.n_disagree, g.n_agree, g.refs) for g in got.triples.values()] == [
@@ -123,6 +127,35 @@ def _check_equivalent(lines: list[str], crlf: bool, as_bytes: bool) -> None:
 @given(_document(), st.booleans(), st.booleans())
 def test_parse_and_extract_match_reference(lines, crlf, as_bytes):
     _check_equivalent(lines, crlf, as_bytes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_document(), st.booleans())
+def test_file_parse_matches_reference_on_the_same_text(lines, crlf):
+    text = ("\r\n" if crlf else "\n").join(lines)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "doc.conllu"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            outcome = parse_conllu_file(path), None
+        except MorphagreeError as exc:
+            outcome = None, (type(exc), str(exc))
+    assert outcome == _outcome(parse_conllu_reference, text, as_bytes=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), _document(), st.booleans())
+def test_invalid_utf8_names_the_path_and_line(data, lines, crlf):
+    lines = [line.encode("utf-8") for line in lines] or [b""]
+    line_no = data.draw(st.integers(1, len(lines)))
+    cut = data.draw(st.integers(0, len(lines[line_no - 1])))
+    lines[line_no - 1] = lines[line_no - 1][:cut] + b"\xff" + lines[line_no - 1][cut:]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "doc.conllu"
+        path.write_bytes((b"\r\n" if crlf else b"\n").join(lines))
+        with pytest.raises(EncodingError) as info:
+            parse_conllu_file(path)
+    assert str(info.value).startswith(f"{path}: line {line_no}: ")
 
 
 @settings(max_examples=150, deadline=None)

@@ -21,6 +21,8 @@ from morphagree.errors import FeatureMismatchError, InvalidGrammarError
 from morphagree.labeling import LeafVerdict
 from morphagree.tree import DecisionTree, HyperParams, Internal, Leaf, Slot, SplitPredicate
 
+from conftest import agrees
+
 
 def simple_grammar(**overrides):
     kwargs = dict(
@@ -55,7 +57,7 @@ def test_required_edges_always_agree_without_noise():
     tb = generate(g, 2000, 3)
     dataset = extract_instances(tb, "Gender")
     det = [i for i in dataset.instances if i.triple.relation == "det"]
-    assert det and all(i.agree for i in det)
+    assert det and all(agrees(i) for i in det)
 
 
 def test_noise_rate_violates_required_edges_at_expected_rate():
@@ -65,7 +67,7 @@ def test_noise_rate_violates_required_edges_at_expected_rate():
     tb = generate(g, 5000, 3)
     dataset = extract_instances(tb, "Gender")
     det = [i for i in dataset.instances if i.triple.relation == "det"]
-    ratio = sum(i.agree for i in det) / len(det)
+    ratio = sum(agrees(i) for i in det) / len(det)
     assert 0.87 < ratio < 0.93
 
 
@@ -76,7 +78,7 @@ def test_chance_edges_converge_to_sum_of_squared_marginals():
     dataset = extract_instances(tb, "Gender")
     by_triple: dict[Triple, list[bool]] = {}
     for inst in dataset.instances:
-        by_triple.setdefault(inst.triple, []).append(inst.agree)
+        by_triple.setdefault(inst.triple, []).append(agrees(inst))
     assert len(by_triple) == 8
     for flags in by_triple.values():
         assert abs(sum(flags) / len(flags) - 0.82) < 0.02

@@ -28,7 +28,7 @@ from morphagree.tree import (
 )
 
 
-from conftest import make_dataset
+from conftest import agrees, make_dataset
 from oracles import brute_force_best_first_split, grid_search_per_point
 
 HP = HyperParams(criterion="gini", max_depth=6, min_impurity_decrease=1e-3)
@@ -46,7 +46,7 @@ def test_single_instance_single_leaf():
 
 def test_empty_dataset_rejected():
     with pytest.raises(EmptyDatasetError):
-        fit(FeatureDataset.from_instances("Gender", []), HP)
+        fit(FeatureDataset("Gender", ()), HP)
 
 
 def _subj_obj_dataset():
@@ -58,7 +58,7 @@ def _subj_obj_dataset():
 def test_fifty_fifty_split_on_relation():
     subj, obj, dataset = _subj_obj_dataset()
     best, _ = brute_force_best_first_split(
-        [(i.triple, i.agree) for i in dataset.instances]
+        [(i.triple, agrees(i)) for i in dataset.instances]
     )
     assert {(s, v) for s, v, _ in best} == {("relation", "obj"), ("relation", "subj")}
     tree = fit(dataset, HP)
@@ -98,7 +98,7 @@ def test_fitted_first_split_matches_brute_force_on_random_data():
     for criterion in ("gini", "entropy"):
         tree = fit(dataset, HyperParams(criterion, max_depth=1, min_impurity_decrease=1e-9))
         best, delta = brute_force_best_first_split(
-            [(i.triple, i.agree) for i in dataset.instances], criterion
+            [(i.triple, agrees(i)) for i in dataset.instances], criterion
         )
         assert isinstance(tree.root, Internal)
         slot, value, _ = best[0]
@@ -163,8 +163,8 @@ def _node_groups(tree, dataset):
 
     def walk(node, insts):
         counts[id(node)] = (
-            sum(i.agree for i in insts),
-            sum(not i.agree for i in insts),
+            sum(agrees(i) for i in insts),
+            sum(not agrees(i) for i in insts),
             insts,
         )
         if isinstance(node, Internal):
@@ -240,7 +240,7 @@ def test_training_accuracy_at_least_majority_baseline():
     ]
     dataset = make_dataset(pairs)
     tree = fit(dataset, HP)
-    n_agree = sum(i.agree for i in dataset.instances)
+    n_agree = sum(agrees(i) for i in dataset.instances)
     majority = max(n_agree, len(dataset.instances) - n_agree) / len(dataset.instances)
     assert classification_accuracy(tree, dataset) >= majority
 

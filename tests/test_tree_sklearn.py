@@ -29,7 +29,7 @@ def _one_hot(dataset):
     for r, inst in enumerate(dataset.instances):
         for c, (slot, v) in enumerate(cols):
             X[r, c] = getattr(inst.triple, slot) == v
-    y = np.array([int(i.agree) for i in dataset.instances])
+    y = np.array(list(dataset.agree))
     return X, y
 
 

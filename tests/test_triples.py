@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 
 from morphagree import (
+    DEFAULT_FEATURES,
     FeatureDataset,
     Triple,
     chance_agreement_prob,
@@ -10,20 +11,10 @@ from morphagree import (
     parse_conllu_file,
     top_k_triples,
 )
+from morphagree.conllu import Edge
 from morphagree.errors import EmptyMarginalsError
-from morphagree.triples import AgreementInstance
 
-from conftest import make_treebank
-
-
-def _instance(triple: Triple, agree: bool = True):
-    return AgreementInstance(
-        triple=triple,
-        head_value="Fem",
-        dep_value="Fem" if agree else "Masc",
-        agree=agree,
-        provenance=("s", 1, 2),
-    )
+from conftest import agrees, make_edge, make_treebank, six_feature_conllu
 
 
 def test_subject_verb_number_edge_agrees(spanish_fig):
@@ -33,7 +24,7 @@ def test_subject_verb_number_edge_agrees(spanish_fig):
     assert Triple(head_pos="VERB", relation="subj", dep_pos="NOUN") in {
         i.triple for i in subj
     }
-    assert all(i.agree for i in subj)
+    assert all(agrees(i, "Number") for i in subj)
 
 
 def test_object_verb_edge_agrees_by_chance(spanish_fig):
@@ -41,14 +32,14 @@ def test_object_verb_edge_agrees_by_chance(spanish_fig):
     dataset = extract_instances(tb, "Number")
     obj = [i for i in dataset.instances if i.triple.relation == "comp:obj"]
     assert obj == [
-        AgreementInstance(
+        Edge(
             triple=Triple(head_pos="VERB", relation="comp:obj", dep_pos="NOUN"),
-            head_value="Sing",
-            dep_value="Sing",
-            agree=True,
             provenance=("B.1", 3, 5),
+            head_feats={"Number": "Sing"},
+            dep_feats={"Number": "Sing"},
         )
     ]
+    assert dataset.agree[dataset.instances.index(obj[0])] == 1
 
 
 def test_edge_without_feature_on_one_side_is_filtered():
@@ -86,7 +77,7 @@ def test_marginals_hand_tally_fixture(gender_tally_path):
     dataset = extract_instances(parse_conllu_file(gender_tally_path), "Gender")
     assert dataset.value_marginals == {"Fem": 5, "Masc": 3, "Neut": 1}
     assert len(dataset.instances) == 6
-    assert sum(i.agree for i in dataset.instances) == 1
+    assert sum(dataset.agree) == 1
 
 
 def test_empty_marginals_error():
@@ -111,8 +102,7 @@ def test_instance_count_matches_independent_double_loop(gender_tally_path):
                 expected += 1
     dataset = extract_instances(tb, feature)
     assert len(dataset.instances) == expected
-    for inst in dataset.instances:
-        assert inst.agree == (inst.head_value == inst.dep_value)
+    assert list(dataset.agree) == [agrees(i) for i in dataset.instances]
 
 
 def test_extraction_is_deterministic(spanish_fig):
@@ -122,26 +112,22 @@ def test_extraction_is_deterministic(spanish_fig):
 
 def test_top_k_truncates_to_distinct_count():
     triples = [Triple("NOUN", f"rel{i}", "DET") for i in range(7)]
-    dataset = FeatureDataset.from_instances(
-        "Gender", [_instance(t) for t in triples]
-    )
+    dataset = FeatureDataset("Gender", tuple(make_edge(t, True) for t in triples))
     assert len(top_k_triples(dataset, 20)) == 7
 
 
 def test_top_k_tie_breaks_lexicographically():
     a = Triple(head_pos="NOUN", relation="det", dep_pos="DET")
     b = Triple(head_pos="NOUN", relation="conj", dep_pos="DET")
-    dataset = FeatureDataset.from_instances(
-        "Gender", [_instance(a), _instance(b)]
-    )
+    dataset = FeatureDataset("Gender", (make_edge(a, True), make_edge(b, True)))
     assert top_k_triples(dataset, 2) == [b, a]  # conj < det
 
 
 def test_top_k_count_ordering():
     a = Triple(head_pos="NOUN", relation="det", dep_pos="DET")
     b = Triple(head_pos="NOUN", relation="subj", dep_pos="VERB")
-    instances = [_instance(a)] * 100 + [_instance(b)] * 99
-    dataset = FeatureDataset.from_instances("Gender", instances)
+    instances = [make_edge(a, True)] * 100 + [make_edge(b, True)] * 99
+    dataset = FeatureDataset("Gender", tuple(instances))
     assert top_k_triples(dataset, 2) == [a, b]
 
 
@@ -151,9 +137,10 @@ def test_multi_valued_feats_compared_verbatim():
         "2\tve\tver\tVERB\t_\tCase=Nom,Acc\t0\troot\t_\t_\n"
     )
     dataset = extract_instances(tb, "Case")
-    assert [(i.head_value, i.dep_value, i.agree) for i in dataset.instances] == [
-        ("Nom,Acc", "Nom", False)
+    assert [(i.head_feats["Case"], i.dep_feats["Case"]) for i in dataset.instances] == [
+        ("Nom,Acc", "Nom")
     ]
+    assert dataset.agree == b"\x00"
     assert dataset.value_marginals == {"Nom": 1, "Nom,Acc": 1}
 
 
@@ -163,7 +150,7 @@ def test_triple_table_matches_instances(gender_tally_path):
     assert list(dataset.triples) == first_seen
     for triple, group in dataset.triples.items():
         refs = [k for k, i in enumerate(dataset.instances) if i.triple == triple]
-        agree = sum(dataset.instances[k].agree for k in refs)
+        agree = sum(agrees(dataset.instances[k]) for k in refs)
         assert (group.triple, group.n_disagree, group.n_agree, group.refs) == (
             triple, len(refs) - agree, agree, refs
         )
@@ -185,18 +172,45 @@ def test_vocab_covers_all_instances(gender_tally_path):
     assert sum(dataset.value_marginals.values()) == 9
 
 
-def test_instances_carry_no_per_object_dict():
-    # a 5-field tuple: about 97 bytes per instance under tracemalloc, list
-    # slot included, against about 137 for a dataclass without __slots__
-    triple, provenance = Triple("NOUN", "det", "DET"), ("s", 1, 2)
+def test_instances_are_the_treebanks_edge_records():
+    tb = make_treebank(six_feature_conllu(50))
+    entries = {id(edge) for edge in tb.edges.entries}
+    for feature in DEFAULT_FEATURES:
+        dataset = extract_instances(tb, feature)
+        assert dataset.instances
+        assert all(id(inst) in entries for inst in dataset.instances)
+
+
+def test_extraction_keeps_few_bytes_per_instance():
+    # what a dataset adds to the shared edge table: a tuple slot, an agree
+    # byte and its triple table's index. About 48 bytes per instance here;
+    # a 5-field tuple per instance and feature kept about 136
+    tb = make_treebank(six_feature_conllu(600))
+    tb.edges
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        instances = [
-            AgreementInstance(triple, "Fem", "Masc", False, provenance) for _ in range(10_000)
-        ]
-        per_instance = (tracemalloc.get_traced_memory()[0] - before) / len(instances)
+        datasets = [extract_instances(tb, feature) for feature in DEFAULT_FEATURES]
+        kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert not hasattr(instances[0], "__dict__")
-    assert per_instance < 110
+    n_instances = sum(len(d.instances) for d in datasets)
+    assert n_instances == 6 * 600 * 14
+    assert kept / n_instances <= 80
+
+
+def test_file_parse_holds_no_copy_of_the_file(tmp_path):
+    # streamed line by line: the parse's transient memory (its peak above
+    # what the treebank retains) stays below the file's size. Reading the
+    # whole file first held its bytes, the decoded text and a text buffer,
+    # about six times the file's size
+    path = tmp_path / "train.conllu"
+    path.write_text(six_feature_conllu(600), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        tb = parse_conllu_file(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tb.token_count == 600 * 29
+    assert peak - retained < path.stat().st_size

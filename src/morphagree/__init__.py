@@ -44,7 +44,6 @@ from .tree import (
     HyperParams,
     Internal,
     Leaf,
-    Slot,
     SplitPredicate,
     fit,
     grid_search,

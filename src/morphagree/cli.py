@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .complexity import conciseness_correlation, word_entropy
 from .conllu import parse_conllu_file
-from .errors import MalformedScoresError, MorphagreeError, ZeroVarianceError
+from .errors import MorphagreeError, ZeroVarianceError
 from .evaluation import (
     arm,
     baseline_arm,
@@ -23,6 +23,8 @@ from .serialization import (
     FORMAT_VERSION,
     eval_report_to_dict,
     load_rules,
+    read_score,
+    read_score_entries,
     rules_document,
     write_json,
 )
@@ -161,9 +163,7 @@ def cmd_hrm(args: argparse.Namespace) -> int:
             "n_triples": len(details),
             "per_triple": [
                 {
-                    "relation": d.triple.relation,
-                    "head_pos": d.triple.head_pos,
-                    "dep_pos": d.triple.dep_pos,
+                    **d.triple._asdict(),
                     "human_label": d.human_label.value,
                     "mapped_label": d.mapped_label.value,
                     "tree_label": d.tree_label.value,
@@ -252,33 +252,13 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _score_entries(path: str) -> dict[str, dict]:
-    """The per-feature entries of an eval or hrm document."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = doc.get("features", {}) if isinstance(doc, dict) else None
-    if not isinstance(entries, dict) or not all(
-        isinstance(e, dict) for e in entries.values()
-    ):
-        raise MalformedScoresError(f"{path}: 'features' is not an object of objects")
-    return entries
-
-
-def _score(path: str, entries: dict[str, dict], feature: str, key: str) -> float:
-    value = entries[feature].get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedScoresError(
-            f"{path}: feature {feature!r}: {key!r} is missing or not a number"
-        )
-    return value
-
-
 def cmd_correlate(args: argparse.Namespace) -> int:
     if len(args.eval) != len(args.hrm):
         return _fail("--eval and --hrm must list the same number of files")
     if len(args.eval) < 2:
         return _fail("need at least two settings to correlate")
-    eval_docs = [(p, _score_entries(p)) for p in args.eval]
-    hrm_docs = [(p, _score_entries(p)) for p in args.hrm]
+    eval_docs = [(p, read_score_entries(p)) for p in args.eval]
+    hrm_docs = [(p, read_score_entries(p)) for p in args.hrm]
     features: set[str] | None = None
     for _, entries in eval_docs:
         present = {f for f, e in entries.items() if not e.get("absent")}
@@ -290,8 +270,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     per_feature: dict[str, dict] = {}
     rs = []
     for feature in sorted(features):
-        xs = [_score(p, entries, feature, "arm") for p, entries in eval_docs]
-        ys = [_score(p, entries, feature, "hrm") for p, entries in hrm_docs]
+        xs = [read_score(p, entries, feature, "arm") for p, entries in eval_docs]
+        ys = [read_score(p, entries, feature, "hrm") for p, entries in hrm_docs]
         try:
             r = pearson(xs, ys)
             rs.append(r)
@@ -322,14 +302,30 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     doc = load_rules(args.rules)
     train = parse_conllu_file(args.train)
-    eval_doc = None
+    scores = None
     if args.eval:
-        eval_doc = json.loads(Path(args.eval).read_text(encoding="utf-8"))
+        entries = read_score_entries(args.eval)
+        scores = {
+            feature: (read_score(args.eval, entries, feature, "arm"),
+                      read_score(args.eval, entries, feature, "n_triples"),
+                      read_score(args.eval, entries, feature, "baseline_arm", nullable=True))
+            for feature, entry in entries.items() if not entry.get("absent")
+        }
     written = write_report(
-        doc, train, args.out, examples=args.examples, seed=args.seed, eval_doc=eval_doc
+        doc, train, args.out, examples=args.examples, seed=args.seed, eval_scores=scores
     )
     print(f"wrote {len(written)} pages to {args.out}")
     return 0
+
+
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than minimum."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {value}")
+        return value
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--out", default="eval.json")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--top-k", type=int, default=None,
+    group.add_argument("--top-k", type=_at_least(1), default=None,
                        help="evaluate the top K training triples")
     group.add_argument("--all", action="store_true",
                        help="evaluate every distinct test triple (default)")
@@ -378,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--out", default="sheet.tsv")
-    p.add_argument("--top-k", type=int, default=20)
-    p.add_argument("--examples", type=int, default=10)
+    p.add_argument("--top-k", type=_at_least(1), default=20)
+    p.add_argument("--examples", type=_at_least(0), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_annotation_sheet)
 
@@ -411,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--eval")
     p.add_argument("--out", required=True)
-    p.add_argument("--examples", type=int, default=10)
+    p.add_argument("--examples", type=_at_least(0), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_report)
     return parser

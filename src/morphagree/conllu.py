@@ -207,21 +207,19 @@ def _finish_sentence(tokens: list[Token], sent_id: str | None, ordinal: int) -> 
     return Sentence(sent_id=sent_id or str(ordinal), tokens=tuple(tokens))
 
 
-def _iter_lines(stream: IO | Iterable[str]) -> Iterator[tuple[int, str]]:
-    """(1-based line number, line without its LF or CRLF) pairs. Byte
-    streams yield bytes lines; the LF byte occurs in UTF-8 only as LF, so
-    per-line decoding is safe."""
+def _iter_lines(stream: IO[bytes] | Iterable[bytes]) -> Iterator[tuple[int, str]]:
+    """(1-based line number, decoded line without its LF or CRLF) pairs. The
+    LF byte occurs in UTF-8 only as LF, so per-line decoding is safe."""
     for line_no, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise EncodingError(f"line {line_no}: {exc}") from None
-        yield line_no, raw.rstrip("\n").rstrip("\r")
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"line {line_no}: {exc}") from None
+        yield line_no, line.rstrip("\n").rstrip("\r")
 
 
-def parse_conllu(stream: IO | Iterable[str]) -> Treebank:
-    """Parse a CoNLL-U text (or UTF-8 byte) stream into a Treebank.
+def parse_conllu(stream: IO[bytes] | Iterable[bytes]) -> Treebank:
+    """Parse a CoNLL-U stream of UTF-8 bytes into a Treebank.
 
     Comment ``# sent_id = X`` populates the sentence id; sentences without
     one get their 1-based ordinal as a string. Ids must be unique, since
@@ -234,23 +232,20 @@ def parse_conllu(stream: IO | Iterable[str]) -> Treebank:
     sent_id: str | None = None
     feats_of: dict[str, dict[str, str]] = {}
     with _gc_paused():
-        try:
-            for line_no, line in _iter_lines(stream):
-                if not line:
-                    if tokens:
-                        sentences.append(_finish_sentence(tokens, sent_id, len(sentences) + 1))
-                    tokens, sent_id = [], None
-                    continue
-                if line.startswith("#"):
-                    key, sep, value = line[1:].partition("=")
-                    if sep and key.strip() == "sent_id":
-                        sent_id = value.strip()
-                    continue
-                token = _parse_token_line(line, line_no, feats_of)
-                if token is not None:
-                    tokens.append(token)
-        except UnicodeDecodeError as exc:
-            raise EncodingError(str(exc)) from None
+        for line_no, line in _iter_lines(stream):
+            if not line:
+                if tokens:
+                    sentences.append(_finish_sentence(tokens, sent_id, len(sentences) + 1))
+                tokens, sent_id = [], None
+                continue
+            if line.startswith("#"):
+                key, sep, value = line[1:].partition("=")
+                if sep and key.strip() == "sent_id":
+                    sent_id = value.strip()
+                continue
+            token = _parse_token_line(line, line_no, feats_of)
+            if token is not None:
+                tokens.append(token)
         if tokens:
             sentences.append(_finish_sentence(tokens, sent_id, len(sentences) + 1))
     seen: set[str] = set()

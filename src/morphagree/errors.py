@@ -56,8 +56,8 @@ class NoMatchingRuleError(MorphagreeError):
 
 
 class MalformedRulesError(MorphagreeError):
-    """A rules document lacks a key, or holds a value of the wrong type or
-    an unknown constraint mode."""
+    """A rules document lacks a key, holds a value of the wrong JSON type or
+    an unknown name, or has rules that do not partition its tree's leaves."""
 
 
 # --- evaluation ---

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import EmptyMarginalsError, NoMatchingRuleError, VerdictMismatchError
-from .tree import SLOT_ORDER, DecisionTree, Leaf, Slot, leaf_refs, leaves
+from .tree import SLOT_ORDER, DecisionTree, Leaf, leaf_refs, leaves
 from .triples import FeatureDataset, Triple
 
 # example and counterexample refs kept per rule; refs run leaf by leaf in
@@ -208,7 +208,7 @@ class Constraint:
 class LabeledRule:
     rule_id: int
     label: Label
-    constraints: dict[Slot, Constraint]
+    constraints: dict[str, Constraint]  # one per slot of SLOT_ORDER
     n_agree: int
     n_disagree: int
     source_leaf_ids: tuple[int, ...]
@@ -217,14 +217,9 @@ class LabeledRule:
 
     def matches(self, triple: Triple) -> bool:
         # a constraint holds iff membership agrees with the mode
-        constraints = self.constraints
-        for slot, value in (
-            (Slot.RELATION, triple.relation),
-            (Slot.HEAD_POS, triple.head_pos),
-            (Slot.DEP_POS, triple.dep_pos),
-        ):
-            constraint = constraints[slot]
-            if (value in constraint.values) != (constraint.mode == "in"):
+        for slot in SLOT_ORDER:
+            constraint = self.constraints[slot]
+            if (getattr(triple, slot) in constraint.values) != (constraint.mode == "in"):
                 return False
         return True
 
@@ -237,8 +232,8 @@ class RuleSet:
     training_size: int
 
 
-def _descend(state: dict[Slot, tuple[str, frozenset[str]]], slot: Slot, value: str,
-             matched: bool) -> dict[Slot, tuple[str, frozenset[str]]]:
+def _descend(state: dict[str, tuple[str, frozenset[str]]], slot: str, value: str,
+             matched: bool) -> dict[str, tuple[str, frozenset[str]]]:
     mode, values = state.get(slot, _UNCONSTRAINED)
     new = dict(state)
     if matched:

@@ -10,7 +10,7 @@ from .conllu import Edge, Sentence, Treebank
 from .errors import NoMatchingRuleError
 from .labeling import Label, LabeledRule, RuleSet, rule_for
 from .serialization import RulesDocument
-from .tree import SLOT_ORDER, Slot
+from .tree import SLOT_ORDER
 from .triples import extract_instances, top_k_triples
 
 SHEET_COLUMNS = ("feature", "relation", "head_pos", "dep_pos", "label", "examples")
@@ -122,21 +122,19 @@ def _badge(label: Label) -> str:
     return f'<span class="badge {name}">{name}-agreement</span>'
 
 
-_SLOT_TITLES = {Slot.RELATION: "relation", Slot.HEAD_POS: "head POS", Slot.DEP_POS: "dependent POS"}
+_SLOT_TITLES = {"relation": "relation", "head_pos": "head POS", "dep_pos": "dependent POS"}
 
 
 def _constraint_text(rule: LabeledRule) -> str:
     parts = []
     for slot in SLOT_ORDER:
-        constraint = rule.constraints.get(slot)
-        if constraint is None or constraint.trivial:
+        constraint = rule.constraints[slot]
+        if constraint.trivial:
             parts.append(f"{_SLOT_TITLES[slot]} = <em>any</em>")
-        elif constraint.mode == "in":
-            values = ", ".join(html.escape(v) for v in sorted(constraint.values))
-            parts.append(f"{_SLOT_TITLES[slot]} &isin; {{{values}}}")
         else:
+            sign = "&isin;" if constraint.mode == "in" else "&notin;"
             values = ", ".join(html.escape(v) for v in sorted(constraint.values))
-            parts.append(f"{_SLOT_TITLES[slot]} &notin; {{{values}}}")
+            parts.append(f"{_SLOT_TITLES[slot]} {sign} {{{values}}}")
     return "<br>".join(parts)
 
 
@@ -157,7 +155,7 @@ def render_feature_page(
     index: dict[str, Sentence],
     examples: int,
     seed: int,
-    eval_entry: dict | None,
+    eval_entry: tuple[float, float, float | None] | None,
 ) -> str:
     dataset = extract_instances(train, feature)
     # (agreeing, disagreeing) example pools per rule, in document order
@@ -182,12 +180,12 @@ def render_feature_page(
         f"training instances: {ruleset.training_size} &middot; "
         f"chance agreement probability: {chance.p_chance:.4f}</p>"
     )
-    if eval_entry is not None and not eval_entry.get("absent"):
-        baseline = eval_entry.get("baseline_arm")
+    if eval_entry is not None:
+        arm, n_triples, baseline = eval_entry
         extra = f" (baseline {baseline:.3f})" if baseline is not None else ""
         body.append(
-            f"<p>ARM on held-out data: <strong>{eval_entry['arm']:.3f}</strong>"
-            f"{extra} over {eval_entry['n_triples']} triples.</p>"
+            f"<p>ARM on held-out data: <strong>{arm:.3f}</strong>"
+            f"{extra} over {n_triples} triples.</p>"
         )
     for rule in ruleset.rules:
         agree_pool, disagree_pool = by_rule[rule.rule_id]
@@ -245,7 +243,7 @@ def render_feature_page(
     return _page(f"{feature} agreement rules", "\n".join(body))
 
 
-def render_index_page(doc: RulesDocument, eval_doc: dict | None) -> str:
+def render_index_page(doc: RulesDocument, eval_scores: dict[str, tuple]) -> str:
     body = ["<h1>Agreement rule report</h1>"]
     body.append(
         f'<p class="muted">treebank: {html.escape(doc.treebank)} &middot; '
@@ -261,11 +259,7 @@ def render_index_page(doc: RulesDocument, eval_doc: dict | None) -> str:
             continue
         ruleset = doc.rulesets[feature]
         required = sum(r.label is Label.REQUIRED for r in ruleset.rules)
-        arm_cell = "&mdash;"
-        if eval_doc is not None:
-            entry = eval_doc.get("features", {}).get(feature)
-            if entry and not entry.get("absent") and entry.get("arm") is not None:
-                arm_cell = f"{entry['arm']:.3f}"
+        arm_cell = f"{eval_scores[feature][0]:.3f}" if feature in eval_scores else "&mdash;"
         rows.append(
             f'<tr><td><a href="feature-{html.escape(feature)}.html">'
             f"{html.escape(feature)}</a></td>"
@@ -285,21 +279,21 @@ def write_report(
     out_dir: str | Path,
     examples: int = 10,
     seed: int = 0,
-    eval_doc: dict | None = None,
+    eval_scores: dict[str, tuple[float, float, float | None]] | None = None,
 ) -> list[Path]:
+    """The index and one page per present feature; eval_scores holds the
+    (ARM, triple count, baseline ARM or None) of each feature evaluated."""
+    eval_scores = eval_scores or {}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     index = sentence_index(train)
     written = []
     index_path = out / "index.html"
-    index_path.write_text(render_index_page(doc, eval_doc), encoding="utf-8")
+    index_path.write_text(render_index_page(doc, eval_scores), encoding="utf-8")
     written.append(index_path)
     for feature in doc.features:
         if feature in doc.absent:
             continue
-        eval_entry = None
-        if eval_doc is not None:
-            eval_entry = eval_doc.get("features", {}).get(feature)
         page = render_feature_page(
             feature,
             doc.rulesets[feature],
@@ -308,7 +302,7 @@ def write_report(
             index,
             examples,
             seed,
-            eval_entry,
+            eval_scores.get(feature),
         )
         path = out / f"feature-{feature}.html"
         path.write_text(page, encoding="utf-8")

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
-from typing import Any
 
-from .errors import MalformedRulesError
+from .errors import MalformedRulesError, MalformedScoresError
 from .evaluation import EvalReport
 from .labeling import (
     ChanceModel,
@@ -24,10 +24,51 @@ from .labeling import (
     ThresholdMode,
 )
 from .pipeline import ExtractionConfig, FeatureRules
-from .tree import DecisionTree, HyperParams, Internal, Leaf, Slot, SplitPredicate
+from .tree import SLOT_ORDER, DecisionTree, HyperParams, Internal, Leaf, SplitPredicate, leaves
 from .triples import Triple
 
 FORMAT_VERSION = "1"
+
+# the JSON types a loaded field may have, matched exactly (true is no
+# integer), and their name
+_INT = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+_STATISTIC = ((int, float, type(None)), "a number or null")
+_STRING = ((str,), "a string")
+_OBJECT = ((dict,), "an object")
+_LIST = ((list,), "a list")
+_BOOL = ((bool,), "a boolean")
+_REQUIRED = object()
+
+
+def _get(doc: dict, key: str, kind, default=_REQUIRED, choices=None):
+    """doc[key], or default for a missing key when one is given, checked for
+    its JSON type and, given choices, its value; else MalformedRulesError."""
+    value = doc[key] if default is _REQUIRED else doc.get(key, default)
+    if type(value) not in kind[0]:
+        raise MalformedRulesError(f"{key!r} must be {kind[1]}, not {type(value).__name__}")
+    if choices is not None and value not in choices:
+        raise MalformedRulesError(f"{key} {value!r} is not one of {', '.join(choices)}")
+    return value
+
+
+def _get_each(doc: dict, key: str, kind, container=_LIST, default=_REQUIRED):
+    """_get of a list (or object) each of whose items (values) is of the
+    kind's JSON types."""
+    items = _get(doc, key, container, default)
+    for at, item in items.items() if container is _OBJECT else enumerate(items):
+        if type(item) not in kind[0]:
+            raise MalformedRulesError(f"{key!r}[{at!r}] must be {kind[1]}")
+    return items
+
+
+def _read_json(path: str | Path, error: type[Exception]):
+    """The file's JSON value; a value nested too deeply to read raises error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise error(f"{path}: JSON nested too deeply") from None
 
 
 def dump_canonical(doc: dict) -> str:
@@ -39,24 +80,16 @@ def write_json(doc: dict, path: str | Path) -> None:
 
 
 def _finite(value: float | None) -> float | None:
-    if value is None or not math.isfinite(value):
-        return None
-    return value
+    return value if value is not None and math.isfinite(value) else None
 
 
 # --- trees ---
 
 def tree_node_to_dict(node) -> dict:
     if isinstance(node, Leaf):
-        return {
-            "leaf": {
-                "leaf_id": node.leaf_id,
-                "n_agree": node.n_agree,
-                "n_disagree": node.n_disagree,
-            }
-        }
+        return {"leaf": asdict(node)}
     return {
-        "split": {"slot": node.predicate.slot.value, "value": node.predicate.value},
+        "split": asdict(node.predicate),
         "match": tree_node_to_dict(node.match_child),
         "nomatch": tree_node_to_dict(node.nomatch_child),
     }
@@ -64,16 +97,14 @@ def tree_node_to_dict(node) -> dict:
 
 def tree_node_from_dict(doc: dict):
     if "leaf" in doc:
-        leaf = doc["leaf"]
-        return Leaf(
-            leaf_id=leaf["leaf_id"],
-            n_agree=leaf["n_agree"],
-            n_disagree=leaf["n_disagree"],
-        )
+        leaf = _get(doc, "leaf", _OBJECT)
+        return Leaf(*(_get(leaf, key, _INT) for key in ("leaf_id", "n_agree", "n_disagree")))
+    split = _get(doc, "split", _OBJECT)
+    slot = _get(split, "slot", _STRING, choices=SLOT_ORDER)
     return Internal(
-        predicate=SplitPredicate(Slot(doc["split"]["slot"]), doc["split"]["value"]),
-        match_child=tree_node_from_dict(doc["match"]),
-        nomatch_child=tree_node_from_dict(doc["nomatch"]),
+        SplitPredicate(slot, _get(split, "value", _STRING)),
+        tree_node_from_dict(_get(doc, "match", _OBJECT)),
+        tree_node_from_dict(_get(doc, "nomatch", _OBJECT)),
     )
 
 
@@ -81,52 +112,38 @@ def tree_to_dict(tree: DecisionTree) -> dict:
     return {
         "feature": tree.feature,
         "training_size": tree.training_size,
-        "hyperparams": {
-            "criterion": tree.hyperparams.criterion,
-            "max_depth": tree.hyperparams.max_depth,
-            "min_impurity_decrease": tree.hyperparams.min_impurity_decrease,
-        },
+        "hyperparams": asdict(tree.hyperparams),
         "root": tree_node_to_dict(tree.root),
     }
 
 
 def tree_from_dict(doc: dict) -> DecisionTree:
-    hp = doc["hyperparams"]
+    hp = _get(doc, "hyperparams", _OBJECT)
     return DecisionTree(
-        feature=doc["feature"],
-        root=tree_node_from_dict(doc["root"]),
-        hyperparams=HyperParams(
-            criterion=hp["criterion"],
-            max_depth=hp["max_depth"],
-            min_impurity_decrease=hp["min_impurity_decrease"],
-        ),
-        training_size=doc["training_size"],
+        feature=_get(doc, "feature", _STRING),
+        root=tree_node_from_dict(_get(doc, "root", _OBJECT)),
+        hyperparams=HyperParams(_get(hp, "criterion", _STRING), _get(hp, "max_depth", _INT),
+                                _get(hp, "min_impurity_decrease", _NUMBER)),
+        training_size=_get(doc, "training_size", _INT),
     )
 
 
 # --- rules ---
 
-def _constraints_to_dict(constraints: dict[Slot, Constraint]) -> dict:
-    out = {}
-    for slot, constraint in constraints.items():
-        if constraint.trivial:
-            continue
-        out[slot.value] = {
-            "mode": constraint.mode,
-            "values": sorted(constraint.values),
-        }
-    return out
+def _constraints_to_dict(constraints: dict[str, Constraint]) -> dict:
+    return {slot: {"mode": c.mode, "values": sorted(c.values)}
+            for slot, c in constraints.items() if not c.trivial}
 
 
-def _constraints_from_dict(doc: dict) -> dict[Slot, Constraint]:
-    constraints = {slot: Constraint("not_in", frozenset()) for slot in Slot}
-    for slot_name, entry in doc.items():
-        mode, values = entry["mode"], entry["values"]
-        if mode not in ("in", "not_in"):
-            raise MalformedRulesError(f"constraint mode {mode!r} is not 'in' or 'not_in'")
+def _constraints_from_dict(doc: dict) -> dict[str, Constraint]:
+    constraints = {slot: Constraint("not_in", frozenset()) for slot in SLOT_ORDER}
+    for slot, entry in doc.items():
+        if slot not in SLOT_ORDER:
+            raise MalformedRulesError(f"slot {slot!r} is not one of {', '.join(SLOT_ORDER)}")
+        mode, values = _get(entry, "mode", _STRING, choices=("in", "not_in")), entry["values"]
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
             raise MalformedRulesError(f"constraint values {values!r} are not a list of strings")
-        constraints[Slot(slot_name)] = Constraint(mode, frozenset(values))
+        constraints[slot] = Constraint(mode, frozenset(values))
     return constraints
 
 
@@ -143,18 +160,26 @@ def rule_to_dict(rule: LabeledRule) -> dict:
     }
 
 
+_LABELS = [label.value for label in Label]
+
+
+def _refs(doc: dict, key: str) -> tuple[tuple[str, int, int], ...]:
+    refs = tuple(tuple(ref) for ref in _get_each(doc, key, _LIST, _LIST, []))
+    if any(tuple(map(type, ref)) != (str, int, int) for ref in refs):
+        raise MalformedRulesError(f"each item of {key!r} must be [sent_id, head id, dep id]")
+    return refs
+
+
 def rule_from_dict(doc: dict) -> LabeledRule:
     return LabeledRule(
-        rule_id=doc["rule_id"],
-        label=Label(doc["label"]),
-        constraints=_constraints_from_dict(doc["constraints"]),
-        n_agree=doc["n_agree"],
-        n_disagree=doc["n_disagree"],
-        source_leaf_ids=tuple(doc["source_leaf_ids"]),
-        example_refs=tuple((s, h, d) for s, h, d in doc.get("example_refs", [])),
-        counterexample_refs=tuple(
-            (s, h, d) for s, h, d in doc.get("counterexample_refs", [])
-        ),
+        rule_id=_get(doc, "rule_id", _INT),
+        label=Label(_get(doc, "label", _STRING, choices=_LABELS)),
+        constraints=_constraints_from_dict(_get_each(doc, "constraints", _OBJECT, _OBJECT)),
+        n_agree=_get(doc, "n_agree", _INT),
+        n_disagree=_get(doc, "n_disagree", _INT),
+        source_leaf_ids=tuple(_get_each(doc, "source_leaf_ids", _INT)),
+        example_refs=_refs(doc, "example_refs"),
+        counterexample_refs=_refs(doc, "counterexample_refs"),
     )
 
 
@@ -171,12 +196,12 @@ def verdict_to_dict(verdict: LeafVerdict) -> dict:
 
 def verdict_from_dict(doc: dict) -> LeafVerdict:
     return LeafVerdict(
-        leaf_id=doc["leaf_id"],
-        label=Label(doc["label"]),
-        agree_ratio=doc["agree_ratio"],
-        chi2=doc.get("chi2"),
-        p_value=doc.get("p_value"),
-        phi_c=doc.get("phi_c"),
+        leaf_id=_get(doc, "leaf_id", _INT),
+        label=Label(_get(doc, "label", _STRING, choices=_LABELS)),
+        agree_ratio=_get(doc, "agree_ratio", _STATISTIC),
+        chi2=_get(doc, "chi2", _STATISTIC, None),
+        p_value=_get(doc, "p_value", _STATISTIC, None),
+        phi_c=_get(doc, "phi_c", _STATISTIC, None),
     )
 
 
@@ -197,7 +222,7 @@ def feature_rules_to_dict(result: FeatureRules) -> dict:
         "leaf_verdicts": [verdict_to_dict(v) for v in result.verdicts],
         "rules": [rule_to_dict(r) for r in result.ruleset.rules],
         "training_triples": [
-            {**_triple_fields(g.triple), "count": g.size} for g in ranked
+            {**g.triple._asdict(), "count": g.size} for g in ranked
         ],
     }
 
@@ -230,72 +255,70 @@ def rules_document(
 class RulesDocument:
     """A loaded rules.json: per-feature rule sets plus training metadata.
 
-    A feature entry that lacks a key the loader reads, or holds a value of
-    the wrong JSON type, raises MalformedRulesError naming the feature.
+    A feature entry that lacks a key the loader reads, holds a value of the
+    wrong JSON type or an unknown name, repeats a rule_id, or whose rules'
+    source_leaf_ids do not list each leaf of its tree once, raises
+    MalformedRulesError naming the feature.
     """
 
     def __init__(self, doc: dict):
         if not isinstance(doc, dict):
             raise MalformedRulesError("rules document is not a JSON object")
         if doc.get("format_version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported rules format_version {doc.get('format_version')!r}"
-            )
+            raise ValueError(f"unsupported rules format_version {doc.get('format_version')!r}")
         self.raw = doc
-        self.treebank: str = doc.get("treebank", "")
-        self.params: dict = doc.get("params", {})
+        self.treebank: str = _get(doc, "treebank", _STRING, "")
+        self.params: dict = _get(doc, "params", _OBJECT, {})
         self.rulesets: dict[str, RuleSet] = {}
         self.absent: set[str] = set()
         self.trees: dict[str, DecisionTree] = {}
         self.chance_models: dict[str, ChanceModel] = {}
         self.verdicts: dict[str, tuple[LeafVerdict, ...]] = {}
         self.training_triples: dict[str, list[tuple[Triple, int]]] = {}
-        mode = ThresholdMode(self.params.get("threshold_mode", "statistical"))
-        features = doc.get("features", {})
-        if not isinstance(features, dict):
-            raise MalformedRulesError("'features' is not a JSON object")
-        for feature, entry in features.items():
-            # the loader indexes the JSON directly; a missing key or a value
-            # of the wrong type surfaces here as KeyError or TypeError
+        mode = ThresholdMode(_get(self.params, "threshold_mode", _STRING, "statistical",
+                                  [m.value for m in ThresholdMode]))
+        for feature, entry in _get_each(doc, "features", _OBJECT, _OBJECT, {}).items():
+            # a container of the wrong type surfaces here as TypeError or
+            # AttributeError, a tree nested too deeply as RecursionError
             try:
                 self._load_feature(feature, entry, mode)
             except KeyError as exc:
                 raise MalformedRulesError(
                     f"feature {feature!r}: missing key {exc.args[0]!r}"
                 ) from None
-            except (TypeError, AttributeError, MalformedRulesError) as exc:
+            except (TypeError, AttributeError, RecursionError, MalformedRulesError) as exc:
                 raise MalformedRulesError(f"feature {feature!r}: {exc}") from None
 
     def _load_feature(self, feature: str, entry: dict, mode: ThresholdMode) -> None:
-        if entry.get("absent"):
+        if _get(entry, "absent", _BOOL, False):
             self.absent.add(feature)
             return
-        self.trees[feature] = tree_from_dict(entry["tree"])
-        chance = entry["chance_model"]
+        tree = self.trees[feature] = tree_from_dict(_get(entry, "tree", _OBJECT))
+        chance = _get(entry, "chance_model", _OBJECT)
         self.chance_models[feature] = ChanceModel(
             feature=feature,
-            value_probs=dict(chance["value_probs"]),
-            p_chance=chance["p_chance"],
+            value_probs=dict(_get_each(chance, "value_probs", _NUMBER, _OBJECT)),
+            p_chance=_get(chance, "p_chance", _NUMBER),
         )
+        rules = tuple(rule_from_dict(r) for r in _get_each(entry, "rules", _OBJECT))
+        leaf_ids = sorted(leaf_id for rule in rules for leaf_id in rule.source_leaf_ids)
+        if len({rule.rule_id for rule in rules}) != len(rules):
+            raise MalformedRulesError("two rules share a rule_id")
+        tree_leaf_ids = sorted(leaf.leaf_id for leaf in leaves(tree))
+        if leaf_ids != tree_leaf_ids or len(set(leaf_ids)) != len(leaf_ids):
+            raise MalformedRulesError("'source_leaf_ids' do not list each leaf of the tree once")
         self.rulesets[feature] = RuleSet(
             feature=feature,
-            rules=tuple(rule_from_dict(r) for r in entry["rules"]),
+            rules=rules,
             threshold_mode=mode,
-            training_size=entry["training_size"],
+            training_size=_get(entry, "training_size", _INT),
         )
         self.verdicts[feature] = tuple(
-            verdict_from_dict(v) for v in entry.get("leaf_verdicts", [])
+            verdict_from_dict(v) for v in _get_each(entry, "leaf_verdicts", _OBJECT, _LIST, [])
         )
         self.training_triples[feature] = [
-            (
-                Triple(
-                    head_pos=t["head_pos"],
-                    relation=t["relation"],
-                    dep_pos=t["dep_pos"],
-                ),
-                t["count"],
-            )
-            for t in entry.get("training_triples", [])
+            (Triple(*(_get(t, slot, _STRING) for slot in Triple._fields)), _get(t, "count", _INT))
+            for t in _get_each(entry, "training_triples", _OBJECT, _LIST, [])
         ]
 
     @property
@@ -304,27 +327,38 @@ class RulesDocument:
 
 
 def load_rules(path: str | Path) -> RulesDocument:
-    with open(path, encoding="utf-8") as fh:
-        return RulesDocument(json.load(fh))
+    return RulesDocument(_read_json(path, MalformedRulesError))
 
 
 # --- evaluation documents ---
 
-def _triple_fields(triple: Triple) -> dict[str, Any]:
-    return {
-        "relation": triple.relation,
-        "head_pos": triple.head_pos,
-        "dep_pos": triple.dep_pos,
-    }
+def read_score_entries(path: str | Path) -> dict[str, dict]:
+    """The per-feature entries of an eval or hrm document."""
+    doc = _read_json(path, MalformedScoresError)
+    entries = doc.get("features", {}) if isinstance(doc, dict) else None
+    if not isinstance(entries, dict) or not all(isinstance(e, dict) for e in entries.values()):
+        raise MalformedScoresError(f"{path}: 'features' is not an object of objects")
+    return entries
+
+
+def read_score(
+    path: str | Path, entries: dict[str, dict], feature: str, key: str, nullable: bool = False
+) -> float | None:
+    """A feature's number under key; a missing key reads as null."""
+    value = entries[feature].get(key)
+    if type(value) in (int, float) or (value is None and nullable):
+        return value
+    raise MalformedScoresError(f"{path}: feature {feature!r}: {key!r} is missing or not a number"
+                               + (" or null" if nullable else ""))
 
 
 def eval_report_to_dict(report: EvalReport, baseline: EvalReport | None = None) -> dict:
-    entry: dict[str, Any] = {
+    return {
         "arm": report.arm,
         "n_triples": len(report.verdicts),
         "verdicts": [
             {
-                **_triple_fields(v.triple),
+                **v.triple._asdict(),
                 "n_test": v.n_test,
                 "q": v.q,
                 "test_label": v.test_label.value,
@@ -335,4 +369,3 @@ def eval_report_to_dict(report: EvalReport, baseline: EvalReport | None = None) 
         ],
         "baseline_arm": baseline.arm if baseline is not None else None,
     }
-    return entry

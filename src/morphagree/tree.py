@@ -20,39 +20,27 @@ one chosen tree by routing the dataset's triples through it.
 """
 from __future__ import annotations
 
-import enum
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import EmptyDatasetError
 from .triples import FeatureDataset, Triple, TripleGroup
 
 
-class Slot(str, enum.Enum):
-    """Triple slot a predicate tests; values match Triple attribute names."""
-
-    RELATION = "relation"
-    HEAD_POS = "head_pos"
-    DEP_POS = "dep_pos"
-
-
-SLOT_ORDER = (Slot.RELATION, Slot.HEAD_POS, Slot.DEP_POS)
+# a slot is the name of the Triple field a predicate or constraint tests;
+# this order breaks ties in split search
+SLOT_ORDER = ("relation", "head_pos", "dep_pos")
 
 
 @dataclass(frozen=True)
 class SplitPredicate:
-    slot: Slot
+    slot: str  # one of SLOT_ORDER
     value: str
-    # the Triple attribute the slot names, kept so matching skips Enum.value
-    attr: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "attr", self.slot.value)
 
     def matches(self, triple: Triple) -> bool:
-        return getattr(triple, self.attr) == self.value
+        return getattr(triple, self.slot) == self.value
 
 
 @dataclass(frozen=True)
@@ -154,10 +142,9 @@ def _best_split(
     node_impurity = impurity(node_agree, node_disagree)
     best: tuple[SplitPredicate, float] | None = None
     for slot in SLOT_ORDER:
-        attr = slot.value
         per_value: dict[str, list[int]] = {}
         for g in groups:
-            key = getattr(g.triple, attr)
+            key = getattr(g.triple, slot)
             counts = per_value.get(key)
             if counts is None:
                 counts = per_value[key] = [0, 0]
@@ -199,11 +186,11 @@ def _grow(
     if best is None or best[1] < min_impurity_decrease:
         return node
     predicate = best[0]
-    attr, value = predicate.attr, predicate.value
+    slot, value = predicate.slot, predicate.value
     match: list[TripleGroup] = []
     nomatch: list[TripleGroup] = []
     for g in groups:
-        (match if getattr(g.triple, attr) == value else nomatch).append(g)
+        (match if getattr(g.triple, slot) == value else nomatch).append(g)
     node.split = (
         predicate,
         _grow(match, depth + 1, max_depth, min_impurity_decrease, impurity, n_total),

@@ -20,7 +20,7 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 def make_treebank(text: str):
-    return parse_conllu(io.StringIO(text))
+    return parse_conllu(io.BytesIO(text.encode("utf-8")))
 
 
 # the six default features, with the benchmark's marginals

@@ -30,7 +30,7 @@ from conftest import make_treebank
 
 
 def test_empty_stream_yields_empty_treebank():
-    tb = parse_conllu(io.StringIO(""))
+    tb = parse_conllu(io.BytesIO(b""))
     assert tb.sentences == ()
     assert tb.token_count == 0
 
@@ -160,7 +160,7 @@ def test_malformed_range_or_empty_node_id_rejected(bad_id):
 
 
 def test_crlf_line_endings():
-    tb = parse_conllu(io.StringIO("1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\r\n\r\n"))
+    tb = parse_conllu(io.BytesIO(b"1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\r\n\r\n"))
     assert tb.token_count == 1
 
 
@@ -256,7 +256,7 @@ def test_parsed_treebank_retains_few_bytes_per_token():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        tb = parse_conllu(io.StringIO(text))
+        tb = parse_conllu(io.BytesIO(text.encode("utf-8")))
         per_token = (tracemalloc.get_traced_memory()[0] - before) / tb.token_count
     finally:
         tracemalloc.stop()

@@ -1,0 +1,282 @@
+"""Hand-edited and fuzzed JSON documents and out-of-range counts at the CLI.
+
+The fuzz makes one change to the golden rules.json, or to an eval.json
+derived from it: it replaces one value at any depth (only the first three
+items of each list are visited) or deletes one object key. Every command
+that reads the changed document must then return 0, or 1 with an
+``error:`` line, and raise nothing. The named cases are faults once seen
+as tracebacks or as silently wrong reports."""
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+import morphagree.cli
+from morphagree.cli import main
+from morphagree.conllu import parse_conllu_file
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+REPLACEMENTS = ("x", 5, 2.5, None, True, [], {})
+DELETE = "<delete>"
+RULES_CASES = 70
+EVAL_CASES = 30
+ANNOTATIONS = (
+    "feature\trelation\thead_pos\tdep_pos\tlabel\n"
+    "Gender\tdet\tNOUN\tDET\talmost_always\n"
+    "Gender\tsubj\tVERB\tNOUN\tneed_not\n"
+    "Number\tdet\tNOUN\tDET\tsometimes\n"
+)
+
+
+def _positions(value, path=()):
+    """The path of every object member and of the first three items of
+    every list below value, parents before children."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value[:3])
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _positions(child, path + (key,))
+
+
+def single_changes(doc, count: int, seed: int) -> list[tuple[str, object]]:
+    """count (case id, changed copy) pairs, drawn with a seeded generator."""
+    positions = list(_positions(doc))
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        path = rng.choice(positions)
+        change = rng.choice(REPLACEMENTS + ((DELETE,) if isinstance(path[-1], str) else ()))
+        changed = json.loads(json.dumps(doc))
+        parent = changed
+        for key in path[:-1]:
+            parent = parent[key]
+        if change == DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = change
+        cases.append(("/".join(map(str, path)) + f" = {change!r}", changed))
+    return cases
+
+
+@pytest.fixture
+def workspace(tmp_path, monkeypatch):
+    """Golden inputs, an eval.json and hrm files derived from them, and a
+    parse cache: the treebank never changes, only the JSON documents do."""
+    cache = {}
+
+    def parse(path):
+        if path not in cache:
+            cache[path] = parse_conllu_file(path)
+        return cache[path]
+
+    monkeypatch.setattr(morphagree.cli, "parse_conllu_file", parse)
+    train = str(GOLDEN_DIR / "train.conllu")
+    (tmp_path / "annotations.tsv").write_text(ANNOTATIONS, encoding="utf-8")
+    for name, scores in (("hrm-a.json", (0.5, 0.75)), ("hrm-b.json", (0.25, 1.0))):
+        doc = {"features": {"Gender": {"hrm": scores[0]}, "Number": {"hrm": scores[1]}}}
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["evaluate", "--rules", str(GOLDEN_DIR / "rules.json"), "--test", train,
+                 "--baseline", "--out", str(tmp_path / "eval.json")]) == 0
+    return tmp_path, train
+
+
+EVERY_COMMAND = ("evaluate", "annotation-sheet", "hrm", "complexity", "report")
+
+
+def _commands(tmp_path, train: str, rules: str, names=EVERY_COMMAND) -> list[list[str]]:
+    """The argv of each named command that reads the rules file."""
+    argv = {
+        "evaluate": ["evaluate", "--rules", rules, "--test", train, "--top-k", "5",
+                     "--out", str(tmp_path / "out-eval.json")],
+        "annotation-sheet": ["annotation-sheet", "--rules", rules, "--train", train,
+                             "--top-k", "5", "--examples", "2",
+                             "--out", str(tmp_path / "sheet.tsv")],
+        "hrm": ["hrm", "--rules", rules, "--annotations", str(tmp_path / "annotations.tsv")],
+        "complexity": ["complexity", "--train", train, "--rules", rules],
+        "report": ["report", "--rules", rules, "--train", train, "--examples", "2",
+                   "--out", str(tmp_path / "report")],
+    }
+    return [argv[name] for name in names]
+
+
+def _run_all(tmp_path, cases, commands, capsys) -> list[str]:
+    """Run every command on every case; one line per case that escaped an
+    exception, returned another code, or failed without an error: line."""
+    problems = []
+    for case, doc in cases:
+        (tmp_path / "changed.json").write_text(json.dumps(doc), encoding="utf-8")
+        for argv in commands:
+            capsys.readouterr()
+            try:
+                code = main(argv)
+            except (Exception, SystemExit) as exc:
+                problems.append(f"{argv[0]} on {case}: {type(exc).__name__}: {exc}")
+                continue
+            err = capsys.readouterr().err
+            if code not in (0, 1) or (code == 1 and "error: " not in err):
+                problems.append(f"{argv[0]} on {case}: exit {code}, stderr {err!r}")
+    return problems
+
+
+def test_changed_rules_documents_never_escape(workspace, capsys):
+    tmp_path, train = workspace
+    golden = json.loads((GOLDEN_DIR / "rules.json").read_text(encoding="utf-8"))
+    commands = _commands(tmp_path, train, str(tmp_path / "changed.json"))
+    assert _run_all(tmp_path, single_changes(golden, RULES_CASES, 1), commands, capsys) == []
+
+
+def test_changed_eval_documents_never_escape(workspace, capsys):
+    tmp_path, train = workspace
+    evaluated = json.loads((tmp_path / "eval.json").read_text(encoding="utf-8"))
+    changed = str(tmp_path / "changed.json")
+    commands = (
+        ["report", "--rules", str(GOLDEN_DIR / "rules.json"), "--train", train,
+         "--eval", changed, "--examples", "2", "--out", str(tmp_path / "report")],
+        ["correlate", "--eval", str(tmp_path / "eval.json"), changed,
+         "--hrm", str(tmp_path / "hrm-a.json"), str(tmp_path / "hrm-b.json")],
+    )
+    assert _run_all(tmp_path, single_changes(evaluated, EVAL_CASES, 2), commands, capsys) == []
+
+
+def _gender(doc):
+    return doc["features"]["Gender"]
+
+
+# (edit of the golden rules.json, commands that read it, text the error names)
+RULES_FAULTS = [
+    (lambda d: d.update(params=[]), EVERY_COMMAND, "'params' must be an object"),
+    (lambda d: d.update(treebank=5), ("report",), "'treebank' must be a string"),
+    (lambda d: d["params"].update(threshold_mode="fuzzy"), ("report",),
+     "threshold_mode 'fuzzy'"),
+    *[
+        (lambda d, slot=slot, value=value: _gender(d)["training_triples"][0].update(
+            {slot: value}), ("evaluate",), f"'{slot}' must be a string")
+        for slot, value in (("relation", []), ("head_pos", {}), ("dep_pos", ["NOUN"]))
+    ],
+    *[
+        (lambda d, key=key: _gender(d)["rules"][0].update({key: {}}), ("report",),
+         f"'{key}' must be an integer")
+        for key in ("n_agree", "n_disagree", "rule_id")
+    ],
+    (lambda d: _gender(d)["chance_model"].update(p_chance={}), ("report",),
+     "'p_chance' must be a number"),
+    (lambda d: _gender(d)["leaf_verdicts"][0].update(leaf_id={}), ("report",),
+     "'leaf_id' must be an integer"),
+    *[
+        (lambda d, key=key: _gender(d)["leaf_verdicts"][0].update({key: {}}), ("report",),
+         f"'{key}' must be a number or null")
+        for key in ("agree_ratio", "chi2", "p_value", "phi_c")
+    ],
+    (lambda d: _gender(d)["rules"][0].update(label="sometimes"), ("evaluate",),
+     "label 'sometimes'"),
+    (lambda d: _gender(d)["tree"]["root"]["split"].update(slot="bogus"), ("evaluate",),
+     "slot 'bogus'"),
+    (lambda d: _gender(d)["rules"][0]["constraints"].update(bogus={}), ("evaluate",),
+     "slot 'bogus'"),
+    # a string of leaf ids would read as its characters
+    (lambda d: _gender(d)["rules"][0].update(source_leaf_ids="ab"), ("report",),
+     "'source_leaf_ids' must be a list"),
+    (lambda d: _gender(d)["rules"][1]["source_leaf_ids"].append(
+        _gender(d)["rules"][0]["source_leaf_ids"][0]), ("report",),
+     "'source_leaf_ids' do not list each leaf"),
+    (lambda d: _gender(d)["rules"][1].update(rule_id=_gender(d)["rules"][0]["rule_id"]),
+     ("report",), "two rules share a rule_id"),
+]
+
+
+@pytest.mark.parametrize("edit, commands, named", RULES_FAULTS,
+                         ids=[named for _, _, named in RULES_FAULTS])
+def test_faulty_rules_fail_with_error_line(workspace, capsys, edit, commands, named):
+    tmp_path, train = workspace
+    golden = json.loads((GOLDEN_DIR / "rules.json").read_text(encoding="utf-8"))
+    doc = json.loads(json.dumps(golden))
+    edit(doc)
+    rules = tmp_path / "faulty.json"
+    rules.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    for argv in _commands(tmp_path, train, str(rules), commands):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        if _gender(doc) != _gender(golden):
+            assert "'Gender'" in err
+
+
+_SPLIT = ('{"split": {"slot": "relation", "value": "det"}, "nomatch": {"leaf": '
+          '{"leaf_id": 1, "n_agree": 1, "n_disagree": 0}}, "match": ')
+_LEAF = '{"leaf": {"leaf_id": 2, "n_agree": 1, "n_disagree": 0}}'
+
+
+def _nested_rules(depth: int) -> str:
+    """A rules.json whose Gender tree is a chain of depth splits."""
+    tree = ('{"feature": "Gender", "training_size": 1, "hyperparams": {"criterion": "gini", '
+            '"max_depth": 6, "min_impurity_decrease": 0}, "root": '
+            + _SPLIT * depth + _LEAF + "}" * depth + "}")
+    return '{"format_version": "1", "features": {"Gender": {"tree": ' + tree + "}}}"
+
+
+def test_deeply_nested_rules_fail_with_error_line(workspace, capsys):
+    # Around the recursion limit either the JSON reader or the recursive
+    # tree loader runs out of stack first, depending on the Python version.
+    tmp_path, train = workspace
+    rules = tmp_path / "nested.json"
+    limit = sys.getrecursionlimit()
+    depths = [*range(limit - 300, limit + 30, 3), 5000]
+    capsys.readouterr()
+    for depth in depths:
+        rules.write_text(_nested_rules(depth), encoding="utf-8")
+        assert main(_commands(tmp_path, train, str(rules), ["evaluate"])[0]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# (edit of an eval.json, text the error names)
+EVAL_FAULTS = [
+    (lambda d: d["features"]["Gender"].pop("arm"), "'arm' is missing"),
+    (lambda d: d["features"]["Gender"].pop("n_triples"), "'n_triples' is missing"),
+    (lambda d: d["features"]["Gender"].update(arm="1.0"), "'arm' is missing"),
+    (lambda d: d["features"]["Gender"].update(baseline_arm="0.5"),
+     "'baseline_arm' is missing or not a number or null"),
+    (lambda d: d["features"].update(Gender="high"), "'features' is not an object"),
+    (lambda d: d.update(features=[]), "'features' is not an object"),
+    (lambda d: [d], "'features' is not an object"),
+]
+
+
+@pytest.mark.parametrize("edit, named", EVAL_FAULTS,
+                         ids=[named for _, named in EVAL_FAULTS])
+def test_faulty_eval_fails_report_with_error_line(workspace, capsys, edit, named):
+    tmp_path, train = workspace
+    doc = json.loads((tmp_path / "eval.json").read_text(encoding="utf-8"))
+    changed = edit(doc)
+    if isinstance(changed, list):  # the edit replaced the whole document
+        doc = changed
+    faulty = tmp_path / "faulty-eval.json"
+    faulty.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--rules", str(GOLDEN_DIR / "rules.json"), "--train", train,
+                 "--eval", str(faulty), "--out", str(tmp_path / "report")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--top-k", "-2"],
+        ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--top-k", "0"],
+        ["annotation-sheet", "--rules", "r.json", "--train", "t.conllu", "--top-k", "0"],
+        ["annotation-sheet", "--rules", "r.json", "--train", "t.conllu", "--examples", "-1"],
+        ["report", "--rules", "r.json", "--train", "t.conllu", "--out", "r", "--examples", "-1"],
+    ],
+)
+def test_counts_below_range_are_rejected_at_parsing(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "must be at least" in capsys.readouterr().err

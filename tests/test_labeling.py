@@ -37,7 +37,6 @@ from morphagree.tree import (
     HyperParams,
     Internal,
     Leaf,
-    Slot,
     SplitPredicate,
     fit,
     leaves,
@@ -244,9 +243,9 @@ def _verdict(leaf_id, label):
 
 def test_all_chance_leaves_collapse_to_single_universal_rule():
     root = Internal(
-        SplitPredicate(Slot.RELATION, "det"),
+        SplitPredicate("relation", "det"),
         Leaf(1, 5, 5),
-        Internal(SplitPredicate(Slot.DEP_POS, "NOUN"), Leaf(2, 1, 3), Leaf(3, 2, 2)),
+        Internal(SplitPredicate("dep_pos", "NOUN"), Leaf(2, 1, 3), Leaf(3, 2, 2)),
     )
     tree = _tree_from_root(root, 18)
     ruleset = merge_rules(
@@ -263,11 +262,11 @@ def test_fig3_style_merge_unions_relation_values():
     # child-pos==NOUN subtree: relation==comp:obj leaf vs {conj,det} leaf,
     # both chance; non-noun side required
     node2 = Internal(
-        SplitPredicate(Slot.RELATION, "comp:obj"),
+        SplitPredicate("relation", "comp:obj"),
         Leaf(1, 373, 268),
-        Internal(SplitPredicate(Slot.RELATION, "conj"), Leaf(2, 900, 700), Leaf(3, 1533, 762)),
+        Internal(SplitPredicate("relation", "conj"), Leaf(2, 900, 700), Leaf(3, 1533, 762)),
     )
-    root = Internal(SplitPredicate(Slot.DEP_POS, "NOUN"), node2, Leaf(4, 58076, 778))
+    root = Internal(SplitPredicate("dep_pos", "NOUN"), node2, Leaf(4, 58076, 778))
     tree = _tree_from_root(root, 373 + 268 + 900 + 700 + 1533 + 762 + 58076 + 778)
     verdicts = [
         _verdict(1, Label.CHANCE),
@@ -280,10 +279,10 @@ def test_fig3_style_merge_unions_relation_values():
     chance_rule = next(r for r in ruleset.rules if r.label is Label.CHANCE)
     required_rule = next(r for r in ruleset.rules if r.label is Label.REQUIRED)
     # the three noun leaves fold into dep=NOUN with no relation constraint
-    assert chance_rule.constraints[Slot.DEP_POS] == Constraint("in", frozenset({"NOUN"}))
-    assert chance_rule.constraints[Slot.RELATION].trivial
+    assert chance_rule.constraints["dep_pos"] == Constraint("in", frozenset({"NOUN"}))
+    assert chance_rule.constraints["relation"].trivial
     assert chance_rule.source_leaf_ids == (1, 2, 3)
-    assert required_rule.constraints[Slot.DEP_POS] == Constraint(
+    assert required_rule.constraints["dep_pos"] == Constraint(
         "not_in", frozenset({"NOUN"})
     )
     assert label_triple(ruleset, Triple("NOUN", "conj", "NOUN")) is Label.CHANCE
@@ -294,12 +293,12 @@ def test_partial_merge_unions_in_sets():
     # relation chain det -> subj -> conj with labels C, R, C, C:
     # det and conj leaves cannot fold structurally but union their values
     root = Internal(
-        SplitPredicate(Slot.RELATION, "det"),
+        SplitPredicate("relation", "det"),
         Leaf(1, 1, 9),
         Internal(
-            SplitPredicate(Slot.RELATION, "subj"),
+            SplitPredicate("relation", "subj"),
             Leaf(2, 10, 0),
-            Internal(SplitPredicate(Slot.RELATION, "conj"), Leaf(3, 2, 8), Leaf(4, 3, 7)),
+            Internal(SplitPredicate("relation", "conj"), Leaf(3, 2, 8), Leaf(4, 3, 7)),
         ),
     )
     tree = _tree_from_root(root, 40)
@@ -314,7 +313,7 @@ def test_partial_merge_unions_in_sets():
     )
     assert len(ruleset.rules) == 2
     chance_rule = next(r for r in ruleset.rules if r.label is Label.CHANCE)
-    assert chance_rule.constraints[Slot.RELATION] == Constraint(
+    assert chance_rule.constraints["relation"] == Constraint(
         "not_in", frozenset({"subj"})
     )
     assert chance_rule.n_agree == 6 and chance_rule.n_disagree == 24
@@ -329,10 +328,10 @@ def test_merge_conserves_counts_and_is_idempotent():
         assert total == tree.training_size
         again = _merge_to_fixpoint(list(ruleset.rules))
         assert len(again) == len(ruleset.rules)
-        assert {(r.label, tuple(sorted((s.value, c.mode, tuple(sorted(c.values)))
+        assert {(r.label, tuple(sorted((s, c.mode, tuple(sorted(c.values)))
                                        for s, c in r.constraints.items())))
                 for r in again} == \
-               {(r.label, tuple(sorted((s.value, c.mode, tuple(sorted(c.values)))
+               {(r.label, tuple(sorted((s, c.mode, tuple(sorted(c.values)))
                                        for s, c in r.constraints.items())))
                 for r in ruleset.rules}
 

@@ -94,18 +94,17 @@ def _corrupt(draw, lines: list[str]) -> list[str]:
     return lines
 
 
-def _outcome(parse, text: str, as_bytes: bool):
-    stream = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
+def _outcome(parse, text: str):
     try:
-        return parse(stream), None
+        return parse(io.BytesIO(text.encode("utf-8"))), None
     except MorphagreeError as exc:
         return None, (type(exc), str(exc))
 
 
-def _check_equivalent(lines: list[str], crlf: bool, as_bytes: bool) -> None:
+def _check_equivalent(lines: list[str], crlf: bool) -> None:
     text = ("\r\n" if crlf else "\n").join(lines)
-    treebank, error = _outcome(parse_conllu, text, as_bytes)
-    reference, reference_error = _outcome(parse_conllu_reference, text, as_bytes)
+    treebank, error = _outcome(parse_conllu, text)
+    reference, reference_error = _outcome(parse_conllu_reference, text)
     assert error == reference_error
     if error is not None:
         return
@@ -124,9 +123,9 @@ def _check_equivalent(lines: list[str], crlf: bool, as_bytes: bool) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(_document(), st.booleans(), st.booleans())
-def test_parse_and_extract_match_reference(lines, crlf, as_bytes):
-    _check_equivalent(lines, crlf, as_bytes)
+@given(_document(), st.booleans())
+def test_parse_and_extract_match_reference(lines, crlf):
+    _check_equivalent(lines, crlf)
 
 
 @settings(max_examples=100, deadline=None)
@@ -140,7 +139,7 @@ def test_file_parse_matches_reference_on_the_same_text(lines, crlf):
             outcome = parse_conllu_file(path), None
         except MorphagreeError as exc:
             outcome = None, (type(exc), str(exc))
-    assert outcome == _outcome(parse_conllu_reference, text, as_bytes=False)
+    assert outcome == _outcome(parse_conllu_reference, text)
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,13 +160,13 @@ def test_invalid_utf8_names_the_path_and_line(data, lines, crlf):
 @settings(max_examples=150, deadline=None)
 @given(st.data(), _document(), st.booleans())
 def test_malformed_input_raises_like_reference(data, lines, crlf):
-    _check_equivalent(_corrupt(data.draw, lines), crlf, as_bytes=False)
+    _check_equivalent(_corrupt(data.draw, lines), crlf)
 
 
 def test_repeated_bad_feats_reports_its_first_line():
     good = "1\ta\ta\tNOUN\t_\tGender=Fem\t0\troot\t_\t_"
     bad = "1\ta\ta\tNOUN\t_\tGender=Fem|Gender=Masc\t0\troot\t_\t_"
     lines = [good, "", good, "", bad, "", bad, ""]
-    _check_equivalent(lines, crlf=False, as_bytes=False)
-    _, error = _outcome(parse_conllu, "\n".join(lines), as_bytes=False)
+    _check_equivalent(lines, crlf=False)
+    _, error = _outcome(parse_conllu, "\n".join(lines))
     assert error[1].startswith("line 5: duplicate feature name")

@@ -19,7 +19,7 @@ from morphagree import (
 )
 from morphagree.errors import FeatureMismatchError, InvalidGrammarError
 from morphagree.labeling import LeafVerdict
-from morphagree.tree import DecisionTree, HyperParams, Internal, Leaf, Slot, SplitPredicate
+from morphagree.tree import DecisionTree, HyperParams, Internal, Leaf, SplitPredicate
 
 from conftest import agrees
 
@@ -47,7 +47,7 @@ def test_generation_is_deterministic_under_seed():
 def test_generated_treebank_round_trips_through_conllu():
     g = simple_grammar(seed=2, required_rules=(RulePattern(relation="det"),))
     tb = generate(g, 30, 5)
-    reparsed = parse_conllu(io.StringIO(treebank_to_conllu(tb)))
+    reparsed = parse_conllu(io.BytesIO(treebank_to_conllu(tb).encode("utf-8")))
     assert reparsed.sentences == tb.sentences
     assert extract_instances(reparsed, "Gender") == extract_instances(tb, "Gender")
 
@@ -133,7 +133,7 @@ def test_recovery_half_recall_for_undersplit_ruleset():
         )
     )
     # handmade ruleset that only found the det rule
-    root = Internal(SplitPredicate(Slot.RELATION, "det"), Leaf(1, 9, 0), Leaf(2, 5, 5))
+    root = Internal(SplitPredicate("relation", "det"), Leaf(1, 9, 0), Leaf(2, 5, 5))
     tree = DecisionTree("Gender", root, HyperParams(), 19)
     ruleset = merge_rules(
         tree,

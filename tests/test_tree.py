@@ -19,7 +19,6 @@ from morphagree.serialization import tree_to_dict
 from morphagree.tree import (
     Internal,
     Leaf,
-    Slot,
     SplitPredicate,
     _fit_points,
     classification_accuracy,
@@ -64,7 +63,7 @@ def test_fifty_fifty_split_on_relation():
     tree = fit(dataset, HP)
     assert isinstance(tree.root, Internal)
     # tie between obj and subj resolved lexicographically
-    assert tree.root.predicate == SplitPredicate(Slot.RELATION, "obj")
+    assert tree.root.predicate == SplitPredicate("relation", "obj")
     assert isinstance(tree.root.match_child, Leaf)
     assert isinstance(tree.root.nomatch_child, Leaf)
     assert tree.root.match_child.n_agree == 0
@@ -80,7 +79,7 @@ def test_slot_order_breaks_cross_slot_ties():
     b = Triple(head_pos="B", relation="relY", dep_pos="D")
     dataset = make_dataset([(a, True)] * 10 + [(b, False)] * 10)
     tree = fit(dataset, HP)
-    assert tree.root.predicate == SplitPredicate(Slot.RELATION, "relX")
+    assert tree.root.predicate == SplitPredicate("relation", "relX")
 
 
 def test_fitted_first_split_matches_brute_force_on_random_data():
@@ -102,7 +101,7 @@ def test_fitted_first_split_matches_brute_force_on_random_data():
         )
         assert isinstance(tree.root, Internal)
         slot, value, _ = best[0]
-        assert tree.root.predicate == SplitPredicate(Slot(slot), value)
+        assert tree.root.predicate == SplitPredicate(slot, value)
 
 
 def _deep_rule_dataset(copies=20):

@@ -10,16 +10,15 @@ from morphagree.tree import (
     HyperParams,
     Internal,
     Leaf,
-    Slot,
     SplitPredicate,
     leaves,
 )
 from morphagree.triples import Triple
 
 VOCAB = {
-    Slot.RELATION: ("det", "subj", "obj", "mod", "conj"),
-    Slot.HEAD_POS: ("NOUN", "VERB", "ADJ"),
-    Slot.DEP_POS: ("DET", "NOUN", "ADV"),
+    "relation": ("det", "subj", "obj", "mod", "conj"),
+    "head_pos": ("NOUN", "VERB", "ADJ"),
+    "dep_pos": ("DET", "NOUN", "ADV"),
 }
 
 
@@ -80,11 +79,11 @@ def leaves_of(node):
 
 def random_triple(rng: random.Random) -> Triple:
     def pick(slot):
-        values = VOCAB[slot] + (f"unseen-{slot.value}",)
+        values = VOCAB[slot] + (f"unseen-{slot}",)
         return rng.choice(values)
 
     return Triple(
-        head_pos=pick(Slot.HEAD_POS),
-        relation=pick(Slot.RELATION),
-        dep_pos=pick(Slot.DEP_POS),
+        head_pos=pick("head_pos"),
+        relation=pick("relation"),
+        dep_pos=pick("dep_pos"),
     )

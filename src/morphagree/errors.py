@@ -52,12 +52,15 @@ class VerdictMismatchError(MorphagreeError):
 
 
 class NoMatchingRuleError(MorphagreeError):
-    """A triple matched no rule (or more than one); the rule set is corrupt."""
+    """A rule set leaves a triple without a rule or gives it two, or its
+    rules do not list each leaf of its tree once; raised when it is built."""
 
 
 class MalformedRulesError(MorphagreeError):
     """A rules document lacks a key, holds a value of the wrong JSON type or
-    an unknown name, or has rules that do not partition its tree's leaves."""
+    an unknown name, has rules that leave a gap or an overlap in triple
+    space, or has counts, labels or leaf verdicts that disagree with its
+    tree."""
 
 
 # --- evaluation ---

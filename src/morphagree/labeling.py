@@ -5,16 +5,23 @@ what the feature's value distribution would produce by chance, judged by a
 chi-squared goodness-of-fit test plus an effect-size gate. Labeled leaves
 are then merged into a concise rule set that partitions triple space and
 induces exactly the same triple -> label function as the labeled tree.
+
+A RuleSet keeps the tree its rules were merged from. Lookups route the
+triple through that tree and map its leaf to the rule that lists it in
+source_leaf_ids, in O(depth) whatever the number of rules. Building a
+RuleSet checks once that this routing finds, for every possible triple,
+the one rule whose constraints match it.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import EmptyMarginalsError, NoMatchingRuleError, VerdictMismatchError
-from .tree import SLOT_ORDER, DecisionTree, Leaf, leaf_refs, leaves
+from .tree import SLOT_ORDER, DecisionTree, Leaf, leaf_refs, leaves, predict_leaf
 from .triples import FeatureDataset, Triple
 
 # example and counterexample refs kept per rule; refs run leaf by leaf in
@@ -191,17 +198,16 @@ def leaf_marginals(refs: list[int], dataset: FeatureDataset) -> dict[str, int]:
 
 # --- merged rules ---
 
-_UNCONSTRAINED = ("not_in", frozenset())
-
-
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     mode: str  # "in" or "not_in"
     values: frozenset[str]
 
     @property
     def trivial(self) -> bool:
         return self.mode == "not_in" and not self.values
+
+
+_UNCONSTRAINED = Constraint("not_in", frozenset())
 
 
 @dataclass(frozen=True)
@@ -215,40 +221,136 @@ class LabeledRule:
     example_refs: tuple[tuple[str, int, int], ...] = ()
     counterexample_refs: tuple[tuple[str, int, int], ...] = ()
 
-    def matches(self, triple: Triple) -> bool:
-        # a constraint holds iff membership agrees with the mode
-        for slot in SLOT_ORDER:
-            constraint = self.constraints[slot]
-            if (getattr(triple, slot) in constraint.values) != (constraint.mode == "in"):
-                return False
-        return True
 
-
-@dataclass(frozen=True)
-class RuleSet:
-    feature: str
-    rules: tuple[LabeledRule, ...]
-    threshold_mode: ThresholdMode
-    training_size: int
-
-
-def _descend(state: dict[str, tuple[str, frozenset[str]]], slot: str, value: str,
-             matched: bool) -> dict[str, tuple[str, frozenset[str]]]:
+def _descend(state: dict[str, Constraint], slot: str, value: str,
+             matched: bool) -> dict[str, Constraint]:
     mode, values = state.get(slot, _UNCONSTRAINED)
     new = dict(state)
     if matched:
         if mode == "in":
-            new[slot] = ("in", values if value in values else frozenset())
+            new[slot] = Constraint("in", values if value in values else frozenset())
         elif value in values:  # excluded earlier: dead branch
-            new[slot] = ("in", frozenset())
+            new[slot] = Constraint("in", frozenset())
         else:
-            new[slot] = ("in", frozenset({value}))
+            new[slot] = Constraint("in", frozenset({value}))
     else:
         if mode == "in":
-            new[slot] = ("in", values - {value})
+            new[slot] = Constraint("in", values - {value})
         else:
-            new[slot] = ("not_in", values | {value})
+            new[slot] = Constraint("not_in", values | {value})
     return new
+
+
+def _leaf_regions(tree: DecisionTree) -> list[tuple[Leaf, dict[str, Constraint]]]:
+    """Each leaf, in leaf order, with the constraint per slot that its path
+    puts on the triples reaching it."""
+    regions = []
+    stack = [(tree.root, {})]
+    while stack:
+        node, state = stack.pop()
+        if isinstance(node, Leaf):
+            regions.append((node, {slot: state.get(slot, _UNCONSTRAINED) for slot in SLOT_ORDER}))
+            continue
+        slot, value = node.predicate.slot, node.predicate.value
+        stack.append((node.nomatch_child, _descend(state, slot, value, False)))
+        stack.append((node.match_child, _descend(state, slot, value, True)))
+    return regions
+
+
+# Constraints are read as sets over a slot's vocabulary, which is
+# unbounded: a not_in constraint always admits values it does not name.
+
+def _within(a: Constraint, b: Constraint) -> bool:
+    """Whether every value a admits b admits too."""
+    if a.mode == "in":
+        return a.values <= b.values if b.mode == "in" else a.values.isdisjoint(b.values)
+    return b.mode == "not_in" and b.values <= a.values
+
+
+def _disjoint(a: Constraint, b: Constraint) -> bool:
+    """Whether no value is admitted by both a and b."""
+    if a.mode == "in":
+        return a.values.isdisjoint(b.values) if b.mode == "in" else a.values <= b.values
+    return b.mode == "in" and b.values <= a.values
+
+
+def _shared_triple(a: dict[str, Constraint], b: dict[str, Constraint]) -> Triple:
+    """A triple both sets of slot constraints admit, given that one does:
+    per slot the least value both admit, or a value neither names."""
+    values = {}
+    for slot in SLOT_ORDER:
+        ca, cb = a[slot], b[slot]
+        if ca.mode == cb.mode == "not_in":
+            value = "*"
+            while value in ca.values or value in cb.values:
+                value += "*"
+        else:
+            named, other = (ca, cb) if ca.mode == "in" else (cb, ca)
+            value = min(v for v in named.values if (v in other.values) == (other.mode == "in"))
+        values[slot] = value
+    return Triple(**values)
+
+
+_COMPLEMENT = {"in": "not_in", "not_in": "in"}
+
+
+def _checked_routing(
+    tree: DecisionTree, rules: tuple[LabeledRule, ...]
+) -> dict[int, LabeledRule]:
+    """Each leaf id of the tree mapped to the rule that lists it, once it is
+    checked that every triple routed through the tree reaches the only rule
+    matching it; else NoMatchingRuleError.
+
+    The checks, in order: the rules' source_leaf_ids list each leaf once;
+    every triple that reaches a leaf matches the leaf's rule, so no triple
+    is left without a rule; no two rules share a triple.
+    """
+    rule_by_leaf = {leaf_id: rule for rule in rules for leaf_id in rule.source_leaf_ids}
+    regions = _leaf_regions(tree)
+    if (len(rule_by_leaf) != sum(len(rule.source_leaf_ids) for rule in rules)
+            or rule_by_leaf.keys() != {leaf.leaf_id for leaf, _ in regions}):
+        raise NoMatchingRuleError("'source_leaf_ids' do not list each leaf of the tree once")
+    for leaf, region in regions:
+        if any(c.mode == "in" and not c.values for c in region.values()):
+            continue  # a dead branch: no triple reaches the leaf
+        rule = rule_by_leaf[leaf.leaf_id]
+        for slot in SLOT_ORDER:
+            constraint = rule.constraints[slot]
+            if not _within(region[slot], constraint):
+                outside = Constraint(_COMPLEMENT[constraint.mode], constraint.values)
+                raise NoMatchingRuleError(
+                    f"no rule matches triple {_shared_triple(region, {**region, slot: outside})}"
+                    f" through leaf {leaf.leaf_id}: the leaf's rule {rule.rule_id} excludes it"
+                )
+    by_slot = [[rule.constraints[slot] for slot in SLOT_ORDER] for rule in rules]
+    for i, a in enumerate(rules):
+        for j in range(i + 1, len(rules)):
+            if not any(map(_disjoint, by_slot[i], by_slot[j])):
+                b = rules[j]
+                raise NoMatchingRuleError(
+                    f"triple {_shared_triple(a.constraints, b.constraints)} "
+                    f"matches rules {a.rule_id} and {b.rule_id}"
+                )
+    return rule_by_leaf
+
+
+@dataclass(frozen=True)
+class RuleSet:
+    """Labeled rules and the tree they were merged from.
+
+    Construction raises NoMatchingRuleError unless routing any triple, seen
+    or unseen, through the tree reaches the only rule matching it.
+    """
+
+    feature: str
+    rules: tuple[LabeledRule, ...]
+    threshold_mode: ThresholdMode
+    training_size: int
+    tree: DecisionTree
+    _rule_by_leaf: dict[int, LabeledRule] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rule_by_leaf", _checked_routing(self.tree, self.rules))
 
 
 def _leaf_rules(
@@ -259,17 +361,10 @@ def _leaf_rules(
     """One rule per leaf, in leaf order, constrained by the leaf's path."""
     rules: list[LabeledRule] = []
     refs_by_leaf = leaf_refs(tree, dataset) if dataset is not None else {}
-    stack = [(tree.root, {})]
-    while stack:
-        node, state = stack.pop()
-        if not isinstance(node, Leaf):
-            slot, value = node.predicate.slot, node.predicate.value
-            stack.append((node.nomatch_child, _descend(state, slot, value, False)))
-            stack.append((node.match_child, _descend(state, slot, value, True)))
-            continue
+    for leaf, region in _leaf_regions(tree):
         examples: list[tuple[str, int, int]] = []
         counters: list[tuple[str, int, int]] = []
-        for ref in refs_by_leaf.get(node.leaf_id, ()):
+        for ref in refs_by_leaf.get(leaf.leaf_id, ()):
             kept = examples if dataset.agree[ref] else counters
             if len(kept) < EXAMPLE_REFS_CAP:
                 kept.append(dataset.instances[ref].provenance)
@@ -278,13 +373,11 @@ def _leaf_rules(
         rules.append(
             LabeledRule(
                 rule_id=0,
-                label=verdict_by_leaf[node.leaf_id].label,
-                constraints={
-                    slot: Constraint(*state.get(slot, _UNCONSTRAINED)) for slot in SLOT_ORDER
-                },
-                n_agree=node.n_agree,
-                n_disagree=node.n_disagree,
-                source_leaf_ids=(node.leaf_id,),
+                label=verdict_by_leaf[leaf.leaf_id].label,
+                constraints=region,
+                n_agree=leaf.n_agree,
+                n_disagree=leaf.n_disagree,
+                source_leaf_ids=(leaf.leaf_id,),
                 example_refs=tuple(examples),
                 counterexample_refs=tuple(counters),
             )
@@ -384,23 +477,14 @@ def merge_rules(
         rules=rules,
         threshold_mode=threshold_mode,
         training_size=tree.training_size,
+        tree=tree,
     )
 
 
 def rule_for(ruleset: RuleSet, triple: Triple) -> LabeledRule:
-    """The unique rule matching the triple; NoMatchingRuleError when no
-    rule or more than one matches."""
-    matched: LabeledRule | None = None
-    for rule in ruleset.rules:
-        if rule.matches(triple):
-            if matched is not None:
-                raise NoMatchingRuleError(
-                    f"triple {triple} matches rules {matched.rule_id} and {rule.rule_id}"
-                )
-            matched = rule
-    if matched is None:
-        raise NoMatchingRuleError(f"no rule matches triple {triple}")
-    return matched
+    """The rule of the tree leaf the triple routes to; building the RuleSet
+    checked that it is the only rule matching the triple."""
+    return ruleset._rule_by_leaf[predict_leaf(ruleset.tree, triple)]
 
 
 def label_triple(ruleset: RuleSet, triple: Triple) -> Label:

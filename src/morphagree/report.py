@@ -7,7 +7,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .conllu import Edge, Sentence, Treebank
-from .errors import NoMatchingRuleError
 from .labeling import Label, LabeledRule, RuleSet, rule_for
 from .serialization import RulesDocument
 from .tree import SLOT_ORDER
@@ -164,11 +163,7 @@ def render_feature_page(
     }
     pools_of = {}
     for triple in dataset.triples:
-        try:
-            rule = rule_for(ruleset, triple)
-        except NoMatchingRuleError as exc:
-            raise NoMatchingRuleError(f"feature {feature!r}: {exc}") from None
-        pools_of[triple] = by_rule[rule.rule_id]
+        pools_of[triple] = by_rule[rule_for(ruleset, triple).rule_id]
     for inst, agree in zip(dataset.instances, dataset.agree):
         pools_of[inst.triple][not agree].append(inst)
     verdict_by_leaf = {v.leaf_id: v for v in doc.verdicts[feature]}
@@ -200,9 +195,7 @@ def render_feature_page(
         )
         rows = []
         for leaf_id in rule.source_leaf_ids:
-            verdict = verdict_by_leaf.get(leaf_id)
-            if verdict is None:
-                continue
+            verdict = verdict_by_leaf[leaf_id]
             rows.append(
                 f"<tr><td>{leaf_id}</td><td>{verdict.label.value}</td>"
                 f"<td>{_stats_cell(verdict.agree_ratio)}</td>"

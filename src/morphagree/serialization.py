@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import MalformedRulesError, MalformedScoresError
+from .errors import MalformedRulesError, MalformedScoresError, NoMatchingRuleError
 from .evaluation import EvalReport
 from .labeling import (
     ChanceModel,
@@ -252,13 +252,44 @@ def rules_document(
     }
 
 
+def _check_against_tree(ruleset: RuleSet, verdicts: tuple[LeafVerdict, ...]) -> None:
+    """MalformedRulesError unless the tree's leaf counts are at least 0 and
+    sum to the training size, the verdicts list each leaf of the tree once,
+    and each rule's counts are the sums over its source leaves and its label
+    is their verdicts' label."""
+    leaf_by_id = {leaf.leaf_id: leaf for leaf in leaves(ruleset.tree)}
+    if any(leaf.n_agree < 0 or leaf.n_disagree < 0 for leaf in leaf_by_id.values()):
+        raise MalformedRulesError("a leaf of the tree has a negative count")
+    total = sum(leaf.size for leaf in leaf_by_id.values())
+    if ruleset.training_size != total or ruleset.tree.training_size != total:
+        raise MalformedRulesError(
+            f"'training_size' is not {total}, the sum of the tree's leaf counts"
+        )
+    label_by_leaf = {verdict.leaf_id: verdict.label for verdict in verdicts}
+    if len(label_by_leaf) != len(verdicts) or label_by_leaf.keys() != leaf_by_id.keys():
+        raise MalformedRulesError("'leaf_verdicts' do not list each leaf of the tree once")
+    for rule in ruleset.rules:
+        sources = [leaf_by_id[leaf_id] for leaf_id in rule.source_leaf_ids]
+        if (rule.n_agree != sum(leaf.n_agree for leaf in sources)
+                or rule.n_disagree != sum(leaf.n_disagree for leaf in sources)):
+            raise MalformedRulesError(
+                f"rule {rule.rule_id}: 'n_agree' and 'n_disagree' are not the sums "
+                "over its source leaves"
+            )
+        if any(label_by_leaf[leaf_id] is not rule.label for leaf_id in rule.source_leaf_ids):
+            raise MalformedRulesError(
+                f"rule {rule.rule_id}: 'label' differs from a source leaf's verdict"
+            )
+
+
 class RulesDocument:
     """A loaded rules.json: per-feature rule sets plus training metadata.
 
-    A feature entry that lacks a key the loader reads, holds a value of the
-    wrong JSON type or an unknown name, repeats a rule_id, or whose rules'
-    source_leaf_ids do not list each leaf of its tree once, raises
-    MalformedRulesError naming the feature.
+    A feature entry raises MalformedRulesError naming the feature when it
+    lacks a key the loader reads, holds a value of the wrong JSON type or an
+    unknown name, or repeats a rule_id; when its rules leave a gap or an
+    overlap in triple space (see RuleSet); or when its rules' counts,
+    labels or leaf verdicts disagree with its tree.
     """
 
     def __init__(self, doc: dict):
@@ -286,7 +317,8 @@ class RulesDocument:
                 raise MalformedRulesError(
                     f"feature {feature!r}: missing key {exc.args[0]!r}"
                 ) from None
-            except (TypeError, AttributeError, RecursionError, MalformedRulesError) as exc:
+            except (TypeError, AttributeError, RecursionError, MalformedRulesError,
+                    NoMatchingRuleError) as exc:
                 raise MalformedRulesError(f"feature {feature!r}: {exc}") from None
 
     def _load_feature(self, feature: str, entry: dict, mode: ThresholdMode) -> None:
@@ -301,21 +333,19 @@ class RulesDocument:
             p_chance=_get(chance, "p_chance", _NUMBER),
         )
         rules = tuple(rule_from_dict(r) for r in _get_each(entry, "rules", _OBJECT))
-        leaf_ids = sorted(leaf_id for rule in rules for leaf_id in rule.source_leaf_ids)
         if len({rule.rule_id for rule in rules}) != len(rules):
             raise MalformedRulesError("two rules share a rule_id")
-        tree_leaf_ids = sorted(leaf.leaf_id for leaf in leaves(tree))
-        if leaf_ids != tree_leaf_ids or len(set(leaf_ids)) != len(leaf_ids):
-            raise MalformedRulesError("'source_leaf_ids' do not list each leaf of the tree once")
-        self.rulesets[feature] = RuleSet(
+        ruleset = self.rulesets[feature] = RuleSet(
             feature=feature,
             rules=rules,
             threshold_mode=mode,
             training_size=_get(entry, "training_size", _INT),
+            tree=tree,
         )
-        self.verdicts[feature] = tuple(
-            verdict_from_dict(v) for v in _get_each(entry, "leaf_verdicts", _OBJECT, _LIST, [])
+        verdicts = self.verdicts[feature] = tuple(
+            verdict_from_dict(v) for v in _get_each(entry, "leaf_verdicts", _OBJECT)
         )
+        _check_against_tree(ruleset, verdicts)
         self.training_triples[feature] = [
             (Triple(*(_get(t, slot, _STRING) for slot in Triple._fields)), _get(t, "count", _INT))
             for t in _get_each(entry, "training_triples", _OBJECT, _LIST, [])

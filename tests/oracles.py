@@ -5,9 +5,10 @@ survival function is adaptive-Simpson integration of the density (the
 package uses erfc), splits are found by exhaustive enumeration,
 entropy/correlation are recomputed from their definitions, grid search
 fits every grid point and every cross-validation fold separately, rule
-merging rescans every pair from the start after each merge, and CoNLL-U is
-parsed token by token with a fresh FEATS dict per token and walked once per
-feature, with no shared edge table.
+merging rescans every pair from the start after each merge, a triple's
+rule is found by testing every rule instead of routing through the tree,
+and CoNLL-U is parsed token by token with a fresh FEATS dict per token and
+walked once per feature, with no shared edge table.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from morphagree.errors import (
     InvalidIdError,
     MalformedFeatsError,
     MalformedLineError,
+    NoMatchingRuleError,
 )
 from morphagree.labeling import RuleSet, ThresholdMode, _leaf_rules, _try_merge
 from morphagree.tree import classification_accuracy, fit, leaf_count, macro_f1
@@ -185,7 +187,28 @@ def merge_rules_restarting(
         rules=tuple(replace(r, rule_id=idx) for idx, r in enumerate(rules, start=1)),
         threshold_mode=threshold_mode,
         training_size=tree.training_size,
+        tree=tree,
     )
+
+
+def rule_matches(rule, triple) -> bool:
+    """Whether the triple meets every constraint of the rule: its slot value
+    is in the values of an "in" constraint and not in those of a "not_in"."""
+    return all(
+        (getattr(triple, slot) in constraint.values) == (constraint.mode == "in")
+        for slot, constraint in rule.constraints.items()
+    )
+
+
+def rule_for_scanning(rules, triple):
+    """The one rule of rules matching the triple, found by testing every
+    rule; NoMatchingRuleError when none or several match."""
+    matched = [rule for rule in rules if rule_matches(rule, triple)]
+    if len(matched) != 1:
+        raise NoMatchingRuleError(
+            f"triple {triple} matches rules {[rule.rule_id for rule in matched]}"
+        )
+    return matched[0]
 
 
 def _is_range_or_empty_node_id(col: str) -> bool:

@@ -484,12 +484,15 @@ def _broken(doc, feature, edit):
             ),
             "no rule matches",
         ),
-        # rule 2 overlapping rule 1: report must not pick the first match
-        (
-            "report",
-            lambda entry: entry["rules"][1].update(constraints={}),
-            "matches rules 1 and 2",
-        ),
+        # rule 2 overlapping rule 1: no command may pick the first match
+        *[
+            (
+                command,
+                lambda entry: entry["rules"][1].update(constraints={}),
+                "matches rules 1 and 2",
+            )
+            for command in ("report", "annotation-sheet", "evaluate")
+        ],
         # a string of values would read as its set of characters
         (
             "evaluate",
@@ -517,6 +520,9 @@ def test_malformed_rules_fail_with_error_line(
         "evaluate": ["evaluate", "--rules", str(rules),
                      "--test", str(workspace / "test.conllu"),
                      "--out", str(tmp_path / "eval.json")],
+        "annotation-sheet": ["annotation-sheet", "--rules", str(rules),
+                             "--train", str(workspace / "train.conllu"),
+                             "--out", str(tmp_path / "sheet.tsv")],
         "report": ["report", "--rules", str(rules),
                    "--train", str(workspace / "train.conllu"),
                    "--out", str(tmp_path / "report")],

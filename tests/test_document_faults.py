@@ -148,6 +148,12 @@ def _gender(doc):
     return doc["features"]["Gender"]
 
 
+def _first_leaf(node):
+    while "leaf" not in node:
+        node = node["match"]
+    return node["leaf"]
+
+
 # (edit of the golden rules.json, commands that read it, text the error names)
 RULES_FAULTS = [
     (lambda d: d.update(params=[]), EVERY_COMMAND, "'params' must be an object"),
@@ -187,6 +193,22 @@ RULES_FAULTS = [
      "'source_leaf_ids' do not list each leaf"),
     (lambda d: _gender(d)["rules"][1].update(rule_id=_gender(d)["rules"][0]["rule_id"]),
      ("report",), "two rules share a rule_id"),
+    # once read as a rule without its verdict table, and as "agree: -7"
+    (lambda d: _gender(d)["leaf_verdicts"].pop(0), ("report", "evaluate"),
+     "'leaf_verdicts' do not list each leaf"),
+    (lambda d: _gender(d)["rules"][0].update(n_agree=-7), ("report", "annotation-sheet"),
+     "'n_agree' and 'n_disagree' are not the sums over its source leaves"),
+    (lambda d: _first_leaf(_gender(d)["tree"]["root"]).update(n_disagree=-1), ("report",),
+     "negative count"),
+    # once read as "training instances: 5" beside rules that count 800
+    *[
+        (lambda d, at=at: at(_gender(d)).update(training_size=5), ("report",),
+         "'training_size' is not 800")
+        for at in (lambda entry: entry, lambda entry: entry["tree"])
+    ],
+    (lambda d: _gender(d)["rules"][0].update(
+        label={"required": "chance", "chance": "required"}[_gender(d)["rules"][0]["label"]]),
+     ("report", "evaluate"), "'label' differs from a source leaf's verdict"),
 ]
 
 

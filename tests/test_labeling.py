@@ -1,6 +1,8 @@
 import gc
+import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +33,10 @@ from morphagree.labeling import (
     ThresholdMode,
     _merge_to_fixpoint,
     chi_square_survival,
+    rule_for,
 )
 from morphagree.tree import (
+    SLOT_ORDER,
     DecisionTree,
     HyperParams,
     Internal,
@@ -45,7 +49,7 @@ from morphagree.tree import (
 from morphagree.triples import FeatureDataset
 
 from conftest import agrees, make_edge, make_treebank, six_feature_conllu
-from oracles import chi2_sf_oracle, merge_rules_restarting
+from oracles import chi2_sf_oracle, merge_rules_restarting, rule_for_scanning, rule_matches
 from treegen import random_labeled_tree, random_triple
 
 
@@ -354,12 +358,9 @@ def test_merge_equals_restarting_oracle_on_random_trees(seed, max_depth):
     assert merge_rules(tree, verdicts) == merge_rules_restarting(tree, verdicts)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_merge_equals_restarting_oracle_on_deep_fitted_trees(seed):
-    # every instance has its own provenance, so the comparison also pins
-    # the order of example_refs and counterexample_refs
-    rng = random.Random(seed)
+def _random_deep_fit(rng):
+    """A depth-15 tree fitted without impurity floor on up to 400 random
+    instances, each with its own provenance, and random leaf labels."""
     instances = [
         make_edge(random_triple(rng), agree, (f"s{k}", 1, 2))
         for k, agree in enumerate(rng.random() < 0.6 for _ in range(rng.randint(1, 400)))
@@ -370,6 +371,15 @@ def test_merge_equals_restarting_oracle_on_deep_fitted_trees(seed):
         LeafVerdict(leaf.leaf_id, rng.choice((Label.REQUIRED, Label.CHANCE)), leaf.agree_ratio)
         for leaf in leaves(tree)
     ]
+    return tree, verdicts, dataset
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_merge_equals_restarting_oracle_on_deep_fitted_trees(seed):
+    # every instance has its own provenance, so the comparison also pins
+    # the order of example_refs and counterexample_refs
+    tree, verdicts, dataset = _random_deep_fit(random.Random(seed))
     assert merge_rules(tree, verdicts, dataset, ThresholdMode.HARD) == merge_rules_restarting(
         tree, verdicts, dataset, ThresholdMode.HARD
     )
@@ -432,25 +442,37 @@ def test_merge_rejects_bad_verdicts():
         merge_rules(tree, [_verdict(1, Label.CHANCE), _verdict(2, Label.CHANCE)])
 
 
-def test_label_triple_rejects_corrupt_ruleset():
+def test_ruleset_construction_rejects_corrupt_rules():
     tree = _tree_from_root(Leaf(1, 3, 2), 5)
     ruleset = merge_rules(tree, [_verdict(1, Label.CHANCE)])
-    empty = RuleSet(
-        feature="Gender",
-        rules=(),
-        threshold_mode=ThresholdMode.STATISTICAL,
-        training_size=0,
-    )
-    with pytest.raises(NoMatchingRuleError):
-        label_triple(empty, Triple("A", "b", "C"))
-    doubled = RuleSet(
-        feature="Gender",
-        rules=ruleset.rules + ruleset.rules,
-        threshold_mode=ThresholdMode.STATISTICAL,
-        training_size=10,
-    )
-    with pytest.raises(NoMatchingRuleError):
-        label_triple(doubled, Triple("A", "b", "C"))
+    with pytest.raises(NoMatchingRuleError, match="do not list each leaf"):
+        RuleSet(
+            feature="Gender",
+            rules=(),
+            threshold_mode=ThresholdMode.STATISTICAL,
+            training_size=0,
+            tree=tree,
+        )
+    with pytest.raises(NoMatchingRuleError, match="do not list each leaf"):
+        RuleSet(
+            feature="Gender",
+            rules=ruleset.rules + ruleset.rules,
+            threshold_mode=ThresholdMode.STATISTICAL,
+            training_size=10,
+            tree=tree,
+        )
+    tree = _tree_from_root(Internal(SplitPredicate("relation", "det"), Leaf(1, 3, 2),
+                                    Leaf(2, 1, 4)), 10)
+    ruleset = merge_rules(tree, [_verdict(1, Label.REQUIRED), _verdict(2, Label.CHANCE)])
+    first, second = ruleset.rules
+    narrowed = replace(first, constraints={**first.constraints,
+                                           "relation": Constraint("in", frozenset({"obj"}))})
+    with pytest.raises(NoMatchingRuleError, match="no rule matches triple .*relation='det'"):
+        replace(ruleset, rules=(narrowed, second))
+    widened = replace(second, constraints={**second.constraints,
+                                           "relation": Constraint("not_in", frozenset())})
+    with pytest.raises(NoMatchingRuleError, match="relation='det'.* matches rules 1 and 2"):
+        replace(ruleset, rules=(first, widened))
 
 
 def test_ruleset_partitions_triple_space():
@@ -460,5 +482,104 @@ def test_ruleset_partitions_triple_space():
         ruleset = merge_rules(tree, verdicts)
         for _ in range(40):
             triple = random_triple(rng)
-            matches = [r for r in ruleset.rules if r.matches(triple)]
-            assert len(matches) == 1
+            assert rule_for(ruleset, triple) is rule_for_scanning(ruleset.rules, triple)
+
+
+def _every_class_of_triples(tree, rules) -> list[Triple]:
+    """One triple per class of triples that no predicate of the tree and no
+    constraint of the rules tells apart: per slot, every value they name
+    and one value that none names."""
+    named = {slot: set() for slot in SLOT_ORDER}
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Internal):
+            named[node.predicate.slot].add(node.predicate.value)
+            stack += [node.match_child, node.nomatch_child]
+    for rule in rules:
+        for slot, constraint in rule.constraints.items():
+            named[slot] |= constraint.values
+    per_slot = [sorted(named[slot]) + [max(named[slot], default="") + "~"]
+                for slot in SLOT_ORDER]
+    return [Triple(**dict(zip(SLOT_ORDER, values))) for values in itertools.product(*per_slot)]
+
+
+def _mutated(rules, rng):
+    """rules with one slot constraint of one rule changed: a value added or
+    dropped, the mode flipped, or a random constraint put in its place."""
+    at = rng.randrange(len(rules))
+    slot = rng.choice(SLOT_ORDER)
+    old = rules[at].constraints[slot]
+    pool = sorted({value for rule in rules for value in rule.constraints[slot].values}
+                  | {"det", "NOUN", "unnamed"})
+    kind = rng.randrange(3)
+    if kind == 0:
+        new = Constraint(old.mode, old.values ^ {rng.choice(pool)})
+    elif kind == 1:
+        new = Constraint("in" if old.mode == "not_in" else "not_in", old.values)
+    else:
+        new = Constraint(rng.choice(("in", "not_in")),
+                         frozenset(v for v in pool if rng.random() < 0.3))
+    changed = replace(rules[at], constraints={**rules[at].constraints, slot: new})
+    return rules[:at] + (changed,) + rules[at + 1:]
+
+
+def _check_guard_against_scan(tree, verdicts, rng):
+    """On the merged rules and on single-constraint mutations of them, the
+    RuleSet guard accepts exactly the rules a scan of every class of
+    triples finds without gap or overlap, and routed lookups then equal
+    the scan."""
+    merged = merge_rules(tree, verdicts)
+    for rules in [merged.rules] + [_mutated(merged.rules, rng) for _ in range(8)]:
+        triples = _every_class_of_triples(tree, rules)
+        partitioned = all(sum(rule_matches(r, t) for r in rules) == 1 for t in triples)
+        try:
+            ruleset = replace(merged, rules=rules)
+        except NoMatchingRuleError:
+            assert not partitioned
+            continue
+        assert partitioned
+        for triple in triples:
+            assert rule_for(ruleset, triple) is rule_for_scanning(rules, triple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7))
+def test_guard_equals_exact_scan_on_random_trees(seed, max_depth):
+    rng = random.Random(seed)
+    tree, verdicts = random_labeled_tree(rng, max_depth=max_depth)
+    _check_guard_against_scan(tree, verdicts, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_guard_equals_exact_scan_on_deep_fitted_trees(seed):
+    rng = random.Random(seed)
+    tree, verdicts, _ = _random_deep_fit(rng)
+    _check_guard_against_scan(tree, verdicts, rng)
+
+
+def _depth(node) -> int:
+    if isinstance(node, Leaf):
+        return 0
+    return 1 + max(_depth(node.match_child), _depth(node.nomatch_child))
+
+
+def test_rule_for_tests_at_most_depth_predicates(monkeypatch):
+    calls = []
+    matches = SplitPredicate.matches
+    monkeypatch.setattr(SplitPredicate, "matches",
+                        lambda self, triple: calls.append(1) or matches(self, triple))
+    rng = random.Random(5)
+    most_rules_over_depth = 0
+    for _ in range(20):
+        tree, verdicts, _ = _random_deep_fit(rng)
+        ruleset = merge_rules(tree, verdicts)
+        depth = _depth(tree.root)
+        most_rules_over_depth = max(most_rules_over_depth, len(ruleset.rules) - depth)
+        for _ in range(30):
+            calls.clear()
+            rule_for(ruleset, random_triple(rng))
+            assert len(calls) <= depth
+    # the bound holds where a scan would test more rules than the tree is deep
+    assert most_rules_over_depth > 0

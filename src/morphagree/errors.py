@@ -47,20 +47,24 @@ class EmptyCountsError(MorphagreeError):
 
 # --- rule sets ---
 
-class VerdictMismatchError(MorphagreeError):
-    """Leaf verdicts do not cover the tree's leaves exactly once."""
+class InvalidRuleSetError(MorphagreeError):
+    """A RuleSet's tree, leaf verdicts and rules disagree; raised whenever
+    one is built, through the API or by the rules.json loader."""
 
 
-class NoMatchingRuleError(MorphagreeError):
+class VerdictMismatchError(InvalidRuleSetError):
+    """Leaf verdicts do not list each leaf once, or differ from a rule's label."""
+
+
+class NoMatchingRuleError(InvalidRuleSetError):
     """A rule set leaves a triple without a rule or gives it two, or its
-    rules do not list each leaf of its tree once; raised when it is built."""
+    rules do not list each leaf of its tree once."""
 
 
 class MalformedRulesError(MorphagreeError):
-    """A rules document lacks a key, holds a value of the wrong JSON type or
-    an unknown name, has rules that leave a gap or an overlap in triple
-    space, or has counts, labels or leaf verdicts that disagree with its
-    tree."""
+    """A rules document lacks a key, holds a value of the wrong JSON type,
+    an unknown name or a training_size other than its tree's, or holds a
+    rule set that is not valid (RuleSet)."""
 
 
 # --- evaluation ---
@@ -75,6 +79,10 @@ class FeatureMismatchError(MorphagreeError):
 
 class EmptyAnnotationsError(MorphagreeError):
     """An annotation file or record list is empty."""
+
+
+class MalformedAnnotationsError(MorphagreeError):
+    """A labeled row of an annotation file lacks a cell the header names."""
 
 
 class NoEvaluableTriplesError(MorphagreeError):

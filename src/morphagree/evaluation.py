@@ -1,7 +1,6 @@
 """Rule-set evaluation: automated (ARM), human (HRM), and baselines."""
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -12,6 +11,7 @@ from .errors import (
     EmptyAnnotationsError,
     FeatureMismatchError,
     LengthMismatchError,
+    MalformedAnnotationsError,
     NoEvaluableTriplesError,
     ZeroVarianceError,
 )
@@ -172,37 +172,41 @@ ANNOTATION_COLUMNS = ("feature", "relation", "head_pos", "dep_pos", "label")
 
 
 def read_annotations(path: str | Path) -> list[AnnotationRecord]:
-    """Read a completed annotation TSV.
+    """Read a completed annotation TSV as annotation-sheet writes it: UTF-8
+    (a byte order mark allowed), one row per line, cells split at each tab.
 
-    The file must carry a header naming at least the columns
-    feature/relation/head_pos/dep_pos/label; extra columns (e.g. the
-    exported example sentences) are ignored, as are rows whose label cell
-    is still blank. Unknown label strings raise ValueError.
+    The header names ANNOTATION_COLUMNS in any order; other columns are
+    ignored, as are rows with no label. A labeled row short of a named cell
+    raises MalformedAnnotationsError naming its line; an unknown label,
+    ValueError.
     """
     records: list[AnnotationRecord] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter="\t")
-        if reader.fieldnames is None:
+    with open(path, encoding="utf-8-sig", newline="\n") as fh:
+        header = fh.readline()
+        if not header:
             raise EmptyAnnotationsError(f"{path}: empty annotation file")
-        missing = [c for c in ANNOTATION_COLUMNS if c not in reader.fieldnames]
+        names = [name.strip() for name in header.rstrip("\r\n").split("\t")]
+        missing = [c for c in ANNOTATION_COLUMNS if c not in names]
         if missing:
             raise ValueError(f"{path}: missing annotation columns {missing}")
-        for row in reader:
-            raw = (row["label"] or "").strip()
-            if not raw:
-                continue
+        at = [names.index(c) for c in ANNOTATION_COLUMNS]
+        for number, line in enumerate(fh, start=2):
+            cells = [cell.strip() for cell in line.rstrip("\r\n").split("\t")]
+            if len(cells) <= at[-1] or not cells[at[-1]]:
+                continue  # no label
+            if len(cells) <= max(at):
+                raise MalformedAnnotationsError(
+                    f"{path}: line {number}: a labeled row lacks a cell the header names"
+                )
+            feature, relation, head_pos, dep_pos, raw = (cells[i] for i in at)
             try:
                 human = HumanLabel(raw)
             except ValueError:
                 raise ValueError(f"{path}: unknown annotation label {raw!r}") from None
             records.append(
                 AnnotationRecord(
-                    feature=row["feature"].strip(),
-                    triple=Triple(
-                        head_pos=row["head_pos"].strip(),
-                        relation=row["relation"].strip(),
-                        dep_pos=row["dep_pos"].strip(),
-                    ),
+                    feature=feature,
+                    triple=Triple(head_pos=head_pos, relation=relation, dep_pos=dep_pos),
                     human_label=human,
                 )
             )

@@ -6,11 +6,11 @@ chi-squared goodness-of-fit test plus an effect-size gate. Labeled leaves
 are then merged into a concise rule set that partitions triple space and
 induces exactly the same triple -> label function as the labeled tree.
 
-A RuleSet keeps the tree its rules were merged from. Lookups route the
-triple through that tree and map its leaf to the rule that lists it in
-source_leaf_ids, in O(depth) whatever the number of rules. Building a
-RuleSet checks once that this routing finds, for every possible triple,
-the one rule whose constraints match it.
+A RuleSet keeps the tree its rules were merged from and its leaf verdicts.
+Lookups route the triple through that tree and map its leaf to the rule
+that lists it in source_leaf_ids, in O(depth) whatever the number of rules.
+Building a RuleSet checks once that the three agree and that this routing
+finds, for every possible triple, the one rule whose constraints match it.
 """
 from __future__ import annotations
 
@@ -20,8 +20,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import EmptyMarginalsError, NoMatchingRuleError, VerdictMismatchError
-from .tree import SLOT_ORDER, DecisionTree, Leaf, leaf_refs, leaves, predict_leaf
+from .errors import (EmptyMarginalsError, InvalidRuleSetError, NoMatchingRuleError,
+                     VerdictMismatchError)
+from .tree import SLOT_ORDER, DecisionTree, Leaf, leaf_refs, predict_leaf
 from .triples import FeatureDataset, Triple
 
 # example and counterexample refs kept per rule; refs run leaf by leaf in
@@ -295,21 +296,48 @@ _COMPLEMENT = {"in": "not_in", "not_in": "in"}
 
 
 def _checked_routing(
-    tree: DecisionTree, rules: tuple[LabeledRule, ...]
+    tree: DecisionTree, verdicts: tuple[LeafVerdict, ...], rules: tuple[LabeledRule, ...]
 ) -> dict[int, LabeledRule]:
     """Each leaf id of the tree mapped to the rule that lists it, once it is
-    checked that every triple routed through the tree reaches the only rule
-    matching it; else NoMatchingRuleError.
+    checked that the three agree; else an InvalidRuleSetError.
 
-    The checks, in order: the rules' source_leaf_ids list each leaf once;
-    every triple that reaches a leaf matches the leaf's rule, so no triple
-    is left without a rule; no two rules share a triple.
+    The checks, in order: leaf counts are at least 0 and sum to the tree's
+    training_size; the verdicts, then the rules' source_leaf_ids, list each
+    leaf once; rule ids are distinct; each rule's counts and label are its
+    source leaves' sums and verdict; every triple that reaches a leaf
+    matches the leaf's rule, so no triple is left without a rule; no two
+    rules share a triple.
     """
-    rule_by_leaf = {leaf_id: rule for rule in rules for leaf_id in rule.source_leaf_ids}
     regions = _leaf_regions(tree)
+    leaf_by_id = {leaf.leaf_id: leaf for leaf, _ in regions}
+    if any(leaf.n_agree < 0 or leaf.n_disagree < 0 for leaf in leaf_by_id.values()):
+        raise InvalidRuleSetError("a leaf of the tree has a negative count")
+    total = sum(leaf.size for leaf in leaf_by_id.values())
+    if tree.training_size != total:
+        raise InvalidRuleSetError(
+            f"'training_size' is not {total}, the sum of the tree's leaf counts"
+        )
+    label_by_leaf = {verdict.leaf_id: verdict.label for verdict in verdicts}
+    if len(label_by_leaf) != len(verdicts) or label_by_leaf.keys() != leaf_by_id.keys():
+        raise VerdictMismatchError("'leaf_verdicts' do not list each leaf of the tree once")
+    rule_by_leaf = {leaf_id: rule for rule in rules for leaf_id in rule.source_leaf_ids}
     if (len(rule_by_leaf) != sum(len(rule.source_leaf_ids) for rule in rules)
-            or rule_by_leaf.keys() != {leaf.leaf_id for leaf, _ in regions}):
+            or rule_by_leaf.keys() != leaf_by_id.keys()):
         raise NoMatchingRuleError("'source_leaf_ids' do not list each leaf of the tree once")
+    if len({rule.rule_id for rule in rules}) != len(rules):
+        raise InvalidRuleSetError("two rules share a rule_id")
+    for rule in rules:
+        sources = [leaf_by_id[leaf_id] for leaf_id in rule.source_leaf_ids]
+        if (rule.n_agree != sum(leaf.n_agree for leaf in sources)
+                or rule.n_disagree != sum(leaf.n_disagree for leaf in sources)):
+            raise InvalidRuleSetError(
+                f"rule {rule.rule_id}: 'n_agree' and 'n_disagree' are not the sums "
+                "over its source leaves"
+            )
+        if any(label_by_leaf[leaf_id] != rule.label for leaf_id in rule.source_leaf_ids):
+            raise VerdictMismatchError(
+                f"rule {rule.rule_id}: 'label' differs from a source leaf's verdict"
+            )
     for leaf, region in regions:
         if any(c.mode == "in" and not c.values for c in region.values()):
             continue  # a dead branch: no triple reaches the leaf
@@ -336,29 +364,36 @@ def _checked_routing(
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Labeled rules and the tree they were merged from.
+    """Labeled rules, the tree they were merged from and its leaf verdicts.
 
-    Construction raises NoMatchingRuleError unless routing any triple, seen
-    or unseen, through the tree reaches the only rule matching it.
+    Construction raises an InvalidRuleSetError (see _checked_routing) unless
+    the three agree and routing any triple, seen or unseen, through the tree
+    reaches the only rule matching it.
     """
 
     feature: str
     rules: tuple[LabeledRule, ...]
     threshold_mode: ThresholdMode
-    training_size: int
     tree: DecisionTree
+    verdicts: tuple[LeafVerdict, ...]
     _rule_by_leaf: dict[int, LabeledRule] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_rule_by_leaf", _checked_routing(self.tree, self.rules))
+        object.__setattr__(
+            self, "_rule_by_leaf", _checked_routing(self.tree, self.verdicts, self.rules)
+        )
+
+    @property
+    def training_size(self) -> int:
+        return self.tree.training_size
 
 
 def _leaf_rules(
     tree: DecisionTree,
-    verdict_by_leaf: dict[int, LeafVerdict],
+    label_by_leaf: dict[int, Label],
     dataset: FeatureDataset | None,
 ) -> list[LabeledRule]:
-    """One rule per leaf, in leaf order, constrained by the leaf's path."""
+    """One rule per leaf, in leaf order, with its path's constraints and its label or None."""
     rules: list[LabeledRule] = []
     refs_by_leaf = leaf_refs(tree, dataset) if dataset is not None else {}
     for leaf, region in _leaf_regions(tree):
@@ -373,7 +408,7 @@ def _leaf_rules(
         rules.append(
             LabeledRule(
                 rule_id=0,
-                label=verdict_by_leaf[leaf.leaf_id].label,
+                label=label_by_leaf.get(leaf.leaf_id),
                 constraints=region,
                 n_agree=leaf.n_agree,
                 n_disagree=leaf.n_disagree,
@@ -463,21 +498,13 @@ def merge_rules(
     Passing the training dataset fills per-rule example provenance, at most
     EXAMPLE_REFS_CAP refs per list.
     """
-    tree_leaf_ids = [leaf.leaf_id for leaf in leaves(tree)]
-    verdict_by_leaf = {v.leaf_id: v for v in verdicts}
-    if len(verdict_by_leaf) != len(verdicts) or set(verdict_by_leaf) != set(tree_leaf_ids):
-        raise VerdictMismatchError(
-            f"verdicts cover leaves {sorted(verdict_by_leaf)}, "
-            f"tree has leaves {tree_leaf_ids}"
-        )
-    merged = _merge_to_fixpoint(_leaf_rules(tree, verdict_by_leaf, dataset))
-    rules = tuple(replace(r, rule_id=idx) for idx, r in enumerate(merged, start=1))
+    merged = _merge_to_fixpoint(_leaf_rules(tree, {v.leaf_id: v.label for v in verdicts}, dataset))
     return RuleSet(
         feature=tree.feature,
-        rules=rules,
+        rules=tuple(replace(r, rule_id=idx) for idx, r in enumerate(merged, start=1)),
         threshold_mode=threshold_mode,
-        training_size=tree.training_size,
         tree=tree,
+        verdicts=tuple(verdicts),
     )
 
 

@@ -7,12 +7,11 @@ from pathlib import Path
 from typing import Sequence
 
 from .conllu import Edge, Sentence, Treebank
+from .evaluation import ANNOTATION_COLUMNS
 from .labeling import Label, LabeledRule, RuleSet, rule_for
 from .serialization import RulesDocument
 from .tree import SLOT_ORDER
 from .triples import extract_instances, top_k_triples
-
-SHEET_COLUMNS = ("feature", "relation", "head_pos", "dep_pos", "label", "examples")
 
 
 def sentence_index(treebank: Treebank) -> dict[str, Sentence]:
@@ -81,7 +80,9 @@ def build_annotation_rows(
 
 
 def write_annotation_sheet(rows: list[tuple[str, ...]], path: str | Path) -> None:
-    lines = ["\t".join(SHEET_COLUMNS)]
+    """One line per row, its cells joined by tabs with no quoting, under a
+    header of ANNOTATION_COLUMNS and "examples", as read_annotations reads it."""
+    lines = ["\t".join(ANNOTATION_COLUMNS + ("examples",))]
     lines.extend("\t".join(row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -166,7 +167,7 @@ def render_feature_page(
         pools_of[triple] = by_rule[rule_for(ruleset, triple).rule_id]
     for inst, agree in zip(dataset.instances, dataset.agree):
         pools_of[inst.triple][not agree].append(inst)
-    verdict_by_leaf = {v.leaf_id: v for v in doc.verdicts[feature]}
+    verdict_by_leaf = {v.leaf_id: v for v in ruleset.verdicts}
     chance = doc.chance_models[feature]
     body = [f"<h1>{html.escape(feature)} agreement rules</h1>"]
     body.append(

@@ -3,7 +3,9 @@
 All documents are dumped in a canonical form (sorted keys, two-space
 indent, UTF-8, trailing newline) so identical runs produce byte-identical
 files. Reloading a rules document reconstructs the triple -> label
-behavior of the saved rule sets exactly.
+behavior of the saved rule sets exactly. The loader checks JSON shape
+(types and known names); RuleSet checks meaning, that a feature's tree,
+leaf verdicts and rules agree.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import math
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import MalformedRulesError, MalformedScoresError, NoMatchingRuleError
+from .errors import InvalidRuleSetError, MalformedRulesError, MalformedScoresError
 from .evaluation import EvalReport
 from .labeling import (
     ChanceModel,
@@ -24,7 +26,7 @@ from .labeling import (
     ThresholdMode,
 )
 from .pipeline import ExtractionConfig, FeatureRules
-from .tree import SLOT_ORDER, DecisionTree, HyperParams, Internal, Leaf, SplitPredicate, leaves
+from .tree import SLOT_ORDER, DecisionTree, HyperParams, Internal, Leaf, SplitPredicate
 from .triples import Triple
 
 FORMAT_VERSION = "1"
@@ -208,7 +210,7 @@ def verdict_from_dict(doc: dict) -> LeafVerdict:
 def feature_rules_to_dict(result: FeatureRules) -> dict:
     if result.absent or result.ruleset is None:
         return {"absent": True}
-    assert result.tree is not None and result.chance is not None
+    assert result.chance is not None
     dataset = result.dataset
     ranked = [dataset.triples[t] for t in dataset.ranking] if dataset is not None else []
     return {
@@ -218,8 +220,8 @@ def feature_rules_to_dict(result: FeatureRules) -> dict:
             "p_chance": result.chance.p_chance,
             "value_probs": result.chance.value_probs,
         },
-        "tree": tree_to_dict(result.tree),
-        "leaf_verdicts": [verdict_to_dict(v) for v in result.verdicts],
+        "tree": tree_to_dict(result.ruleset.tree),
+        "leaf_verdicts": [verdict_to_dict(v) for v in result.ruleset.verdicts],
         "rules": [rule_to_dict(r) for r in result.ruleset.rules],
         "training_triples": [
             {**g.triple._asdict(), "count": g.size} for g in ranked
@@ -252,44 +254,14 @@ def rules_document(
     }
 
 
-def _check_against_tree(ruleset: RuleSet, verdicts: tuple[LeafVerdict, ...]) -> None:
-    """MalformedRulesError unless the tree's leaf counts are at least 0 and
-    sum to the training size, the verdicts list each leaf of the tree once,
-    and each rule's counts are the sums over its source leaves and its label
-    is their verdicts' label."""
-    leaf_by_id = {leaf.leaf_id: leaf for leaf in leaves(ruleset.tree)}
-    if any(leaf.n_agree < 0 or leaf.n_disagree < 0 for leaf in leaf_by_id.values()):
-        raise MalformedRulesError("a leaf of the tree has a negative count")
-    total = sum(leaf.size for leaf in leaf_by_id.values())
-    if ruleset.training_size != total or ruleset.tree.training_size != total:
-        raise MalformedRulesError(
-            f"'training_size' is not {total}, the sum of the tree's leaf counts"
-        )
-    label_by_leaf = {verdict.leaf_id: verdict.label for verdict in verdicts}
-    if len(label_by_leaf) != len(verdicts) or label_by_leaf.keys() != leaf_by_id.keys():
-        raise MalformedRulesError("'leaf_verdicts' do not list each leaf of the tree once")
-    for rule in ruleset.rules:
-        sources = [leaf_by_id[leaf_id] for leaf_id in rule.source_leaf_ids]
-        if (rule.n_agree != sum(leaf.n_agree for leaf in sources)
-                or rule.n_disagree != sum(leaf.n_disagree for leaf in sources)):
-            raise MalformedRulesError(
-                f"rule {rule.rule_id}: 'n_agree' and 'n_disagree' are not the sums "
-                "over its source leaves"
-            )
-        if any(label_by_leaf[leaf_id] is not rule.label for leaf_id in rule.source_leaf_ids):
-            raise MalformedRulesError(
-                f"rule {rule.rule_id}: 'label' differs from a source leaf's verdict"
-            )
-
-
 class RulesDocument:
     """A loaded rules.json: per-feature rule sets plus training metadata.
 
     A feature entry raises MalformedRulesError naming the feature when it
     lacks a key the loader reads, holds a value of the wrong JSON type or an
-    unknown name, or repeats a rule_id; when its rules leave a gap or an
-    overlap in triple space (see RuleSet); or when its rules' counts,
-    labels or leaf verdicts disagree with its tree.
+    unknown name, or gives a training_size other than its tree's; or when
+    its RuleSet fails to build because its tree, leaf verdicts and rules
+    disagree (see RuleSet).
     """
 
     def __init__(self, doc: dict):
@@ -304,7 +276,6 @@ class RulesDocument:
         self.absent: set[str] = set()
         self.trees: dict[str, DecisionTree] = {}
         self.chance_models: dict[str, ChanceModel] = {}
-        self.verdicts: dict[str, tuple[LeafVerdict, ...]] = {}
         self.training_triples: dict[str, list[tuple[Triple, int]]] = {}
         mode = ThresholdMode(_get(self.params, "threshold_mode", _STRING, "statistical",
                                   [m.value for m in ThresholdMode]))
@@ -318,7 +289,7 @@ class RulesDocument:
                     f"feature {feature!r}: missing key {exc.args[0]!r}"
                 ) from None
             except (TypeError, AttributeError, RecursionError, MalformedRulesError,
-                    NoMatchingRuleError) as exc:
+                    InvalidRuleSetError) as exc:
                 raise MalformedRulesError(f"feature {feature!r}: {exc}") from None
 
     def _load_feature(self, feature: str, entry: dict, mode: ThresholdMode) -> None:
@@ -332,20 +303,18 @@ class RulesDocument:
             value_probs=dict(_get_each(chance, "value_probs", _NUMBER, _OBJECT)),
             p_chance=_get(chance, "p_chance", _NUMBER),
         )
-        rules = tuple(rule_from_dict(r) for r in _get_each(entry, "rules", _OBJECT))
-        if len({rule.rule_id for rule in rules}) != len(rules):
-            raise MalformedRulesError("two rules share a rule_id")
-        ruleset = self.rulesets[feature] = RuleSet(
+        self.rulesets[feature] = RuleSet(
             feature=feature,
-            rules=rules,
+            rules=tuple(map(rule_from_dict, _get_each(entry, "rules", _OBJECT))),
             threshold_mode=mode,
-            training_size=_get(entry, "training_size", _INT),
             tree=tree,
+            verdicts=tuple(map(verdict_from_dict, _get_each(entry, "leaf_verdicts", _OBJECT))),
         )
-        verdicts = self.verdicts[feature] = tuple(
-            verdict_from_dict(v) for v in _get_each(entry, "leaf_verdicts", _OBJECT)
-        )
-        _check_against_tree(ruleset, verdicts)
+        # RuleSet checked that the tree's training_size sums its leaf counts
+        if _get(entry, "training_size", _INT) != tree.training_size:
+            raise MalformedRulesError(
+                f"'training_size' is not {tree.training_size}, the sum of the tree's leaf counts"
+            )
         self.training_triples[feature] = [
             (Triple(*(_get(t, slot, _STRING) for slot in Triple._fields)), _get(t, "count", _INT))
             for t in _get_each(entry, "training_triples", _OBJECT, _LIST, [])

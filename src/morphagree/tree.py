@@ -319,16 +319,6 @@ def _macro_f1_of_groups(tree: DecisionTree, groups: Iterable[TripleGroup]) -> fl
 _METRICS = {"accuracy": _accuracy_of_groups, "macro_f1": _macro_f1_of_groups}
 
 
-def classification_accuracy(tree: DecisionTree, dataset: FeatureDataset) -> float:
-    """Accuracy of majority-class leaf predictions (tie predicts disagree)."""
-    return _accuracy_of_groups(tree, dataset.triples.values())
-
-
-def macro_f1(tree: DecisionTree, dataset: FeatureDataset) -> float:
-    """Macro-averaged F1 over the agree/disagree classes."""
-    return _macro_f1_of_groups(tree, dataset.triples.values())
-
-
 def _cv_scores(
     train: FeatureDataset, points: list[HyperParams], seed: int, metric, n_folds: int = 5
 ) -> list[float]:

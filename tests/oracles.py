@@ -27,7 +27,7 @@ from morphagree.errors import (
     NoMatchingRuleError,
 )
 from morphagree.labeling import RuleSet, ThresholdMode, _leaf_rules, _try_merge
-from morphagree.tree import classification_accuracy, fit, leaf_count, macro_f1
+from morphagree.tree import _METRICS, fit, leaf_count
 from morphagree.triples import FeatureDataset, Triple
 
 
@@ -131,7 +131,7 @@ def grid_search_per_point(train, grid, seed: int, metric: str = "accuracy", n_fo
     takes every k-th shuffled index from f), same selection (mean fold
     score, then fewer leaves, then earlier grid point).
     """
-    score_fn = {"accuracy": classification_accuracy, "macro_f1": macro_f1}[metric]
+    score_fn = _METRICS[metric]
     n = len(train.instances)
     k = min(n_folds, n)
     indices = list(range(n))
@@ -147,7 +147,7 @@ def grid_search_per_point(train, grid, seed: int, metric: str = "accuracy", n_fo
             held_out = [i for idx, i in enumerate(train.instances) if idx in held]
             tree = fit(FeatureDataset(train.feature, tuple(rest)), hp)
             scores.append(
-                score_fn(tree, FeatureDataset(train.feature, tuple(held_out)))
+                score_fn(tree, FeatureDataset(train.feature, tuple(held_out)).triples.values())
             )
         score = sum(scores) / len(scores) if scores else 0.0
         tree = fit(train, hp)
@@ -165,7 +165,7 @@ def merge_rules_restarting(
     start. It shares the package's leaf rules and pairwise merge step, so it
     checks only the order in which pairs are tried."""
     rules = sorted(
-        _leaf_rules(tree, {v.leaf_id: v for v in verdicts}, dataset),
+        _leaf_rules(tree, {v.leaf_id: v.label for v in verdicts}, dataset),
         key=lambda r: r.source_leaf_ids[0],
     )
     changed = True
@@ -186,8 +186,8 @@ def merge_rules_restarting(
         feature=tree.feature,
         rules=tuple(replace(r, rule_id=idx) for idx, r in enumerate(rules, start=1)),
         threshold_mode=threshold_mode,
-        training_size=tree.training_size,
         tree=tree,
+        verdicts=tuple(verdicts),
     )
 
 

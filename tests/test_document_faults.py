@@ -1,11 +1,12 @@
-"""Hand-edited and fuzzed JSON documents and out-of-range counts at the CLI.
+"""Hand-edited and fuzzed documents and out-of-range counts at the CLI.
 
-The fuzz makes one change to the golden rules.json, or to an eval.json
+The JSON fuzz makes one change to the golden rules.json, or to an eval.json
 derived from it: it replaces one value at any depth (only the first three
-items of each list are visited) or deletes one object key. Every command
-that reads the changed document must then return 0, or 1 with an
-``error:`` line, and raise nothing. The named cases are faults once seen
-as tracebacks or as silently wrong reports."""
+items of each list are visited) or deletes one object key. The sheet fuzz
+makes one cell or line change to a labeled annotation sheet exported from
+the golden files. Every command that reads the changed document must then
+return 0, or 1 with an ``error:`` line, and raise nothing. The named cases
+are faults once seen as tracebacks or as silently wrong reports."""
 import json
 import random
 import sys
@@ -16,6 +17,7 @@ import pytest
 import morphagree.cli
 from morphagree.cli import main
 from morphagree.conllu import parse_conllu_file
+from morphagree.evaluation import HumanLabel
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 REPLACEMENTS = ("x", 5, 2.5, None, True, [], {})
@@ -105,12 +107,14 @@ def _commands(tmp_path, train: str, rules: str, names=EVERY_COMMAND) -> list[lis
     return [argv[name] for name in names]
 
 
-def _run_all(tmp_path, cases, commands, capsys) -> list[str]:
-    """Run every command on every case; one line per case that escaped an
-    exception, returned another code, or failed without an error: line."""
+def _run_all(tmp_path, cases, commands, capsys, name="changed.json",
+             dump=json.dumps) -> list[str]:
+    """Run every command on every case, written to name by dump; one line
+    per case that escaped an exception, returned another code, or failed
+    without an error: line."""
     problems = []
     for case, doc in cases:
-        (tmp_path / "changed.json").write_text(json.dumps(doc), encoding="utf-8")
+        (tmp_path / name).write_text(dump(doc), encoding="utf-8")
         for argv in commands:
             capsys.readouterr()
             try:
@@ -302,3 +306,125 @@ def test_counts_below_range_are_rejected_at_parsing(argv, capsys):
         main(argv)
     assert info.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+# --- annotation sheets ---
+
+LABELS = [label.value for label in HumanLabel]
+SHEET_CASES = 30
+SHEET_CELLS = ("", '"', '"x"', "x", " need_not ", "sometimes", "bogus", "feature", "label",
+               "\ufeff", "\r", "a\tb")
+
+
+def _labeled_sheet(tmp_path, train: str, examples: str = "2") -> list[list[str]]:
+    """The cells of each line of the sheet annotation-sheet exports from
+    train and the golden rules.json, each row given a label."""
+    sheet = tmp_path / "sheet.tsv"
+    assert main(["annotation-sheet", "--rules", str(GOLDEN_DIR / "rules.json"), "--train", train,
+                 "--top-k", "20", "--examples", examples, "--out", str(sheet)]) == 0
+    lines = [line.split("\t") for line in sheet.read_text(encoding="utf-8").split("\n")[:-1]]
+    for at, cells in enumerate(lines[1:]):
+        cells[4] = LABELS[at % len(LABELS)]
+    return lines
+
+
+def _tsv(lines: list[list[str]]) -> str:
+    return "".join("\t".join(cells) + "\n" for cells in lines)
+
+
+def _hrm(tmp_path, capsys, text: str) -> tuple[int, str, int | None]:
+    """hrm's exit code and stderr on the sheet text, and on success the
+    number of labeled rows it scored."""
+    (tmp_path / "annotated.tsv").write_text(text, encoding="utf-8")
+    out = tmp_path / "hrm.json"
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main(["hrm", "--rules", str(GOLDEN_DIR / "rules.json"),
+                 "--annotations", str(tmp_path / "annotated.tsv"), "--out", str(out)])
+    err = capsys.readouterr().err
+    if code != 0:
+        return code, err, None
+    features = json.loads(out.read_text(encoding="utf-8"))["features"]
+    return code, err, sum(entry["n_triples"] for entry in features.values())
+
+
+# once a _csv.Error traceback: the csv reader limits a field to 131,072 characters
+def test_sheet_cell_longer_than_a_csv_field_is_read(workspace, capsys):
+    tmp_path, train = workspace
+    lines = _labeled_sheet(tmp_path, train)
+    lines[1][5] = "x" * 140_000
+    assert _hrm(tmp_path, capsys, _tsv(lines)) == (0, "", len(lines) - 1)
+
+
+# once read as 12 of 24 labeled rows: a cell that starts with a quote ran,
+# quoted, into the lines below it
+def test_sheet_of_sent_ids_starting_with_a_quote_is_read_whole(workspace, capsys):
+    tmp_path, train = workspace
+    quoted = tmp_path / "quoted.conllu"
+    text = Path(train).read_text(encoding="utf-8").replace("# sent_id = ", '# sent_id = "')
+    quoted.write_text(text, encoding="utf-8")
+    lines = _labeled_sheet(tmp_path, str(quoted), examples="1")
+    assert all(cells[5].startswith('"') for cells in lines[1:])
+    assert _hrm(tmp_path, capsys, _tsv(lines)) == (0, "", len(lines) - 1)
+
+
+def _label_first(lines: list[list[str]]) -> list[list[str]]:
+    return [[cells[4], *cells[:4], *cells[5:]] for cells in lines]
+
+
+# once an AttributeError traceback: a short row read its missing cells as None
+def test_short_labeled_row_under_reordered_header_names_its_line(workspace, capsys):
+    tmp_path, train = workspace
+    lines = _label_first(_labeled_sheet(tmp_path, train))
+    lines[3] = lines[3][:3]
+    code, err, _ = _hrm(tmp_path, capsys, _tsv(lines))
+    assert code == 1 and err.startswith("error: ") and "line 4:" in err
+
+
+# once "missing annotation columns ['feature']": the header's first name
+# kept the byte order mark
+def test_sheet_with_byte_order_mark_is_read(workspace, capsys):
+    tmp_path, train = workspace
+    lines = _labeled_sheet(tmp_path, train)
+    assert _hrm(tmp_path, capsys, "\ufeff" + _tsv(lines)) == (0, "", len(lines) - 1)
+
+
+def sheet_changes(lines: list[list[str]], count: int, seed: int) -> list[tuple[str, str]]:
+    """count (case id, changed sheet text) pairs, drawn with a seeded
+    generator: one cell of one line replaced, deleted or inserted, or one
+    line deleted, doubled or cut short."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        changed = [list(cells) for cells in lines]
+        at = rng.randrange(len(changed))
+        cells = changed[at]
+        kind = rng.choice(("replace", "delete", "insert", "delete line", "double line", "cut"))
+        col, value = rng.randrange(len(cells)), rng.choice(SHEET_CELLS)
+        if kind == "replace":
+            cells[col] = value
+        elif kind == "delete":
+            del cells[col]
+        elif kind == "insert":
+            cells.insert(col, value)
+        elif kind == "delete line":
+            del changed[at]
+        elif kind == "double line":
+            changed.insert(at, list(cells))
+        else:
+            line = "\t".join(cells)
+            changed[at] = line[:rng.randrange(len(line))].split("\t")
+        detail = f"cell {col} {value!r}" if kind in ("replace", "insert") else f"cell {col}"
+        cases.append((f"line {at + 1}: {kind} {detail}", _tsv(changed)))
+    return cases
+
+
+def test_changed_annotation_sheets_never_escape(workspace, capsys):
+    tmp_path, train = workspace
+    lines = _labeled_sheet(tmp_path, train)
+    commands = [["hrm", "--rules", str(GOLDEN_DIR / "rules.json"),
+                 "--annotations", str(tmp_path / "changed.tsv")]]
+    # the sheet as exported, and with its label column moved first
+    cases = (sheet_changes(lines, SHEET_CASES, 3)
+             + sheet_changes(_label_first(lines), SHEET_CASES, 4))
+    assert _run_all(tmp_path, cases, commands, capsys, "changed.tsv", str) == []

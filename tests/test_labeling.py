@@ -22,6 +22,7 @@ from morphagree import (
 )
 from morphagree.errors import (
     EmptyMarginalsError,
+    InvalidRuleSetError,
     NoMatchingRuleError,
     VerdictMismatchError,
 )
@@ -450,16 +451,16 @@ def test_ruleset_construction_rejects_corrupt_rules():
             feature="Gender",
             rules=(),
             threshold_mode=ThresholdMode.STATISTICAL,
-            training_size=0,
             tree=tree,
+            verdicts=ruleset.verdicts,
         )
     with pytest.raises(NoMatchingRuleError, match="do not list each leaf"):
         RuleSet(
             feature="Gender",
             rules=ruleset.rules + ruleset.rules,
             threshold_mode=ThresholdMode.STATISTICAL,
-            training_size=10,
             tree=tree,
+            verdicts=ruleset.verdicts,
         )
     tree = _tree_from_root(Internal(SplitPredicate("relation", "det"), Leaf(1, 3, 2),
                                     Leaf(2, 1, 4)), 10)
@@ -473,6 +474,53 @@ def test_ruleset_construction_rejects_corrupt_rules():
                                            "relation": Constraint("not_in", frozenset())})
     with pytest.raises(NoMatchingRuleError, match="relation='det'.* matches rules 1 and 2"):
         replace(ruleset, rules=(first, widened))
+
+
+def _two_leaf_tree(nomatch=Leaf(2, 1, 4), training_size=10):
+    return _tree_from_root(Internal(SplitPredicate("relation", "det"), Leaf(1, 3, 2), nomatch),
+                           training_size)
+
+
+# (change to a valid RuleSet of two one-leaf rules, error type, message), one
+# per check of counts, verdicts, rule ids and labels
+DISAGREEMENTS = [
+    pytest.param(lambda rs: replace(rs, tree=_two_leaf_tree(Leaf(2, 1, -4), 2)),
+                 InvalidRuleSetError, "a leaf of the tree has a negative count",
+                 id="negative leaf count"),
+    pytest.param(lambda rs: replace(rs, tree=_two_leaf_tree(training_size=9)),
+                 InvalidRuleSetError,
+                 "'training_size' is not 10, the sum of the tree's leaf counts",
+                 id="wrong training_size"),
+    pytest.param(lambda rs: RuleSet(feature="Gender", rules=rs.rules,
+                                    threshold_mode=rs.threshold_mode, tree=rs.tree,
+                                    verdicts=rs.verdicts[:1]),
+                 VerdictMismatchError, "'leaf_verdicts' do not list each leaf of the tree once",
+                 id="missing verdict"),
+    pytest.param(lambda rs: replace(rs, verdicts=rs.verdicts + rs.verdicts[:1]),
+                 VerdictMismatchError, "'leaf_verdicts' do not list each leaf of the tree once",
+                 id="duplicate verdict"),
+    pytest.param(lambda rs: replace(rs, rules=(rs.rules[0], replace(rs.rules[1], rule_id=1))),
+                 InvalidRuleSetError, "two rules share a rule_id", id="duplicate rule id"),
+    pytest.param(lambda rs: replace(rs, rules=(replace(rs.rules[0], n_agree=4), rs.rules[1])),
+                 InvalidRuleSetError,
+                 "rule 1: 'n_agree' and 'n_disagree' are not the sums over its source leaves",
+                 id="wrong rule counts"),
+    pytest.param(lambda rs: replace(rs, rules=(replace(rs.rules[0], label=Label.CHANCE),
+                                               rs.rules[1])),
+                 VerdictMismatchError, "rule 1: 'label' differs from a source leaf's verdict",
+                 id="wrong rule label"),
+]
+
+
+@pytest.mark.parametrize("change, error, message", DISAGREEMENTS)
+def test_ruleset_construction_rejects_disagreeing_counts_verdicts_and_rules(
+        change, error, message):
+    ruleset = merge_rules(_two_leaf_tree(), [_verdict(1, Label.REQUIRED),
+                                             _verdict(2, Label.CHANCE)])
+    assert len(ruleset.rules) == 2
+    with pytest.raises(InvalidRuleSetError) as info:
+        change(ruleset)
+    assert info.type is error and str(info.value) == message
 
 
 def test_ruleset_partitions_triple_space():

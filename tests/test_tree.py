@@ -20,8 +20,8 @@ from morphagree.tree import (
     Internal,
     Leaf,
     SplitPredicate,
+    _METRICS,
     _fit_points,
-    classification_accuracy,
     leaf_refs,
     leaves,
 )
@@ -119,11 +119,11 @@ def test_grid_search_prefers_depth_that_fits_deep_rule():
     dataset = _deep_rule_dataset()
     shallow = fit(dataset, HyperParams("gini", 6, 1e-3))
     deep = fit(dataset, HyperParams("gini", 15, 1e-3))
-    assert classification_accuracy(shallow, dataset) < 1.0
-    assert classification_accuracy(deep, dataset) == 1.0
+    assert _METRICS["accuracy"](shallow, dataset.triples.values()) < 1.0
+    assert _METRICS["accuracy"](deep, dataset.triples.values()) == 1.0
     chosen = grid_search(dataset, None, HyperGrid(), seed=0)
     assert chosen.hyperparams.max_depth == 15
-    assert classification_accuracy(chosen, dataset) == 1.0
+    assert _METRICS["accuracy"](chosen, dataset.triples.values()) == 1.0
 
 
 def test_grid_search_with_validation_set_picks_higher_accuracy():
@@ -131,7 +131,7 @@ def test_grid_search_with_validation_set_picks_higher_accuracy():
     validation = _deep_rule_dataset(copies=5)
     chosen = grid_search(train, validation, HyperGrid(), seed=0)
     assert chosen.hyperparams.max_depth == 15
-    assert classification_accuracy(chosen, validation) == 1.0
+    assert _METRICS["accuracy"](chosen, validation.triples.values()) == 1.0
 
 
 def test_singleton_grid_equals_fit():
@@ -241,7 +241,7 @@ def test_training_accuracy_at_least_majority_baseline():
     tree = fit(dataset, HP)
     n_agree = sum(agrees(i) for i in dataset.instances)
     majority = max(n_agree, len(dataset.instances) - n_agree) / len(dataset.instances)
-    assert classification_accuracy(tree, dataset) >= majority
+    assert _METRICS["accuracy"](tree, dataset.triples.values()) >= majority
 
 
 def test_leaf_counts_sum_to_training_size():

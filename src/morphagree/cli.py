@@ -93,6 +93,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     doc = load_rules(args.rules)
+    # only --top-k reads the training triples: a malformed list fails here,
+    # before the test treebank is parsed
+    ranked = doc.training_triples if args.top_k is not None else None
     test = parse_conllu_file(args.test)
     features_out: dict[str, dict] = {}
     failures: dict[str, str] = {}
@@ -101,8 +104,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             features_out[feature] = {"absent": True}
             continue
         dataset = extract_instances(test, feature)
-        if args.top_k is not None:
-            triples = [t for t, _ in doc.training_triples[feature][: args.top_k]]
+        if ranked is not None:
+            triples = [t for t, _ in ranked[feature][: args.top_k]]
         else:
             triples = dataset.ranking
         ruleset = doc.rulesets[feature]

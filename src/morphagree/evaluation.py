@@ -176,11 +176,14 @@ def read_annotations(path: str | Path) -> list[AnnotationRecord]:
     (a byte order mark allowed), one row per line, cells split at each tab.
 
     The header names ANNOTATION_COLUMNS in any order; other columns are
-    ignored, as are rows with no label. A labeled row short of a named cell
-    raises MalformedAnnotationsError naming its line; an unknown label,
-    ValueError.
+    ignored, as are rows with no label. A (feature, triple) labeled again
+    with the same label is read once. A labeled row short of a named cell,
+    or one that labels a (feature, triple) differently from an earlier row,
+    raises MalformedAnnotationsError naming its line (and the earlier one);
+    an unknown label, ValueError.
     """
     records: list[AnnotationRecord] = []
+    labeled_at: dict[tuple[str, Triple], tuple[HumanLabel, int]] = {}
     with open(path, encoding="utf-8-sig", newline="\n") as fh:
         header = fh.readline()
         if not header:
@@ -203,13 +206,18 @@ def read_annotations(path: str | Path) -> list[AnnotationRecord]:
                 human = HumanLabel(raw)
             except ValueError:
                 raise ValueError(f"{path}: unknown annotation label {raw!r}") from None
-            records.append(
-                AnnotationRecord(
-                    feature=feature,
-                    triple=Triple(head_pos=head_pos, relation=relation, dep_pos=dep_pos),
-                    human_label=human,
-                )
-            )
+            triple = Triple(head_pos=head_pos, relation=relation, dep_pos=dep_pos)
+            if (feature, triple) in labeled_at:
+                first, first_line = labeled_at[feature, triple]
+                if first is not human:
+                    raise MalformedAnnotationsError(
+                        f"{path}: lines {first_line} and {number} label {feature} "
+                        f"{relation} {head_pos} {dep_pos} differently: "
+                        f"{first.value} and {human.value}"
+                    )
+                continue  # a repeat scores once
+            labeled_at[feature, triple] = (human, number)
+            records.append(AnnotationRecord(feature=feature, triple=triple, human_label=human))
     if not records:
         raise EmptyAnnotationsError(f"{path}: no labeled rows")
     return records

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from contextlib import contextmanager
+from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import InvalidRuleSetError, MalformedRulesError, MalformedScoresError
@@ -74,7 +76,47 @@ def _read_json(path: str | Path, error: type[Exception]):
 
 
 def dump_canonical(doc: dict) -> str:
-    return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    """doc as json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2)
+    writes it, plus a newline. Given an indent, CPython up to 3.13 skips its
+    C encoder for a slower generator; this emitter joins each container's
+    items once instead. A key that is not a string raises TypeError."""
+    return _encode(doc, "") + "\n"
+
+
+def _encode(value, indent: str) -> str:
+    if isinstance(value, str):  # str-valued enums included
+        return encode_basestring(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring(key) + ": " + _encode(value[key], inner))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_encode(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_json(doc: dict, path: str | Path) -> None:
@@ -89,9 +131,10 @@ def _finite(value: float | None) -> float | None:
 
 def tree_node_to_dict(node) -> dict:
     if isinstance(node, Leaf):
-        return {"leaf": asdict(node)}
+        return {"leaf": {"leaf_id": node.leaf_id, "n_agree": node.n_agree,
+                         "n_disagree": node.n_disagree}}
     return {
-        "split": asdict(node.predicate),
+        "split": {"slot": node.predicate.slot, "value": node.predicate.value},
         "match": tree_node_to_dict(node.match_child),
         "nomatch": tree_node_to_dict(node.nomatch_child),
     }
@@ -114,7 +157,11 @@ def tree_to_dict(tree: DecisionTree) -> dict:
     return {
         "feature": tree.feature,
         "training_size": tree.training_size,
-        "hyperparams": asdict(tree.hyperparams),
+        "hyperparams": {
+            "criterion": tree.hyperparams.criterion,
+            "max_depth": tree.hyperparams.max_depth,
+            "min_impurity_decrease": tree.hyperparams.min_impurity_decrease,
+        },
         "root": tree_node_to_dict(tree.root),
     }
 
@@ -254,6 +301,20 @@ def rules_document(
     }
 
 
+@contextmanager
+def _naming(feature: str):
+    """Raise a fault in a feature's entry as MalformedRulesError naming the
+    feature. A container of the wrong type surfaces as TypeError or
+    AttributeError, a tree nested too deeply as RecursionError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise MalformedRulesError(f"feature {feature!r}: missing key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError, RecursionError, MalformedRulesError,
+            InvalidRuleSetError) as exc:
+        raise MalformedRulesError(f"feature {feature!r}: {exc}") from None
+
+
 class RulesDocument:
     """A loaded rules.json: per-feature rule sets plus training metadata.
 
@@ -261,7 +322,8 @@ class RulesDocument:
     lacks a key the loader reads, holds a value of the wrong JSON type or an
     unknown name, or gives a training_size other than its tree's; or when
     its RuleSet fails to build because its tree, leaf verdicts and rules
-    disagree (see RuleSet).
+    disagree (see RuleSet). Its training_triples are checked alike, when
+    they are first read.
     """
 
     def __init__(self, doc: dict):
@@ -276,21 +338,11 @@ class RulesDocument:
         self.absent: set[str] = set()
         self.trees: dict[str, DecisionTree] = {}
         self.chance_models: dict[str, ChanceModel] = {}
-        self.training_triples: dict[str, list[tuple[Triple, int]]] = {}
         mode = ThresholdMode(_get(self.params, "threshold_mode", _STRING, "statistical",
                                   [m.value for m in ThresholdMode]))
         for feature, entry in _get_each(doc, "features", _OBJECT, _OBJECT, {}).items():
-            # a container of the wrong type surfaces here as TypeError or
-            # AttributeError, a tree nested too deeply as RecursionError
-            try:
+            with _naming(feature):
                 self._load_feature(feature, entry, mode)
-            except KeyError as exc:
-                raise MalformedRulesError(
-                    f"feature {feature!r}: missing key {exc.args[0]!r}"
-                ) from None
-            except (TypeError, AttributeError, RecursionError, MalformedRulesError,
-                    InvalidRuleSetError) as exc:
-                raise MalformedRulesError(f"feature {feature!r}: {exc}") from None
 
     def _load_feature(self, feature: str, entry: dict, mode: ThresholdMode) -> None:
         if _get(entry, "absent", _BOOL, False):
@@ -315,10 +367,22 @@ class RulesDocument:
             raise MalformedRulesError(
                 f"'training_size' is not {tree.training_size}, the sum of the tree's leaf counts"
             )
-        self.training_triples[feature] = [
-            (Triple(*(_get(t, slot, _STRING) for slot in Triple._fields)), _get(t, "count", _INT))
-            for t in _get_each(entry, "training_triples", _OBJECT, _LIST, [])
-        ]
+
+    @cached_property
+    def training_triples(self) -> dict[str, list[tuple[Triple, int]]]:
+        """Each present feature's training triples and their counts, most
+        frequent first. Only evaluate --top-k reads them, so they are read
+        and checked on first use, not when the document loads."""
+        triples = {}
+        for feature in self.rulesets:
+            with _naming(feature):
+                triples[feature] = [
+                    (Triple(*(_get(t, slot, _STRING) for slot in Triple._fields)),
+                     _get(t, "count", _INT))
+                    for t in _get_each(self.raw["features"][feature], "training_triples",
+                                       _OBJECT, _LIST, [])
+                ]
+        return triples
 
     @property
     def features(self) -> list[str]:

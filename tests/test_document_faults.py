@@ -17,7 +17,9 @@ import pytest
 import morphagree.cli
 from morphagree.cli import main
 from morphagree.conllu import parse_conllu_file
+from morphagree.errors import MalformedRulesError
 from morphagree.evaluation import HumanLabel
+from morphagree.serialization import load_rules
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 REPLACEMENTS = ("x", 5, 2.5, None, True, [], {})
@@ -234,6 +236,33 @@ def test_faulty_rules_fail_with_error_line(workspace, capsys, edit, commands, na
             assert "'Gender'" in err
 
 
+# the RULES_FAULTS cases that break training_triples[0]
+TRAINING_TRIPLE_FAULTS = [
+    (edit, named) for edit, _, named in RULES_FAULTS
+    if named in {f"'{slot}' must be a string" for slot in ("relation", "head_pos", "dep_pos")}
+]
+
+
+@pytest.mark.parametrize("edit, named", TRAINING_TRIPLE_FAULTS,
+                         ids=[named for _, named in TRAINING_TRIPLE_FAULTS])
+def test_malformed_training_triples_fail_only_evaluate_top_k(workspace, edit, named):
+    tmp_path, train = workspace
+    doc = json.loads((GOLDEN_DIR / "rules.json").read_text(encoding="utf-8"))
+    edit(doc)
+    rules = tmp_path / "faulty.json"
+    rules.write_text(json.dumps(doc), encoding="utf-8")
+    loaded = load_rules(rules)
+    with pytest.raises(MalformedRulesError, match=f"feature 'Gender': {named}"):
+        loaded.training_triples
+    # no other command reads the list, nor evaluate of every test triple
+    commands = _commands(tmp_path, train, str(rules),
+                         ("annotation-sheet", "hrm", "complexity", "report"))
+    commands.append(["evaluate", "--rules", str(rules), "--test", train,
+                     "--out", str(tmp_path / "out-eval.json")])
+    for argv in commands:
+        assert main(argv) == 0, argv[0]
+
+
 _SPLIT = ('{"split": {"slot": "relation", "value": "det"}, "nomatch": {"leaf": '
           '{"leaf_id": 1, "n_agree": 1, "n_disagree": 0}}, "match": ')
 _LEAF = '{"leaf": {"leaf_id": 2, "n_agree": 1, "n_disagree": 0}}'
@@ -387,6 +416,33 @@ def test_sheet_with_byte_order_mark_is_read(workspace, capsys):
     tmp_path, train = workspace
     lines = _labeled_sheet(tmp_path, train)
     assert _hrm(tmp_path, capsys, "\ufeff" + _tsv(lines)) == (0, "", len(lines) - 1)
+
+
+def _doubled_first_gender_row(tmp_path, train: str, label: str) -> tuple[list[list[str]], int]:
+    """The golden sheet with every row labeled need_not and Gender's first
+    row repeated below it with label, and the repeat's line number."""
+    lines = _labeled_sheet(tmp_path, train, examples="1")
+    for cells in lines[1:]:
+        cells[4] = "need_not"
+    first = next(at for at, cells in enumerate(lines) if cells[0] == "Gender")
+    lines.insert(first + 1, [*lines[first][:4], label, *lines[first][5:]])
+    return lines, first + 2
+
+
+# once read as "Gender: HRM 0.692 (9/13)" for 12 distinct triples, exit 0
+def test_sheet_labeling_a_triple_twice_differently_names_both_lines(workspace, capsys):
+    tmp_path, train = workspace
+    lines, repeat = _doubled_first_gender_row(tmp_path, train, "almost_always")
+    code, err, _ = _hrm(tmp_path, capsys, _tsv(lines))
+    assert code == 1 and err.startswith("error: ")
+    assert f"lines {repeat - 1} and {repeat} label Gender" in err
+
+
+def test_sheet_labeling_a_triple_twice_alike_scores_it_once(workspace, capsys):
+    tmp_path, train = workspace
+    lines, _ = _doubled_first_gender_row(tmp_path, train, "need_not")
+    code, err, scored = _hrm(tmp_path, capsys, _tsv(lines))
+    assert (code, err, scored) == (0, "", len(lines) - 2)
 
 
 def sheet_changes(lines: list[list[str]], count: int, seed: int) -> list[tuple[str, str]]:

@@ -49,6 +49,7 @@ from .tree import (
     grid_search,
     leaf_count,
     predict_leaf,
+    route,
 )
 from .triples import (
     DEFAULT_FEATURES,

@@ -15,7 +15,7 @@ from .errors import (
     NoEvaluableTriplesError,
     ZeroVarianceError,
 )
-from .labeling import Label, RuleSet, label_triple
+from .labeling import Label, RuleSet, rules_for
 from .triples import FeatureDataset, Triple
 
 
@@ -98,9 +98,9 @@ def arm(
 ) -> EvalReport:
     """Automated rule metric: a triple scores 1 when the rule label matches
     the held-out label (required iff empirical agreement q > tau)."""
-    return _score_triples(
-        test, triples, tau, lambda t: label_triple(ruleset, t), ruleset.feature
-    )
+    triples = list(triples)
+    rule_of = rules_for(ruleset, triples)
+    return _score_triples(test, triples, tau, lambda t: rule_of[t].label, ruleset.feature)
 
 
 def baseline_arm(
@@ -136,10 +136,11 @@ def hrm(
         raise FeatureMismatchError(
             f"no annotations for feature {ruleset.feature!r}"
         )
+    rule_of = rules_for(ruleset, [record.triple for record in relevant])
     details = []
     for record in relevant:
         mapped = map_human_label(record.human_label, strict)
-        tree_label = label_triple(ruleset, record.triple)
+        tree_label = rule_of[record.triple].label
         details.append(
             AnnotationVerdict(
                 triple=record.triple,

@@ -18,11 +18,11 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import (EmptyMarginalsError, InvalidRuleSetError, NoMatchingRuleError,
                      VerdictMismatchError)
-from .tree import SLOT_ORDER, DecisionTree, Leaf, leaf_refs, predict_leaf
+from .tree import SLOT_ORDER, DecisionTree, Leaf, leaf_refs, route
 from .triples import FeatureDataset, Triple
 
 # example and counterexample refs kept per rule; refs run leaf by leaf in
@@ -508,10 +508,20 @@ def merge_rules(
     )
 
 
+def rules_for(ruleset: RuleSet, triples: Iterable[Triple]) -> dict[Triple, LabeledRule]:
+    """Each of the triples mapped to the rule of the tree leaf it routes to,
+    the batch routed at once; building the RuleSet checked that it is the
+    only rule matching the triple."""
+    rule_by_leaf = ruleset._rule_by_leaf
+    return {
+        triple: rule_by_leaf[leaf_id]
+        for triple, leaf_id in route(ruleset.tree, triples).items()
+    }
+
+
 def rule_for(ruleset: RuleSet, triple: Triple) -> LabeledRule:
-    """The rule of the tree leaf the triple routes to; building the RuleSet
-    checked that it is the only rule matching the triple."""
-    return ruleset._rule_by_leaf[predict_leaf(ruleset.tree, triple)]
+    """The one rule matching the triple (see rules_for)."""
+    return rules_for(ruleset, (triple,))[triple]
 
 
 def label_triple(ruleset: RuleSet, triple: Triple) -> Label:

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .conllu import Edge, Sentence, Treebank
 from .evaluation import ANNOTATION_COLUMNS
-from .labeling import Label, LabeledRule, RuleSet, rule_for
+from .labeling import Label, LabeledRule, RuleSet, rules_for
 from .serialization import RulesDocument
 from .tree import SLOT_ORDER
 from .triples import extract_instances, top_k_triples
@@ -162,9 +162,10 @@ def render_feature_page(
     by_rule: dict[int, tuple[list[Edge], list[Edge]]] = {
         rule.rule_id: ([], []) for rule in ruleset.rules
     }
-    pools_of = {}
-    for triple in dataset.triples:
-        pools_of[triple] = by_rule[rule_for(ruleset, triple).rule_id]
+    pools_of = {
+        triple: by_rule[rule.rule_id]
+        for triple, rule in rules_for(ruleset, dataset.triples).items()
+    }
     for inst, agree in zip(dataset.instances, dataset.agree):
         pools_of[inst.triple][not agree].append(inst)
     verdict_by_leaf = {v.leaf_id: v for v in ruleset.verdicts}

@@ -12,18 +12,25 @@ chosen at a node depends only on the groups reaching it; max_depth only
 stops growth. So the tree fitted with max_depth d is the tree fitted with
 any larger max_depth cut at depth d, each cut node frozen as a leaf over
 its own groups, which gives the same leaf ids and counts. grid_search
-relies on this: per criterion (and per cross-validation fold) it grows one
-tree at the grid's largest depth and freezes it once per grid point.
+relies on this for growth and for scoring: per criterion (and per
+cross-validation fold) it grows one tree at the grid's largest depth,
+routes the scored groups through that grown tree once, and scores every
+grid point from the held-out totals of the nodes its cut makes leaves.
+Only the winning point is frozen.
 
-Leaves hold counts only. leaf_refs recovers the instances of each leaf of
-one chosen tree by routing the dataset's triples through it.
+Routing is by partition: route splits a batch of triples once per
+internal node it reaches, as growth splits groups, so no triple walks the
+tree on its own. Leaves hold counts only; leaf_refs recovers the
+instances of each leaf of one chosen tree by routing the dataset's
+triples through it.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .errors import EmptyDatasetError
 from .triples import FeatureDataset, Triple, TripleGroup
@@ -38,9 +45,6 @@ SLOT_ORDER = ("relation", "head_pos", "dep_pos")
 class SplitPredicate:
     slot: str  # one of SLOT_ORDER
     value: str
-
-    def matches(self, triple: Triple) -> bool:
-        return getattr(triple, self.slot) == self.value
 
 
 @dataclass(frozen=True)
@@ -137,10 +141,12 @@ class _Node:
 
 def _best_split(
     groups: list[TripleGroup], node_agree: int, node_disagree: int, impurity, n_total: int
-) -> tuple[SplitPredicate, float] | None:
+) -> tuple[SplitPredicate, float, int, int] | None:
+    """The first split of maximal impurity decrease: its predicate, the
+    decrease and the match side's (agree, disagree) totals."""
     n_node = node_agree + node_disagree
     node_impurity = impurity(node_agree, node_disagree)
-    best: tuple[SplitPredicate, float] | None = None
+    best: tuple[SplitPredicate, float, int, int] | None = None
     for slot in SLOT_ORDER:
         per_value: dict[str, list[int]] = {}
         for g in groups:
@@ -162,39 +168,48 @@ def _best_split(
             ) / n_node
             delta = (n_node / n_total) * (node_impurity - child_impurity)
             if best is None or delta > best[1]:
-                best = (SplitPredicate(slot, value), delta)
+                best = (SplitPredicate(slot, value), delta, m_agree, m_disagree)
     return best
+
+
+def _partition(
+    groups: list[TripleGroup], predicate: SplitPredicate
+) -> tuple[list[TripleGroup], list[TripleGroup]]:
+    """The groups whose triple matches the predicate, and the rest."""
+    slot, value = predicate.slot, predicate.value
+    match: list[TripleGroup] = []
+    nomatch: list[TripleGroup] = []
+    for g in groups:
+        (match if getattr(g.triple, slot) == value else nomatch).append(g)
+    return match, nomatch
 
 
 def _grow(
     groups: list[TripleGroup],
+    n_agree: int,
+    n_disagree: int,
     depth: int,
     max_depth: int,
     min_impurity_decrease: float,
     impurity,
     n_total: int,
 ) -> _Node:
-    node = _Node(depth, sum(g.n_agree for g in groups), sum(g.n_disagree for g in groups))
-    if (
-        node.n_agree == 0
-        or node.n_disagree == 0
-        or depth >= max_depth
-        or len(groups) == 1
-    ):
+    """Grow from the groups reaching a node, whose totals the caller passes:
+    the root's are summed, each child's come from its parent's chosen split."""
+    node = _Node(depth, n_agree, n_disagree)
+    if n_agree == 0 or n_disagree == 0 or depth >= max_depth or len(groups) == 1:
         return node
-    best = _best_split(groups, node.n_agree, node.n_disagree, impurity, n_total)
+    best = _best_split(groups, n_agree, n_disagree, impurity, n_total)
     if best is None or best[1] < min_impurity_decrease:
         return node
-    predicate = best[0]
-    slot, value = predicate.slot, predicate.value
-    match: list[TripleGroup] = []
-    nomatch: list[TripleGroup] = []
-    for g in groups:
-        (match if getattr(g.triple, slot) == value else nomatch).append(g)
+    predicate, _, m_agree, m_disagree = best
+    match, nomatch = _partition(groups, predicate)
     node.split = (
         predicate,
-        _grow(match, depth + 1, max_depth, min_impurity_decrease, impurity, n_total),
-        _grow(nomatch, depth + 1, max_depth, min_impurity_decrease, impurity, n_total),
+        _grow(match, m_agree, m_disagree, depth + 1, max_depth,
+              min_impurity_decrease, impurity, n_total),
+        _grow(nomatch, n_agree - m_agree, n_disagree - m_disagree, depth + 1, max_depth,
+              min_impurity_decrease, impurity, n_total),
     )
     return node
 
@@ -211,15 +226,14 @@ def _freeze(node: _Node, max_depth: int, counter: list[int]) -> TreeNode:
     return Internal(predicate, match_child, nomatch_child)
 
 
-def _fit_points(
-    feature: str, groups: list[TripleGroup], points: list[HyperParams]
-) -> list[DecisionTree]:
-    """One tree per point, in order. Points sharing a criterion and impurity
-    floor are cut from one growth at their largest max_depth (depth nesting,
-    see the module docstring)."""
-    n_total = sum(g.size for g in groups)
+def _grow_points(groups: list[TripleGroup], points: list[HyperParams]) -> list[_Node]:
+    """The grown root of every point, in order. Points sharing a criterion
+    and impurity floor share one growth at their largest max_depth (depth
+    nesting, see the module docstring)."""
+    n_agree = sum(g.n_agree for g in groups)
+    n_disagree = sum(g.n_disagree for g in groups)
     grown: dict[tuple[str, float], _Node] = {}
-    trees = []
+    roots = []
     for hp in points:
         key = (hp.criterion, hp.min_impurity_decrease)
         if key not in grown:
@@ -231,41 +245,79 @@ def _fit_points(
                 if (p.criterion, p.min_impurity_decrease) == key
             )
             grown[key] = _grow(
-                groups, 0, depth, hp.min_impurity_decrease, _IMPURITY[hp.criterion], n_total
+                groups, n_agree, n_disagree, 0, depth, hp.min_impurity_decrease,
+                _IMPURITY[hp.criterion], n_agree + n_disagree,
             )
-        root = _freeze(grown[key], hp.max_depth, [0])
-        trees.append(
-            DecisionTree(feature=feature, root=root, hyperparams=hp, training_size=n_total)
-        )
-    return trees
+        roots.append(grown[key])
+    return roots
+
+
+def _cut_leaves(root: _Node, max_depth: int) -> Iterator[_Node]:
+    """The grown nodes that are leaves of the tree cut at max_depth."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.split is None or node.depth >= max_depth:
+            yield node
+        else:
+            stack.append(node.split[2])
+            stack.append(node.split[1])
+
+
+def _frozen(feature: str, root: _Node, hyperparams: HyperParams) -> DecisionTree:
+    return DecisionTree(
+        feature=feature,
+        root=_freeze(root, hyperparams.max_depth, [0]),
+        hyperparams=hyperparams,
+        training_size=root.n_agree + root.n_disagree,
+    )
 
 
 def fit(dataset: FeatureDataset, hyperparams: HyperParams) -> DecisionTree:
     """Fit a tree on the dataset's triple groups; induction is deterministic."""
     if not dataset.instances:
         raise EmptyDatasetError(f"no instances for feature {dataset.feature!r}")
-    return _fit_points(dataset.feature, list(dataset.triples.values()), [hyperparams])[0]
+    root = _grow_points(list(dataset.triples.values()), [hyperparams])[0]
+    return _frozen(dataset.feature, root, hyperparams)
 
 
-def _leaf_for(tree: DecisionTree, triple: Triple) -> Leaf:
-    node = tree.root
-    while isinstance(node, Internal):
-        node = node.match_child if node.predicate.matches(triple) else node.nomatch_child
-    return node
+def route(tree: DecisionTree, triples: Iterable[Triple]) -> dict[Triple, int]:
+    """Each of the triples, seen or unseen, mapped to the id of its unique
+    leaf. The batch is split once per internal node that a triple of it
+    reaches, so routing one triple costs the depth of its leaf."""
+    leaf_of: dict[Triple, int] = {}
+    stack = [(tree.root, list(triples))]
+    while stack:
+        node, batch = stack.pop()
+        if isinstance(node, Leaf):
+            for triple in batch:
+                leaf_of[triple] = node.leaf_id
+            continue
+        slot, value = node.predicate.slot, node.predicate.value
+        match: list[Triple] = []
+        nomatch: list[Triple] = []
+        for triple in batch:
+            (match if getattr(triple, slot) == value else nomatch).append(triple)
+        if nomatch:
+            stack.append((node.nomatch_child, nomatch))
+        if match:
+            stack.append((node.match_child, match))
+    return leaf_of
 
 
 def predict_leaf(tree: DecisionTree, triple: Triple) -> int:
     """Route a triple (seen or unseen) to the id of its unique leaf."""
-    return _leaf_for(tree, triple).leaf_id
+    return route(tree, (triple,))[triple]
 
 
 def leaf_refs(tree: DecisionTree, dataset: FeatureDataset) -> dict[int, list[int]]:
     """Indices of the dataset's instances per leaf id, triple by triple in
     the order of the dataset's triple table, each triple's in document
     order. Leaves that no instance reaches are absent."""
+    leaf_of = route(tree, dataset.triples)
     refs: dict[int, list[int]] = {}
-    for group in dataset.triples.values():
-        refs.setdefault(_leaf_for(tree, group.triple).leaf_id, []).extend(group.refs)
+    for triple, group in dataset.triples.items():
+        refs.setdefault(leaf_of[triple], []).extend(group.refs)
     return refs
 
 
@@ -287,36 +339,86 @@ def leaf_count(tree: DecisionTree) -> int:
     return len(leaves(tree))
 
 
-def _accuracy_of_groups(tree: DecisionTree, groups: Iterable[TripleGroup]) -> float:
-    # instances sharing a triple route identically, so score per triple
-    hits = total = 0
-    for g in groups:
-        leaf = _leaf_for(tree, g.triple)
-        hits += g.n_agree if leaf.n_agree > leaf.n_disagree else g.n_disagree
-        total += g.size
-    return hits / total if total else 0.0
+def _held_totals(
+    node: _Node, groups: list[TripleGroup], totals: dict[_Node, tuple[int, int]]
+) -> tuple[int, int]:
+    """Record in totals the (agree, disagree) sums of the held-out groups
+    reaching each node of a grown tree, routed by partition, and return the
+    node's. Nodes that no group reaches are left out."""
+    if not groups:
+        return 0, 0
+    if node.split is None:
+        held = (sum(g.n_agree for g in groups), sum(g.n_disagree for g in groups))
+    else:
+        predicate, match_child, nomatch_child = node.split
+        match, nomatch = _partition(groups, predicate)
+        match_agree, match_disagree = _held_totals(match_child, match, totals)
+        nomatch_agree, nomatch_disagree = _held_totals(nomatch_child, nomatch, totals)
+        held = (match_agree + nomatch_agree, match_disagree + nomatch_disagree)
+    totals[node] = held
+    return held
 
 
-def _macro_f1_of_groups(tree: DecisionTree, groups: Iterable[TripleGroup]) -> float:
-    # per-class confusion counts: tp, fp, fn
-    stats = {True: [0, 0, 0], False: [0, 0, 0]}
-    for g in groups:
-        predicted = _leaf_for(tree, g.triple)
-        predicted_agree = predicted.n_agree > predicted.n_disagree
-        correct, wrong = (
-            (g.n_agree, g.n_disagree) if predicted_agree else (g.n_disagree, g.n_agree)
-        )
-        stats[predicted_agree][0] += correct
-        stats[predicted_agree][1] += wrong
-        stats[not predicted_agree][2] += wrong
-    f1s = []
-    for tp, fp, fn in stats.values():
-        denom = 2 * tp + fp + fn
-        f1s.append(2 * tp / denom if denom else 0.0)
-    return sum(f1s) / len(f1s)
+# A metric maps the held-out confusion counts (tp, fp, fn, tn), agreement
+# being the positive class, to a score. These are the integers a per-triple
+# walk of the frozen tree would add up, so the scores are exact.
+
+def _accuracy(tp: int, fp: int, fn: int, tn: int) -> float:
+    total = tp + fp + fn + tn
+    return (tp + tn) / total if total else 0.0
 
 
-_METRICS = {"accuracy": _accuracy_of_groups, "macro_f1": _macro_f1_of_groups}
+def _macro_f1(tp: int, fp: int, fn: int, tn: int) -> float:
+    # the agree class, then the disagree class, whose tp is tn and whose fp
+    # and fn swap
+    agree_denom = 2 * tp + fp + fn
+    disagree_denom = 2 * tn + fn + fp
+    f1_agree = 2 * tp / agree_denom if agree_denom else 0.0
+    f1_disagree = 2 * tn / disagree_denom if disagree_denom else 0.0
+    return (f1_agree + f1_disagree) / 2
+
+
+_METRICS = {"accuracy": _accuracy, "macro_f1": _macro_f1}
+
+
+def _scores(
+    roots: list[_Node], points: list[HyperParams], held: list[TripleGroup], metric
+) -> list[float]:
+    """The metric of every point's cut on the held-out groups, which are
+    routed once through each distinct grown tree. A cut leaf predicts
+    agreement when its training totals have more agree than disagree."""
+    totals: dict[_Node, tuple[int, int]] = {}
+    for root in roots:
+        if root not in totals:
+            _held_totals(root, held, totals)
+    scores = []
+    for root, hp in zip(roots, points):
+        tp = fp = fn = tn = 0
+        for node in _cut_leaves(root, hp.max_depth):
+            held_agree, held_disagree = totals.get(node, (0, 0))
+            if node.n_agree > node.n_disagree:
+                tp += held_agree
+                fp += held_disagree
+            else:
+                fn += held_agree
+                tn += held_disagree
+        scores.append(metric(tp, fp, fn, tn))
+    return scores
+
+
+@lru_cache(maxsize=8)
+def _fold_of(seed: int, n: int, k: int) -> bytes:
+    """The fold of each of n instance indices, one byte each (so k <= 256):
+    the indices are shuffled by the seed, and fold f takes every k-th of
+    them from position f. Features of one run share a seed and often their
+    instance count, so the shuffle is made once per (seed, n, k)."""
+    indices = list(range(n))
+    random.Random(seed).shuffle(indices)
+    fold_of = bytearray(n)
+    for fold in range(k):
+        for idx in indices[fold::k]:
+            fold_of[idx] = fold
+    return bytes(fold_of)
 
 
 def _cv_scores(
@@ -325,18 +427,14 @@ def _cv_scores(
     """Seed-shuffled k-fold score of every point, at triple-count granularity.
 
     The folds and their training groups are built once; each fold then
-    grows once per criterion for all points.
+    grows once per criterion, and its held-out groups are routed once per
+    growth, for all points.
     """
     n = len(train.instances)
     k = min(n_folds, n)
     if k < 2:
         return [0.0] * len(points)
-    indices = list(range(n))
-    random.Random(seed).shuffle(indices)
-    fold_of = [0] * n
-    for fold in range(k):
-        for idx in indices[fold::k]:
-            fold_of[idx] = fold
+    fold_of = _fold_of(seed, n, k)
     # split every triple group into its held-out part per fold and the rest
     held: list[list[TripleGroup]] = [[] for _ in range(k)]
     rest: list[list[TripleGroup]] = [[] for _ in range(k)]
@@ -358,9 +456,9 @@ def _cv_scores(
                 )
     scores: list[list[float]] = [[] for _ in points]
     for held_groups, rest_groups in zip(held, rest):
-        trees = _fit_points(train.feature, rest_groups, points)
-        for point_scores, tree in zip(scores, trees):
-            point_scores.append(metric(tree, held_groups))
+        fold_scores = _scores(_grow_points(rest_groups, points), points, held_groups, metric)
+        for point_scores, score in zip(scores, fold_scores):
+            point_scores.append(score)
     return [sum(s) / len(s) for s in scores]
 
 
@@ -371,7 +469,7 @@ def grid_search(
     seed: int = 0,
     metric: str = "accuracy",
 ) -> DecisionTree:
-    """Fit one tree per grid point and return the best, refit on full train.
+    """Score every grid point and return the best tree, fitted on full train.
 
     Selection uses the metric on the validation set when one is given
     (and non-empty), else seed-shuffled 5-fold cross-validation on train.
@@ -381,17 +479,14 @@ def grid_search(
         raise EmptyDatasetError(f"no instances for feature {train.feature!r}")
     metric_fn = _METRICS[metric]
     points = grid.points()
-    trees = _fit_points(train.feature, list(train.triples.values()), points)
+    roots = _grow_points(list(train.triples.values()), points)
     if validation is not None and len(validation.instances) > 0:
-        scores = [metric_fn(tree, validation.triples.values()) for tree in trees]
+        scores = _scores(roots, points, list(validation.triples.values()), metric_fn)
     else:
         scores = _cv_scores(train, points, seed, metric_fn)
-    best_tree: DecisionTree | None = None
-    best_key: tuple[float, int] | None = None
-    for tree, score in zip(trees, scores):
-        key = (score, -leaf_count(tree))
-        if best_key is None or key > best_key:
-            best_key = key
-            best_tree = tree
-    assert best_tree is not None
-    return best_tree
+    # every leaf of each cut counts, reached by a scored group or not
+    leaf_counts = [
+        sum(1 for _ in _cut_leaves(root, hp.max_depth)) for root, hp in zip(roots, points)
+    ]
+    best = max(range(len(points)), key=lambda i: (scores[i], -leaf_counts[i]))
+    return _frozen(train.feature, roots[best], points[best])

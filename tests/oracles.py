@@ -3,12 +3,14 @@
 These deliberately avoid the package's own code paths: the chi-square
 survival function is adaptive-Simpson integration of the density (the
 package uses erfc), splits are found by exhaustive enumeration,
-entropy/correlation are recomputed from their definitions, grid search
-fits every grid point and every cross-validation fold separately, rule
-merging rescans every pair from the start after each merge, a triple's
-rule is found by testing every rule instead of routing through the tree,
-and CoNLL-U is parsed token by token with a fresh FEATS dict per token and
-walked once per feature, with no shared edge table.
+entropy/correlation are recomputed from their definitions, a whole tree is
+grown by exhaustive search over instances at every node, triples are
+walked down the tree one at a time and scored one group at a time, grid
+search fits and scores every grid point and every cross-validation fold
+separately, rule merging rescans every pair from the start after each
+merge, a triple's rule is found by testing every rule instead of routing
+through the tree, and CoNLL-U is parsed token by token with a fresh FEATS
+dict per token and walked once per feature, with no shared edge table.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from morphagree.errors import (
     NoMatchingRuleError,
 )
 from morphagree.labeling import RuleSet, ThresholdMode, _leaf_rules, _try_merge
-from morphagree.tree import _METRICS, fit, leaf_count
+from morphagree.tree import Internal, fit, leaf_count
 from morphagree.triples import FeatureDataset, Triple
 
 
@@ -108,6 +110,141 @@ def brute_force_best_first_split(instances, criterion: str = "gini"):
     return best, best_delta
 
 
+def _impurity_of_counts(criterion: str, n_agree: int, n_disagree: int) -> float:
+    """Gini or entropy of a node's counts. Exact ties between splits are
+    common, so the arithmetic is that of the documented definitions, term
+    for term: a tie must stay a tie."""
+    n = n_agree + n_disagree
+    if n == 0:
+        return 0.0
+    if criterion == "gini":
+        p = n_agree / n
+        return 2.0 * p * (1.0 - p)
+    h = 0.0
+    for c in (n_disagree, n_agree):
+        if c:
+            p = c / n
+            h -= p * math.log2(p)
+    return h
+
+
+def brute_force_grow(instances, criterion: str, max_depth: int, min_impurity_decrease: float):
+    """Grow a whole CART tree over (triple, agree) pairs by exhaustive search.
+
+    At every node, every (slot, value) of the node's instances is scored in
+    slot order (relation, head_pos, dep_pos) then sorted value order, from
+    counts recounted over the instances; the first maximal impurity
+    decrease wins. Growth stops at a pure node, at max_depth, when no split
+    separates the instances, or when the best decrease is below the floor.
+    Returns nested ``(slot, value, match, nomatch)`` tuples with
+    ``(n_agree, n_disagree)`` leaves.
+    """
+    n_total = len(instances)
+
+    def grow(node_instances, depth):
+        n_agree = sum(1 for _, a in node_instances if a)
+        n_disagree = len(node_instances) - n_agree
+        if n_agree == 0 or n_disagree == 0 or depth >= max_depth:
+            return (n_agree, n_disagree)
+        n_node = len(node_instances)
+        parent = _impurity_of_counts(criterion, n_agree, n_disagree)
+        candidates = []
+        for slot in ("relation", "head_pos", "dep_pos"):
+            for value in sorted({getattr(t, slot) for t, _ in node_instances}):
+                match = [(t, a) for t, a in node_instances if getattr(t, slot) == value]
+                nomatch = [(t, a) for t, a in node_instances if getattr(t, slot) != value]
+                if not match or not nomatch:
+                    continue
+                m_agree = sum(1 for _, a in match if a)
+                u_agree = sum(1 for _, a in nomatch if a)
+                child = (
+                    len(match) * _impurity_of_counts(criterion, m_agree, len(match) - m_agree)
+                    + len(nomatch)
+                    * _impurity_of_counts(criterion, u_agree, len(nomatch) - u_agree)
+                ) / n_node
+                delta = (n_node / n_total) * (parent - child)
+                candidates.append((delta, slot, value, match, nomatch))
+        if not candidates:
+            return (n_agree, n_disagree)
+        best_delta = max(c[0] for c in candidates)
+        _, slot, value, match, nomatch = next(c for c in candidates if c[0] == best_delta)
+        if best_delta < min_impurity_decrease:
+            return (n_agree, n_disagree)
+        return (slot, value, grow(match, depth + 1), grow(nomatch, depth + 1))
+
+    return grow(list(instances), 0)
+
+
+def _walk_to_leaf(tree, triple):
+    node = tree.root
+    while isinstance(node, Internal):
+        predicate = node.predicate
+        matched = getattr(triple, predicate.slot) == predicate.value
+        node = node.match_child if matched else node.nomatch_child
+    return node
+
+
+def leaf_id_by_walking(tree, triple) -> int:
+    """The id of the leaf a single triple reaches, walked down node by node."""
+    return _walk_to_leaf(tree, triple).leaf_id
+
+
+def accuracy_of_groups(tree, groups) -> float:
+    """Held-out accuracy of a frozen tree, each group's triple walked down
+    on its own; a leaf predicts agreement when it has more agree than
+    disagree."""
+    hits = total = 0
+    for g in groups:
+        leaf = _walk_to_leaf(tree, g.triple)
+        hits += g.n_agree if leaf.n_agree > leaf.n_disagree else g.n_disagree
+        total += g.size
+    return hits / total if total else 0.0
+
+
+def macro_f1_of_groups(tree, groups) -> float:
+    """Held-out macro-F1 over the agree and disagree classes, each group's
+    triple walked down on its own."""
+    # per-class confusion counts: tp, fp, fn
+    stats = {True: [0, 0, 0], False: [0, 0, 0]}
+    for g in groups:
+        predicted = _walk_to_leaf(tree, g.triple)
+        predicted_agree = predicted.n_agree > predicted.n_disagree
+        correct, wrong = (
+            (g.n_agree, g.n_disagree) if predicted_agree else (g.n_disagree, g.n_agree)
+        )
+        stats[predicted_agree][0] += correct
+        stats[predicted_agree][1] += wrong
+        stats[not predicted_agree][2] += wrong
+    f1s = []
+    for tp, fp, fn in stats.values():
+        denom = 2 * tp + fp + fn
+        f1s.append(2 * tp / denom if denom else 0.0)
+    return sum(f1s) / len(f1s)
+
+
+METRICS = {"accuracy": accuracy_of_groups, "macro_f1": macro_f1_of_groups}
+
+
+def _best_of(trees_and_scores):
+    """The tree of the highest score, then fewer leaves, then earliest."""
+    best_tree, best_key = None, None
+    for tree, score in trees_and_scores:
+        key = (score, -leaf_count(tree))
+        if best_key is None or key > best_key:
+            best_tree, best_key = tree, key
+    return best_tree
+
+
+def grid_search_on_validation(train, validation, grid, metric: str = "accuracy"):
+    """Validation-set grid search the direct way: a separate fit of every
+    grid point, scored on the validation groups with the per-triple walk."""
+    score_fn = METRICS[metric]
+    return _best_of(
+        (tree, score_fn(tree, validation.triples.values()))
+        for tree in (fit(train, hp) for hp in grid.points())
+    )
+
+
 def entropy_bits_oracle(probs) -> float:
     return -sum(p * math.log2(p) for p in probs if p > 0.0)
 
@@ -131,7 +268,7 @@ def grid_search_per_point(train, grid, seed: int, metric: str = "accuracy", n_fo
     takes every k-th shuffled index from f), same selection (mean fold
     score, then fewer leaves, then earlier grid point).
     """
-    score_fn = _METRICS[metric]
+    score_fn = METRICS[metric]
     n = len(train.instances)
     k = min(n_folds, n)
     indices = list(range(n))
@@ -139,8 +276,8 @@ def grid_search_per_point(train, grid, seed: int, metric: str = "accuracy", n_fo
     # with fewer than two instances there is nothing to cross-validate and
     # every point scores 0
     folds = [set(indices[fold::k]) for fold in range(k)] if k >= 2 else []
-    best_tree, best_key = None, None
-    for hp in grid.points():
+
+    def cv_score(hp):
         scores = []
         for held in folds:
             rest = [i for idx, i in enumerate(train.instances) if idx not in held]
@@ -149,12 +286,9 @@ def grid_search_per_point(train, grid, seed: int, metric: str = "accuracy", n_fo
             scores.append(
                 score_fn(tree, FeatureDataset(train.feature, tuple(held_out)).triples.values())
             )
-        score = sum(scores) / len(scores) if scores else 0.0
-        tree = fit(train, hp)
-        key = (score, -leaf_count(tree))
-        if best_key is None or key > best_key:
-            best_tree, best_key = tree, key
-    return best_tree
+        return sum(scores) / len(scores) if scores else 0.0
+
+    return _best_of((fit(train, hp), cv_score(hp)) for hp in grid.points())
 
 
 def merge_rules_restarting(

@@ -1,5 +1,6 @@
 """Frozen-output regression test: extraction must reproduce the committed
-golden rules.json byte for byte, the golden file must keep meaning what it
+golden rules.json (cross-validated selection) and rules-dev.json (selection
+on dev.conllu) byte for byte, the golden file must keep meaning what it
 meant when frozen, and the eval.json, sheet.tsv and report pages derived
 from it keep their bytes."""
 import hashlib
@@ -25,22 +26,39 @@ GOLDEN_OUTPUT_DIGESTS = {
 }
 
 
-def test_extract_reproduces_golden_rules(tmp_path, monkeypatch):
-    # run from the repository root with the training path the golden file
-    # records, so the written bytes must equal the committed file's
+def _extract_from_repo_root(tmp_path, monkeypatch, *options: str) -> bytes:
+    # run from the repository root with the paths the golden files record,
+    # so the written bytes must equal the committed file's
     monkeypatch.chdir(REPO_ROOT)
     out = tmp_path / "rules.json"
     code = main(
         [
             "extract",
             "--train", "tests/data/golden/train.conllu",
+            *options,
             "--features", "Gender", "Number", "Case",
             "--seed", "0",
             "--out", str(out),
         ]
     )
     assert code == 0
-    assert out.read_bytes() == (GOLDEN_DIR / "rules.json").read_bytes()
+    return out.read_bytes()
+
+
+def test_extract_reproduces_golden_rules(tmp_path, monkeypatch):
+    assert _extract_from_repo_root(tmp_path, monkeypatch) == (
+        GOLDEN_DIR / "rules.json"
+    ).read_bytes()
+
+
+def test_extract_on_dev_set_reproduces_golden_rules(tmp_path, monkeypatch):
+    # model selection on a validation set over the depth range, by macro-F1;
+    # dev.conllu has a relation that train.conllu lacks
+    written = _extract_from_repo_root(
+        tmp_path, monkeypatch,
+        "--dev", "tests/data/golden/dev.conllu", "--depth-range", "--metric", "macro-f1",
+    )
+    assert written == (GOLDEN_DIR / "rules-dev.json").read_bytes()
 
 
 def test_golden_rules_label_planted_grammar():

@@ -613,11 +613,17 @@ def _depth(node) -> int:
     return 1 + max(_depth(node.match_child), _depth(node.nomatch_child))
 
 
-def test_rule_for_tests_at_most_depth_predicates(monkeypatch):
+def test_rule_for_tests_at_most_depth_predicates():
+    # a predicate test reads one slot of the triple, so count slot reads
     calls = []
-    matches = SplitPredicate.matches
-    monkeypatch.setattr(SplitPredicate, "matches",
-                        lambda self, triple: calls.append(1) or matches(self, triple))
+
+    def counted(index):
+        return property(lambda self: calls.append(1) or tuple.__getitem__(self, index))
+
+    class CountingTriple(Triple):
+        __slots__ = ()
+        head_pos, relation, dep_pos = counted(0), counted(1), counted(2)
+
     rng = random.Random(5)
     most_rules_over_depth = 0
     for _ in range(20):
@@ -626,8 +632,9 @@ def test_rule_for_tests_at_most_depth_predicates(monkeypatch):
         depth = _depth(tree.root)
         most_rules_over_depth = max(most_rules_over_depth, len(ruleset.rules) - depth)
         for _ in range(30):
+            triple = CountingTriple(*random_triple(rng))
             calls.clear()
-            rule_for(ruleset, random_triple(rng))
+            rule_for(ruleset, triple)
             assert len(calls) <= depth
     # the bound holds where a scan would test more rules than the tree is deep
     assert most_rules_over_depth > 0

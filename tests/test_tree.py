@@ -20,15 +20,24 @@ from morphagree.tree import (
     Internal,
     Leaf,
     SplitPredicate,
-    _METRICS,
-    _fit_points,
+    _frozen,
+    _grow_points,
     leaf_refs,
     leaves,
+    route,
 )
 
 
 from conftest import agrees, make_dataset
-from oracles import brute_force_best_first_split, grid_search_per_point
+from oracles import (
+    METRICS,
+    brute_force_best_first_split,
+    brute_force_grow,
+    grid_search_on_validation,
+    grid_search_per_point,
+    leaf_id_by_walking,
+)
+from treegen import random_labeled_tree, random_triple
 
 HP = HyperParams(criterion="gini", max_depth=6, min_impurity_decrease=1e-3)
 
@@ -119,11 +128,11 @@ def test_grid_search_prefers_depth_that_fits_deep_rule():
     dataset = _deep_rule_dataset()
     shallow = fit(dataset, HyperParams("gini", 6, 1e-3))
     deep = fit(dataset, HyperParams("gini", 15, 1e-3))
-    assert _METRICS["accuracy"](shallow, dataset.triples.values()) < 1.0
-    assert _METRICS["accuracy"](deep, dataset.triples.values()) == 1.0
+    assert METRICS["accuracy"](shallow, dataset.triples.values()) < 1.0
+    assert METRICS["accuracy"](deep, dataset.triples.values()) == 1.0
     chosen = grid_search(dataset, None, HyperGrid(), seed=0)
     assert chosen.hyperparams.max_depth == 15
-    assert _METRICS["accuracy"](chosen, dataset.triples.values()) == 1.0
+    assert METRICS["accuracy"](chosen, dataset.triples.values()) == 1.0
 
 
 def test_grid_search_with_validation_set_picks_higher_accuracy():
@@ -131,7 +140,7 @@ def test_grid_search_with_validation_set_picks_higher_accuracy():
     validation = _deep_rule_dataset(copies=5)
     chosen = grid_search(train, validation, HyperGrid(), seed=0)
     assert chosen.hyperparams.max_depth == 15
-    assert _METRICS["accuracy"](chosen, validation.triples.values()) == 1.0
+    assert METRICS["accuracy"](chosen, validation.triples.values()) == 1.0
 
 
 def test_singleton_grid_equals_fit():
@@ -167,11 +176,9 @@ def _node_groups(tree, dataset):
             insts,
         )
         if isinstance(node, Internal):
-            walk(node.match_child, [i for i in insts if node.predicate.matches(i.triple)])
-            walk(
-                node.nomatch_child,
-                [i for i in insts if not node.predicate.matches(i.triple)],
-            )
+            slot, value = node.predicate.slot, node.predicate.value
+            walk(node.match_child, [i for i in insts if getattr(i.triple, slot) == value])
+            walk(node.nomatch_child, [i for i in insts if getattr(i.triple, slot) != value])
 
     walk(tree.root, list(dataset.instances))
     return counts
@@ -241,7 +248,7 @@ def test_training_accuracy_at_least_majority_baseline():
     tree = fit(dataset, HP)
     n_agree = sum(agrees(i) for i in dataset.instances)
     majority = max(n_agree, len(dataset.instances) - n_agree) / len(dataset.instances)
-    assert _METRICS["accuracy"](tree, dataset.triples.values()) >= majority
+    assert METRICS["accuracy"](tree, dataset.triples.values()) >= majority
 
 
 def test_leaf_counts_sum_to_training_size():
@@ -312,10 +319,11 @@ DEEP_GRID = HyperGrid(max_depths=tuple(range(1, 16)))
 @given(_datasets, st.sampled_from([0.0, 1e-3, 2e-2]))
 def test_trees_cut_from_one_growth_equal_separate_fits(dataset, floor):
     grid = HyperGrid(max_depths=DEEP_GRID.max_depths, min_impurity_decrease=floor)
-    groups = list(dataset.triples.values())
-    nested = _fit_points(dataset.feature, groups, grid.points())
+    points = grid.points()
+    roots = _grow_points(list(dataset.triples.values()), points)
+    nested = [_frozen(dataset.feature, root, hp) for root, hp in zip(roots, points)]
     # structure, leaf ids, counts and hyperparams
-    assert nested == [fit(dataset, hp) for hp in grid.points()]
+    assert nested == [fit(dataset, hp) for hp in points]
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,3 +362,45 @@ def test_grid_search_equals_per_point_cross_validation_on_deep_rule(seed):
     assert grid_search(dataset, None, DEEP_GRID, seed) == grid_search_per_point(
         dataset, DEEP_GRID, seed
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(_datasets, _datasets, st.sampled_from(["accuracy", "macro_f1"]))
+def test_grid_search_equals_per_point_validation(train, validation, metric):
+    assert grid_search(train, validation, DEEP_GRID, 0, metric) == grid_search_on_validation(
+        train, validation, DEEP_GRID, metric
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=40))
+def test_route_equals_walking_each_triple(seed, n_triples):
+    rng = random.Random(seed)
+    tree, _ = random_labeled_tree(rng, max_depth=rng.randint(0, 6))
+    # repeats included, and values no split tests
+    triples = [random_triple(rng) for _ in range(n_triples)]
+    assert route(tree, triples) == {t: leaf_id_by_walking(tree, t) for t in triples}
+
+
+def _structure(node):
+    if isinstance(node, Leaf):
+        return (node.n_agree, node.n_disagree)
+    return (
+        node.predicate.slot,
+        node.predicate.value,
+        _structure(node.match_child),
+        _structure(node.nomatch_child),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _datasets,
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(["gini", "entropy"]),
+    st.sampled_from([0.0, 1e-3]),
+)
+def test_fit_equals_exhaustive_whole_tree_search(dataset, depth, criterion, floor):
+    tree = fit(dataset, HyperParams(criterion, depth, floor))
+    pairs = [(inst.triple, agrees(inst)) for inst in dataset.instances]
+    assert _structure(tree.root) == brute_force_grow(pairs, criterion, depth, floor)

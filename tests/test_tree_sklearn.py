@@ -15,9 +15,8 @@ np = pytest.importorskip("numpy")
 sklearn_tree = pytest.importorskip("sklearn.tree")
 
 from morphagree import HyperParams, Triple, fit, leaf_count
-from morphagree.tree import _METRICS
-
 from conftest import make_dataset
+from oracles import METRICS
 
 
 def _one_hot(dataset):
@@ -52,7 +51,7 @@ def test_matches_sklearn_accuracy_and_leaf_count(criterion, depth):
         dataset = _random_dataset(seed)
         X, y = _one_hot(dataset)
         mine = fit(dataset, HyperParams(criterion, depth, 1e-3))
-        acc_mine = _METRICS["accuracy"](mine, dataset.triples.values())
+        acc_mine = METRICS["accuracy"](mine, dataset.triples.values())
         leaves_mine = leaf_count(mine)
         matched = False
         candidates = []

@@ -331,6 +331,26 @@ def _at_least(minimum: int):
     return count
 
 
+def _within(low: float, high: float, low_open: bool = False):
+    """An argparse type: a finite number in [low, high], or in (low, high] if low_open."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not (low < value <= high or value == low and not low_open):
+            bounds = f"{'(' if low_open else '['}{low:g}, {high:g}]"
+            raise argparse.ArgumentTypeError(f"must be in {bounds}, not {text}")
+        return value
+    return number
+
+
+class _Distinct(argparse.Action):
+    """Store the option's values; a value given twice is a usage error."""
+    def __call__(self, parser, namespace, values, option_string=None):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise argparse.ArgumentError(self, f"{value!r} is given twice")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="morphagree",
@@ -343,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="training treebank (.conllu)")
     p.add_argument("--dev", help="validation treebank for model selection")
     p.add_argument("--out", default="rules.json")
-    p.add_argument("--features", nargs="+", default=list(DEFAULT_FEATURES))
+    p.add_argument("--features", nargs="+", action=_Distinct, default=list(DEFAULT_FEATURES))
     p.add_argument(
         "--threshold", choices=["statistical", "hard"], default="statistical"
     )
@@ -351,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marginals", choices=["global", "per-leaf"], default="global")
     p.add_argument("--phi-sqrt", action="store_true",
                    help="use the square-root effect-size variant")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--phi-min", type=float, default=0.5)
-    p.add_argument("--hard-threshold", type=float, default=0.9)
+    p.add_argument("--alpha", type=_within(0, 1, low_open=True), default=0.01)
+    p.add_argument("--phi-min", type=_within(0, 1), default=0.5)
+    p.add_argument("--hard-threshold", type=_within(0.5, 1), default=0.9)
     p.add_argument("--depth-range", action="store_true",
                    help="search max depths 6..15 instead of {6, 15}")
     p.add_argument("--metric", choices=["accuracy", "macro-f1"], default="accuracy")
@@ -368,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate the top K training triples")
     group.add_argument("--all", action="store_true",
                        help="evaluate every distinct test triple (default)")
-    p.add_argument("--tau", type=float, default=0.95)
+    p.add_argument("--tau", type=_within(0, 1), default=0.95)
     p.add_argument("--baseline", action="store_true",
                    help="also score the all-chance baseline")
     p.set_defaults(func=cmd_evaluate)

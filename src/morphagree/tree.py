@@ -5,7 +5,13 @@ mirroring one-hot treatment of categorical inputs. Induction is fully
 deterministic: candidate splits are scored in slot order (relation,
 head_pos, dep_pos) then lexicographic value order, and the first maximal
 impurity decrease wins. The seed passed to grid_search only shuffles
-cross-validation folds.
+cross-validation folds. Growth runs on integer count tables: each (slot,
+value) gets a code in that order, so code order is tie order, and each
+triple group becomes a row of its three codes and counts. Split search
+scans a node's per-code totals once; after a split only the child with
+fewer rows is counted, and the other's totals are the node's minus those
+(histogram subtraction, exact on integers). Scored rows take the training
+codes; a value training lacks gets -1, which never matches.
 
 Depth nesting: for a fixed criterion and min_impurity_decrease, the split
 chosen at a node depends only on the groups reaching it; max_depth only
@@ -14,12 +20,12 @@ any larger max_depth cut at depth d, each cut node frozen as a leaf over
 its own groups, which gives the same leaf ids and counts. grid_search
 relies on this for growth and for scoring: per criterion (and per
 cross-validation fold) it grows one tree at the grid's largest depth,
-routes the scored groups through that grown tree once, and scores every
+routes the scored rows through that grown tree once, and scores every
 grid point from the held-out totals of the nodes its cut makes leaves.
 Only the winning point is frozen.
 
 Routing is by partition: route splits a batch of triples once per
-internal node it reaches, as growth splits groups, so no triple walks the
+internal node it reaches, as growth splits rows, so no triple walks the
 tree on its own. Leaves hold counts only; leaf_refs recovers the
 instances of each leaf of one chosen tree by routing the dataset's
 triples through it.
@@ -30,7 +36,9 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import compress
+from operator import add
+from typing import Collection, Iterable, Iterator
 
 from .errors import EmptyDatasetError
 from .triples import FeatureDataset, Triple, TripleGroup
@@ -70,6 +78,7 @@ class Internal:
 
 
 TreeNode = Leaf | Internal
+Row = tuple[int, int, int, int, int]  # slot codes in SLOT_ORDER, n_agree, n_disagree
 
 
 @dataclass(frozen=True)
@@ -128,7 +137,7 @@ _IMPURITY = {"gini": _gini, "entropy": _entropy}
 
 class _Node:
     """A grown node: its depth and totals and, unless growth stopped here,
-    its split as (predicate, match child, nomatch child)."""
+    its split as (predicate, row position, code, match, nomatch child)."""
 
     __slots__ = ("depth", "n_agree", "n_disagree", "split")
 
@@ -136,82 +145,105 @@ class _Node:
         self.depth = depth
         self.n_agree = n_agree
         self.n_disagree = n_disagree
-        self.split: tuple[SplitPredicate, _Node, _Node] | None = None
+        self.split: tuple[SplitPredicate, int, int, _Node, _Node] | None = None
+
+
+class _Codes:
+    """A feature's code table (see the module docstring): each code's
+    predicate, the code of each (slot, value), and the groups' coded rows."""
+
+    def __init__(self, groups: Collection[TripleGroup]):
+        self.predicates = [
+            SplitPredicate(slot, value)
+            for slot in SLOT_ORDER for value in sorted({getattr(g.triple, slot) for g in groups})
+        ]
+        self.code_of = {(p.slot, p.value): code for code, p in enumerate(self.predicates)}
+        self.rows = self.coded(groups)
+
+    def coded(self, groups: Iterable[TripleGroup]) -> list[Row]:
+        code = self.code_of.get
+        return [
+            (code(("relation", g.triple.relation), -1), code(("head_pos", g.triple.head_pos), -1),
+             code(("dep_pos", g.triple.dep_pos), -1), g.n_agree, g.n_disagree)
+            for g in groups
+        ]
+
+
+def _counts(rows: list[Row], n_codes: int) -> tuple[list[int], list[int]]:
+    """Per code, the agree and the disagree totals of the rows having it."""
+    agree = [0] * n_codes
+    disagree = [0] * n_codes
+    for c0, c1, c2, n_agree, n_disagree in rows:
+        agree[c0] += n_agree
+        agree[c1] += n_agree
+        agree[c2] += n_agree
+        disagree[c0] += n_disagree
+        disagree[c1] += n_disagree
+        disagree[c2] += n_disagree
+    return agree, disagree
 
 
 def _best_split(
-    groups: list[TripleGroup], node_agree: int, node_disagree: int, impurity, n_total: int
-) -> tuple[SplitPredicate, float, int, int] | None:
-    """The first split of maximal impurity decrease: its predicate, the
-    decrease and the match side's (agree, disagree) totals."""
+    agree: list[int], disagree: list[int], node_agree: int, node_disagree: int,
+    impurity, n_total: int,
+) -> tuple[int, float, int, int] | None:
+    """The first split, in code order, of maximal impurity decrease: its
+    code, the decrease and the match side's (agree, disagree) totals. Only
+    the codes some row of the node has are scored."""
     n_node = node_agree + node_disagree
     node_impurity = impurity(node_agree, node_disagree)
-    best: tuple[SplitPredicate, float, int, int] | None = None
-    for slot in SLOT_ORDER:
-        per_value: dict[str, list[int]] = {}
-        for g in groups:
-            key = getattr(g.triple, slot)
-            counts = per_value.get(key)
-            if counts is None:
-                counts = per_value[key] = [0, 0]
-            counts[0] += g.n_agree
-            counts[1] += g.n_disagree
-        for value in sorted(per_value):
-            m_agree, m_disagree = per_value[value]
-            n_match = m_agree + m_disagree
-            n_nomatch = n_node - n_match
-            if n_match == 0 or n_nomatch == 0:
-                continue
-            child_impurity = (
-                n_match * impurity(m_agree, m_disagree)
-                + n_nomatch * impurity(node_agree - m_agree, node_disagree - m_disagree)
-            ) / n_node
-            delta = (n_node / n_total) * (node_impurity - child_impurity)
-            if best is None or delta > best[1]:
-                best = (SplitPredicate(slot, value), delta, m_agree, m_disagree)
+    best: tuple[int, float, int, int] | None = None
+    sizes = list(map(add, agree, disagree))
+    for code in compress(range(len(sizes)), sizes):
+        n_match = sizes[code]
+        if n_match == n_node:
+            continue
+        m_agree, m_disagree = agree[code], disagree[code]
+        child_impurity = (
+            n_match * impurity(m_agree, m_disagree)
+            + (n_node - n_match) * impurity(node_agree - m_agree, node_disagree - m_disagree)
+        ) / n_node
+        delta = (n_node / n_total) * (node_impurity - child_impurity)
+        if best is None or delta > best[1]:
+            best = (code, delta, m_agree, m_disagree)
     return best
 
 
-def _partition(
-    groups: list[TripleGroup], predicate: SplitPredicate
-) -> tuple[list[TripleGroup], list[TripleGroup]]:
-    """The groups whose triple matches the predicate, and the rest."""
-    slot, value = predicate.slot, predicate.value
-    match: list[TripleGroup] = []
-    nomatch: list[TripleGroup] = []
-    for g in groups:
-        (match if getattr(g.triple, slot) == value else nomatch).append(g)
-    return match, nomatch
-
-
 def _grow(
-    groups: list[TripleGroup],
-    n_agree: int,
-    n_disagree: int,
-    depth: int,
-    max_depth: int,
-    min_impurity_decrease: float,
-    impurity,
-    n_total: int,
+    codes: _Codes, rows: list[Row], counts: tuple[list[int], list[int]],
+    max_depth: int, min_impurity_decrease: float, impurity,
 ) -> _Node:
-    """Grow from the groups reaching a node, whose totals the caller passes:
-    the root's are summed, each child's come from its parent's chosen split."""
-    node = _Node(depth, n_agree, n_disagree)
-    if n_agree == 0 or n_disagree == 0 or depth >= max_depth or len(groups) == 1:
+    """Grow a tree from the coded rows, given their per-code counts."""
+    # each row adds its counts to three codes, one per slot
+    n_agree, n_disagree = sum(counts[0]) // 3, sum(counts[1]) // 3
+    n_total = n_agree + n_disagree
+
+    def grow(rows, counts, n_agree, n_disagree, depth) -> _Node:
+        node = _Node(depth, n_agree, n_disagree)
+        if n_agree == 0 or n_disagree == 0 or depth >= max_depth or len(rows) == 1:
+            return node
+        best = _best_split(*counts, n_agree, n_disagree, impurity, n_total)
+        if best is None or best[1] < min_impurity_decrease:
+            return node
+        code, _, m_agree, m_disagree = best
+        predicate = codes.predicates[code]
+        pos = SLOT_ORDER.index(predicate.slot)
+        match = [r for r in rows if r[pos] == code]
+        nomatch = [r for r in rows if r[pos] != code]
+        # only the child with fewer rows is counted; the other's counts are
+        # the node's minus those
+        small = _counts(min(match, nomatch, key=len), len(codes.predicates))
+        large = tuple([p - s for p, s in zip(whole, part)] for whole, part in zip(counts, small))
+        match_counts, nomatch_counts = (
+            (small, large) if len(match) <= len(nomatch) else (large, small))
+        node.split = (
+            predicate, pos, code,
+            grow(match, match_counts, m_agree, m_disagree, depth + 1),
+            grow(nomatch, nomatch_counts, n_agree - m_agree, n_disagree - m_disagree, depth + 1),
+        )
         return node
-    best = _best_split(groups, n_agree, n_disagree, impurity, n_total)
-    if best is None or best[1] < min_impurity_decrease:
-        return node
-    predicate, _, m_agree, m_disagree = best
-    match, nomatch = _partition(groups, predicate)
-    node.split = (
-        predicate,
-        _grow(match, m_agree, m_disagree, depth + 1, max_depth,
-              min_impurity_decrease, impurity, n_total),
-        _grow(nomatch, n_agree - m_agree, n_disagree - m_disagree, depth + 1, max_depth,
-              min_impurity_decrease, impurity, n_total),
-    )
-    return node
+
+    return grow(rows, counts, n_agree, n_disagree, 0)
 
 
 def _freeze(node: _Node, max_depth: int, counter: list[int]) -> TreeNode:
@@ -220,18 +252,17 @@ def _freeze(node: _Node, max_depth: int, counter: list[int]) -> TreeNode:
     if node.split is None or node.depth >= max_depth:
         counter[0] += 1
         return Leaf(leaf_id=counter[0], n_agree=node.n_agree, n_disagree=node.n_disagree)
-    predicate, match, nomatch = node.split
+    predicate, _, _, match, nomatch = node.split
     match_child = _freeze(match, max_depth, counter)
     nomatch_child = _freeze(nomatch, max_depth, counter)
     return Internal(predicate, match_child, nomatch_child)
 
 
-def _grow_points(groups: list[TripleGroup], points: list[HyperParams]) -> list[_Node]:
-    """The grown root of every point, in order. Points sharing a criterion
-    and impurity floor share one growth at their largest max_depth (depth
-    nesting, see the module docstring)."""
-    n_agree = sum(g.n_agree for g in groups)
-    n_disagree = sum(g.n_disagree for g in groups)
+def _grow_points(codes: _Codes, rows: list[Row], points: list[HyperParams]) -> list[_Node]:
+    """The grown root of every point, in order, from the coded rows. Points
+    sharing a criterion and impurity floor share one growth at their
+    largest max_depth (depth nesting, see the module docstring)."""
+    counts = _counts(rows, len(codes.predicates))
     grown: dict[tuple[str, float], _Node] = {}
     roots = []
     for hp in points:
@@ -239,14 +270,10 @@ def _grow_points(groups: list[TripleGroup], points: list[HyperParams]) -> list[_
         if key not in grown:
             if hp.criterion not in _IMPURITY:
                 raise ValueError(f"unknown criterion {hp.criterion!r}")
-            depth = max(
-                p.max_depth
-                for p in points
-                if (p.criterion, p.min_impurity_decrease) == key
-            )
+            depth = max(p.max_depth for p in points
+                        if (p.criterion, p.min_impurity_decrease) == key)
             grown[key] = _grow(
-                groups, n_agree, n_disagree, 0, depth, hp.min_impurity_decrease,
-                _IMPURITY[hp.criterion], n_agree + n_disagree,
+                codes, rows, counts, depth, hp.min_impurity_decrease, _IMPURITY[hp.criterion]
             )
         roots.append(grown[key])
     return roots
@@ -260,8 +287,8 @@ def _cut_leaves(root: _Node, max_depth: int) -> Iterator[_Node]:
         if node.split is None or node.depth >= max_depth:
             yield node
         else:
-            stack.append(node.split[2])
-            stack.append(node.split[1])
+            stack.append(node.split[4])
+            stack.append(node.split[3])
 
 
 def _frozen(feature: str, root: _Node, hyperparams: HyperParams) -> DecisionTree:
@@ -277,7 +304,8 @@ def fit(dataset: FeatureDataset, hyperparams: HyperParams) -> DecisionTree:
     """Fit a tree on the dataset's triple groups; induction is deterministic."""
     if not dataset.instances:
         raise EmptyDatasetError(f"no instances for feature {dataset.feature!r}")
-    root = _grow_points(list(dataset.triples.values()), [hyperparams])[0]
+    codes = _Codes(list(dataset.triples.values()))
+    root = _grow_points(codes, codes.rows, [hyperparams])[0]
     return _frozen(dataset.feature, root, hyperparams)
 
 
@@ -340,21 +368,21 @@ def leaf_count(tree: DecisionTree) -> int:
 
 
 def _held_totals(
-    node: _Node, groups: list[TripleGroup], totals: dict[_Node, tuple[int, int]]
+    node: _Node, rows: list[Row], totals: dict[_Node, tuple[int, int]]
 ) -> tuple[int, int]:
-    """Record in totals the (agree, disagree) sums of the held-out groups
+    """Record in totals the (agree, disagree) sums of the held-out rows
     reaching each node of a grown tree, routed by partition, and return the
-    node's. Nodes that no group reaches are left out."""
-    if not groups:
+    node's. Nodes that no row reaches are left out."""
+    if not rows:
         return 0, 0
     if node.split is None:
-        held = (sum(g.n_agree for g in groups), sum(g.n_disagree for g in groups))
+        held = (sum(r[3] for r in rows), sum(r[4] for r in rows))
     else:
-        predicate, match_child, nomatch_child = node.split
-        match, nomatch = _partition(groups, predicate)
-        match_agree, match_disagree = _held_totals(match_child, match, totals)
-        nomatch_agree, nomatch_disagree = _held_totals(nomatch_child, nomatch, totals)
-        held = (match_agree + nomatch_agree, match_disagree + nomatch_disagree)
+        _, pos, code, match_child, nomatch_child = node.split
+        match = [r for r in rows if r[pos] == code]
+        nomatch = [r for r in rows if r[pos] != code]
+        held = tuple(map(add, _held_totals(match_child, match, totals),
+                         _held_totals(nomatch_child, nomatch, totals)))
     totals[node] = held
     return held
 
@@ -382,9 +410,9 @@ _METRICS = {"accuracy": _accuracy, "macro_f1": _macro_f1}
 
 
 def _scores(
-    roots: list[_Node], points: list[HyperParams], held: list[TripleGroup], metric
+    roots: list[_Node], points: list[HyperParams], held: list[Row], metric
 ) -> list[float]:
-    """The metric of every point's cut on the held-out groups, which are
+    """The metric of every point's cut on the held-out rows, which are
     routed once through each distinct grown tree. A cut leaf predicts
     agreement when its training totals have more agree than disagree."""
     totals: dict[_Node, tuple[int, int]] = {}
@@ -408,58 +436,51 @@ def _scores(
 
 @lru_cache(maxsize=8)
 def _fold_of(seed: int, n: int, k: int) -> bytes:
-    """The fold of each of n instance indices, one byte each (so k <= 256):
-    the indices are shuffled by the seed, and fold f takes every k-th of
-    them from position f. Features of one run share a seed and often their
-    instance count, so the shuffle is made once per (seed, n, k)."""
+    """Twice the fold of each of n instance indices, one byte each (so k <=
+    128): the indices are shuffled by the seed, and fold f takes every k-th
+    of them from position f. Features of one run share a seed and often
+    their instance count, so the shuffle is made once per (seed, n, k)."""
     indices = list(range(n))
     random.Random(seed).shuffle(indices)
     fold_of = bytearray(n)
     for fold in range(k):
         for idx in indices[fold::k]:
-            fold_of[idx] = fold
+            fold_of[idx] = 2 * fold
     return bytes(fold_of)
 
 
 def _cv_scores(
-    train: FeatureDataset, points: list[HyperParams], seed: int, metric, n_folds: int = 5
+    train: FeatureDataset, codes: _Codes, points: list[HyperParams], seed: int, metric,
+    n_folds: int = 5,
 ) -> list[float]:
     """Seed-shuffled k-fold score of every point, at triple-count granularity.
 
-    The folds and their training groups are built once; each fold then
-    grows once per criterion, and its held-out groups are routed once per
-    growth, for all points.
+    The folds' training and held-out rows are built once, from train's
+    coded rows; each fold then grows once per criterion, and its held-out
+    rows are routed once per growth, for all points.
     """
     n = len(train.instances)
     k = min(n_folds, n)
     if k < 2:
         return [0.0] * len(points)
-    fold_of = _fold_of(seed, n, k)
-    # split every triple group into its held-out part per fold and the rest
-    held: list[list[TripleGroup]] = [[] for _ in range(k)]
-    rest: list[list[TripleGroup]] = [[] for _ in range(k)]
-    agree = train.agree
-    for group in train.triples.values():
-        counts = [[0, 0] for _ in range(k)]
+    # each instance's (fold, agree) as the byte 2 * fold + agree
+    key = bytes(map(add, _fold_of(seed, n, k), train.agree))
+    held: list[list[Row]] = [[] for _ in range(k)]
+    rest: list[list[Row]] = [[] for _ in range(k)]
+    for (c0, c1, c2, n_agree, n_disagree), group in zip(codes.rows, train.triples.values()):
+        counts = [0] * (2 * k)
         for idx in group.refs:
-            counts[fold_of[idx]][agree[idx]] += 1
-        for fold, (held_disagree, held_agree) in enumerate(counts):
-            if held_disagree + held_agree:
-                held[fold].append(TripleGroup(group.triple, held_disagree, held_agree))
-            if held_disagree + held_agree < group.size:
-                rest[fold].append(
-                    TripleGroup(
-                        group.triple,
-                        group.n_disagree - held_disagree,
-                        group.n_agree - held_agree,
-                    )
-                )
-    scores: list[list[float]] = [[] for _ in points]
-    for held_groups, rest_groups in zip(held, rest):
-        fold_scores = _scores(_grow_points(rest_groups, points), points, held_groups, metric)
-        for point_scores, score in zip(scores, fold_scores):
-            point_scores.append(score)
-    return [sum(s) / len(s) for s in scores]
+            counts[key[idx]] += 1
+        for fold, (held_disagree, held_agree) in enumerate(zip(counts[::2], counts[1::2])):
+            if held_agree or held_disagree:
+                held[fold].append((c0, c1, c2, held_agree, held_disagree))
+            if held_agree + held_disagree < n_agree + n_disagree:
+                rest[fold].append((c0, c1, c2, n_agree - held_agree, n_disagree - held_disagree))
+    fold_scores = [
+        _scores(_grow_points(codes, rest_rows, points), points, held_rows, metric)
+        for held_rows, rest_rows in zip(held, rest)
+    ]
+    return [sum(point_scores) / k for point_scores in zip(*fold_scores)]
 
 
 def grid_search(
@@ -479,11 +500,12 @@ def grid_search(
         raise EmptyDatasetError(f"no instances for feature {train.feature!r}")
     metric_fn = _METRICS[metric]
     points = grid.points()
-    roots = _grow_points(list(train.triples.values()), points)
+    codes = _Codes(list(train.triples.values()))
+    roots = _grow_points(codes, codes.rows, points)
     if validation is not None and len(validation.instances) > 0:
-        scores = _scores(roots, points, list(validation.triples.values()), metric_fn)
+        scores = _scores(roots, points, codes.coded(validation.triples.values()), metric_fn)
     else:
-        scores = _cv_scores(train, points, seed, metric_fn)
+        scores = _cv_scores(train, codes, points, seed, metric_fn)
     # every leaf of each cut counts, reached by a scored group or not
     leaf_counts = [
         sum(1 for _ in _cut_leaves(root, hp.max_depth)) for root, hp in zip(roots, points)

@@ -28,19 +28,17 @@ DEFAULT_FEATURES = ("Gender", "Person", "Number", "Mood", "Case", "Tense")
 class TripleGroup:
     """All instances sharing one triple: counts and document-order indices.
 
-    Treated as read-only once built. A plain slotted class, because split
-    search reads these attributes in its innermost loop.
+    Treated as read-only once built. A plain slotted class, because the
+    table is built one instance at a time.
     """
 
     __slots__ = ("triple", "n_disagree", "n_agree", "refs")
 
-    def __init__(
-        self, triple: Triple, n_disagree: int, n_agree: int, refs: list[int] | None = None
-    ):
+    def __init__(self, triple: Triple, n_disagree: int, n_agree: int):
         self.triple = triple
         self.n_disagree = n_disagree
         self.n_agree = n_agree
-        self.refs = [] if refs is None else refs
+        self.refs: list[int] = []
 
     @property
     def size(self) -> int:

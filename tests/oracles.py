@@ -4,7 +4,9 @@ These deliberately avoid the package's own code paths: the chi-square
 survival function is adaptive-Simpson integration of the density (the
 package uses erfc), splits are found by exhaustive enumeration,
 entropy/correlation are recomputed from their definitions, a whole tree is
-grown by exhaustive search over instances at every node, triples are
+grown by exhaustive search over instances at every node, or by
+rebucketing the triple groups reaching each node by every slot's values
+(the package scans integer count tables), triples are
 walked down the tree one at a time and scored one group at a time, grid
 search fits and scores every grid point and every cross-validation fold
 separately, rule merging rescans every pair from the start after each
@@ -14,6 +16,7 @@ dict per token and walked once per feature, with no shared edge table.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -29,7 +32,7 @@ from morphagree.errors import (
     NoMatchingRuleError,
 )
 from morphagree.labeling import RuleSet, ThresholdMode, _leaf_rules, _try_merge
-from morphagree.tree import Internal, fit, leaf_count
+from morphagree.tree import DecisionTree, Internal, Leaf, SplitPredicate, leaf_count
 from morphagree.triples import FeatureDataset, Triple
 
 
@@ -175,6 +178,65 @@ def brute_force_grow(instances, criterion: str, max_depth: int, min_impurity_dec
     return grow(list(instances), 0)
 
 
+def _rebucketed_best_split(groups, node_agree, node_disagree, criterion, n_total):
+    """The first split of maximal impurity decrease over the groups reaching
+    a node, each slot's values bucketed afresh and sorted: its predicate,
+    the decrease and the match side's (agree, disagree) totals."""
+    n_node = node_agree + node_disagree
+    node_impurity = _impurity_of_counts(criterion, node_agree, node_disagree)
+    best = None
+    for slot in ("relation", "head_pos", "dep_pos"):
+        per_value = {}
+        for g in groups:
+            counts = per_value.setdefault(getattr(g.triple, slot), [0, 0])
+            counts[0] += g.n_agree
+            counts[1] += g.n_disagree
+        for value in sorted(per_value):
+            m_agree, m_disagree = per_value[value]
+            n_match = m_agree + m_disagree
+            n_nomatch = n_node - n_match
+            if n_match == 0 or n_nomatch == 0:
+                continue
+            child_impurity = (
+                n_match * _impurity_of_counts(criterion, m_agree, m_disagree)
+                + n_nomatch
+                * _impurity_of_counts(criterion, node_agree - m_agree, node_disagree - m_disagree)
+            ) / n_node
+            delta = (n_node / n_total) * (node_impurity - child_impurity)
+            if best is None or delta > best[1]:
+                best = (SplitPredicate(slot, value), delta, m_agree, m_disagree)
+    return best
+
+
+def grow_by_rebucketing(dataset, hyperparams) -> DecisionTree:
+    """fit, the direct way: at every node the groups reaching it are
+    rebucketed by each slot's values and the values sorted again, the node's
+    totals are summed from its groups, and the groups are partitioned for
+    the children, which grow in match-before-nomatch preorder (so leaf ids
+    count up in that order). The tree grows to hyperparams.max_depth itself,
+    never cut from a deeper growth."""
+    groups = list(dataset.triples.values())
+    n_total = sum(g.size for g in groups)
+    leaf_ids = itertools.count(1)
+
+    def grow(groups, depth):
+        n_agree = sum(g.n_agree for g in groups)
+        n_disagree = sum(g.n_disagree for g in groups)
+        best = None
+        if n_agree and n_disagree and depth < hyperparams.max_depth and len(groups) > 1:
+            best = _rebucketed_best_split(
+                groups, n_agree, n_disagree, hyperparams.criterion, n_total
+            )
+        if best is None or best[1] < hyperparams.min_impurity_decrease:
+            return Leaf(next(leaf_ids), n_agree, n_disagree)
+        predicate = best[0]
+        match = [g for g in groups if getattr(g.triple, predicate.slot) == predicate.value]
+        nomatch = [g for g in groups if getattr(g.triple, predicate.slot) != predicate.value]
+        return Internal(predicate, grow(match, depth + 1), grow(nomatch, depth + 1))
+
+    return DecisionTree(dataset.feature, grow(groups, 0), hyperparams, n_total)
+
+
 def _walk_to_leaf(tree, triple):
     node = tree.root
     while isinstance(node, Internal):
@@ -236,12 +298,13 @@ def _best_of(trees_and_scores):
 
 
 def grid_search_on_validation(train, validation, grid, metric: str = "accuracy"):
-    """Validation-set grid search the direct way: a separate fit of every
-    grid point, scored on the validation groups with the per-triple walk."""
+    """Validation-set grid search the direct way: a separate rebucketing
+    growth of every grid point, scored on the validation groups with the
+    per-triple walk."""
     score_fn = METRICS[metric]
     return _best_of(
         (tree, score_fn(tree, validation.triples.values()))
-        for tree in (fit(train, hp) for hp in grid.points())
+        for tree in (grow_by_rebucketing(train, hp) for hp in grid.points())
     )
 
 
@@ -261,8 +324,9 @@ def js_lambda_oracle(counts) -> float:
 
 
 def grid_search_per_point(train, grid, seed: int, metric: str = "accuracy", n_folds: int = 5):
-    """Cross-validated grid search the direct way: a separate fit of every
-    fold for every grid point, each on a freshly built fold dataset.
+    """Cross-validated grid search the direct way: a separate rebucketing
+    growth of every fold for every grid point, each on a freshly built fold
+    dataset.
 
     Same folds as the package (seeded shuffle of instance indices, fold f
     takes every k-th shuffled index from f), same selection (mean fold
@@ -282,13 +346,13 @@ def grid_search_per_point(train, grid, seed: int, metric: str = "accuracy", n_fo
         for held in folds:
             rest = [i for idx, i in enumerate(train.instances) if idx not in held]
             held_out = [i for idx, i in enumerate(train.instances) if idx in held]
-            tree = fit(FeatureDataset(train.feature, tuple(rest)), hp)
+            tree = grow_by_rebucketing(FeatureDataset(train.feature, tuple(rest)), hp)
             scores.append(
                 score_fn(tree, FeatureDataset(train.feature, tuple(held_out)).triples.values())
             )
         return sum(scores) / len(scores) if scores else 0.0
 
-    return _best_of((fit(train, hp), cv_score(hp)) for hp in grid.points())
+    return _best_of((grow_by_rebucketing(train, hp), cv_score(hp)) for hp in grid.points())
 
 
 def merge_rules_restarting(

@@ -328,13 +328,58 @@ def test_faulty_eval_fails_report_with_error_line(workspace, capsys, edit, named
         ["annotation-sheet", "--rules", "r.json", "--train", "t.conllu", "--top-k", "0"],
         ["annotation-sheet", "--rules", "r.json", "--train", "t.conllu", "--examples", "-1"],
         ["report", "--rules", "r.json", "--train", "t.conllu", "--out", "r", "--examples", "-1"],
+        # numbers outside their range, NaN and infinities among them
+        ["extract", "--train", "t.conllu", "--alpha", "nan"],
+        ["extract", "--train", "t.conllu", "--alpha", "0"],
+        ["extract", "--train", "t.conllu", "--alpha", "1.5"],
+        ["extract", "--train", "t.conllu", "--alpha", "inf"],
+        ["extract", "--train", "t.conllu", "--phi-min", "-0.1"],
+        ["extract", "--train", "t.conllu", "--phi-min", "nan"],
+        ["extract", "--train", "t.conllu", "--hard-threshold", "7"],
+        ["extract", "--train", "t.conllu", "--hard-threshold", "0.4"],
+        ["extract", "--train", "t.conllu", "--hard-threshold", "nan"],
+        ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--tau", "nan"],
+        ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--tau", "3"],
+        ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--tau", "-0.001"],
+        ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--tau", "inf"],
     ],
 )
 def test_counts_below_range_are_rejected_at_parsing(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    assert "must be at least" in capsys.readouterr().err
+    option, value = argv[-2:]
+    expected = "must be at least" if option in ("--top-k", "--examples") else "must be in"
+    err = capsys.readouterr().err
+    assert f"argument {option}: {expected}" in err and f"not {value}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "--train", "t.conllu", "--alpha", "1"],
+        ["extract", "--train", "t.conllu", "--alpha", "1e-300"],
+        ["extract", "--train", "t.conllu", "--phi-min", "0"],
+        ["extract", "--train", "t.conllu", "--phi-min", "1"],
+        ["extract", "--train", "t.conllu", "--hard-threshold", "0.5"],
+        ["extract", "--train", "t.conllu", "--hard-threshold", "1"],
+        ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--tau", "0"],
+        ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--tau", "1"],
+    ],
+)
+def test_numbers_at_the_ends_of_their_range_are_accepted(argv):
+    args = morphagree.cli.build_parser().parse_args(argv)
+    assert getattr(args, argv[-2][2:].replace("-", "_")) == float(argv[-1])
+
+
+def test_repeated_feature_is_rejected_at_parsing(tmp_path, capsys):
+    out = tmp_path / "rules.json"
+    with pytest.raises(SystemExit) as info:
+        main(["extract", "--train", str(GOLDEN_DIR / "train.conllu"),
+              "--features", "Gender", "Number", "Gender", "--out", str(out)])
+    assert info.value.code == 2
+    assert "argument --features: 'Gender' is given twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- annotation sheets ---

@@ -20,6 +20,7 @@ from morphagree.tree import (
     Internal,
     Leaf,
     SplitPredicate,
+    _Codes,
     _frozen,
     _grow_points,
     leaf_refs,
@@ -35,6 +36,7 @@ from oracles import (
     brute_force_grow,
     grid_search_on_validation,
     grid_search_per_point,
+    grow_by_rebucketing,
     leaf_id_by_walking,
 )
 from treegen import random_labeled_tree, random_triple
@@ -320,10 +322,73 @@ DEEP_GRID = HyperGrid(max_depths=tuple(range(1, 16)))
 def test_trees_cut_from_one_growth_equal_separate_fits(dataset, floor):
     grid = HyperGrid(max_depths=DEEP_GRID.max_depths, min_impurity_decrease=floor)
     points = grid.points()
-    roots = _grow_points(list(dataset.triples.values()), points)
+    codes = _Codes(list(dataset.triples.values()))
+    roots = _grow_points(codes, codes.rows, points)
     nested = [_frozen(dataset.feature, root, hp) for root, hp in zip(roots, points)]
     # structure, leaf ids, counts and hyperparams
     assert nested == [fit(dataset, hp) for hp in points]
+
+
+# a wider vocabulary than _triples', with one dependent POS that most
+# triples have and that mostly agrees: splitting it off leaves the match side
+# with more distinct triples than the nomatch side, so either side of a
+# split can be the one whose counts growth takes by subtraction
+_wide_triples = st.builds(
+    Triple,
+    head_pos=st.sampled_from([f"H{i}" for i in range(6)]),
+    relation=st.sampled_from([f"r{i}" for i in range(16)]),
+    dep_pos=st.sampled_from(["D0"] * 5 + ["D1", "D2", "D3"]),
+)
+_wide_datasets = st.lists(
+    st.tuples(_wide_triples, st.booleans()), min_size=1, max_size=200
+).map(lambda pairs: make_dataset([(t, a or t.dep_pos == "D0") for t, a in pairs]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(_datasets, _wide_datasets),
+    st.integers(min_value=1, max_value=15),
+    st.sampled_from(["gini", "entropy"]),
+    st.sampled_from([0.0, 1e-3, 2e-2]),
+)
+def test_fit_equals_rebucketing_growth(dataset, depth, criterion, floor):
+    hp = HyperParams(criterion, depth, floor)
+    # predicates, leaf ids, leaf counts, hyperparams and training size
+    assert fit(dataset, hp) == grow_by_rebucketing(dataset, hp)
+
+
+def _slot_reads_per_triple(run, pairs):
+    """How often run reads each triple's slots, run taking a dataset whose
+    triples count the reads of their three fields."""
+    reads = []
+
+    def counted(index):
+        return property(lambda self: reads.append(self) or tuple.__getitem__(self, index))
+
+    class CountingTriple(Triple):
+        __slots__ = ()
+        head_pos, relation, dep_pos = counted(0), counted(1), counted(2)
+
+    dataset = make_dataset([(CountingTriple(*t), a) for t, a in pairs])
+    reads.clear()
+    run(dataset)
+    return {t: sum(1 for r in reads if r is t) for t in dataset.triples}
+
+
+def test_growth_reads_each_triple_once_per_fit_whatever_the_depth_or_folds():
+    # on the deep rule, one-vs-rest splits peel relations one at a time:
+    # the depth-15 tree has 9 leaves, the depth-1 tree 2
+    dataset = _deep_rule_dataset(copies=3)
+    assert leaf_count(fit(dataset, HyperParams("gini", 15, 0.0))) == 9
+    pairs = [(inst.triple, agrees(inst)) for inst in dataset.instances]
+    shallow = _slot_reads_per_triple(lambda d: fit(d, HyperParams("gini", 1, 0.0)), pairs)
+    deep = _slot_reads_per_triple(lambda d: fit(d, HyperParams("gini", 15, 0.0)), pairs)
+    assert deep == shallow
+    assert all(shallow.values())
+    # five folds of cross-validation and a growth per criterion read no
+    # triple more often than one fit does
+    searched = _slot_reads_per_triple(lambda d: grid_search(d, None, DEEP_GRID, seed=3), pairs)
+    assert all(searched[t] <= shallow[t] for t in shallow)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -35,6 +34,12 @@ from .triples import DEFAULT_FEATURES, extract_instances
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+def _write(path: str, fields: dict) -> None:
+    """Write fields, after the format version, as a canonical JSON document."""
+    write_json({"format_version": FORMAT_VERSION, **fields}, path)
+    print(f"wrote {path}")
 
 
 def _report_failures(failures: dict[str, str]) -> int:
@@ -124,16 +129,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if baseline is not None:
             line += f" (baseline {baseline.arm:.3f})"
         print(line)
-    out_doc = {
-        "format_version": FORMAT_VERSION,
+    _write(args.out, {
         "rules": args.rules,
         "test": args.test,
         "tau": args.tau,
         "selection": "all" if args.top_k is None else f"top-{args.top_k}",
         "features": features_out,
-    }
-    write_json(out_doc, args.out)
-    print(f"wrote {args.out}")
+    })
     if failures:
         return _report_failures(failures)
     return 0
@@ -152,15 +154,9 @@ def cmd_annotation_sheet(args: argparse.Namespace) -> int:
 def cmd_hrm(args: argparse.Namespace) -> int:
     doc = load_rules(args.rules)
     records = read_annotations(args.annotations)
-    annotated_features = {r.feature for r in records}
-    strict = not args.lenient
     features_out: dict[str, dict] = {}
-    evaluated = False
-    for feature in doc.features:
-        if feature in doc.absent or feature not in annotated_features:
-            continue
-        score, details = hrm(doc.rulesets[feature], records, strict=strict)
-        evaluated = True
+    for feature in sorted(doc.rulesets.keys() & {r.feature for r in records}):
+        score, details = hrm(doc.rulesets[feature], records, strict=not args.lenient)
         features_out[feature] = {
             "hrm": score,
             "n_triples": len(details),
@@ -177,78 +173,58 @@ def cmd_hrm(args: argparse.Namespace) -> int:
         }
         hits = sum(d.hs for d in details)
         print(f"{feature}: HRM {score:.3f} ({hits}/{len(details)})")
-    if not evaluated:
+    if not features_out:
         return _fail("no annotated feature matches the rules document")
     if args.out:
-        write_json(
-            {
-                "format_version": FORMAT_VERSION,
-                "rules": args.rules,
-                "annotations": args.annotations,
-                "mode": "lenient" if args.lenient else "strict",
-                "features": features_out,
-            },
-            args.out,
-        )
-        print(f"wrote {args.out}")
+        _write(args.out, {
+            "rules": args.rules,
+            "annotations": args.annotations,
+            "mode": "lenient" if args.lenient else "strict",
+            "features": features_out,
+        })
     return 0
 
 
 def _mean_leaf_count(doc) -> float | None:
     counts = [leaf_count(tree) for tree in doc.trees.values()]
-    if not counts:
-        return None
-    return sum(counts) / len(counts)
+    return sum(counts) / len(counts) if counts else None
 
 
 def cmd_complexity(args: argparse.Namespace) -> int:
     if args.rules and len(args.rules) != len(args.train):
         return _fail("--rules must list one rules.json per --train treebank")
-    entries: dict[str, dict] = {}
-    entropies: dict[str, float] = {}
-    leaf_means: dict[str, float] = {}
+    records: dict[str, dict] = {}
     for i, path in enumerate(args.train):
         treebank = parse_conllu_file(path)
         forms = (t.form for s in treebank.sentences for t in s.tokens)
         estimate = word_entropy(forms, args.lambda_override)
-        entry = {
+        records[path] = {
             "vocab_size": estimate.vocab_size,
             "total_tokens": estimate.total_tokens,
             "lambda": estimate.lambda_,
             "entropy_bits": estimate.entropy_bits,
-            "mean_leaf_count": None,
+            "mean_leaf_count": _mean_leaf_count(load_rules(args.rules[i])) if args.rules else None,
         }
-        entropies[path] = estimate.entropy_bits
-        if args.rules:
-            mean = _mean_leaf_count(load_rules(args.rules[i]))
-            entry["mean_leaf_count"] = mean
-            if mean is not None:
-                leaf_means[path] = mean
-        entries[path] = entry
         print(
             f"{path}: H={estimate.entropy_bits:.4f} bits "
             f"(V={estimate.vocab_size}, n={estimate.total_tokens}, "
             f"lambda={estimate.lambda_:.4f})"
         )
+    leaf_means = {path: r["mean_leaf_count"] for path, r in records.items()
+                  if r["mean_leaf_count"] is not None}
     correlation = None
-    if args.rules and len(leaf_means) >= 2:
+    if len(leaf_means) >= 2:
+        entropies = {path: r["entropy_bits"] for path, r in records.items()}
         correlation = conciseness_correlation(entropies, leaf_means)
         print(f"entropy vs mean leaf count: r = {correlation:.4f}")
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "treebanks": entries,
-        "conciseness_pearson_r": correlation,
-    }
     if args.out:
-        write_json(doc, args.out)
-        print(f"wrote {args.out}")
+        _write(args.out, {"treebanks": records, "conciseness_pearson_r": correlation})
     if args.csv:
         lines = ["treebank,entropy_bits,mean_leaf_count"]
         for path in args.train:
-            entry = entries[path]
-            mean = entry["mean_leaf_count"]
+            mean = records[path]["mean_leaf_count"]
             lines.append(
-                f"{path},{entry['entropy_bits']!r},{'' if mean is None else repr(mean)}"
+                f"{path},{records[path]['entropy_bits']!r},{'' if mean is None else repr(mean)}"
             )
         Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {args.csv}")
@@ -262,12 +238,10 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         return _fail("need at least two settings to correlate")
     eval_docs = [(p, read_score_entries(p)) for p in args.eval]
     hrm_docs = [(p, read_score_entries(p)) for p in args.hrm]
-    features: set[str] | None = None
-    for _, entries in eval_docs:
-        present = {f for f, e in entries.items() if not e.get("absent")}
-        features = present if features is None else features & present
-    for _, entries in hrm_docs:
-        features &= set(entries)
+    features = set.intersection(
+        *({f for f, e in entries.items() if not e.get("absent")} for _, entries in eval_docs),
+        *(set(entries) for _, entries in hrm_docs),
+    )
     if not features:
         return _fail("no feature is present in every eval and hrm file")
     per_feature: dict[str, dict] = {}
@@ -287,18 +261,11 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     if mean_r is not None:
         print(f"mean r over {len(rs)} features: {mean_r:.4f}")
     if args.out:
-        write_json(
-            {
-                "format_version": FORMAT_VERSION,
-                "settings": [
-                    {"eval": e, "hrm": h} for e, h in zip(args.eval, args.hrm)
-                ],
-                "per_feature": per_feature,
-                "mean_r": mean_r,
-            },
-            args.out,
-        )
-        print(f"wrote {args.out}")
+        _write(args.out, {
+            "settings": [{"eval": e, "hrm": h} for e, h in zip(args.eval, args.hrm)],
+            "per_feature": per_feature,
+            "mean_r": mean_r,
+        })
     return 0
 
 
@@ -414,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", nargs="+", required=True)
     p.add_argument("--rules", nargs="*", default=[],
                    help="rules.json per treebank, enables leaf-count correlation")
-    p.add_argument("--lambda", dest="lambda_override", type=float, default=None)
+    p.add_argument("--lambda", dest="lambda_override", type=_within(0, 1), default=None)
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_complexity)
@@ -440,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MorphagreeError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (MorphagreeError, OSError, ValueError) as exc:
         return _fail(str(exc))
 
 

@@ -62,15 +62,17 @@ class NoMatchingRuleError(InvalidRuleSetError):
 
 
 class MalformedRulesError(MorphagreeError):
-    """A rules document lacks a key, holds a value of the wrong JSON type,
-    an unknown name or a training_size other than its tree's, or holds a
-    rule set that is not valid (RuleSet)."""
+    """A rules document is not UTF-8 JSON, has another format_version, lacks
+    a key, holds a value of the wrong JSON type, an unknown name or a
+    training_size other than its tree's, or holds a rule set that is not
+    valid (RuleSet)."""
 
 
 # --- evaluation ---
 
 class MalformedScoresError(MorphagreeError):
-    """An eval or hrm document lacks a score, or holds a value of the wrong JSON type."""
+    """An eval or hrm document is not UTF-8 JSON, lacks a score, or holds a
+    value of the wrong JSON type."""
 
 
 class FeatureMismatchError(MorphagreeError):
@@ -82,7 +84,9 @@ class EmptyAnnotationsError(MorphagreeError):
 
 
 class MalformedAnnotationsError(MorphagreeError):
-    """A labeled row of an annotation file lacks a cell the header names."""
+    """An annotation file is not UTF-8 or lacks a column, or a labeled row
+    lacks a cell the header names, has an unknown label or contradicts an
+    earlier row."""
 
 
 class NoEvaluableTriplesError(MorphagreeError):

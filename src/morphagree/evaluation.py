@@ -178,47 +178,55 @@ def read_annotations(path: str | Path) -> list[AnnotationRecord]:
 
     The header names ANNOTATION_COLUMNS in any order; other columns are
     ignored, as are rows with no label. A (feature, triple) labeled again
-    with the same label is read once. A labeled row short of a named cell,
-    or one that labels a (feature, triple) differently from an earlier row,
-    raises MalformedAnnotationsError naming its line (and the earlier one);
-    an unknown label, ValueError.
+    with the same label is read once. A header short of a column raises
+    MalformedAnnotationsError; so does a line that is not UTF-8, a labeled
+    row short of a named cell or with an unknown label, or one that labels a
+    (feature, triple) differently from an earlier row, naming its line (and
+    the earlier one).
     """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        number = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedAnnotationsError(f"{path}: line {number}: {exc}") from None
+    if not text:
+        raise EmptyAnnotationsError(f"{path}: empty annotation file")
+    header, *lines = text.split("\n")
+    names = [name.strip() for name in header.rstrip("\r").split("\t")]
+    missing = [c for c in ANNOTATION_COLUMNS if c not in names]
+    if missing:
+        raise MalformedAnnotationsError(f"{path}: missing annotation columns {missing}")
+    at = [names.index(c) for c in ANNOTATION_COLUMNS]
     records: list[AnnotationRecord] = []
     labeled_at: dict[tuple[str, Triple], tuple[HumanLabel, int]] = {}
-    with open(path, encoding="utf-8-sig", newline="\n") as fh:
-        header = fh.readline()
-        if not header:
-            raise EmptyAnnotationsError(f"{path}: empty annotation file")
-        names = [name.strip() for name in header.rstrip("\r\n").split("\t")]
-        missing = [c for c in ANNOTATION_COLUMNS if c not in names]
-        if missing:
-            raise ValueError(f"{path}: missing annotation columns {missing}")
-        at = [names.index(c) for c in ANNOTATION_COLUMNS]
-        for number, line in enumerate(fh, start=2):
-            cells = [cell.strip() for cell in line.rstrip("\r\n").split("\t")]
-            if len(cells) <= at[-1] or not cells[at[-1]]:
-                continue  # no label
-            if len(cells) <= max(at):
+    for number, line in enumerate(lines, start=2):
+        cells = [cell.strip() for cell in line.rstrip("\r").split("\t")]
+        if len(cells) <= at[-1] or not cells[at[-1]]:
+            continue  # no label
+        if len(cells) <= max(at):
+            raise MalformedAnnotationsError(
+                f"{path}: line {number}: a labeled row lacks a cell the header names"
+            )
+        feature, relation, head_pos, dep_pos, raw = (cells[i] for i in at)
+        try:
+            human = HumanLabel(raw)
+        except ValueError:
+            raise MalformedAnnotationsError(
+                f"{path}: line {number}: unknown annotation label {raw!r}"
+            ) from None
+        triple = Triple(head_pos=head_pos, relation=relation, dep_pos=dep_pos)
+        if (feature, triple) in labeled_at:
+            first, first_line = labeled_at[feature, triple]
+            if first is not human:
                 raise MalformedAnnotationsError(
-                    f"{path}: line {number}: a labeled row lacks a cell the header names"
+                    f"{path}: lines {first_line} and {number} label {feature} "
+                    f"{relation} {head_pos} {dep_pos} differently: "
+                    f"{first.value} and {human.value}"
                 )
-            feature, relation, head_pos, dep_pos, raw = (cells[i] for i in at)
-            try:
-                human = HumanLabel(raw)
-            except ValueError:
-                raise ValueError(f"{path}: unknown annotation label {raw!r}") from None
-            triple = Triple(head_pos=head_pos, relation=relation, dep_pos=dep_pos)
-            if (feature, triple) in labeled_at:
-                first, first_line = labeled_at[feature, triple]
-                if first is not human:
-                    raise MalformedAnnotationsError(
-                        f"{path}: lines {first_line} and {number} label {feature} "
-                        f"{relation} {head_pos} {dep_pos} differently: "
-                        f"{first.value} and {human.value}"
-                    )
-                continue  # a repeat scores once
-            labeled_at[feature, triple] = (human, number)
-            records.append(AnnotationRecord(feature=feature, triple=triple, human_label=human))
+            continue  # a repeat scores once
+        labeled_at[feature, triple] = (human, number)
+        records.append(AnnotationRecord(feature=feature, triple=triple, human_label=human))
     if not records:
         raise EmptyAnnotationsError(f"{path}: no labeled rows")
     return records

@@ -225,32 +225,25 @@ class LabeledRule:
 
 def _descend(state: dict[str, Constraint], slot: str, value: str,
              matched: bool) -> dict[str, Constraint]:
-    mode, values = state.get(slot, _UNCONSTRAINED)
-    new = dict(state)
+    """state narrowed by the test slot == value, matched or not."""
+    mode, values = state[slot]
+    one = frozenset({value})
     if matched:
-        if mode == "in":
-            new[slot] = Constraint("in", values if value in values else frozenset())
-        elif value in values:  # excluded earlier: dead branch
-            new[slot] = Constraint("in", frozenset())
-        else:
-            new[slot] = Constraint("in", frozenset({value}))
+        narrowed = Constraint("in", values & one if mode == "in" else one - values)
     else:
-        if mode == "in":
-            new[slot] = Constraint("in", values - {value})
-        else:
-            new[slot] = Constraint("not_in", values | {value})
-    return new
+        narrowed = Constraint(mode, values - one if mode == "in" else values | one)
+    return {**state, slot: narrowed}
 
 
 def _leaf_regions(tree: DecisionTree) -> list[tuple[Leaf, dict[str, Constraint]]]:
     """Each leaf, in leaf order, with the constraint per slot that its path
     puts on the triples reaching it."""
     regions = []
-    stack = [(tree.root, {})]
+    stack = [(tree.root, dict.fromkeys(SLOT_ORDER, _UNCONSTRAINED))]
     while stack:
         node, state = stack.pop()
         if isinstance(node, Leaf):
-            regions.append((node, {slot: state.get(slot, _UNCONSTRAINED) for slot in SLOT_ORDER}))
+            regions.append((node, state))
             continue
         slot, value = node.predicate.slot, node.predicate.value
         stack.append((node.nomatch_child, _descend(state, slot, value, False)))
@@ -301,15 +294,19 @@ def _checked_routing(
     """Each leaf id of the tree mapped to the rule that lists it, once it is
     checked that the three agree; else an InvalidRuleSetError.
 
-    The checks, in order: leaf counts are at least 0 and sum to the tree's
-    training_size; the verdicts, then the rules' source_leaf_ids, list each
-    leaf once; rule ids are distinct; each rule's counts and label are its
-    source leaves' sums and verdict; every triple that reaches a leaf
-    matches the leaf's rule, so no triple is left without a rule; no two
-    rules share a triple.
+    The checks, in order: leaf ids are distinct; leaf counts are at least 0
+    and sum to the tree's training_size; the verdicts, then the rules'
+    source_leaf_ids, list each leaf once; rule ids are distinct; each rule's
+    counts and label are its source leaves' sums and verdict; every triple
+    that reaches a leaf matches the leaf's rule, so no triple is left
+    without a rule; no two rules share a triple.
     """
     regions = _leaf_regions(tree)
-    leaf_by_id = {leaf.leaf_id: leaf for leaf, _ in regions}
+    leaf_by_id: dict[int, Leaf] = {}
+    for leaf, _ in regions:
+        if leaf.leaf_id in leaf_by_id:
+            raise InvalidRuleSetError(f"two leaves of the tree have leaf_id {leaf.leaf_id}")
+        leaf_by_id[leaf.leaf_id] = leaf
     if any(leaf.n_agree < 0 or leaf.n_disagree < 0 for leaf in leaf_by_id.values()):
         raise InvalidRuleSetError("a leaf of the tree has a negative count")
     total = sum(leaf.size for leaf in leaf_by_id.values())
@@ -519,11 +516,6 @@ def rules_for(ruleset: RuleSet, triples: Iterable[Triple]) -> dict[Triple, Label
     }
 
 
-def rule_for(ruleset: RuleSet, triple: Triple) -> LabeledRule:
-    """The one rule matching the triple (see rules_for)."""
-    return rules_for(ruleset, (triple,))[triple]
-
-
 def label_triple(ruleset: RuleSet, triple: Triple) -> Label:
-    """Label of the unique rule matching the triple."""
-    return rule_for(ruleset, triple).label
+    """Label of the unique rule matching the triple (see rules_for)."""
+    return rules_for(ruleset, (triple,))[triple].label

@@ -67,12 +67,15 @@ def _get_each(doc: dict, key: str, kind, container=_LIST, default=_REQUIRED):
 
 
 def _read_json(path: str | Path, error: type[Exception]):
-    """The file's JSON value; a value nested too deeply to read raises error."""
+    """The file's JSON value; text that is not UTF-8 or not JSON, or a value
+    nested too deeply to read, raises error naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise error(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+            raise error(f"{path}: {exc}") from None
 
 
 def dump_canonical(doc: dict) -> str:
@@ -330,7 +333,8 @@ class RulesDocument:
         if not isinstance(doc, dict):
             raise MalformedRulesError("rules document is not a JSON object")
         if doc.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported rules format_version {doc.get('format_version')!r}")
+            raise MalformedRulesError(
+                f"unsupported rules format_version {doc.get('format_version')!r}")
         self.raw = doc
         self.treebank: str = _get(doc, "treebank", _STRING, "")
         self.params: dict = _get(doc, "params", _OBJECT, {})

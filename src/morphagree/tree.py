@@ -262,21 +262,16 @@ def _grow_points(codes: _Codes, rows: list[Row], points: list[HyperParams]) -> l
     """The grown root of every point, in order, from the coded rows. Points
     sharing a criterion and impurity floor share one growth at their
     largest max_depth (depth nesting, see the module docstring)."""
-    counts = _counts(rows, len(codes.predicates))
-    grown: dict[tuple[str, float], _Node] = {}
-    roots = []
+    depths: dict[tuple[str, float], int] = {}
     for hp in points:
+        if hp.criterion not in _IMPURITY:
+            raise ValueError(f"unknown criterion {hp.criterion!r}")
         key = (hp.criterion, hp.min_impurity_decrease)
-        if key not in grown:
-            if hp.criterion not in _IMPURITY:
-                raise ValueError(f"unknown criterion {hp.criterion!r}")
-            depth = max(p.max_depth for p in points
-                        if (p.criterion, p.min_impurity_decrease) == key)
-            grown[key] = _grow(
-                codes, rows, counts, depth, hp.min_impurity_decrease, _IMPURITY[hp.criterion]
-            )
-        roots.append(grown[key])
-    return roots
+        depths[key] = max(depths.get(key, hp.max_depth), hp.max_depth)
+    counts = _counts(rows, len(codes.predicates))
+    grown = {key: _grow(codes, rows, counts, depth, key[1], _IMPURITY[key[0]])
+             for key, depth in depths.items()}
+    return [grown[hp.criterion, hp.min_impurity_decrease] for hp in points]
 
 
 def _cut_leaves(root: _Node, max_depth: int) -> Iterator[_Node]:

@@ -335,6 +335,64 @@ def test_correlate_rejects_malformed_documents(tmp_path, capsys, bad_eval, bad_h
     assert "Traceback" not in err
 
 
+def test_correlate_names_a_truncated_eval_file(tmp_path, capsys):
+    paths = []
+    for name, text in (("eval-a", json.dumps(_GOOD_EVAL)), ("eval-b", json.dumps(_GOOD_EVAL)[:-9]),
+                       ("hrm-a", json.dumps(_GOOD_HRM)), ("hrm-b", json.dumps(_GOOD_HRM))):
+        paths.append(str(tmp_path / f"{name}.json"))
+        Path(paths[-1]).write_text(text, encoding="utf-8")
+    assert main(["correlate", "--eval", *paths[:2], "--hrm", *paths[2:]]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {paths[1]}: Expecting")
+
+
+def test_hrm_names_the_line_of_a_sheet_that_is_not_utf8(workspace, tmp_path, capsys):
+    sheet = tmp_path / "sheet.tsv"
+    sheet.write_bytes(b"feature\trelation\thead_pos\tdep_pos\tlabel\n"
+                      b"Gender\tdet\tNOUN\tDET\tneed_not\n"
+                      b"Gender\tsubj\tVERB\tNOUN\tneed_not \xff\n")
+    code = main(["hrm", "--rules", str(workspace / "rules.json"), "--annotations", str(sheet)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {sheet}: line 3: 'utf-8' codec can't decode byte 0xff")
+
+
+# (command and its arguments but --out, exit code with --out '')
+EMPTY_OUT = [
+    pytest.param(lambda ws, tmp: ["extract", "--train", str(ws / "train.conllu"),
+                                  "--features", "Gender"], 1, id="extract"),
+    pytest.param(lambda ws, tmp: ["evaluate", "--rules", str(ws / "rules.json"),
+                                  "--test", str(ws / "test.conllu")], 1, id="evaluate"),
+    pytest.param(lambda ws, tmp: ["hrm", "--rules", str(ws / "rules.json"),
+                                  "--annotations", str(tmp / "ann.tsv")], 0, id="hrm"),
+    pytest.param(lambda ws, tmp: ["complexity", "--train", str(ws / "train.conllu"),
+                                  "--rules", str(ws / "rules.json")], 0, id="complexity"),
+    pytest.param(lambda ws, tmp: ["correlate", "--eval", str(tmp / "eval-a.json"),
+                                  str(tmp / "eval-b.json"), "--hrm", str(tmp / "hrm-a.json"),
+                                  str(tmp / "hrm-b.json")], 0, id="correlate"),
+]
+
+
+@pytest.mark.parametrize("argv, code", EMPTY_OUT)
+def test_empty_out_path_fails_a_required_document_and_skips_an_optional_one(
+        workspace, tmp_path, monkeypatch, capsys, argv, code):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "ann.tsv").write_text(
+        "feature\trelation\thead_pos\tdep_pos\tlabel\nGender\tdet\tNOUN\tDET\talmost_always\n",
+        encoding="utf-8")
+    for name, doc in (("eval-a", _GOOD_EVAL), ("hrm-a", _GOOD_HRM)):
+        write_json(doc, inputs / f"{name}.json")
+    write_json({"features": {"Gender": {"arm": 0.75}}}, inputs / "eval-b.json")
+    write_json({"features": {"Gender": {"hrm": 0.25}}}, inputs / "hrm-b.json")
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    assert main([*argv(workspace, inputs), "--out", ""]) == code
+    out, err = capsys.readouterr()
+    assert "wrote" not in out and list(run.iterdir()) == []
+    assert err.startswith("error: ") if code else err == ""
+
+
 def test_correlate_rejects_mismatched_setting_lists(tmp_path):
     code = main(["correlate", "--eval", "a.json", "--hrm", "b.json", "c.json"])
     assert code == 1

@@ -160,6 +160,20 @@ def _first_leaf(node):
     return node["leaf"]
 
 
+def _second_leaf_renamed_first(doc):
+    """Gender's second leaf given the first leaf's id, with verdicts, rules
+    and training_size edited to agree with that second leaf alone."""
+    gender = _gender(doc)
+    second = gender["tree"]["root"]["nomatch"]["leaf"]
+    second["leaf_id"] = 1
+    gender["training_size"] = gender["tree"]["training_size"] = (
+        second["n_agree"] + second["n_disagree"])
+    del gender["leaf_verdicts"][1]
+    first_rule = gender["rules"][0]
+    gender["rules"] = [{**first_rule, "constraints": {}, "n_agree": second["n_agree"],
+                        "n_disagree": second["n_disagree"]}]
+
+
 # (edit of the golden rules.json, commands that read it, text the error names)
 RULES_FAULTS = [
     (lambda d: d.update(params=[]), EVERY_COMMAND, "'params' must be an object"),
@@ -215,6 +229,8 @@ RULES_FAULTS = [
     (lambda d: _gender(d)["rules"][0].update(
         label={"required": "chance", "chance": "required"}[_gender(d)["rules"][0]["label"]]),
      ("report", "evaluate"), "'label' differs from a source leaf's verdict"),
+    # once read as one rule over 520 instances: the first leaf 1 and its 280 vanished
+    (_second_leaf_renamed_first, EVERY_COMMAND, "two leaves of the tree have leaf_id 1"),
 ]
 
 
@@ -342,6 +358,9 @@ def test_faulty_eval_fails_report_with_error_line(workspace, capsys, edit, named
         ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--tau", "3"],
         ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--tau", "-0.001"],
         ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--tau", "inf"],
+        # once an error: line after the whole treebank was parsed, exit 1
+        ["complexity", "--train", "t.conllu", "--lambda", "2"],
+        ["complexity", "--train", "t.conllu", "--lambda", "nan"],
     ],
 )
 def test_counts_below_range_are_rejected_at_parsing(argv, capsys):

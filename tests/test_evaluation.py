@@ -20,6 +20,7 @@ from morphagree.errors import (
     EmptyAnnotationsError,
     FeatureMismatchError,
     LengthMismatchError,
+    MalformedAnnotationsError,
     NoEvaluableTriplesError,
     ZeroVarianceError,
 )
@@ -228,7 +229,16 @@ def test_read_annotations_rejects_unknown_labels(tmp_path):
         "Gender\tdet\tNOUN\tDET\tmaybe\n",
         encoding="utf-8",
     )
-    with pytest.raises(ValueError, match="maybe"):
+    with pytest.raises(MalformedAnnotationsError,
+                       match="line 2: unknown annotation label 'maybe'"):
+        read_annotations(path)
+
+
+def test_read_annotations_rejects_a_missing_column(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("feature\trelation\thead_pos\tlabel\n", encoding="utf-8")
+    with pytest.raises(MalformedAnnotationsError,
+                       match=r"missing annotation columns \['dep_pos'\]"):
         read_annotations(path)
 
 

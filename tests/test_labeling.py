@@ -33,8 +33,9 @@ from morphagree.labeling import (
     RuleSet,
     ThresholdMode,
     _merge_to_fixpoint,
+    LabeledRule,
     chi_square_survival,
-    rule_for,
+    rules_for,
 )
 from morphagree.tree import (
     SLOT_ORDER,
@@ -512,6 +513,18 @@ DISAGREEMENTS = [
 ]
 
 
+def test_ruleset_construction_rejects_repeated_leaf_ids():
+    # once accepted, with training_size 7: the first leaf 1 and its counts vanished
+    tree = _tree_from_root(
+        Internal(SplitPredicate("relation", "det"), Leaf(1, 5, 0), Leaf(1, 0, 7)), 7)
+    rule = LabeledRule(rule_id=1, label=Label.CHANCE,
+                       constraints=dict.fromkeys(SLOT_ORDER, Constraint("not_in", frozenset())),
+                       n_agree=0, n_disagree=7, source_leaf_ids=(1,))
+    with pytest.raises(InvalidRuleSetError, match="two leaves of the tree have leaf_id 1"):
+        RuleSet(feature="Gender", rules=(rule,), threshold_mode=ThresholdMode.STATISTICAL,
+                tree=tree, verdicts=(_verdict(1, Label.CHANCE),))
+
+
 @pytest.mark.parametrize("change, error, message", DISAGREEMENTS)
 def test_ruleset_construction_rejects_disagreeing_counts_verdicts_and_rules(
         change, error, message):
@@ -528,9 +541,10 @@ def test_ruleset_partitions_triple_space():
     for _ in range(50):
         tree, verdicts = random_labeled_tree(rng)
         ruleset = merge_rules(tree, verdicts)
-        for _ in range(40):
-            triple = random_triple(rng)
-            assert rule_for(ruleset, triple) is rule_for_scanning(ruleset.rules, triple)
+        triples = [random_triple(rng) for _ in range(40)]
+        found = rules_for(ruleset, triples)
+        for triple in triples:
+            assert found[triple] is rule_for_scanning(ruleset.rules, triple)
 
 
 def _every_class_of_triples(tree, rules) -> list[Triple]:
@@ -587,8 +601,9 @@ def _check_guard_against_scan(tree, verdicts, rng):
             assert not partitioned
             continue
         assert partitioned
+        found = rules_for(ruleset, triples)
         for triple in triples:
-            assert rule_for(ruleset, triple) is rule_for_scanning(rules, triple)
+            assert found[triple] is rule_for_scanning(rules, triple)
 
 
 @settings(max_examples=150, deadline=None)
@@ -634,7 +649,7 @@ def test_rule_for_tests_at_most_depth_predicates():
         for _ in range(30):
             triple = CountingTriple(*random_triple(rng))
             calls.clear()
-            rule_for(ruleset, triple)
+            rules_for(ruleset, (triple,))
             assert len(calls) <= depth
     # the bound holds where a scan would test more rules than the tree is deep
     assert most_rules_over_depth > 0

@@ -5,7 +5,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .complexity import conciseness_correlation, word_entropy
 from .conllu import parse_conllu_file
 from .errors import MorphagreeError, ZeroVarianceError
 from .evaluation import (
@@ -191,6 +190,9 @@ def _mean_leaf_count(doc) -> float | None:
 
 
 def cmd_complexity(args: argparse.Namespace) -> int:
+    # imported here, so the other commands do not load it
+    from .complexity import conciseness_correlation, word_entropy
+
     if args.rules and len(args.rules) != len(args.train):
         return _fail("--rules must list one rules.json per --train treebank")
     records: dict[str, dict] = {}
@@ -215,8 +217,11 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     correlation = None
     if len(leaf_means) >= 2:
         entropies = {path: r["entropy_bits"] for path, r in records.items()}
-        correlation = conciseness_correlation(entropies, leaf_means)
-        print(f"entropy vs mean leaf count: r = {correlation:.4f}")
+        try:
+            correlation = conciseness_correlation(entropies, leaf_means)
+            print(f"entropy vs mean leaf count: r = {correlation:.4f}")
+        except ZeroVarianceError:
+            print("entropy vs mean leaf count: r undefined (constant values)")
     if args.out:
         _write(args.out, {"treebanks": records, "conciseness_pearson_r": correlation})
     if args.csv:

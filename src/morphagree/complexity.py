@@ -8,15 +8,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyCountsError
 from .evaluation import pearson
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(NamedTuple):
     vocab_size: int
     total_tokens: int
     lambda_: float

@@ -1,4 +1,4 @@
-"""CoNLL-U / SUD treebank parsing into an immutable in-memory model.
+"""CoNLL-U / SUD treebank parsing into an in-memory model.
 
 Multiword-token range lines (``3-4``) and empty-node lines (``3.1``) are
 skipped: agreement triples are defined over single-token head/dependent
@@ -9,6 +9,9 @@ MISC and comments other than ``sent_id`` are read past.
 Files are streamed and decoded line by line, so no whole-file copy is
 held. Within one parse, tokens with the same FEATS string share one dict,
 so ``Token.feats`` is read-only; UPOS and DEPREL strings are interned.
+Tokens and sentences are immutable ``NamedTuple`` records, cheap to build
+at one per line; a Treebank is a plain class, so that it can cache its
+edge table.
 
 ``Treebank.edges`` is the one edge table every feature's dataset shares,
 built on first use: an ``Edge`` per non-root edge whose two tokens have
@@ -22,7 +25,6 @@ import functools
 import gc
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -51,8 +53,7 @@ def _gc_paused():
             gc.enable()
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """One syntactic word: a simple (non-range, non-empty) CoNLL-U line."""
 
     id: int
@@ -63,8 +64,7 @@ class Token:
     deprel: str
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """Tokens in id order, so token ``i`` is ``tokens[i - 1]``."""
 
     sent_id: str
@@ -96,9 +96,20 @@ class Edges(NamedTuple):
     feats_counts: tuple[tuple[dict[str, str], int], ...]  # non-empty dicts only
 
 
-@dataclass(frozen=True)
 class Treebank:
-    sentences: tuple[Sentence, ...]
+    """The sentences of one parse, in document order. Treated as read-only;
+    equal to another Treebank with equal sentences."""
+
+    def __init__(self, sentences: tuple[Sentence, ...]):
+        self.sentences = sentences
+
+    def __eq__(self, other):
+        if other.__class__ is not Treebank:
+            return NotImplemented
+        return self.sentences == other.sentences
+
+    def __repr__(self) -> str:
+        return f"Treebank(sentences={self.sentences!r})"
 
     @property
     def token_count(self) -> int:

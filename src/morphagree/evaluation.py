@@ -3,9 +3,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     EmptyAnnotationsError,
@@ -25,15 +24,13 @@ class HumanLabel(str, enum.Enum):
     NEED_NOT = "need_not"
 
 
-@dataclass(frozen=True)
-class AnnotationRecord:
+class AnnotationRecord(NamedTuple):
     feature: str
     triple: Triple
     human_label: HumanLabel
 
 
-@dataclass(frozen=True)
-class TripleVerdict:
+class TripleVerdict(NamedTuple):
     triple: Triple
     n_test: int
     q: float
@@ -42,8 +39,7 @@ class TripleVerdict:
     score: int
 
 
-@dataclass(frozen=True)
-class AnnotationVerdict:
+class AnnotationVerdict(NamedTuple):
     triple: Triple
     human_label: HumanLabel
     mapped_label: Label
@@ -51,8 +47,7 @@ class AnnotationVerdict:
     hs: int
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     feature: str
     arm: float
     verdicts: tuple[TripleVerdict, ...]

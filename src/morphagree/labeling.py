@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import (EmptyMarginalsError, InvalidRuleSetError, NoMatchingRuleError,
                      VerdictMismatchError)
 from .tree import SLOT_ORDER, DecisionTree, Leaf, leaf_refs, route
 from .triples import FeatureDataset, Triple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # example and counterexample refs kept per rule; refs run leaf by leaf in
 # merge order, and within a leaf triple by triple in order of first
@@ -43,8 +44,7 @@ class ThresholdMode(str, enum.Enum):
     STATISTICAL = "statistical"
 
 
-@dataclass(frozen=True)
-class ChanceModel:
+class ChanceModel(NamedTuple):
     """Null model: i.i.d. feature values drawn from observed proportions.
 
     p_chance_exact carries the rational value of p_chance when the model
@@ -68,6 +68,10 @@ def chance_agreement_prob(marginals: dict[str, int], feature: str = "") -> Chanc
         raise EmptyMarginalsError("cannot build a chance model from empty counts")
     if any(c < 1 for c in marginals.values()):
         raise ValueError("marginal counts must be >= 1")
+    # imported here, as in chi_squared_gof: only extract builds chance
+    # models, and fractions loads decimal, a few ms of every command's start
+    from fractions import Fraction
+
     n = sum(marginals.values())
     sum_sq = sum(c * c for c in marginals.values())
     probs = {value: count / n for value, count in sorted(marginals.items())}
@@ -101,6 +105,8 @@ def chi_squared_gof(
     if the observation matches the degenerate expectation exactly and +inf
     (p-value 0) otherwise.
     """
+    from fractions import Fraction
+
     o_disagree, o_agree = observed
     n = o_disagree + o_agree
     if n < 1:
@@ -131,8 +137,7 @@ def cramers_phi(chi2: float, n: int, k: int = 2, sqrt_variant: bool = False) -> 
     return math.sqrt(phi) if sqrt_variant else phi
 
 
-@dataclass(frozen=True)
-class LeafVerdict:
+class LeafVerdict(NamedTuple):
     leaf_id: int
     label: Label
     agree_ratio: float
@@ -211,8 +216,7 @@ class Constraint(NamedTuple):
 _UNCONSTRAINED = Constraint("not_in", frozenset())
 
 
-@dataclass(frozen=True)
-class LabeledRule:
+class LabeledRule(NamedTuple):
     rule_id: int
     label: Label
     constraints: dict[str, Constraint]  # one per slot of SLOT_ORDER
@@ -359,26 +363,38 @@ def _checked_routing(
     return rule_by_leaf
 
 
-@dataclass(frozen=True)
 class RuleSet:
     """Labeled rules, the tree they were merged from and its leaf verdicts.
 
     Construction raises an InvalidRuleSetError (see _checked_routing) unless
     the three agree and routing any triple, seen or unseen, through the tree
-    reaches the only rule matching it.
+    reaches the only rule matching it. Treated as read-only once built; a
+    changed copy is built with the constructor, which checks it again.
     """
 
-    feature: str
-    rules: tuple[LabeledRule, ...]
-    threshold_mode: ThresholdMode
-    tree: DecisionTree
-    verdicts: tuple[LeafVerdict, ...]
-    _rule_by_leaf: dict[int, LabeledRule] = field(init=False, repr=False, compare=False)
+    __slots__ = ("feature", "rules", "threshold_mode", "tree", "verdicts", "_rule_by_leaf")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_rule_by_leaf", _checked_routing(self.tree, self.verdicts, self.rules)
-        )
+    def __init__(self, feature: str, rules: tuple[LabeledRule, ...],
+                 threshold_mode: ThresholdMode, tree: DecisionTree,
+                 verdicts: tuple[LeafVerdict, ...]):
+        self.feature = feature
+        self.rules = rules
+        self.threshold_mode = threshold_mode
+        self.tree = tree
+        self.verdicts = verdicts
+        self._rule_by_leaf = _checked_routing(tree, verdicts, rules)
+
+    def _key(self) -> tuple:
+        return self.feature, self.rules, self.threshold_mode, self.tree, self.verdicts
+
+    def __eq__(self, other):
+        if other.__class__ is not RuleSet:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return ("RuleSet(feature={!r}, rules={!r}, threshold_mode={!r}, tree={!r}, "
+                "verdicts={!r})".format(*self._key()))
 
     @property
     def training_size(self) -> int:
@@ -498,7 +514,7 @@ def merge_rules(
     merged = _merge_to_fixpoint(_leaf_rules(tree, {v.leaf_id: v.label for v in verdicts}, dataset))
     return RuleSet(
         feature=tree.feature,
-        rules=tuple(replace(r, rule_id=idx) for idx, r in enumerate(merged, start=1)),
+        rules=tuple(r._replace(rule_id=idx) for idx, r in enumerate(merged, start=1)),
         threshold_mode=threshold_mode,
         tree=tree,
         verdicts=tuple(verdicts),

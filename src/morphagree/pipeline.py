@@ -1,7 +1,7 @@
 """End-to-end composition: treebank -> dataset -> tree -> labeled rule set."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conllu import Treebank
 from .labeling import (
@@ -19,8 +19,7 @@ from .tree import DecisionTree, HyperGrid, grid_search, leaf_refs, leaves
 from .triples import DEFAULT_FEATURES, FeatureDataset, extract_instances
 
 
-@dataclass(frozen=True)
-class ExtractionConfig:
+class ExtractionConfig(NamedTuple):
     features: tuple[str, ...] = DEFAULT_FEATURES
     threshold_mode: ThresholdMode = ThresholdMode.STATISTICAL
     hard_threshold: float = 0.9
@@ -37,8 +36,7 @@ class ExtractionConfig:
         return HyperGrid(max_depths=depths)
 
 
-@dataclass
-class FeatureRules:
+class FeatureRules(NamedTuple):
     """Everything extracted for one morphological feature."""
 
     feature: str

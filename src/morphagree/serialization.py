@@ -305,47 +305,52 @@ def rules_document(
 
 
 @contextmanager
-def _naming(feature: str):
-    """Raise a fault in a feature's entry as MalformedRulesError naming the
-    feature. A container of the wrong type surfaces as TypeError or
-    AttributeError, a tree nested too deeply as RecursionError."""
+def _naming(path: str | Path, feature: str | None = None):
+    """Raise a fault in a rules document as MalformedRulesError naming the
+    file and, given one, the feature whose entry holds it. A container of
+    the wrong type surfaces as TypeError or AttributeError, a tree nested
+    too deeply as RecursionError."""
+    where = f"{path}: " if feature is None else f"{path}: feature {feature!r}: "
     try:
         yield
     except KeyError as exc:
-        raise MalformedRulesError(f"feature {feature!r}: missing key {exc.args[0]!r}") from None
+        raise MalformedRulesError(f"{where}missing key {exc.args[0]!r}") from None
     except (TypeError, AttributeError, RecursionError, MalformedRulesError,
             InvalidRuleSetError) as exc:
-        raise MalformedRulesError(f"feature {feature!r}: {exc}") from None
+        raise MalformedRulesError(f"{where}{exc}") from None
 
 
 class RulesDocument:
     """A loaded rules.json: per-feature rule sets plus training metadata.
 
-    A feature entry raises MalformedRulesError naming the feature when it
-    lacks a key the loader reads, holds a value of the wrong JSON type or an
-    unknown name, or gives a training_size other than its tree's; or when
-    its RuleSet fails to build because its tree, leaf verdicts and rules
-    disagree (see RuleSet). Its training_triples are checked alike, when
-    they are first read.
+    Every MalformedRulesError it raises names the file at path. A feature
+    entry raises one naming the feature too when it lacks a key the loader
+    reads, holds a value of the wrong JSON type or an unknown name, or gives
+    a training_size other than its tree's; or when its RuleSet fails to
+    build because its tree, leaf verdicts and rules disagree (see RuleSet).
+    Its training_triples are checked alike, when they are first read.
     """
 
-    def __init__(self, doc: dict):
-        if not isinstance(doc, dict):
-            raise MalformedRulesError("rules document is not a JSON object")
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise MalformedRulesError(
-                f"unsupported rules format_version {doc.get('format_version')!r}")
-        self.raw = doc
-        self.treebank: str = _get(doc, "treebank", _STRING, "")
-        self.params: dict = _get(doc, "params", _OBJECT, {})
+    def __init__(self, doc: dict, path: str | Path):
+        self.path = path
+        with _naming(path):
+            if not isinstance(doc, dict):
+                raise MalformedRulesError("rules document is not a JSON object")
+            if doc.get("format_version") != FORMAT_VERSION:
+                raise MalformedRulesError(
+                    f"unsupported rules format_version {doc.get('format_version')!r}")
+            self.raw = doc
+            self.treebank: str = _get(doc, "treebank", _STRING, "")
+            self.params: dict = _get(doc, "params", _OBJECT, {})
+            mode = ThresholdMode(_get(self.params, "threshold_mode", _STRING, "statistical",
+                                      [m.value for m in ThresholdMode]))
+            features = _get_each(doc, "features", _OBJECT, _OBJECT, {})
         self.rulesets: dict[str, RuleSet] = {}
         self.absent: set[str] = set()
         self.trees: dict[str, DecisionTree] = {}
         self.chance_models: dict[str, ChanceModel] = {}
-        mode = ThresholdMode(_get(self.params, "threshold_mode", _STRING, "statistical",
-                                  [m.value for m in ThresholdMode]))
-        for feature, entry in _get_each(doc, "features", _OBJECT, _OBJECT, {}).items():
-            with _naming(feature):
+        for feature, entry in features.items():
+            with _naming(path, feature):
                 self._load_feature(feature, entry, mode)
 
     def _load_feature(self, feature: str, entry: dict, mode: ThresholdMode) -> None:
@@ -379,7 +384,7 @@ class RulesDocument:
         and checked on first use, not when the document loads."""
         triples = {}
         for feature in self.rulesets:
-            with _naming(feature):
+            with _naming(self.path, feature):
                 triples[feature] = [
                     (Triple(*(_get(t, slot, _STRING) for slot in Triple._fields)),
                      _get(t, "count", _INT))
@@ -394,7 +399,7 @@ class RulesDocument:
 
 
 def load_rules(path: str | Path) -> RulesDocument:
-    return RulesDocument(_read_json(path, MalformedRulesError))
+    return RulesDocument(_read_json(path, MalformedRulesError), path)
 
 
 # --- evaluation documents ---

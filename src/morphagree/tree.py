@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import add
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .errors import EmptyDatasetError
 from .triples import FeatureDataset, Triple, TripleGroup
@@ -49,14 +48,12 @@ from .triples import FeatureDataset, Triple, TripleGroup
 SLOT_ORDER = ("relation", "head_pos", "dep_pos")
 
 
-@dataclass(frozen=True)
-class SplitPredicate:
+class SplitPredicate(NamedTuple):
     slot: str  # one of SLOT_ORDER
     value: str
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     leaf_id: int
     n_agree: int
     n_disagree: int
@@ -70,8 +67,7 @@ class Leaf:
         return self.n_agree / self.size
 
 
-@dataclass(frozen=True)
-class Internal:
+class Internal(NamedTuple):
     predicate: SplitPredicate
     match_child: "TreeNode"
     nomatch_child: "TreeNode"
@@ -81,15 +77,13 @@ TreeNode = Leaf | Internal
 Row = tuple[int, int, int, int, int]  # slot codes in SLOT_ORDER, n_agree, n_disagree
 
 
-@dataclass(frozen=True)
-class HyperParams:
+class HyperParams(NamedTuple):
     criterion: str = "gini"  # "gini" or "entropy"
     max_depth: int = 6
     min_impurity_decrease: float = 1e-3
 
 
-@dataclass(frozen=True)
-class HyperGrid:
+class HyperGrid(NamedTuple):
     criteria: tuple[str, ...] = ("gini", "entropy")
     max_depths: tuple[int, ...] = (6, 15)
     min_impurity_decrease: float = 1e-3
@@ -106,8 +100,7 @@ class HyperGrid:
 DEFAULT_GRID = HyperGrid()
 
 
-@dataclass(frozen=True)
-class DecisionTree:
+class DecisionTree(NamedTuple):
     feature: str
     root: TreeNode
     hyperparams: HyperParams

@@ -18,8 +18,6 @@ outputs byte-stable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .conllu import Edge, Treebank, Triple
 
 DEFAULT_FEATURES = ("Gender", "Person", "Number", "Mood", "Case", "Tense")
@@ -45,24 +43,23 @@ class TripleGroup:
         return self.n_disagree + self.n_agree
 
 
-@dataclass(frozen=True)
 class FeatureDataset:
     """All agreement instances of one feature, plus corpus-level tallies, the
     per-triple table (see the module docstring) and ``agree[i]``, 1 when
-    instance i's two values of the feature are equal."""
+    instance i's two values of the feature are equal.
 
-    feature: str
-    instances: tuple[Edge, ...]
-    value_marginals: dict[str, int] = field(default_factory=dict)
-    agree: bytes = field(init=False, repr=False, compare=False)
-    triples: dict[Triple, TripleGroup] = field(init=False, repr=False, compare=False)
-    ranking: tuple[Triple, ...] = field(init=False, repr=False, compare=False)
+    Treated as read-only once built; equal to another FeatureDataset with
+    the same feature, instances and marginals. A plain slotted class,
+    because building it computes the table.
+    """
 
-    def __post_init__(self):
-        feature = self.feature
-        agree = bytearray(len(self.instances))
+    __slots__ = ("feature", "instances", "value_marginals", "agree", "triples", "ranking")
+
+    def __init__(self, feature: str, instances: tuple[Edge, ...],
+                 value_marginals: dict[str, int] | None = None):
+        agree = bytearray(len(instances))
         triples: dict[Triple, TripleGroup] = {}
-        for idx, inst in enumerate(self.instances):
+        for idx, inst in enumerate(instances):
             group = triples.get(inst.triple)
             if group is None:
                 group = triples[inst.triple] = TripleGroup(inst.triple, 0, 0)
@@ -72,12 +69,26 @@ class FeatureDataset:
             else:
                 group.n_disagree += 1
             group.refs.append(idx)
-        ranking = sorted(
+        self.feature = feature
+        self.instances = instances
+        self.value_marginals = {} if value_marginals is None else value_marginals
+        self.agree = bytes(agree)
+        self.triples = triples
+        self.ranking = tuple(sorted(
             triples, key=lambda t: (-triples[t].size, t.relation, t.head_pos, t.dep_pos)
-        )
-        object.__setattr__(self, "agree", bytes(agree))
-        object.__setattr__(self, "triples", triples)
-        object.__setattr__(self, "ranking", tuple(ranking))
+        ))
+
+    def _key(self) -> tuple:
+        return self.feature, self.instances, self.value_marginals
+
+    def __eq__(self, other):
+        if other.__class__ is not FeatureDataset:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return "FeatureDataset(feature={!r}, instances={!r}, value_marginals={!r})".format(
+            *self._key())
 
 
 def extract_instances(treebank: Treebank, feature: str) -> FeatureDataset:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import replace
 
 from morphagree.conllu import Edge, Sentence, Token, Treebank, parse_feats
 from morphagree.errors import (
@@ -382,7 +381,7 @@ def merge_rules_restarting(
                 break
     return RuleSet(
         feature=tree.feature,
-        rules=tuple(replace(r, rule_id=idx) for idx, r in enumerate(rules, start=1)),
+        rules=tuple(r._replace(rule_id=idx) for idx, r in enumerate(rules, start=1)),
         threshold_mode=threshold_mode,
         tree=tree,
         verdicts=tuple(verdicts),

@@ -267,6 +267,28 @@ def test_complexity_uniform_corpus(tmp_path, capsys):
     assert entry["vocab_size"] == 8
 
 
+# once exit 1 with neither document written: the golden train and dev sets
+# have one entropy and one mean leaf count, so r is undefined
+def test_complexity_with_constant_values_writes_null_r(tmp_path, capsys):
+    golden = Path(__file__).parent / "data" / "golden"
+    train, dev = str(golden / "train.conllu"), str(golden / "dev.conllu")
+    out, csv = tmp_path / "cx.json", tmp_path / "cx.csv"
+    code = main(["complexity", "--train", train, dev,
+                 "--rules", str(golden / "rules.json"), str(golden / "rules-dev.json"),
+                 "--out", str(out), "--csv", str(csv)])
+    assert code == 0
+    assert "r undefined (constant values)" in capsys.readouterr().out
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["conciseness_pearson_r"] is None
+    entries = [doc["treebanks"][path] for path in (train, dev)]
+    assert entries[0]["entropy_bits"] == entries[1]["entropy_bits"]
+    assert entries[0]["mean_leaf_count"] == entries[1]["mean_leaf_count"] is not None
+    assert csv.read_text(encoding="utf-8").splitlines()[1:] == [
+        f"{path},{entry['entropy_bits']!r},{entry['mean_leaf_count']!r}"
+        for path, entry in zip((train, dev), entries)
+    ]
+
+
 def test_correlate_identical_scores_and_protocol_shape(workspace, tmp_path):
     # four-setting protocol: simulate-50, simulate-100, baseline, gold
     settings = ["sim50", "sim100", "baseline", "gold"]

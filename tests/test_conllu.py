@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import io
 import tracemalloc
@@ -139,11 +138,9 @@ def test_text_comment_and_verbatim_extras():
         "1\ta\tlemma\tNOUN\tNN\tGender=Fem\t0\troot\t0:root\tSpaceAfter=No\n"
     )
     sentence = tb.sentences[0]
-    assert [f.name for f in dataclasses.fields(sentence)] == ["sent_id", "tokens"]
+    assert sentence._fields == ("sent_id", "tokens")
     token = sentence.tokens[0]
-    assert [f.name for f in dataclasses.fields(token)] == [
-        "id", "form", "upos", "feats", "head", "deprel"
-    ]
+    assert token._fields == ("id", "form", "upos", "feats", "head", "deprel")
     assert (token.id, token.form, token.upos, token.feats, token.head, token.deprel) == (
         1, "a", "NOUN", {"Gender": "Fem"}, 0, "root"
     )

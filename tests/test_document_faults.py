@@ -1,12 +1,13 @@
 """Hand-edited and fuzzed documents and out-of-range counts at the CLI.
 
 The JSON fuzz makes one change to the golden rules.json, or to an eval.json
-derived from it: it replaces one value at any depth (only the first three
-items of each list are visited) or deletes one object key. The sheet fuzz
-makes one cell or line change to a labeled annotation sheet exported from
-the golden files. Every command that reads the changed document must then
-return 0, or 1 with an ``error:`` line, and raise nothing. The named cases
-are faults once seen as tracebacks or as silently wrong reports."""
+or hrm.json derived from it: it replaces one value at any depth (only the
+first three items of each list are visited) or deletes one object key. The
+sheet fuzz makes one cell or line change to a labeled annotation sheet
+exported from the golden files. Every command that reads the changed
+document must then return 0, or 1 with an ``error:`` line, and raise
+nothing. The named cases are faults once seen as tracebacks or as silently
+wrong reports."""
 import json
 import random
 import sys
@@ -26,6 +27,7 @@ REPLACEMENTS = ("x", 5, 2.5, None, True, [], {})
 DELETE = "<delete>"
 RULES_CASES = 70
 EVAL_CASES = 30
+HRM_CASES = 30
 ANNOTATIONS = (
     "feature\trelation\thead_pos\tdep_pos\tlabel\n"
     "Gender\tdet\tNOUN\tDET\talmost_always\n"
@@ -148,6 +150,26 @@ def test_changed_eval_documents_never_escape(workspace, capsys):
          "--hrm", str(tmp_path / "hrm-a.json"), str(tmp_path / "hrm-b.json")],
     )
     assert _run_all(tmp_path, single_changes(evaluated, EVAL_CASES, 2), commands, capsys) == []
+
+
+def test_changed_hrm_documents_never_escape(workspace, capsys):
+    tmp_path, train = workspace
+    scored = tmp_path / "hrm.json"
+    assert main(["hrm", "--rules", str(GOLDEN_DIR / "rules.json"),
+                 "--annotations", str(tmp_path / "annotations.tsv"), "--out", str(scored)]) == 0
+    other = tmp_path / "eval-other.json"
+    other.write_text(json.dumps({"features": {"Gender": {"arm": 0.25}, "Number": {"arm": 0.5}}}),
+                     encoding="utf-8")
+    commands = (
+        ["correlate", "--eval", str(tmp_path / "eval.json"), str(other),
+         "--hrm", str(scored), str(tmp_path / "changed.json")],
+    )
+    # hrm writes per-triple detail that correlate never reads, so the fuzz
+    # also changes the bare scores of hrm-a.json
+    cases = [case for name, seed in ((scored, 5), (tmp_path / "hrm-a.json", 6))
+             for case in single_changes(json.loads(name.read_text(encoding="utf-8")),
+                                        HRM_CASES, seed)]
+    assert _run_all(tmp_path, cases, commands, capsys) == []
 
 
 def _gender(doc):
@@ -277,6 +299,37 @@ def test_malformed_training_triples_fail_only_evaluate_top_k(workspace, edit, na
                      "--out", str(tmp_path / "out-eval.json")])
     for argv in commands:
         assert main(argv) == 0, argv[0]
+
+
+# (edit of the golden rules.json, command reading it, text the error names
+# after the file); once the file went unnamed, so complexity --rules r1 r2
+# could not say which was bad
+NAMED_FILE_FAULTS = [
+    (lambda d: d.update(format_version="2"), "complexity",
+     "unsupported rules format_version '2'"),
+    (lambda d: _gender(d)["rules"][0].update(rule_id={}), "complexity",
+     "feature 'Gender': 'rule_id' must be an integer, not dict"),
+    (lambda d: _gender(d)["training_triples"][0].update(relation=[]), "evaluate",
+     "feature 'Gender': 'relation' must be a string, not list"),
+]
+
+
+@pytest.mark.parametrize("edit, command, named", NAMED_FILE_FAULTS,
+                         ids=[named for _, _, named in NAMED_FILE_FAULTS])
+def test_rules_fault_names_the_file(workspace, capsys, edit, command, named):
+    tmp_path, train = workspace
+    doc = json.loads((GOLDEN_DIR / "rules.json").read_text(encoding="utf-8"))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    argv = {
+        "complexity": ["complexity", "--train", train, train,
+                       "--rules", str(GOLDEN_DIR / "rules.json"), str(bad)],
+        "evaluate": _commands(tmp_path, train, str(bad), ["evaluate"])[0],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {named}\n"
 
 
 _SPLIT = ('{"split": {"slot": "relation", "value": "det"}, "nomatch": {"leaf": '

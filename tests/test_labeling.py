@@ -2,7 +2,6 @@ import gc
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -467,14 +466,21 @@ def test_ruleset_construction_rejects_corrupt_rules():
                                     Leaf(2, 1, 4)), 10)
     ruleset = merge_rules(tree, [_verdict(1, Label.REQUIRED), _verdict(2, Label.CHANCE)])
     first, second = ruleset.rules
-    narrowed = replace(first, constraints={**first.constraints,
+    narrowed = first._replace(constraints={**first.constraints,
                                            "relation": Constraint("in", frozenset({"obj"}))})
     with pytest.raises(NoMatchingRuleError, match="no rule matches triple .*relation='det'"):
-        replace(ruleset, rules=(narrowed, second))
-    widened = replace(second, constraints={**second.constraints,
+        _rebuilt(ruleset, rules=(narrowed, second))
+    widened = second._replace(constraints={**second.constraints,
                                            "relation": Constraint("not_in", frozenset())})
     with pytest.raises(NoMatchingRuleError, match="relation='det'.* matches rules 1 and 2"):
-        replace(ruleset, rules=(first, widened))
+        _rebuilt(ruleset, rules=(first, widened))
+
+
+def _rebuilt(ruleset, **changes):
+    """A RuleSet with some of ruleset's fields changed, built and checked anew."""
+    fields = {name: getattr(ruleset, name)
+              for name in ("feature", "rules", "threshold_mode", "tree", "verdicts")}
+    return RuleSet(**{**fields, **changes})
 
 
 def _two_leaf_tree(nomatch=Leaf(2, 1, 4), training_size=10):
@@ -485,10 +491,10 @@ def _two_leaf_tree(nomatch=Leaf(2, 1, 4), training_size=10):
 # (change to a valid RuleSet of two one-leaf rules, error type, message), one
 # per check of counts, verdicts, rule ids and labels
 DISAGREEMENTS = [
-    pytest.param(lambda rs: replace(rs, tree=_two_leaf_tree(Leaf(2, 1, -4), 2)),
+    pytest.param(lambda rs: _rebuilt(rs, tree=_two_leaf_tree(Leaf(2, 1, -4), 2)),
                  InvalidRuleSetError, "a leaf of the tree has a negative count",
                  id="negative leaf count"),
-    pytest.param(lambda rs: replace(rs, tree=_two_leaf_tree(training_size=9)),
+    pytest.param(lambda rs: _rebuilt(rs, tree=_two_leaf_tree(training_size=9)),
                  InvalidRuleSetError,
                  "'training_size' is not 10, the sum of the tree's leaf counts",
                  id="wrong training_size"),
@@ -497,17 +503,17 @@ DISAGREEMENTS = [
                                     verdicts=rs.verdicts[:1]),
                  VerdictMismatchError, "'leaf_verdicts' do not list each leaf of the tree once",
                  id="missing verdict"),
-    pytest.param(lambda rs: replace(rs, verdicts=rs.verdicts + rs.verdicts[:1]),
+    pytest.param(lambda rs: _rebuilt(rs, verdicts=rs.verdicts + rs.verdicts[:1]),
                  VerdictMismatchError, "'leaf_verdicts' do not list each leaf of the tree once",
                  id="duplicate verdict"),
-    pytest.param(lambda rs: replace(rs, rules=(rs.rules[0], replace(rs.rules[1], rule_id=1))),
+    pytest.param(lambda rs: _rebuilt(rs, rules=(rs.rules[0], rs.rules[1]._replace(rule_id=1))),
                  InvalidRuleSetError, "two rules share a rule_id", id="duplicate rule id"),
-    pytest.param(lambda rs: replace(rs, rules=(replace(rs.rules[0], n_agree=4), rs.rules[1])),
+    pytest.param(lambda rs: _rebuilt(rs, rules=(rs.rules[0]._replace(n_agree=4), rs.rules[1])),
                  InvalidRuleSetError,
                  "rule 1: 'n_agree' and 'n_disagree' are not the sums over its source leaves",
                  id="wrong rule counts"),
-    pytest.param(lambda rs: replace(rs, rules=(replace(rs.rules[0], label=Label.CHANCE),
-                                               rs.rules[1])),
+    pytest.param(lambda rs: _rebuilt(rs, rules=(rs.rules[0]._replace(label=Label.CHANCE),
+                                                rs.rules[1])),
                  VerdictMismatchError, "rule 1: 'label' differs from a source leaf's verdict",
                  id="wrong rule label"),
 ]
@@ -582,7 +588,7 @@ def _mutated(rules, rng):
     else:
         new = Constraint(rng.choice(("in", "not_in")),
                          frozenset(v for v in pool if rng.random() < 0.3))
-    changed = replace(rules[at], constraints={**rules[at].constraints, slot: new})
+    changed = rules[at]._replace(constraints={**rules[at].constraints, slot: new})
     return rules[:at] + (changed,) + rules[at + 1:]
 
 
@@ -596,7 +602,7 @@ def _check_guard_against_scan(tree, verdicts, rng):
         triples = _every_class_of_triples(tree, rules)
         partitioned = all(sum(rule_matches(r, t) for r in rules) == 1 for t in triples)
         try:
-            ruleset = replace(merged, rules=rules)
+            ruleset = _rebuilt(merged, rules=rules)
         except NoMatchingRuleError:
             assert not partitioned
             continue

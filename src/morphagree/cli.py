@@ -198,7 +198,7 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     records: dict[str, dict] = {}
     for i, path in enumerate(args.train):
         treebank = parse_conllu_file(path)
-        forms = (t.form for s in treebank.sentences for t in s.tokens)
+        forms = (form for sentence in treebank.forms.values() for form in sentence)
         estimate = word_entropy(forms, args.lambda_override)
         records[path] = {
             "vocab_size": estimate.vocab_size,
@@ -301,6 +301,24 @@ def _at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {value}")
         return value
     return count
+
+
+# the options whose values are range-checked numbers
+_RANGED = ("--alpha", "--phi-min", "--hard-threshold", "--tau", "--lambda",
+           "--top-k", "--examples")
+
+
+def _join_ranged_values(argv: list[str]) -> list[str]:
+    """argv with each ranged option and a following value that starts with a
+    single '-' (-1e-9, -inf) joined as --option=value, which argparse would
+    otherwise take for an option, so that the value reaches its range check."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _RANGED and arg[:1] == "-" and arg[:2] != "--":
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _within(low: float, high: float, low_open: bool = False):
@@ -409,7 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_join_ranged_values(argv))
     try:
         return args.func(args)
     except (MorphagreeError, OSError, ValueError) as exc:

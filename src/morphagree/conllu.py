@@ -1,32 +1,37 @@
-"""CoNLL-U / SUD treebank parsing into an in-memory model.
+"""CoNLL-U / SUD treebank parsing, straight into an edge table.
 
 Multiword-token range lines (``3-4``) and empty-node lines (``3.1``) are
 skipped: agreement triples are defined over single-token head/dependent
-pairs. Only HEAD/DEPREL define edges. A token keeps only the columns the
-pipeline reads (ID, FORM, UPOS, FEATS, HEAD, DEPREL); LEMMA, XPOS, DEPS,
-MISC and comments other than ``sent_id`` are read past.
+pairs. Only HEAD/DEPREL define edges. A token line is read for ID, FORM,
+UPOS, FEATS, HEAD and DEPREL; LEMMA, XPOS, DEPS, MISC and comments other
+than ``sent_id`` are read past.
 
 Files are streamed and decoded line by line, so no whole-file copy is
-held. Within one parse, tokens with the same FEATS string share one dict,
-so ``Token.feats`` is read-only; UPOS and DEPREL strings are interned.
-Tokens and sentences are immutable ``NamedTuple`` records, cheap to build
-at one per line; a Treebank is a plain class, so that it can cache its
-edge table.
+held, and nothing per token outlives its sentence: each validated line
+becomes a plain tuple in ``Token``'s field order, and at the sentence's end
+one builder checks its ids and heads, appends its edges and keeps its forms.
+``Treebank.from_sentences`` sends in-memory ``Sentence``s, as
+``synthetic.generate`` and tests build them, through the same builder.
+Within one parse, tokens with the same FEATS string share one dict, so
+FEATS dicts are read-only.
 
-``Treebank.edges`` is the one edge table every feature's dataset shares,
-built on first use: an ``Edge`` per non-root edge whose two tokens have
-FEATS, in document order, with one ``Triple`` per distinct shape, plus the
-token count of each distinct FEATS dict. A feature's dataset holds these
-same ``Edge`` objects, not copies.
+A Treebank holds:
+
+- ``edges``, the one edge table every feature's dataset shares: an ``Edge``
+  per non-root edge whose two tokens have FEATS, in document order, with
+  one ``Triple`` per distinct shape, plus the token count of each distinct
+  non-empty FEATS dict, in order of first occurrence. A feature's dataset
+  holds these same ``Edge`` objects, not copies;
+- ``forms``, each sentence's forms in id order by ``sent_id``, in document
+  order, for rendering examples and counting words;
+- ``token_count``.
 """
 from __future__ import annotations
 
-import functools
 import gc
-import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, NamedTuple
 
 from .errors import (
     DuplicateSentIdError,
@@ -54,7 +59,8 @@ def _gc_paused():
 
 
 class Token(NamedTuple):
-    """One syntactic word: a simple (non-range, non-empty) CoNLL-U line."""
+    """One syntactic word: a simple (non-range, non-empty) CoNLL-U line. The
+    parser keeps none; ``synthetic`` and tests build them."""
 
     id: int
     form: str
@@ -97,45 +103,94 @@ class Edges(NamedTuple):
 
 
 class Treebank:
-    """The sentences of one parse, in document order. Treated as read-only;
-    equal to another Treebank with equal sentences."""
+    """A treebank's edge table, each sentence's forms by ``sent_id`` and its
+    token count (see the module docstring). Treated as read-only; equal to
+    another Treebank with equal fields."""
 
-    def __init__(self, sentences: tuple[Sentence, ...]):
-        self.sentences = sentences
+    __slots__ = ("edges", "forms", "token_count")
+
+    def __init__(self, edges: Edges, forms: dict[str, tuple[str, ...]], token_count: int):
+        self.edges = edges
+        self.forms = forms
+        self.token_count = token_count
 
     def __eq__(self, other):
         if other.__class__ is not Treebank:
             return NotImplemented
-        return self.sentences == other.sentences
+        return (self.edges, self.forms, self.token_count) == (
+            other.edges, other.forms, other.token_count)
 
-    def __repr__(self) -> str:
-        return f"Treebank(sentences={self.sentences!r})"
+    @classmethod
+    def from_sentences(cls, sentences: Iterable[Sentence]) -> Treebank:
+        """The treebank of in-memory sentences, checked and built as a parse
+        of their CoNLL-U text would be."""
+        builder = _Builder()
+        for sentence in sentences:
+            builder.add(sentence.tokens, sentence.sent_id)
+        return builder.finish()
 
-    @property
-    def token_count(self) -> int:
-        return sum(len(s.tokens) for s in self.sentences)
 
-    @functools.cached_property
-    def edges(self) -> Edges:
-        entries, triples, counts, dicts = [], {}, {}, {}  # the last two by id(FEATS)
-        with _gc_paused():
-            for sentence in self.sentences:
-                tokens = sentence.tokens
-                for token in tokens:
-                    feats = token.feats
-                    counts[id(feats)] = counts.get(id(feats), 0) + 1
-                    dicts.setdefault(id(feats), feats)
-                    if token.head == 0 or not feats or not tokens[token.head - 1].feats:
-                        continue
-                    head = tokens[token.head - 1]
-                    shape = (head.upos, token.deprel, token.upos)
+class _Builder:
+    """Turns each sentence's token rows, tuples in ``Token``'s field order,
+    into its edges, FEATS counts and forms; ``finish`` makes the Treebank."""
+
+    def __init__(self):
+        self.entries: list[Edge] = []
+        self.triples: dict[tuple[str, str, str], Triple] = {}
+        self.counts: dict[int, int] = {}  # tokens per FEATS dict, by id()
+        self.dicts: dict[int, dict[str, str]] = {}  # keeps each counted dict alive
+        self.forms: dict[str, tuple[str, ...]] = {}
+        self.sentences = 0
+        self.token_count = 0
+        self.duplicate: str | None = None  # the first repeated sent_id's message
+
+    def add(self, rows, sent_id: str | None) -> None:
+        """One sentence's rows, in file order. Sentences without an id get
+        their 1-based ordinal."""
+        self.sentences += 1
+        ordinal = self.sentences
+        n = len(rows)
+        ids = [row[0] for row in rows]
+        if ids != list(range(1, n + 1)):
+            raise InvalidIdError(
+                f"sentence {sent_id or ordinal}: token ids are not consecutive 1..n: {ids}"
+            )
+        for row in rows:
+            if not 0 <= row[4] <= n:
+                raise InvalidHeadError(f"sentence {sent_id or ordinal}: token {row[0]} "
+                                       f"points to missing head {row[4]}")
+        name = sent_id or str(ordinal)
+        triples, append = self.triples, self.entries.append
+        counts, dicts = self.counts, self.dicts
+        for dep_id, _, upos, feats, head, deprel in rows:
+            if not feats:
+                continue
+            key = id(feats)
+            if key in counts:
+                counts[key] += 1
+            else:
+                counts[key] = 1
+                dicts[key] = feats
+            if head:
+                _, _, head_upos, head_feats, _, _ = rows[head - 1]
+                if head_feats:
+                    shape = (head_upos, deprel, upos)
                     triple = triples.get(shape)
                     if triple is None:
                         triple = triples[shape] = Triple(*shape)
-                    entries.append(Edge(triple, (sentence.sent_id, head.id, token.id),
-                                        head.feats, feats))
-            return Edges(tuple(entries),
-                         tuple((dicts[k], n) for k, n in counts.items() if dicts[k]))
+                    append(Edge(triple, (name, head, dep_id), head_feats, feats))
+        self.token_count += n
+        if name in self.forms:
+            self.duplicate = self.duplicate or f"sentence {ordinal}: duplicate sent_id {name!r}"
+        self.forms[name] = tuple([row[1] for row in rows])
+
+    def finish(self) -> Treebank:
+        """The treebank; DuplicateSentIdError if a sent_id was repeated."""
+        if self.duplicate is not None:
+            raise DuplicateSentIdError(self.duplicate)
+        dicts = self.dicts
+        feats_counts = tuple((dicts[key], n) for key, n in self.counts.items())
+        return Treebank(Edges(tuple(self.entries), feats_counts), self.forms, self.token_count)
 
 
 def parse_feats(raw: str) -> dict[str, str]:
@@ -176,97 +231,70 @@ def _is_range_or_empty_node_id(col: str) -> bool:
     return False
 
 
-def _parse_token_line(line: str, line_no: int, feats_of: dict[str, dict]) -> Token | None:
-    """One token line. ``feats_of`` memoises the parse's FEATS strings
-    (successful parses only, so a bad one raises on every line it is on)."""
-    cols = line.split("\t")
-    if len(cols) != N_COLUMNS:
-        raise MalformedLineError(
-            f"line {line_no}: expected {N_COLUMNS} columns, got {len(cols)}"
-        )
-    if not cols[0].isdecimal() and _is_range_or_empty_node_id(cols[0]):
-        return None
-    if not cols[0].isdecimal() or int(cols[0]) < 1:
-        raise InvalidIdError(f"line {line_no}: bad token id {cols[0]!r}")
-    token_id = int(cols[0])
-    if not cols[6].isdecimal():
-        raise InvalidHeadError(f"line {line_no}: bad head {cols[6]!r}")
-    head = int(cols[6])
-    if head == token_id:
-        raise InvalidHeadError(f"line {line_no}: head {head} invalid for token {token_id}")
-    feats = feats_of.get(cols[5])
-    if feats is None:
-        try:
-            feats = feats_of[cols[5]] = parse_feats(cols[5])
-        except MalformedFeatsError as exc:
-            raise MalformedFeatsError(f"line {line_no}: {exc}") from None
-    return Token(token_id, cols[1], sys.intern(cols[3]), feats, head, sys.intern(cols[7]))
-
-
-def _finish_sentence(tokens: list[Token], sent_id: str | None, ordinal: int) -> Sentence:
-    ids = [t.id for t in tokens]
-    if ids != list(range(1, len(ids) + 1)):
-        raise InvalidIdError(
-            f"sentence {sent_id or ordinal}: token ids are not consecutive 1..n: {ids}"
-        )
-    valid = set(ids)
-    for t in tokens:
-        if t.head != 0 and t.head not in valid:
-            raise InvalidHeadError(
-                f"sentence {sent_id or ordinal}: token {t.id} points to missing head {t.head}"
-            )
-    return Sentence(sent_id=sent_id or str(ordinal), tokens=tuple(tokens))
-
-
-def _iter_lines(stream: IO[bytes] | Iterable[bytes]) -> Iterator[tuple[int, str]]:
-    """(1-based line number, decoded line without its LF or CRLF) pairs. The
-    LF byte occurs in UTF-8 only as LF, so per-line decoding is safe."""
-    for line_no, raw in enumerate(stream, start=1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"line {line_no}: {exc}") from None
-        yield line_no, line.rstrip("\n").rstrip("\r")
-
-
 def parse_conllu(stream: IO[bytes] | Iterable[bytes]) -> Treebank:
-    """Parse a CoNLL-U stream of UTF-8 bytes into a Treebank.
+    """Parse a CoNLL-U stream of UTF-8 bytes (LF or CRLF line endings) into
+    a Treebank.
 
     Comment ``# sent_id = X`` populates the sentence id; sentences without
     one get their 1-based ordinal as a string. Ids must be unique, since
     instance provenance refers to sentences by id: a repeated one, including
     an ordinal that collides with an explicit id, raises
-    DuplicateSentIdError. Parsing is deterministic and order-preserving.
+    DuplicateSentIdError once every line is read. Any other fault raises at
+    its line, or at the end of its sentence for ids and heads that do not
+    fit together. Parsing is deterministic and order-preserving.
     """
-    sentences: list[Sentence] = []
-    tokens: list[Token] = []
+    builder = _Builder()
+    rows: list[tuple] = []
     sent_id: str | None = None
+    # FEATS string -> its dict; successful parses only, so a bad string
+    # raises on every line it is on
     feats_of: dict[str, dict[str, str]] = {}
     with _gc_paused():
-        for line_no, line in _iter_lines(stream):
+        for line_no, raw in enumerate(stream, start=1):
+            # the LF byte occurs in UTF-8 only as LF, so per-line decoding is safe
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise EncodingError(f"line {line_no}: {exc}") from None
+            line = line.rstrip("\n").rstrip("\r")
             if not line:
-                if tokens:
-                    sentences.append(_finish_sentence(tokens, sent_id, len(sentences) + 1))
-                tokens, sent_id = [], None
+                if rows:
+                    builder.add(rows, sent_id)
+                rows, sent_id = [], None
                 continue
-            if line.startswith("#"):
+            if line[0] == "#":
                 key, sep, value = line[1:].partition("=")
                 if sep and key.strip() == "sent_id":
                     sent_id = value.strip()
                 continue
-            token = _parse_token_line(line, line_no, feats_of)
-            if token is not None:
-                tokens.append(token)
-        if tokens:
-            sentences.append(_finish_sentence(tokens, sent_id, len(sentences) + 1))
-    seen: set[str] = set()
-    for ordinal, sentence in enumerate(sentences, start=1):
-        if sentence.sent_id in seen:
-            raise DuplicateSentIdError(
-                f"sentence {ordinal}: duplicate sent_id {sentence.sent_id!r}"
-            )
-        seen.add(sentence.sent_id)
-    return Treebank(sentences=tuple(sentences))
+            cols = line.split("\t")
+            if len(cols) != N_COLUMNS:
+                raise MalformedLineError(
+                    f"line {line_no}: expected {N_COLUMNS} columns, got {len(cols)}"
+                )
+            id_col, head_col = cols[0], cols[6]
+            if not id_col.isdecimal():
+                if _is_range_or_empty_node_id(id_col):
+                    continue
+                raise InvalidIdError(f"line {line_no}: bad token id {id_col!r}")
+            token_id = int(id_col)
+            if token_id < 1:
+                raise InvalidIdError(f"line {line_no}: bad token id {id_col!r}")
+            if not head_col.isdecimal():
+                raise InvalidHeadError(f"line {line_no}: bad head {head_col!r}")
+            head = int(head_col)
+            if head == token_id:
+                raise InvalidHeadError(f"line {line_no}: head {head} invalid for token {token_id}")
+            feats = feats_of.get(cols[5])
+            if feats is None:
+                try:
+                    feats = feats_of[cols[5]] = parse_feats(cols[5])
+                except MalformedFeatsError as exc:
+                    raise MalformedFeatsError(f"line {line_no}: {exc}") from None
+            rows.append((token_id, cols[1], cols[3], feats, head, cols[7]))
+        if rows:
+            builder.add(rows, sent_id)
+    return builder.finish()
 
 
 def parse_conllu_file(path: str | Path) -> Treebank:

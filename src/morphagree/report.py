@@ -1,12 +1,15 @@
-"""Annotation-sheet export and self-contained static HTML rule reports."""
+"""Annotation-sheet export and self-contained static HTML rule reports.
+
+``html`` is imported only by the functions that render HTML, so the
+commands that import this module without writing a report do not load it.
+"""
 from __future__ import annotations
 
-import html
 import random
 from pathlib import Path
 from typing import Sequence
 
-from .conllu import Edge, Sentence, Treebank
+from .conllu import Edge, Treebank
 from .evaluation import ANNOTATION_COLUMNS
 from .labeling import Label, LabeledRule, RuleSet, rules_for
 from .serialization import RulesDocument
@@ -14,24 +17,18 @@ from .tree import SLOT_ORDER
 from .triples import extract_instances, top_k_triples
 
 
-def sentence_index(treebank: Treebank) -> dict[str, Sentence]:
-    return {sentence.sent_id: sentence for sentence in treebank.sentences}
-
-
 def render_example(
-    sentence: Sentence, head_id: int, dep_id: int,
+    forms: tuple[str, ...], head_id: int, dep_id: int,
     marks: tuple[str, str] = ("[[{}]]", "(({}))"), escape=str,
 ) -> str:
-    """The sentence's forms, each passed through escape, joined by spaces;
-    the head's and the dependent's forms are set in their marks (plain text
+    """A sentence's forms, each passed through escape, joined by spaces; the
+    forms of tokens head_id and dep_id are set in their marks (plain text
     [[head]] and ((dependent)) by default)."""
+    words = [escape(form) for form in forms]
     head_mark, dep_mark = marks
-    return " ".join(
-        head_mark.format(escape(token.form)) if token.id == head_id
-        else dep_mark.format(escape(token.form)) if token.id == dep_id
-        else escape(token.form)
-        for token in sentence.tokens
-    )
+    words[head_id - 1] = head_mark.format(words[head_id - 1])
+    words[dep_id - 1] = dep_mark.format(words[dep_id - 1])
+    return " ".join(words)
 
 
 def _sample(items: Sequence, k: int, seed_key: str) -> list:
@@ -51,7 +48,6 @@ def build_annotation_rows(
     seed: int,
 ) -> list[tuple[str, ...]]:
     """Sheet rows: one per (feature, top triple), label column left blank."""
-    index = sentence_index(train)
     rows: list[tuple[str, ...]] = []
     for feature in features:
         dataset = extract_instances(train, feature)
@@ -64,7 +60,7 @@ def build_annotation_rows(
                 sent_id, head_id, dep_id = dataset.instances[ref].provenance
                 rendered.append(
                     f"{sent_id}:h{head_id}:d{dep_id} "
-                    + render_example(index[sent_id], head_id, dep_id)
+                    + render_example(train.forms[sent_id], head_id, dep_id)
                 )
             rows.append(
                 (
@@ -110,6 +106,8 @@ td, th { border: 1px solid #bbb; padding: 0.25em 0.6em; text-align: left; }
 
 
 def _page(title: str, body: str) -> str:
+    import html
+
     return (
         "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n"
         f"<title>{html.escape(title)}</title>\n<style>{_PAGE_CSS}</style>\n"
@@ -126,6 +124,8 @@ _SLOT_TITLES = {"relation": "relation", "head_pos": "head POS", "dep_pos": "depe
 
 
 def _constraint_text(rule: LabeledRule) -> str:
+    import html
+
     parts = []
     for slot in SLOT_ORDER:
         constraint = rule.constraints[slot]
@@ -152,11 +152,12 @@ def render_feature_page(
     ruleset: RuleSet,
     doc: RulesDocument,
     train: Treebank,
-    index: dict[str, Sentence],
     examples: int,
     seed: int,
     eval_entry: tuple[float, float, float | None] | None,
 ) -> str:
+    import html
+
     dataset = extract_instances(train, feature)
     # (agreeing, disagreeing) example pools per rule, in document order
     by_rule: dict[int, tuple[list[Edge], list[Edge]]] = {
@@ -224,7 +225,7 @@ def render_feature_page(
             for inst in _sample(pool, examples, key):
                 sent_id, head_id, dep_id = inst.provenance
                 sentence = render_example(
-                    index[sent_id], head_id, dep_id, _HTML_MARKS, html.escape
+                    train.forms[sent_id], head_id, dep_id, _HTML_MARKS, html.escape
                 )
                 values = " / ".join(
                     html.escape(feats[feature]) for feats in (inst.head_feats, inst.dep_feats)
@@ -239,6 +240,8 @@ def render_feature_page(
 
 
 def render_index_page(doc: RulesDocument, eval_scores: dict[str, tuple]) -> str:
+    import html
+
     body = ["<h1>Agreement rule report</h1>"]
     body.append(
         f'<p class="muted">treebank: {html.escape(doc.treebank)} &middot; '
@@ -281,7 +284,6 @@ def write_report(
     eval_scores = eval_scores or {}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    index = sentence_index(train)
     written = []
     index_path = out / "index.html"
     index_path.write_text(render_index_page(doc, eval_scores), encoding="utf-8")
@@ -294,7 +296,6 @@ def write_report(
             doc.rulesets[feature],
             doc,
             train,
-            index,
             examples,
             seed,
             eval_scores.get(feature),

@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterable
 
-from .conllu import Sentence, Token, Treebank, feats_to_string
+from .conllu import Sentence, Token, feats_to_string
 from .errors import FeatureMismatchError, InvalidGrammarError
 from .labeling import Label, RuleSet, label_triple
 from .triples import Triple
@@ -100,8 +101,10 @@ def _sample_value(rng: random.Random, spec: FeatureSpec, exclude: str | None = N
 
 def generate(
     grammar: PlantedGrammar, n_sentences: int, tokens_per_sentence: int = 3
-) -> Treebank:
-    """Generate a treebank, fully determined by the grammar's seed.
+) -> tuple[Sentence, ...]:
+    """Generate a treebank's sentences, fully determined by the grammar's
+    seed. ``Treebank.from_sentences`` builds their edge table;
+    ``treebank_to_conllu`` writes them without one.
 
     tokens_per_sentence must be odd and >= 3: one anchor plus head/dep
     pairs. Planted rules enforce agreement on every declared feature.
@@ -144,7 +147,7 @@ def generate(
                       feats=dep_feats, head=head_id, deprel=triple.relation)
             )
         sentences.append(Sentence(sent_id=f"synth-{s}", tokens=tuple(tokens)))
-    return Treebank(sentences=tuple(sentences))
+    return tuple(sentences)
 
 
 def recovery_score(
@@ -168,14 +171,14 @@ def recovery_score(
     return precision, recall
 
 
-def treebank_to_conllu(treebank: Treebank) -> str:
-    """Serialize a treebank as standard 10-column CoNLL-U text.
+def treebank_to_conllu(sentences: Iterable[Sentence]) -> str:
+    """Serialize sentences as standard 10-column CoNLL-U text.
 
     Tokens keep no LEMMA, XPOS, DEPS or MISC: LEMMA repeats FORM and the
     other three are ``_``.
     """
     blocks = []
-    for sentence in treebank.sentences:
+    for sentence in sentences:
         lines = [f"# sent_id = {sentence.sent_id}"]
         for t in sentence.tokens:
             lines.append(

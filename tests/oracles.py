@@ -20,7 +20,7 @@ import itertools
 import math
 import random
 
-from morphagree.conllu import Edge, Sentence, Token, Treebank, parse_feats
+from morphagree.conllu import Edge, Sentence, Token, feats_to_string, parse_feats
 from morphagree.errors import (
     DuplicateSentIdError,
     EncodingError,
@@ -454,9 +454,10 @@ def _finish_sentence(tokens: list[Token], sent_id: str | None, ordinal: int) -> 
     return Sentence(sent_id=sent_id or str(ordinal), tokens=tuple(tokens))
 
 
-def parse_conllu_reference(stream) -> Treebank:
-    """parse_conllu line by line: every token gets its own FEATS dict, and
-    nothing is memoised, interned or built ahead for extraction."""
+def parse_conllu_reference(stream) -> tuple[Sentence, ...]:
+    """parse_conllu as a Sentence of Tokens per sentence, line by line:
+    every token gets its own FEATS dict, and nothing is memoised or built
+    ahead for extraction."""
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     sent_id = None
@@ -489,15 +490,37 @@ def parse_conllu_reference(stream) -> Treebank:
                 f"sentence {ordinal}: duplicate sent_id {sentence.sent_id!r}"
             )
         seen.add(sentence.sent_id)
-    return Treebank(sentences=tuple(sentences))
+    return tuple(sentences)
 
 
-def extract_instances_reference(treebank: Treebank, feature: str) -> FeatureDataset:
-    """extract_instances as one walk over the tokens per feature: a fresh
-    Edge and Triple per instance, marginals counted token by token."""
+def edge_table_reference(sentences) -> tuple[tuple[Edge, ...], list[tuple[str, int]]]:
+    """Treebank.edges by one walk over the sentences' tokens: a fresh Edge
+    and Triple per edge whose two tokens have FEATS, and the count of tokens
+    per non-empty FEATS, keyed by its sorted string, in order of first
+    occurrence."""
+    entries: list[Edge] = []
+    counts: dict[str, int] = {}
+    for sentence in sentences:
+        for token in sentence.tokens:
+            if not token.feats:
+                continue
+            key = feats_to_string(token.feats)
+            counts[key] = counts.get(key, 0) + 1
+            if token.head == 0:
+                continue
+            head = sentence.tokens[token.head - 1]
+            if head.feats:
+                entries.append(Edge(Triple(head.upos, token.deprel, token.upos),
+                                    (sentence.sent_id, head.id, token.id), head.feats, token.feats))
+    return tuple(entries), list(counts.items())
+
+
+def extract_instances_reference(sentences, feature: str) -> FeatureDataset:
+    """extract_instances as one walk over the sentences' tokens per feature:
+    a fresh Edge and Triple per instance, marginals counted token by token."""
     instances: list[Edge] = []
     marginals: dict[str, int] = {}
-    for sentence in treebank.sentences:
+    for sentence in sentences:
         for token in sentence.tokens:
             dep_value = token.feats.get(feature)
             if dep_value is None:

@@ -18,6 +18,7 @@ from morphagree import (
     Label,
     PlantedGrammar,
     RulePattern,
+    Treebank,
     Triple,
     baseline_arm,
     chance_agreement_prob,
@@ -91,15 +92,16 @@ def test_criterion_3_planted_rule_recovery():
         config = ExtractionConfig(features=("Gender",))
 
         grammar = _recovery_grammar(0.0)
-        treebank = generate(grammar, 10_000, 3)
-        assert sum(1 for _ in treebank.sentences) == 10_000
+        treebank = Treebank.from_sentences(generate(grammar, 10_000, 3))
+        assert len(treebank.forms) == 10_000
         result = extract_feature_rules(treebank, "Gender", config)
         # every vocabulary triple drew well over 200 instances
         assert min(g.size for g in result.dataset.triples.values()) >= 200
         assert recovery_score(grammar, result.ruleset) == (1.0, 1.0)
 
         noisy = _recovery_grammar(0.03)
-        noisy_result = extract_feature_rules(generate(noisy, 10_000, 3), "Gender", config)
+        noisy_result = extract_feature_rules(
+            Treebank.from_sentences(generate(noisy, 10_000, 3)), "Gender", config)
         _, recall = recovery_score(noisy, noisy_result.ruleset)
         assert recall == 1.0
 
@@ -116,7 +118,7 @@ def test_criterion_4_chance_only_control():
                 noise_rate=0.0,
                 seed=seed,
             )
-            treebank = generate(grammar, 800, 5)
+            treebank = Treebank.from_sentences(generate(grammar, 800, 5))
             result = extract_feature_rules(
                 treebank, "Number", ExtractionConfig(features=("Number",))
             )

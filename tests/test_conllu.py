@@ -16,6 +16,7 @@ from morphagree import (
     parse_feats,
     treebank_to_conllu,
 )
+from morphagree.conllu import Edge, Edges, Sentence, Token, Triple
 from morphagree.errors import (
     DuplicateSentIdError,
     EncodingError,
@@ -30,7 +31,8 @@ from conftest import make_treebank
 
 def test_empty_stream_yields_empty_treebank():
     tb = parse_conllu(io.BytesIO(b""))
-    assert tb.sentences == ()
+    assert tb.edges == Edges((), ())
+    assert tb.forms == {}
     assert tb.token_count == 0
 
 
@@ -39,11 +41,9 @@ def test_two_token_sentence_det_attaches_to_noun():
         "1\tLos\tlos\tDET\t_\tNumber=Plur\t2\tdet\t_\t_\n"
         "2\tenigmas\tenigma\tNOUN\t_\tNumber=Plur\t0\troot\t_\t_\n"
     )
-    assert len(tb.sentences) == 1
-    token = tb.sentences[0].tokens[0]
-    assert token.head == 2
-    assert token.deprel == "det"
-    assert token.feats == {"Number": "Plur"}
+    assert tb.forms == {"1": ("Los", "enigmas")}
+    plural = {"Number": "Plur"}
+    assert tb.edges.entries == (Edge(Triple("NOUN", "det", "DET"), ("1", 2, 1), plural, plural),)
 
 
 def test_unresolvable_head_rejected():
@@ -106,7 +106,7 @@ def test_ordinal_fallback_colliding_with_explicit_id_rejected():
 
 def test_distinct_explicit_and_ordinal_ids_accepted():
     tb = make_treebank(f"# sent_id = x\n{_ONE_TOKEN}\n{_ONE_TOKEN}")
-    assert [s.sent_id for s in tb.sentences] == ["x", "2"]
+    assert list(tb.forms) == ["x", "2"]
 
 
 def test_range_and_empty_node_lines_skipped():
@@ -117,7 +117,7 @@ def test_range_and_empty_node_lines_skipped():
         "2.1\tghost\t_\t_\t_\t_\t_\t_\t_\t_\n"
     )
     assert tb.token_count == 2
-    assert [t.form for t in tb.sentences[0].tokens] == ["de", "el"]
+    assert tb.forms == {"1": ("de", "el")}
 
 
 def test_sent_id_comment_and_ordinal_fallback():
@@ -127,8 +127,7 @@ def test_sent_id_comment_and_ordinal_fallback():
         "\n"
         "1\tb\tb\tNOUN\t_\t_\t0\troot\t_\t_\n"
     )
-    assert tb.sentences[0].sent_id == "my-id-7"
-    assert tb.sentences[1].sent_id == "2"
+    assert tb.forms == {"my-id-7": ("a",), "2": ("b",)}
 
 
 def test_text_comment_and_verbatim_extras():
@@ -136,15 +135,16 @@ def test_text_comment_and_verbatim_extras():
     tb = make_treebank(
         "# text = hello there\n"
         "1\ta\tlemma\tNOUN\tNN\tGender=Fem\t0\troot\t0:root\tSpaceAfter=No\n"
+        "2\tb\tlemmb\tDET\tDT\tGender=Masc\t1\tdet\t1:det\t_\n"
     )
-    sentence = tb.sentences[0]
-    assert sentence._fields == ("sent_id", "tokens")
-    token = sentence.tokens[0]
-    assert token._fields == ("id", "form", "upos", "feats", "head", "deprel")
-    assert (token.id, token.form, token.upos, token.feats, token.head, token.deprel) == (
-        1, "a", "NOUN", {"Gender": "Fem"}, 0, "root"
-    )
-    assert not hasattr(token, "__dict__")
+    assert tb.forms == {"1": ("a", "b")}
+    fem, masc = {"Gender": "Fem"}, {"Gender": "Masc"}
+    assert tb.edges == Edges((Edge(Triple("NOUN", "det", "DET"), ("1", 1, 2), fem, masc),),
+                             ((fem, 1), (masc, 1)))
+    # the records that synthetic and the tests build, in the parser's row order
+    assert Sentence._fields == ("sent_id", "tokens")
+    assert Token._fields == ("id", "form", "upos", "feats", "head", "deprel")
+    assert not hasattr(Token(1, "a", "NOUN", fem, 0, "root"), "__dict__")
 
 
 @pytest.mark.parametrize("bad_id", ["x-y", "-5", "1.", "a.b", "1-", "1-2-3", "\u00b2"])
@@ -163,7 +163,7 @@ def test_crlf_line_endings():
 
 def test_byte_stream_and_encoding_error():
     tb = parse_conllu(io.BytesIO("1\tá\tá\tNOUN\t_\t_\t0\troot\t_\t_\n".encode()))
-    assert tb.sentences[0].tokens[0].form == "á"
+    assert tb.forms == {"1": ("á",)}
     with pytest.raises(EncodingError):
         parse_conllu(io.BytesIO(b"1\t\xff\xfe\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"))
 
@@ -202,7 +202,7 @@ def test_parse_is_deterministic_and_order_preserving(spanish_fig):
     a = make_treebank(spanish_fig)
     b = make_treebank(spanish_fig)
     assert a == b
-    assert [s.sent_id for s in a.sentences] == ["A.1", "B.1"]
+    assert list(a.forms) == ["A.1", "B.1"]
 
 
 _feat_names = st.text(
@@ -228,16 +228,18 @@ def test_tokens_with_equal_feats_strings_share_one_dict():
         "1\tuna\tuno\tDET\t_\tGender=Fem|Number=Sing\t2\tdet\t_\t_\n"
         "2\tmesa\tmesa\tNOUN\t_\tGender=Fem\t0\troot\t_\t_\n"
     )
-    (la, casa), (una, mesa) = (s.tokens for s in tb.sentences)
-    assert la.feats is casa.feats is una.feats
-    assert mesa.feats is not la.feats
-    assert la.upos is una.upos and la.deprel is una.deprel
+    # edges la <- casa and una <- mesa: equal FEATS strings share one dict,
+    # and equal triples one Triple
+    first, second = tb.edges.entries
+    assert first.dep_feats is first.head_feats is second.dep_feats
+    assert second.head_feats is not first.head_feats
+    assert first.triple is second.triple
 
 
 def test_parsed_treebank_retains_few_bytes_per_token():
-    # a fresh FEATS dict and UPOS/DEPREL strings per token retain about 690
-    # bytes per token here (about 1,080 with six features per token); shared
-    # dicts and interned strings about 150
+    # a Token with a fresh FEATS dict and UPOS/DEPREL strings per token
+    # retained about 690 bytes per token here (about 1,080 with six features
+    # per token); the parse now keeps about 139, its edge table included
     grammar = PlantedGrammar(
         features=(
             FeatureSpec("Gender", ("Fem", "Masc"), (0.6, 0.4)),

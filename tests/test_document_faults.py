@@ -411,6 +411,11 @@ def test_faulty_eval_fails_report_with_error_line(workspace, capsys, edit, named
         ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--tau", "3"],
         ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--tau", "-0.001"],
         ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--tau", "inf"],
+        # negative values, which argparse alone would take for options
+        ["evaluate", "--rules", "r.json", "--test", "t.conllu", "--tau", "-1e-9"],
+        ["extract", "--train", "t.conllu", "--phi-min", "-inf"],
+        ["extract", "--train", "t.conllu", "--alpha", "-0.5"],
+        ["complexity", "--train", "t.conllu", "--lambda", "-1e-3"],
         # once an error: line after the whole treebank was parsed, exit 1
         ["complexity", "--train", "t.conllu", "--lambda", "2"],
         ["complexity", "--train", "t.conllu", "--lambda", "nan"],

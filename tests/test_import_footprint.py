@@ -19,8 +19,9 @@ import morphagree
 TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
 # each of these costs every command milliseconds of start-up, and at most
 # one command needs it: dataclasses (with inspect) none, fractions (with
-# decimal) extract, complexity its own command, synthetic only the tests
-NOT_LOADED = {"dataclasses", "inspect", "fractions", "decimal",
+# decimal) extract, html (with html.entities) report, complexity its own
+# command, synthetic only the tests
+NOT_LOADED = {"dataclasses", "inspect", "fractions", "decimal", "html", "html.entities",
               "morphagree.synthetic", "morphagree.complexity"}
 
 

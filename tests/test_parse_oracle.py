@@ -1,6 +1,6 @@
 """The parser and the edge-table extraction against the reference copies in
-oracles.py, which parse token by token and walk the tokens once per
-feature."""
+oracles.py, which parse into a Token per line and a Sentence per sentence,
+then walk those tokens once for the edge table and once per feature."""
 import io
 import tempfile
 from pathlib import Path
@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphagree import extract_instances, parse_conllu, parse_conllu_file
+from morphagree import extract_instances, feats_to_string, parse_conllu, parse_conllu_file
 from morphagree.errors import EncodingError, MorphagreeError
 
-from oracles import extract_instances_reference, parse_conllu_reference
+from oracles import edge_table_reference, extract_instances_reference, parse_conllu_reference
 
 FEATURE_VALUES = {
     "Gender": ["Fem", "Masc", "Fem,Masc"],
@@ -108,7 +108,17 @@ def _check_equivalent(lines: list[str], crlf: bool) -> None:
     assert error == reference_error
     if error is not None:
         return
-    assert treebank == reference
+    entries, feats_counts = edge_table_reference(reference)
+    assert treebank.edges.entries == entries
+    merged: dict[str, int] = {}  # equal FEATS written in two orders are two dicts
+    for feats, count in treebank.edges.feats_counts:
+        key = feats_to_string(feats)
+        merged[key] = merged.get(key, 0) + count
+    assert list(merged.items()) == feats_counts
+    assert list(treebank.forms.items()) == [
+        (s.sent_id, tuple(t.form for t in s.tokens)) for s in reference
+    ]
+    assert treebank.token_count == sum(len(s.tokens) for s in reference)
     for feature in FEATURES:
         got = extract_instances(treebank, feature)
         want = extract_instances_reference(reference, feature)
@@ -139,7 +149,8 @@ def test_file_parse_matches_reference_on_the_same_text(lines, crlf):
             outcome = parse_conllu_file(path), None
         except MorphagreeError as exc:
             outcome = None, (type(exc), str(exc))
-    assert outcome == _outcome(parse_conllu_reference, text)
+    assert outcome == _outcome(parse_conllu, text)
+    assert outcome[1] == _outcome(parse_conllu_reference, text)[1]
 
 
 @settings(max_examples=100, deadline=None)

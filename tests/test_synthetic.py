@@ -8,6 +8,7 @@ from morphagree import (
     Label,
     PlantedGrammar,
     RulePattern,
+    Treebank,
     Triple,
     extract_feature_rules,
     extract_instances,
@@ -22,6 +23,7 @@ from morphagree.labeling import LeafVerdict
 from morphagree.tree import DecisionTree, HyperParams, Internal, Leaf, SplitPredicate
 
 from conftest import agrees
+from oracles import parse_conllu_reference
 
 
 def simple_grammar(**overrides):
@@ -46,15 +48,22 @@ def test_generation_is_deterministic_under_seed():
 
 def test_generated_treebank_round_trips_through_conllu():
     g = simple_grammar(seed=2, required_rules=(RulePattern(relation="det"),))
-    tb = generate(g, 30, 5)
-    reparsed = parse_conllu(io.BytesIO(treebank_to_conllu(tb).encode("utf-8")))
-    assert reparsed.sentences == tb.sentences
+    sentences = generate(g, 30, 5)
+    text = treebank_to_conllu(sentences).encode("utf-8")
+    # every column of every token, as the token-by-token reference reads it
+    assert parse_conllu_reference(io.BytesIO(text)) == sentences
+    reparsed = parse_conllu(io.BytesIO(text))
+    tb = Treebank.from_sentences(sentences)
+    # the FEATS counts differ only in sharing: the parse keeps one dict per
+    # FEATS string, the generator makes one per token
+    assert (reparsed.edges.entries, reparsed.forms, reparsed.token_count) == (
+        tb.edges.entries, tb.forms, tb.token_count)
     assert extract_instances(reparsed, "Gender") == extract_instances(tb, "Gender")
 
 
 def test_required_edges_always_agree_without_noise():
     g = simple_grammar(required_rules=(RulePattern(relation="det"),), seed=3)
-    tb = generate(g, 2000, 3)
+    tb = Treebank.from_sentences(generate(g, 2000, 3))
     dataset = extract_instances(tb, "Gender")
     det = [i for i in dataset.instances if i.triple.relation == "det"]
     assert det and all(agrees(i) for i in det)
@@ -64,7 +73,7 @@ def test_noise_rate_violates_required_edges_at_expected_rate():
     g = simple_grammar(
         required_rules=(RulePattern(relation="det"),), noise_rate=0.1, seed=3
     )
-    tb = generate(g, 5000, 3)
+    tb = Treebank.from_sentences(generate(g, 5000, 3))
     dataset = extract_instances(tb, "Gender")
     det = [i for i in dataset.instances if i.triple.relation == "det"]
     ratio = sum(agrees(i) for i in det) / len(det)
@@ -74,7 +83,7 @@ def test_noise_rate_violates_required_edges_at_expected_rate():
 def test_chance_edges_converge_to_sum_of_squared_marginals():
     # marginals 0.9/0.1: chance agreement 0.82, the worked number example
     g = simple_grammar(seed=11)
-    tb = generate(g, 25000, 5)  # 50k edges
+    tb = Treebank.from_sentences(generate(g, 25000, 5))  # 50k edges
     dataset = extract_instances(tb, "Gender")
     by_triple: dict[Triple, list[bool]] = {}
     for inst in dataset.instances:
@@ -86,7 +95,7 @@ def test_chance_edges_converge_to_sum_of_squared_marginals():
 
 def test_generated_marginals_track_declared_distribution():
     g = simple_grammar(seed=9)
-    tb = generate(g, 5000, 3)
+    tb = Treebank.from_sentences(generate(g, 5000, 3))
     counts = extract_instances(tb, "Gender").value_marginals
     total = sum(counts.values())
     assert abs(counts["Fem"] / total - 0.9) < 0.02
@@ -111,7 +120,7 @@ def test_recovery_exact_match():
         required_rules=(RulePattern(relation="det"),),
         seed=1,
     )
-    tb = generate(g, 3000, 3)
+    tb = Treebank.from_sentences(generate(g, 3000, 3))
     result = extract_feature_rules(tb, "Gender", ExtractionConfig(features=("Gender",)))
     assert recovery_score(g, result.ruleset) == (1.0, 1.0)
 

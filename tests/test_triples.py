@@ -15,6 +15,7 @@ from morphagree.conllu import Edge
 from morphagree.errors import EmptyMarginalsError
 
 from conftest import agrees, make_edge, make_treebank, six_feature_conllu
+from oracles import parse_conllu_reference
 
 
 def test_subject_verb_number_edge_agrees(spanish_fig):
@@ -93,7 +94,9 @@ def test_instance_count_matches_independent_double_loop(gender_tally_path):
     tb = parse_conllu_file(gender_tally_path)
     feature = "Gender"
     expected = 0
-    for sentence in tb.sentences:
+    with open(gender_tally_path, "rb") as fh:
+        sentences = parse_conllu_reference(fh)
+    for sentence in sentences:
         for token in sentence.tokens:
             if token.head == 0:
                 continue
@@ -186,7 +189,6 @@ def test_extraction_keeps_few_bytes_per_instance():
     # byte and its triple table's index. About 48 bytes per instance here;
     # a 5-field tuple per instance and feature kept about 136
     tb = make_treebank(six_feature_conllu(600))
-    tb.edges
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -197,6 +199,25 @@ def test_extraction_keeps_few_bytes_per_instance():
     n_instances = sum(len(d.instances) for d in datasets)
     assert n_instances == 6 * 600 * 14
     assert kept / n_instances <= 80
+
+
+def test_parsed_treebank_keeps_few_bytes_per_token(tmp_path):
+    # what a parse retains, its edge table included: the edges, each
+    # sentence's forms and the shared FEATS dicts, about 161 bytes per token
+    # here. A Token per line and a Sentence per sentence, kept beside the
+    # edge table, came to about 258
+    path = tmp_path / "train.conllu"
+    path.write_text(six_feature_conllu(600), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tb = parse_conllu_file(path)
+        edges = tb.edges
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(edges.entries) == 600 * 14
+    assert kept / tb.token_count <= 175
 
 
 def test_file_parse_holds_no_copy_of_the_file(tmp_path):

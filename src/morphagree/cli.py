@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from .conllu import parse_conllu_file
-from .errors import MorphagreeError, ZeroVarianceError
+from .errors import EmptyCountsError, MorphagreeError, ZeroVarianceError
 from .evaluation import (
     arm,
     baseline_arm,
@@ -199,7 +199,10 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     for i, path in enumerate(args.train):
         treebank = parse_conllu_file(path)
         forms = (form for sentence in treebank.forms.values() for form in sentence)
-        estimate = word_entropy(forms, args.lambda_override)
+        try:
+            estimate = word_entropy(forms, args.lambda_override)
+        except EmptyCountsError as exc:
+            return _fail(f"{path}: {exc}")
         records[path] = {
             "vocab_size": estimate.vocab_size,
             "total_tokens": estimate.total_tokens,
@@ -401,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hrm)
 
     p = sub.add_parser("complexity", help="word entropy and rule conciseness")
-    p.add_argument("--train", nargs="+", required=True)
+    p.add_argument("--train", nargs="+", action=_Distinct, required=True)
     p.add_argument("--rules", nargs="*", default=[],
                    help="rules.json per treebank, enables leaf-count correlation")
     p.add_argument("--lambda", dest="lambda_override", type=_within(0, 1), default=None)

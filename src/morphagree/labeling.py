@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import (EmptyMarginalsError, InvalidRuleSetError, NoMatchingRuleError,
                      VerdictMismatchError)
 from .tree import SLOT_ORDER, DecisionTree, Leaf, leaf_refs, route
 from .triples import FeatureDataset, Triple
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # example and counterexample refs kept per rule; refs run leaf by leaf in
 # merge order, and within a leaf triple by triple in order of first
@@ -47,15 +44,15 @@ class ThresholdMode(str, enum.Enum):
 class ChanceModel(NamedTuple):
     """Null model: i.i.d. feature values drawn from observed proportions.
 
-    p_chance_exact carries the rational value of p_chance when the model
-    was built from integer counts, so expected frequencies can be computed
-    without rounding error.
+    p_chance_exact carries p_chance as the integers (numerator,
+    denominator) when the model was built from counts, so the statistic
+    can be computed without rounding error.
     """
 
     feature: str
     value_probs: dict[str, float]
     p_chance: float
-    p_chance_exact: Fraction | None = None
+    p_chance_exact: tuple[int, int] | None = None
 
 
 def chance_agreement_prob(marginals: dict[str, int], feature: str = "") -> ChanceModel:
@@ -68,10 +65,6 @@ def chance_agreement_prob(marginals: dict[str, int], feature: str = "") -> Chanc
         raise EmptyMarginalsError("cannot build a chance model from empty counts")
     if any(c < 1 for c in marginals.values()):
         raise ValueError("marginal counts must be >= 1")
-    # imported here, as in chi_squared_gof: only extract builds chance
-    # models, and fractions loads decimal, a few ms of every command's start
-    from fractions import Fraction
-
     n = sum(marginals.values())
     sum_sq = sum(c * c for c in marginals.values())
     probs = {value: count / n for value, count in sorted(marginals.items())}
@@ -79,7 +72,7 @@ def chance_agreement_prob(marginals: dict[str, int], feature: str = "") -> Chanc
         feature=feature,
         value_probs=probs,
         p_chance=sum_sq / (n * n),
-        p_chance_exact=Fraction(sum_sq, n * n),
+        p_chance_exact=(sum_sq, n * n),
     )
 
 
@@ -98,42 +91,39 @@ def chi_squared_gof(
     """Goodness-of-fit statistic and p-value for (disagree, agree) counts
     against the chance model's expected [1 - p_chance, p_chance] split.
 
-    Expected frequencies are computed in exact rational arithmetic (a
-    hand-given float p_chance is read as its shortest decimal), so an
-    observation that matches the expectation yields exactly chi2 = 0.
-    When an expected count is zero (p_chance of 0 or 1), the statistic is 0
-    if the observation matches the degenerate expectation exactly and +inf
-    (p-value 0) otherwise.
+    With p_chance = a/b, the two cells' sum reduces to the closed form
+    (n_agree*b - n*a)^2 / (n*a*(b - a)), computed as one correctly rounded
+    quotient of integers (a hand-given float p_chance is read as its
+    shortest decimal), so an observation that matches the expectation
+    yields exactly chi2 = 0. When an expected count is zero (p_chance of 0
+    or 1), the statistic is 0 if the observation matches the degenerate
+    expectation exactly and +inf (p-value 0) otherwise.
     """
-    from fractions import Fraction
-
     o_disagree, o_agree = observed
     n = o_disagree + o_agree
     if n < 1:
         raise ValueError("observed counts must sum to >= 1")
-    p_agree = chance.p_chance_exact
-    if p_agree is None:
-        p_agree = Fraction(str(chance.p_chance))
-    expected = (n * (1 - p_agree), n * p_agree)
-    chi2 = Fraction(0)
-    for obs, exp in zip(observed, expected):
-        if exp == 0:
-            if obs != 0:
-                return math.inf, 0.0
-            continue
-        diff = obs - exp
-        chi2 += diff * diff / exp
-    return float(chi2), chi_square_survival(float(chi2))
+    if chance.p_chance_exact is not None:
+        a, b = chance.p_chance_exact
+    else:
+        # only a hand-built model gets here; extract never loads fractions
+        from fractions import Fraction
+
+        a, b = Fraction(str(chance.p_chance)).as_integer_ratio()
+    deviation = o_agree * b - n * a
+    scale = n * a * (b - a)
+    if scale == 0:
+        return (0.0, 1.0) if deviation == 0 else (math.inf, 0.0)
+    chi2 = deviation * deviation / scale
+    return chi2, chi_square_survival(chi2)
 
 
-def cramers_phi(chi2: float, n: int, k: int = 2, sqrt_variant: bool = False) -> float:
-    """Effect size chi2 / (N (k-1)); sqrt_variant applies the textbook
-    square root instead."""
+def cramers_phi(chi2: float, n: int, sqrt_variant: bool = False) -> float:
+    """Effect size chi2 / N of a two-category test; sqrt_variant applies
+    the textbook square root instead."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    phi = chi2 / (n * (k - 1))
+    phi = chi2 / n
     return math.sqrt(phi) if sqrt_variant else phi
 
 
@@ -178,7 +168,7 @@ def label_leaf_statistical(
     if ratio <= 0.5:
         return LeafVerdict(leaf_id=leaf.leaf_id, label=Label.CHANCE, agree_ratio=ratio)
     chi2, p_value = chi_squared_gof((leaf.n_disagree, leaf.n_agree), chance)
-    phi = cramers_phi(chi2, leaf.size, 2, sqrt_variant)
+    phi = cramers_phi(chi2, leaf.size, sqrt_variant)
     required = ratio > chance.p_chance and p_value < alpha and phi > phi_min
     return LeafVerdict(
         leaf_id=leaf.leaf_id,

@@ -11,7 +11,9 @@ triple group becomes a row of its three codes and counts. Split search
 scans a node's per-code totals once; after a split only the child with
 fewer rows is counted, and the other's totals are the node's minus those
 (histogram subtraction, exact on integers). Scored rows take the training
-codes; a value training lacks gets -1, which never matches.
+codes; a value training lacks gets -1, which never matches. Held-out rows
+travel with growth: each node splits them with the test that splits its
+training rows, and records their (agree, disagree) totals.
 
 Depth nesting: for a fixed criterion and min_impurity_decrease, the split
 chosen at a node depends only on the groups reaching it; max_depth only
@@ -20,9 +22,8 @@ any larger max_depth cut at depth d, each cut node frozen as a leaf over
 its own groups, which gives the same leaf ids and counts. grid_search
 relies on this for growth and for scoring: per criterion (and per
 cross-validation fold) it grows one tree at the grid's largest depth,
-routes the scored rows through that grown tree once, and scores every
-grid point from the held-out totals of the nodes its cut makes leaves.
-Only the winning point is frozen.
+carrying the scored rows, and scores every grid point from the held-out
+totals of the nodes its cut makes leaves. Only the winning point is frozen.
 
 Routing is by partition: route splits a batch of triples once per
 internal node it reaches, as growth splits rows, so no triple walks the
@@ -129,16 +130,18 @@ _IMPURITY = {"gini": _gini, "entropy": _entropy}
 
 
 class _Node:
-    """A grown node: its depth and totals and, unless growth stopped here,
-    its split as (predicate, row position, code, match, nomatch child)."""
+    """A grown node: its depth, its training totals, the totals of the
+    held-out rows reaching it and, unless growth stopped here, its split as
+    (predicate, match, nomatch child)."""
 
-    __slots__ = ("depth", "n_agree", "n_disagree", "split")
+    __slots__ = ("depth", "n_agree", "n_disagree", "held_agree", "held_disagree", "split")
 
     def __init__(self, depth: int, n_agree: int, n_disagree: int):
         self.depth = depth
         self.n_agree = n_agree
         self.n_disagree = n_disagree
-        self.split: tuple[SplitPredicate, int, int, _Node, _Node] | None = None
+        self.held_agree = self.held_disagree = 0
+        self.split: tuple[SplitPredicate, _Node, _Node] | None = None
 
 
 class _Codes:
@@ -203,20 +206,23 @@ def _best_split(
 
 
 def _grow(
-    codes: _Codes, rows: list[Row], counts: tuple[list[int], list[int]],
+    codes: _Codes, rows: list[Row], counts: tuple[list[int], list[int]], held: list[Row],
     max_depth: int, min_impurity_decrease: float, impurity,
 ) -> _Node:
-    """Grow a tree from the coded rows, given their per-code counts."""
+    """Grow a tree from the coded rows, given their per-code counts; every
+    node records the totals of the held-out rows reaching it."""
     # each row adds its counts to three codes, one per slot
     n_agree, n_disagree = sum(counts[0]) // 3, sum(counts[1]) // 3
     n_total = n_agree + n_disagree
 
-    def grow(rows, counts, n_agree, n_disagree, depth) -> _Node:
+    def grow(rows, counts, held, n_agree, n_disagree, depth) -> _Node:
         node = _Node(depth, n_agree, n_disagree)
-        if n_agree == 0 or n_disagree == 0 or depth >= max_depth or len(rows) == 1:
-            return node
-        best = _best_split(*counts, n_agree, n_disagree, impurity, n_total)
+        best = None
+        if n_agree and n_disagree and depth < max_depth and len(rows) > 1:
+            best = _best_split(*counts, n_agree, n_disagree, impurity, n_total)
         if best is None or best[1] < min_impurity_decrease:
+            node.held_agree = sum(r[3] for r in held)
+            node.held_disagree = sum(r[4] for r in held)
             return node
         code, _, m_agree, m_disagree = best
         predicate = codes.predicates[code]
@@ -229,14 +235,16 @@ def _grow(
         large = tuple([p - s for p, s in zip(whole, part)] for whole, part in zip(counts, small))
         match_counts, nomatch_counts = (
             (small, large) if len(match) <= len(nomatch) else (large, small))
-        node.split = (
-            predicate, pos, code,
-            grow(match, match_counts, m_agree, m_disagree, depth + 1),
-            grow(nomatch, nomatch_counts, n_agree - m_agree, n_disagree - m_disagree, depth + 1),
-        )
+        match_child = grow(match, match_counts, [r for r in held if r[pos] == code],
+                           m_agree, m_disagree, depth + 1)
+        nomatch_child = grow(nomatch, nomatch_counts, [r for r in held if r[pos] != code],
+                             n_agree - m_agree, n_disagree - m_disagree, depth + 1)
+        node.held_agree = match_child.held_agree + nomatch_child.held_agree
+        node.held_disagree = match_child.held_disagree + nomatch_child.held_disagree
+        node.split = (predicate, match_child, nomatch_child)
         return node
 
-    return grow(rows, counts, n_agree, n_disagree, 0)
+    return grow(rows, counts, held, n_agree, n_disagree, 0)
 
 
 def _freeze(node: _Node, max_depth: int, counter: list[int]) -> TreeNode:
@@ -245,16 +253,19 @@ def _freeze(node: _Node, max_depth: int, counter: list[int]) -> TreeNode:
     if node.split is None or node.depth >= max_depth:
         counter[0] += 1
         return Leaf(leaf_id=counter[0], n_agree=node.n_agree, n_disagree=node.n_disagree)
-    predicate, _, _, match, nomatch = node.split
+    predicate, match, nomatch = node.split
     match_child = _freeze(match, max_depth, counter)
     nomatch_child = _freeze(nomatch, max_depth, counter)
     return Internal(predicate, match_child, nomatch_child)
 
 
-def _grow_points(codes: _Codes, rows: list[Row], points: list[HyperParams]) -> list[_Node]:
-    """The grown root of every point, in order, from the coded rows. Points
-    sharing a criterion and impurity floor share one growth at their
-    largest max_depth (depth nesting, see the module docstring)."""
+def _grow_points(
+    codes: _Codes, rows: list[Row], held: list[Row], points: list[HyperParams]
+) -> list[_Node]:
+    """The grown root of every point, in order, from the coded rows, each
+    node holding the totals of the held-out rows reaching it. Points sharing
+    a criterion and impurity floor share one growth at their largest
+    max_depth (depth nesting, see the module docstring)."""
     depths: dict[tuple[str, float], int] = {}
     for hp in points:
         if hp.criterion not in _IMPURITY:
@@ -262,7 +273,7 @@ def _grow_points(codes: _Codes, rows: list[Row], points: list[HyperParams]) -> l
         key = (hp.criterion, hp.min_impurity_decrease)
         depths[key] = max(depths.get(key, hp.max_depth), hp.max_depth)
     counts = _counts(rows, len(codes.predicates))
-    grown = {key: _grow(codes, rows, counts, depth, key[1], _IMPURITY[key[0]])
+    grown = {key: _grow(codes, rows, counts, held, depth, key[1], _IMPURITY[key[0]])
              for key, depth in depths.items()}
     return [grown[hp.criterion, hp.min_impurity_decrease] for hp in points]
 
@@ -275,8 +286,8 @@ def _cut_leaves(root: _Node, max_depth: int) -> Iterator[_Node]:
         if node.split is None or node.depth >= max_depth:
             yield node
         else:
-            stack.append(node.split[4])
-            stack.append(node.split[3])
+            stack.append(node.split[2])
+            stack.append(node.split[1])
 
 
 def _frozen(feature: str, root: _Node, hyperparams: HyperParams) -> DecisionTree:
@@ -293,7 +304,7 @@ def fit(dataset: FeatureDataset, hyperparams: HyperParams) -> DecisionTree:
     if not dataset.instances:
         raise EmptyDatasetError(f"no instances for feature {dataset.feature!r}")
     codes = _Codes(list(dataset.triples.values()))
-    root = _grow_points(codes, codes.rows, [hyperparams])[0]
+    root = _grow_points(codes, codes.rows, [], [hyperparams])[0]
     return _frozen(dataset.feature, root, hyperparams)
 
 
@@ -355,26 +366,6 @@ def leaf_count(tree: DecisionTree) -> int:
     return len(leaves(tree))
 
 
-def _held_totals(
-    node: _Node, rows: list[Row], totals: dict[_Node, tuple[int, int]]
-) -> tuple[int, int]:
-    """Record in totals the (agree, disagree) sums of the held-out rows
-    reaching each node of a grown tree, routed by partition, and return the
-    node's. Nodes that no row reaches are left out."""
-    if not rows:
-        return 0, 0
-    if node.split is None:
-        held = (sum(r[3] for r in rows), sum(r[4] for r in rows))
-    else:
-        _, pos, code, match_child, nomatch_child = node.split
-        match = [r for r in rows if r[pos] == code]
-        nomatch = [r for r in rows if r[pos] != code]
-        held = tuple(map(add, _held_totals(match_child, match, totals),
-                         _held_totals(nomatch_child, nomatch, totals)))
-    totals[node] = held
-    return held
-
-
 # A metric maps the held-out confusion counts (tp, fp, fn, tn), agreement
 # being the positive class, to a score. These are the integers a per-triple
 # walk of the frozen tree would add up, so the scores are exact.
@@ -397,27 +388,20 @@ def _macro_f1(tp: int, fp: int, fn: int, tn: int) -> float:
 _METRICS = {"accuracy": _accuracy, "macro_f1": _macro_f1}
 
 
-def _scores(
-    roots: list[_Node], points: list[HyperParams], held: list[Row], metric
-) -> list[float]:
-    """The metric of every point's cut on the held-out rows, which are
-    routed once through each distinct grown tree. A cut leaf predicts
-    agreement when its training totals have more agree than disagree."""
-    totals: dict[_Node, tuple[int, int]] = {}
-    for root in roots:
-        if root not in totals:
-            _held_totals(root, held, totals)
+def _scores(roots: list[_Node], points: list[HyperParams], metric) -> list[float]:
+    """The metric of every point's cut on the held-out rows its growth
+    carried. A cut leaf predicts agreement when its training totals have
+    more agree than disagree."""
     scores = []
     for root, hp in zip(roots, points):
         tp = fp = fn = tn = 0
         for node in _cut_leaves(root, hp.max_depth):
-            held_agree, held_disagree = totals.get(node, (0, 0))
             if node.n_agree > node.n_disagree:
-                tp += held_agree
-                fp += held_disagree
+                tp += node.held_agree
+                fp += node.held_disagree
             else:
-                fn += held_agree
-                tn += held_disagree
+                fn += node.held_agree
+                tn += node.held_disagree
         scores.append(metric(tp, fp, fn, tn))
     return scores
 
@@ -444,8 +428,8 @@ def _cv_scores(
     """Seed-shuffled k-fold score of every point, at triple-count granularity.
 
     The folds' training and held-out rows are built once, from train's
-    coded rows; each fold then grows once per criterion, and its held-out
-    rows are routed once per growth, for all points.
+    coded rows; each fold then grows once per criterion, carrying its
+    held-out rows, for all points.
     """
     n = len(train.instances)
     k = min(n_folds, n)
@@ -465,7 +449,7 @@ def _cv_scores(
             if held_agree + held_disagree < n_agree + n_disagree:
                 rest[fold].append((c0, c1, c2, n_agree - held_agree, n_disagree - held_disagree))
     fold_scores = [
-        _scores(_grow_points(codes, rest_rows, points), points, held_rows, metric)
+        _scores(_grow_points(codes, rest_rows, held_rows, points), points, metric)
         for held_rows, rest_rows in zip(held, rest)
     ]
     return [sum(point_scores) / k for point_scores in zip(*fold_scores)]
@@ -489,10 +473,11 @@ def grid_search(
     metric_fn = _METRICS[metric]
     points = grid.points()
     codes = _Codes(list(train.triples.values()))
-    roots = _grow_points(codes, codes.rows, points)
     if validation is not None and len(validation.instances) > 0:
-        scores = _scores(roots, points, codes.coded(validation.triples.values()), metric_fn)
+        roots = _grow_points(codes, codes.rows, codes.coded(validation.triples.values()), points)
+        scores = _scores(roots, points, metric_fn)
     else:
+        roots = _grow_points(codes, codes.rows, [], points)
         scores = _cv_scores(train, codes, points, seed, metric_fn)
     # every leaf of each cut counts, reached by a scored group or not
     leaf_counts = [

@@ -1,8 +1,10 @@
 """Independent oracles the tests check the package against.
 
 These deliberately avoid the package's own code paths: the chi-square
-survival function is adaptive-Simpson integration of the density (the
-package uses erfc), splits are found by exhaustive enumeration,
+statistic is summed cell by cell in Fraction arithmetic (the package
+divides two integers once, by its closed form), the chi-square survival
+function is adaptive-Simpson integration of the density (the package uses
+erfc), splits are found by exhaustive enumeration,
 entropy/correlation are recomputed from their definitions, a whole tree is
 grown by exhaustive search over instances at every node, or by
 rebucketing the triple groups reaching each node by every slot's values
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from morphagree.conllu import Edge, Sentence, Token, feats_to_string, parse_feats
 from morphagree.errors import (
@@ -30,9 +33,29 @@ from morphagree.errors import (
     MalformedLineError,
     NoMatchingRuleError,
 )
-from morphagree.labeling import RuleSet, ThresholdMode, _leaf_rules, _try_merge
+from morphagree.labeling import ChanceModel, RuleSet, ThresholdMode, _leaf_rules, _try_merge
 from morphagree.tree import DecisionTree, Internal, Leaf, SplitPredicate, leaf_count
 from morphagree.triples import FeatureDataset, Triple
+
+
+def chi_squared_statistic_by_cells(observed: tuple[int, int], chance: ChanceModel) -> float:
+    """The goodness-of-fit statistic of (disagree, agree) counts, summed
+    over the two cells in exact rational arithmetic and rounded once. A
+    hand-given p_chance is read as its shortest decimal; a zero expected
+    count gives 0 if its cell is 0 too, else +inf."""
+    if chance.p_chance_exact is not None:
+        p_agree = Fraction(*chance.p_chance_exact)
+    else:
+        p_agree = Fraction(str(chance.p_chance))
+    n = sum(observed)
+    chi2 = Fraction(0)
+    for obs, exp in zip(observed, (n * (1 - p_agree), n * p_agree)):
+        if exp == 0:
+            if obs != 0:
+                return math.inf
+            continue
+        chi2 += (obs - exp) ** 2 / exp
+    return float(chi2)
 
 
 def chi2_density(t: float) -> float:

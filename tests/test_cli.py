@@ -289,6 +289,29 @@ def test_complexity_with_constant_values_writes_null_r(tmp_path, capsys):
     ]
 
 
+def test_complexity_rejects_a_repeated_treebank_at_parsing(tmp_path, capsys):
+    golden = Path(__file__).parent / "data" / "golden"
+    train, rules = str(golden / "train.conllu"), str(golden / "rules.json")
+    out, csv = tmp_path / "cx.json", tmp_path / "cx.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["complexity", "--train", train, train, "--rules", rules, rules,
+              "--out", str(out), "--csv", str(csv)])
+    assert info.value.code == 2
+    assert f"argument --train: {train!r} is given twice" in capsys.readouterr().err
+    assert not out.exists() and not csv.exists()
+
+
+def test_complexity_names_an_empty_treebank(tmp_path, capsys):
+    empty = tmp_path / "empty.conllu"
+    empty.write_text("", encoding="utf-8")
+    train = str(Path(__file__).parent / "data" / "golden" / "train.conllu")
+    out = tmp_path / "cx.json"
+    code = main(["complexity", "--train", str(empty), train, "--out", str(out)])
+    assert code == 1
+    assert f"error: {empty}: no tokens" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_correlate_identical_scores_and_protocol_shape(workspace, tmp_path):
     # four-setting protocol: simulate-50, simulate-100, baseline, gold
     settings = ["sim50", "sim100", "baseline", "gold"]

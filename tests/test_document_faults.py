@@ -323,7 +323,7 @@ def test_rules_fault_names_the_file(workspace, capsys, edit, command, named):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     argv = {
-        "complexity": ["complexity", "--train", train, train,
+        "complexity": ["complexity", "--train", train, str(GOLDEN_DIR / "dev.conllu"),
                        "--rules", str(GOLDEN_DIR / "rules.json"), str(bad)],
         "evaluate": _commands(tmp_path, train, str(bad), ["evaluate"])[0],
     }[command]

@@ -17,9 +17,10 @@ import pytest
 import morphagree
 
 TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
+GOLDEN_TRAIN = Path(__file__).resolve().parent / "data" / "golden" / "train.conllu"
 # each of these costs every command milliseconds of start-up, and at most
 # one command needs it: dataclasses (with inspect) none, fractions (with
-# decimal) extract, html (with html.entities) report, complexity its own
+# decimal) none, html (with html.entities) report, complexity its own
 # command, synthetic only the tests
 NOT_LOADED = {"dataclasses", "inspect", "fractions", "decimal", "html", "html.entities",
               "morphagree.synthetic", "morphagree.complexity"}
@@ -55,6 +56,12 @@ def test_cli_import_loads_the_traced_modules_and_nothing_it_does_not_use(bare):
     assert not NOT_LOADED & added
     traced = _traced_modules()
     assert len(traced) == 8 and traced <= added
+
+
+def test_extract_loads_no_fractions(tmp_path):
+    argv = ["extract", "--train", str(GOLDEN_TRAIN), "--out", str(tmp_path / "rules.json")]
+    loaded = _modules_after(f"from morphagree.cli import main\nassert main({argv!r}) == 0")
+    assert not {"fractions", "decimal"} & loaded
 
 
 def test_package_import_loads_no_submodule(bare):

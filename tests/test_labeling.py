@@ -50,7 +50,8 @@ from morphagree.tree import (
 from morphagree.triples import FeatureDataset
 
 from conftest import agrees, make_edge, make_treebank, six_feature_conllu
-from oracles import chi2_sf_oracle, merge_rules_restarting, rule_for_scanning, rule_matches
+from oracles import (chi2_sf_oracle, chi_squared_statistic_by_cells, merge_rules_restarting,
+                     rule_for_scanning, rule_matches)
 from treegen import random_labeled_tree, random_triple
 
 
@@ -128,6 +129,33 @@ def test_chi2_degenerate_expected_convention():
     assert chi_squared_gof((0, 7), _model(1.0)) == (0.0, 1.0)
     chi2, p = chi_squared_gof((3, 4), _model(1.0))
     assert math.isinf(chi2) and p == 0.0
+
+
+# models from counts as extract builds them, and hand-given p_chance
+# values, degenerate ones included
+_chance_models = st.one_of(
+    st.dictionaries(st.sampled_from("ABCDE"), st.integers(1, 10**6), min_size=1).map(
+        chance_agreement_prob),
+    st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.82]), st.floats(0.0, 1.0)).map(_model),
+)
+# (disagree, agree) counts of 1 to 10^7 instances
+_observations = st.integers(1, 10**7).flatmap(
+    lambda n: st.integers(0, n).map(lambda agree: (n - agree, agree)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_observations, _chance_models)
+def test_chi2_closed_form_equals_the_exact_cell_sum(observed, chance):
+    try:
+        expected = chi_squared_statistic_by_cells(observed, chance)
+    except OverflowError:
+        # a subnormal hand-given p_chance: the statistic exceeds any float
+        with pytest.raises(OverflowError):
+            chi_squared_gof(observed, chance)
+        return
+    chi2, p = chi_squared_gof(observed, chance)
+    assert chi2 == expected
+    assert p == chi_square_survival(chi2)
 
 
 # --- effect size ---

@@ -323,7 +323,7 @@ def test_trees_cut_from_one_growth_equal_separate_fits(dataset, floor):
     grid = HyperGrid(max_depths=DEEP_GRID.max_depths, min_impurity_decrease=floor)
     points = grid.points()
     codes = _Codes(list(dataset.triples.values()))
-    roots = _grow_points(codes, codes.rows, points)
+    roots = _grow_points(codes, codes.rows, [], points)
     nested = [_frozen(dataset.feature, root, hp) for root, hp in zip(roots, points)]
     # structure, leaf ids, counts and hyperparams
     assert nested == [fit(dataset, hp) for hp in points]

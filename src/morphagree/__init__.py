@@ -12,7 +12,7 @@ command imports only the submodules it uses.
 _EXPORTS = {
     "complexity": "EntropyEstimate conciseness_correlation js_shrinkage_probs word_entropy",
     "conllu": "Sentence Token Treebank feats_to_string parse_conllu parse_conllu_file "
-              "parse_feats",
+              "parse_feats treebank_to_conllu",
     "errors": "MorphagreeError",
     "evaluation": "AnnotationRecord EvalReport HumanLabel TripleVerdict arm baseline_arm hrm "
                   "pearson read_annotations",
@@ -20,8 +20,7 @@ _EXPORTS = {
                 "chance_agreement_prob chi_squared_gof cramers_phi label_leaf_hard "
                 "label_leaf_statistical label_triple merge_rules",
     "pipeline": "ExtractionConfig FeatureRules extract_feature_rules",
-    "synthetic": "PlantedGrammar FeatureSpec RulePattern generate recovery_score "
-                 "treebank_to_conllu",
+    "synthetic": "PlantedGrammar FeatureSpec RulePattern generate recovery_score",
     "tree": "DecisionTree HyperGrid HyperParams Internal Leaf SplitPredicate fit grid_search "
             "leaf_count predict_leaf route",
     "triples": "DEFAULT_FEATURES FeatureDataset Triple extract_instances top_k_triples",

@@ -87,7 +87,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             print(
                 f"{feature}: {len(result.ruleset.rules)} rules "
                 f"({required} required) from {result.ruleset.training_size} instances, "
-                f"{leaf_count(result.tree)} leaves"
+                f"{leaf_count(result.ruleset.tree)} leaves"
             )
     print(f"wrote {args.out}")
     if failures:
@@ -185,7 +185,7 @@ def cmd_hrm(args: argparse.Namespace) -> int:
 
 
 def _mean_leaf_count(doc) -> float | None:
-    counts = [leaf_count(tree) for tree in doc.trees.values()]
+    counts = [leaf_count(ruleset.tree) for ruleset in doc.rulesets.values()]
     return sum(counts) / len(counts) if counts else None
 
 

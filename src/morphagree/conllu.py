@@ -9,19 +9,22 @@ than ``sent_id`` are read past.
 Files are streamed and decoded line by line, so no whole-file copy is
 held, and nothing per token outlives its sentence: each validated line
 becomes a plain tuple in ``Token``'s field order, and at the sentence's end
-one builder checks its ids and heads, appends its edges and keeps its forms.
-``Treebank.from_sentences`` sends in-memory ``Sentence``s, as
-``synthetic.generate`` and tests build them, through the same builder.
+its ids and heads are checked, its edges appended and its forms kept.
 Within one parse, tokens with the same FEATS string share one dict, so
 FEATS dicts are read-only.
+
+In-memory ``Sentence``s, as ``synthetic.generate`` and tests build them,
+become a Treebank only through ``Treebank.from_sentences``, which parses
+the text ``treebank_to_conllu`` writes for them: they pass every check a
+file passes, and an error names a line of that text.
 
 A Treebank holds:
 
 - ``edges``, the one edge table every feature's dataset shares: an ``Edge``
   per non-root edge whose two tokens have FEATS, in document order, with
   one ``Triple`` per distinct shape, plus the token count of each distinct
-  non-empty FEATS dict, in order of first occurrence. A feature's dataset
-  holds these same ``Edge`` objects, not copies;
+  non-empty FEATS string, with its dict, in order of first occurrence. A
+  feature's dataset holds these same ``Edge`` objects, not copies;
 - ``forms``, each sentence's forms in id order by ``sent_id``, in document
   order, for rendering examples and counting words;
 - ``token_count``.
@@ -29,7 +32,9 @@ A Treebank holds:
 from __future__ import annotations
 
 import gc
+import io
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -60,7 +65,8 @@ def _gc_paused():
 
 class Token(NamedTuple):
     """One syntactic word: a simple (non-range, non-empty) CoNLL-U line. The
-    parser keeps none; ``synthetic`` and tests build them."""
+    parser keeps none; ``synthetic`` and tests build them, and
+    ``treebank_to_conllu`` writes them."""
 
     id: int
     form: str
@@ -122,75 +128,9 @@ class Treebank:
 
     @classmethod
     def from_sentences(cls, sentences: Iterable[Sentence]) -> Treebank:
-        """The treebank of in-memory sentences, checked and built as a parse
-        of their CoNLL-U text would be."""
-        builder = _Builder()
-        for sentence in sentences:
-            builder.add(sentence.tokens, sentence.sent_id)
-        return builder.finish()
-
-
-class _Builder:
-    """Turns each sentence's token rows, tuples in ``Token``'s field order,
-    into its edges, FEATS counts and forms; ``finish`` makes the Treebank."""
-
-    def __init__(self):
-        self.entries: list[Edge] = []
-        self.triples: dict[tuple[str, str, str], Triple] = {}
-        self.counts: dict[int, int] = {}  # tokens per FEATS dict, by id()
-        self.dicts: dict[int, dict[str, str]] = {}  # keeps each counted dict alive
-        self.forms: dict[str, tuple[str, ...]] = {}
-        self.sentences = 0
-        self.token_count = 0
-        self.duplicate: str | None = None  # the first repeated sent_id's message
-
-    def add(self, rows, sent_id: str | None) -> None:
-        """One sentence's rows, in file order. Sentences without an id get
-        their 1-based ordinal."""
-        self.sentences += 1
-        ordinal = self.sentences
-        n = len(rows)
-        ids = [row[0] for row in rows]
-        if ids != list(range(1, n + 1)):
-            raise InvalidIdError(
-                f"sentence {sent_id or ordinal}: token ids are not consecutive 1..n: {ids}"
-            )
-        for row in rows:
-            if not 0 <= row[4] <= n:
-                raise InvalidHeadError(f"sentence {sent_id or ordinal}: token {row[0]} "
-                                       f"points to missing head {row[4]}")
-        name = sent_id or str(ordinal)
-        triples, append = self.triples, self.entries.append
-        counts, dicts = self.counts, self.dicts
-        for dep_id, _, upos, feats, head, deprel in rows:
-            if not feats:
-                continue
-            key = id(feats)
-            if key in counts:
-                counts[key] += 1
-            else:
-                counts[key] = 1
-                dicts[key] = feats
-            if head:
-                _, _, head_upos, head_feats, _, _ = rows[head - 1]
-                if head_feats:
-                    shape = (head_upos, deprel, upos)
-                    triple = triples.get(shape)
-                    if triple is None:
-                        triple = triples[shape] = Triple(*shape)
-                    append(Edge(triple, (name, head, dep_id), head_feats, feats))
-        self.token_count += n
-        if name in self.forms:
-            self.duplicate = self.duplicate or f"sentence {ordinal}: duplicate sent_id {name!r}"
-        self.forms[name] = tuple([row[1] for row in rows])
-
-    def finish(self) -> Treebank:
-        """The treebank; DuplicateSentIdError if a sent_id was repeated."""
-        if self.duplicate is not None:
-            raise DuplicateSentIdError(self.duplicate)
-        dicts = self.dicts
-        feats_counts = tuple((dicts[key], n) for key, n in self.counts.items())
-        return Treebank(Edges(tuple(self.entries), feats_counts), self.forms, self.token_count)
+        """The parse of ``treebank_to_conllu(sentences)``; an error names a
+        line of that text."""
+        return parse_conllu(io.BytesIO(treebank_to_conllu(sentences).encode("utf-8")))
 
 
 def parse_feats(raw: str) -> dict[str, str]:
@@ -222,6 +162,29 @@ def feats_to_string(feats: dict[str, str]) -> str:
     return "|".join(f"{k}={feats[k]}" for k in sorted(feats))
 
 
+def treebank_to_conllu(sentences: Iterable[Sentence]) -> str:
+    """Serialize sentences as standard 10-column CoNLL-U text, each under
+    its ``# sent_id`` comment.
+
+    Tokens keep no LEMMA, XPOS, DEPS or MISC: LEMMA repeats FORM and the
+    other three are ``_``.
+    """
+    blocks = []
+    for sentence in sentences:
+        lines = [f"# sent_id = {sentence.sent_id}"]
+        for t in sentence.tokens:
+            lines.append(
+                "\t".join(
+                    (
+                        str(t.id), t.form, t.form, t.upos, "_",
+                        feats_to_string(t.feats), str(t.head), t.deprel, "_", "_",
+                    )
+                )
+            )
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n" if blocks else ""
+
+
 def _is_range_or_empty_node_id(col: str) -> bool:
     """``N-M`` (multiword range) or ``N.M`` (empty node), digits on both sides."""
     for sep in "-.":
@@ -243,14 +206,20 @@ def parse_conllu(stream: IO[bytes] | Iterable[bytes]) -> Treebank:
     its line, or at the end of its sentence for ids and heads that do not
     fit together. Parsing is deterministic and order-preserving.
     """
-    builder = _Builder()
+    entries: list[Edge] = []
+    append = entries.append
+    triples: dict[tuple[str, str, str], Triple] = {}
+    forms: dict[str, tuple[str, ...]] = {}
+    # FEATS string -> [its dict, its token count]; successful parses only,
+    # so a bad string raises on every line it is on
+    feats_of: dict[str, list] = {}
     rows: list[tuple] = []
     sent_id: str | None = None
-    # FEATS string -> its dict; successful parses only, so a bad string
-    # raises on every line it is on
-    feats_of: dict[str, dict[str, str]] = {}
+    sentences = token_count = 0
+    duplicate: str | None = None  # the first repeated sent_id's message
     with _gc_paused():
-        for line_no, raw in enumerate(stream, start=1):
+        # a blank line after the last ends the last sentence
+        for line_no, raw in enumerate(chain(stream, (b"",)), start=1):
             # the LF byte occurs in UTF-8 only as LF, so per-line decoding is safe
             try:
                 line = raw.decode("utf-8")
@@ -259,7 +228,29 @@ def parse_conllu(stream: IO[bytes] | Iterable[bytes]) -> Treebank:
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 if rows:
-                    builder.add(rows, sent_id)
+                    sentences += 1
+                    name = sent_id or str(sentences)  # the ordinal without an id
+                    n = len(rows)
+                    ids = [row[0] for row in rows]
+                    if ids != list(range(1, n + 1)):
+                        raise InvalidIdError(
+                            f"sentence {name}: token ids are not consecutive 1..n: {ids}")
+                    for dep_id, _, upos, feats, head, deprel in rows:
+                        if head > n:
+                            raise InvalidHeadError(
+                                f"sentence {name}: token {dep_id} points to missing head {head}")
+                        if head and feats:
+                            _, _, head_upos, head_feats, _, _ = rows[head - 1]
+                            if head_feats:
+                                shape = (head_upos, deprel, upos)
+                                triple = triples.get(shape)
+                                if triple is None:
+                                    triple = triples[shape] = Triple(*shape)
+                                append(Edge(triple, (name, head, dep_id), head_feats, feats))
+                    token_count += n
+                    if name in forms and duplicate is None:
+                        duplicate = f"sentence {sentences}: duplicate sent_id {name!r}"
+                    forms[name] = tuple([row[1] for row in rows])
                 rows, sent_id = [], None
                 continue
             if line[0] == "#":
@@ -285,16 +276,18 @@ def parse_conllu(stream: IO[bytes] | Iterable[bytes]) -> Treebank:
             head = int(head_col)
             if head == token_id:
                 raise InvalidHeadError(f"line {line_no}: head {head} invalid for token {token_id}")
-            feats = feats_of.get(cols[5])
-            if feats is None:
+            entry = feats_of.get(cols[5])
+            if entry is None:
                 try:
-                    feats = feats_of[cols[5]] = parse_feats(cols[5])
+                    entry = feats_of[cols[5]] = [parse_feats(cols[5]), 0]
                 except MalformedFeatsError as exc:
                     raise MalformedFeatsError(f"line {line_no}: {exc}") from None
-            rows.append((token_id, cols[1], cols[3], feats, head, cols[7]))
-        if rows:
-            builder.add(rows, sent_id)
-    return builder.finish()
+            entry[1] += 1
+            rows.append((token_id, cols[1], cols[3], entry[0], head, cols[7]))
+    if duplicate is not None:
+        raise DuplicateSentIdError(duplicate)
+    feats_counts = tuple((feats, count) for feats, count in feats_of.values() if feats)
+    return Treebank(Edges(tuple(entries), feats_counts), forms, token_count)
 
 
 def parse_conllu_file(path: str | Path) -> Treebank:

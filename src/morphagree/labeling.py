@@ -97,7 +97,8 @@ def chi_squared_gof(
     shortest decimal), so an observation that matches the expectation
     yields exactly chi2 = 0. When an expected count is zero (p_chance of 0
     or 1), the statistic is 0 if the observation matches the degenerate
-    expectation exactly and +inf (p-value 0) otherwise.
+    expectation exactly and +inf (p-value 0) otherwise; a quotient beyond
+    the largest float (a subnormal p_chance) rounds to +inf likewise.
     """
     o_disagree, o_agree = observed
     n = o_disagree + o_agree
@@ -114,7 +115,10 @@ def chi_squared_gof(
     scale = n * a * (b - a)
     if scale == 0:
         return (0.0, 1.0) if deviation == 0 else (math.inf, 0.0)
-    chi2 = deviation * deviation / scale
+    try:
+        chi2 = deviation * deviation / scale
+    except OverflowError:
+        return math.inf, 0.0
     return chi2, chi_square_survival(chi2)
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
 
-from .conllu import Sentence, Token, feats_to_string
+from .conllu import Sentence, Token, treebank_to_conllu  # noqa: F401 (public name)
 from .errors import FeatureMismatchError, InvalidGrammarError
 from .labeling import Label, RuleSet, label_triple
 from .triples import Triple
@@ -103,8 +102,8 @@ def generate(
     grammar: PlantedGrammar, n_sentences: int, tokens_per_sentence: int = 3
 ) -> tuple[Sentence, ...]:
     """Generate a treebank's sentences, fully determined by the grammar's
-    seed. ``Treebank.from_sentences`` builds their edge table;
-    ``treebank_to_conllu`` writes them without one.
+    seed. ``treebank_to_conllu`` writes them, and
+    ``Treebank.from_sentences`` parses what it writes.
 
     tokens_per_sentence must be odd and >= 3: one anchor plus head/dep
     pairs. Planted rules enforce agreement on every declared feature.
@@ -169,26 +168,3 @@ def recovery_score(
     precision = hits / predicted if predicted else None
     recall = hits / planted if planted else None
     return precision, recall
-
-
-def treebank_to_conllu(sentences: Iterable[Sentence]) -> str:
-    """Serialize sentences as standard 10-column CoNLL-U text.
-
-    Tokens keep no LEMMA, XPOS, DEPS or MISC: LEMMA repeats FORM and the
-    other three are ``_``.
-    """
-    blocks = []
-    for sentence in sentences:
-        lines = [f"# sent_id = {sentence.sent_id}"]
-        for t in sentence.tokens:
-            lines.append(
-                "\t".join(
-                    (
-                        str(t.id), t.form, t.form, t.upos, "_",
-                        feats_to_string(t.feats), str(t.head), t.deprel, "_", "_",
-                    )
-                )
-            )
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n" if blocks else ""
-

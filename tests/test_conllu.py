@@ -16,7 +16,7 @@ from morphagree import (
     parse_feats,
     treebank_to_conllu,
 )
-from morphagree.conllu import Edge, Edges, Sentence, Token, Triple
+from morphagree.conllu import Edge, Edges, Sentence, Token, Treebank, Triple
 from morphagree.errors import (
     DuplicateSentIdError,
     EncodingError,
@@ -203,6 +203,36 @@ def test_parse_is_deterministic_and_order_preserving(spanish_fig):
     b = make_treebank(spanish_fig)
     assert a == b
     assert list(a.forms) == ["A.1", "B.1"]
+
+
+_CASA = Token(1, "casa", "NOUN", {"Gender": "Fem"}, 0, "root")
+
+
+@pytest.mark.parametrize("token, error", [
+    (Token(2, "la", "DET", {"Gender": "Fem"}, 2, "det"), InvalidHeadError),  # its own head
+    (Token(2, "la", "DET", {"Gender": ""}, 1, "det"), MalformedFeatsError),
+    (Token(2, "l\ta", "DET", {"Gender": "Fem"}, 1, "det"), MalformedLineError),
+], ids=["own-head", "empty-feats-value", "tab-in-form"])
+def test_in_memory_sentences_fail_where_their_file_fails(tmp_path, token, error):
+    sentences = [Sentence("a", (_CASA, token))]
+    path = tmp_path / "a.conllu"
+    path.write_text(treebank_to_conllu(sentences), encoding="utf-8")
+    with pytest.raises(error) as from_file:
+        parse_conllu_file(path)
+    # line 3 of the written text: the sent_id comment, casa, then la
+    with pytest.raises(error, match=r"^line 3: ") as in_memory:
+        Treebank.from_sentences(sentences)
+    assert str(in_memory.value) == str(from_file.value)
+
+
+def test_sentence_without_tokens_dropped_as_a_comment_only_block_is():
+    line = treebank_to_conllu([Sentence("x", (_CASA,))]).splitlines()[1]
+    tb = Treebank.from_sentences(
+        [Sentence("a", (_CASA,)), Sentence("empty", ()), Sentence("b", (_CASA,))])
+    assert tb == make_treebank(f"# sent_id = a\n{line}\n\n# sent_id = empty\n\n"
+                               f"# sent_id = b\n{line}\n")
+    assert list(tb.forms) == ["a", "b"]
+    assert Treebank.from_sentences([Sentence("empty", ())]) == make_treebank("")
 
 
 _feat_names = st.text(

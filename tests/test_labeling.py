@@ -131,6 +131,15 @@ def test_chi2_degenerate_expected_convention():
     assert math.isinf(chi2) and p == 0.0
 
 
+def test_chi2_beyond_the_largest_float_is_infinite():
+    # the closed form's quotient overflows a float for a subnormal p_chance
+    assert chi_squared_gof((0, 1), ChanceModel("F", {}, 2.225073858507203e-309)) == (
+        math.inf, 0.0)
+    verdict = label_leaf_statistical(Leaf(1, 5, 0), ChanceModel("F", {}, 1e-310))
+    assert verdict.chi2 == math.inf and verdict.p_value == 0.0
+    assert verdict.label is Label.REQUIRED
+
+
 # models from counts as extract builds them, and hand-given p_chance
 # values, degenerate ones included
 _chance_models = st.one_of(
@@ -150,8 +159,8 @@ def test_chi2_closed_form_equals_the_exact_cell_sum(observed, chance):
         expected = chi_squared_statistic_by_cells(observed, chance)
     except OverflowError:
         # a subnormal hand-given p_chance: the statistic exceeds any float
-        with pytest.raises(OverflowError):
-            chi_squared_gof(observed, chance)
+        # and rounds to +inf
+        assert chi_squared_gof(observed, chance) == (math.inf, 0.0)
         return
     chi2, p = chi_squared_gof(observed, chance)
     assert chi2 == expected

@@ -16,7 +16,8 @@ FEATS dicts are read-only.
 In-memory ``Sentence``s, as ``synthetic.generate`` and tests build them,
 become a Treebank only through ``Treebank.from_sentences``, which parses
 the text ``treebank_to_conllu`` writes for them: they pass every check a
-file passes, and an error names a line of that text.
+file passes, and an error names a line of that text. Only a sent_id that
+would not read back is refused before any text is written.
 
 A Treebank holds:
 
@@ -43,6 +44,7 @@ from .errors import (
     EncodingError,
     InvalidHeadError,
     InvalidIdError,
+    InvalidSentIdError,
     MalformedFeatsError,
     MalformedLineError,
 )
@@ -129,7 +131,8 @@ class Treebank:
     @classmethod
     def from_sentences(cls, sentences: Iterable[Sentence]) -> Treebank:
         """The parse of ``treebank_to_conllu(sentences)``; an error names a
-        line of that text."""
+        line of that text, or, for a sent_id the parse would not read back,
+        the sentence."""
         return parse_conllu(io.BytesIO(treebank_to_conllu(sentences).encode("utf-8")))
 
 
@@ -167,20 +170,30 @@ def treebank_to_conllu(sentences: Iterable[Sentence]) -> str:
     its ``# sent_id`` comment.
 
     Tokens keep no LEMMA, XPOS, DEPS or MISC: LEMMA repeats FORM and the
-    other three are ``_``.
+    other three are ``_``. Each FEATS dict is formatted once per call, when
+    first met, so it must not change while the call runs.
+
+    A sent_id that the parse would not read back (empty, with leading or
+    trailing whitespace, or holding a line break) raises InvalidSentIdError,
+    which names the sentence by its 1-based position and its sent_id.
     """
+    # id(FEATS dict) -> (the dict, its string); holding the dict keeps its id
+    # from going to another dict while the call runs
+    feats_of: dict[int, tuple[dict[str, str], str]] = {}
     blocks = []
-    for sentence in sentences:
-        lines = [f"# sent_id = {sentence.sent_id}"]
-        for t in sentence.tokens:
+    for ordinal, sentence in enumerate(sentences, start=1):
+        sent_id = sentence.sent_id
+        if not sent_id or sent_id != sent_id.strip() or "\n" in sent_id:
+            raise InvalidSentIdError(
+                f"sentence {ordinal}: sent_id {sent_id!r} would not read back: it is "
+                "empty, has leading or trailing whitespace, or holds a line break")
+        lines = [f"# sent_id = {sent_id}"]
+        for token_id, form, upos, feats, head, deprel in sentence.tokens:
+            entry = feats_of.get(id(feats))
+            if entry is None:
+                entry = feats_of[id(feats)] = (feats, feats_to_string(feats))
             lines.append(
-                "\t".join(
-                    (
-                        str(t.id), t.form, t.form, t.upos, "_",
-                        feats_to_string(t.feats), str(t.head), t.deprel, "_", "_",
-                    )
-                )
-            )
+                f"{token_id}\t{form}\t{form}\t{upos}\t_\t{entry[1]}\t{head}\t{deprel}\t_\t_")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""
 

@@ -31,6 +31,11 @@ class DuplicateSentIdError(MorphagreeError):
     """Two sentences of one treebank share a sent_id (explicit or ordinal)."""
 
 
+class InvalidSentIdError(MorphagreeError):
+    """A sentence to be written has a sent_id the parse would not read back:
+    empty, with leading or trailing whitespace, or holding a line break."""
+
+
 # --- datasets and statistics ---
 
 class EmptyMarginalsError(MorphagreeError):

@@ -9,10 +9,11 @@ head/dependent token pair, since linear order is irrelevant downstream.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
-from .conllu import Sentence, Token, treebank_to_conllu  # noqa: F401 (public name)
+from .conllu import Sentence, Token, _gc_paused, treebank_to_conllu  # noqa: F401 (public name)
 from .errors import FeatureMismatchError, InvalidGrammarError
 from .labeling import Label, RuleSet, label_triple
 from .triples import Triple
@@ -88,14 +89,12 @@ class PlantedGrammar:
         ]
 
 
-def _sample_value(rng: random.Random, spec: FeatureSpec, exclude: str | None = None) -> str:
-    if exclude is None:
-        return rng.choices(spec.values, weights=spec.marginals, k=1)[0]
-    values = [v for v in spec.values if v != exclude]
-    weights = [p for v, p in zip(spec.values, spec.marginals) if v != exclude]
-    if not values:  # single-valued feature cannot disagree
-        return exclude
-    return rng.choices(values, weights=weights, k=1)[0]
+def _draw_table(values, weights) -> tuple[tuple[str, ...], list, float, int]:
+    """``(values, cum, total, hi)``, from which ``values[bisect(cum,
+    rng.random() * total, 0, hi)]`` draws what ``rng.choices(values,
+    weights)[0]`` would, from the same one ``random()``."""
+    cum = list(accumulate(weights))
+    return tuple(values), cum, cum[-1] + 0.0, len(cum) - 1
 
 
 def generate(
@@ -107,45 +106,74 @@ def generate(
 
     tokens_per_sentence must be odd and >= 3: one anchor plus head/dep
     pairs. Planted rules enforce agreement on every declared feature.
+
+    Each edge draws its triple with three ``rng.choice`` calls, then per
+    feature the head's value and, unless a planted rule covers the triple,
+    the dependent's: each value takes one ``random()`` through the
+    cumulative-weight bisection ``Random.choices`` uses. On a covered
+    triple the dependent copies the head's value, unless, with a noise
+    rate, one more ``random()`` makes it draw from the feature's other
+    values (a single-valued feature has none and draws nothing). So a seed
+    gives the same bytes on every supported Python. Tokens with equal
+    values share one read-only FEATS dict, as parsed tokens do.
     """
     grammar.validate()
     if tokens_per_sentence < 3 or tokens_per_sentence % 2 == 0:
         raise InvalidGrammarError("tokens_per_sentence must be odd and >= 3")
-    edges = (tokens_per_sentence - 1) // 2
     rng = random.Random(grammar.seed)
+    choice, draw = rng.choice, rng.random
+    names = tuple(spec.name for spec in grammar.features)
+    # per feature: its unrestricted draw table, and per value the table of
+    # the other values (None for a single-valued feature, which cannot
+    # disagree and so draws nothing)
+    tables = []
+    for spec in grammar.features:
+        excluded = {}
+        for value in dict.fromkeys(spec.values):
+            others = [(v, p) for v, p in zip(spec.values, spec.marginals) if v != value]
+            excluded[value] = _draw_table(*zip(*others)) if others else None
+        tables.append((_draw_table(spec.values, spec.marginals), excluded))
+    noise_rate = grammar.noise_rate
+    required_of: dict[tuple[str, str, str], bool] = {}
+    shared: dict[tuple[str, ...], dict[str, str]] = {}  # values -> their FEATS dict
+    anchor = Token(1, "x0", "X", {}, 0, "root")
+    # (head id, head form, dep id, dep form) of each edge
+    slots = [(2 * e + 2, f"h{2 * e + 2}", 2 * e + 3, f"d{2 * e + 3}")
+             for e in range((tokens_per_sentence - 1) // 2)]
     sentences = []
-    for s in range(1, n_sentences + 1):
-        tokens = [Token(id=1, form="x0", upos="X", feats={}, head=0, deprel="root")]
-        for e in range(edges):
-            head_id, dep_id = 2 * e + 2, 2 * e + 3
-            triple = Triple(
-                head_pos=rng.choice(grammar.head_pos),
-                relation=rng.choice(grammar.relations),
-                dep_pos=rng.choice(grammar.dep_pos),
-            )
-            required = grammar.is_required(triple)
-            head_feats: dict[str, str] = {}
-            dep_feats: dict[str, str] = {}
-            for spec in grammar.features:
-                head_value = _sample_value(rng, spec)
-                if required:
-                    if grammar.noise_rate > 0.0 and rng.random() < grammar.noise_rate:
-                        dep_value = _sample_value(rng, spec, exclude=head_value)
+    with _gc_paused():  # tokens, tuples and FEATS dicts make no cycles
+        for s in range(1, n_sentences + 1):
+            tokens = [anchor]
+            for head_id, head_form, dep_id, dep_form in slots:
+                shape = (choice(grammar.head_pos), choice(grammar.relations),
+                         choice(grammar.dep_pos))
+                required = required_of.get(shape)
+                if required is None:
+                    required = required_of[shape] = grammar.is_required(Triple(*shape))
+                head_values = []
+                dep_values = []
+                for (values, cum, total, hi), excluded in tables:
+                    head_value = values[bisect(cum, draw() * total, 0, hi)]
+                    if not required:
+                        dep_value = values[bisect(cum, draw() * total, 0, hi)]
+                    elif noise_rate > 0.0 and draw() < noise_rate and excluded[head_value]:
+                        others, ocum, ototal, ohi = excluded[head_value]
+                        dep_value = others[bisect(ocum, draw() * ototal, 0, ohi)]
                     else:
                         dep_value = head_value
-                else:
-                    dep_value = _sample_value(rng, spec)
-                head_feats[spec.name] = head_value
-                dep_feats[spec.name] = dep_value
-            tokens.append(
-                Token(id=head_id, form=f"h{head_id}", upos=triple.head_pos,
-                      feats=head_feats, head=1, deprel="link")
-            )
-            tokens.append(
-                Token(id=dep_id, form=f"d{dep_id}", upos=triple.dep_pos,
-                      feats=dep_feats, head=head_id, deprel=triple.relation)
-            )
-        sentences.append(Sentence(sent_id=f"synth-{s}", tokens=tuple(tokens)))
+                    head_values.append(head_value)
+                    dep_values.append(dep_value)
+                key = tuple(head_values)
+                head_feats = shared.get(key)
+                if head_feats is None:
+                    head_feats = shared[key] = dict(zip(names, key))
+                key = tuple(dep_values)
+                dep_feats = shared.get(key)
+                if dep_feats is None:
+                    dep_feats = shared[key] = dict(zip(names, key))
+                tokens.append(Token(head_id, head_form, shape[0], head_feats, 1, "link"))
+                tokens.append(Token(dep_id, dep_form, shape[2], dep_feats, head_id, shape[1]))
+            sentences.append(Sentence(f"synth-{s}", tuple(tokens)))
     return tuple(sentences)
 
 

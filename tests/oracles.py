@@ -13,8 +13,10 @@ walked down the tree one at a time and scored one group at a time, grid
 search fits and scores every grid point and every cross-validation fold
 separately, rule merging rescans every pair from the start after each
 merge, a triple's rule is found by testing every rule instead of routing
-through the tree, and CoNLL-U is parsed token by token with a fresh FEATS
-dict per token and walked once per feature, with no shared edge table.
+through the tree, CoNLL-U is parsed token by token with a fresh FEATS
+dict per token and walked once per feature, with no shared edge table, and
+a synthetic corpus is drawn with ``Random.choices`` per feature value and a
+fresh FEATS dict per token.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from morphagree.errors import (
     DuplicateSentIdError,
     EncodingError,
     InvalidHeadError,
+    InvalidGrammarError,
     InvalidIdError,
     MalformedFeatsError,
     MalformedLineError,
@@ -564,3 +567,58 @@ def extract_instances_reference(sentences, feature: str) -> FeatureDataset:
                 )
             )
     return FeatureDataset(feature, tuple(instances), marginals)
+
+
+def _sample_value(rng: random.Random, spec, exclude: str | None = None) -> str:
+    if exclude is None:
+        return rng.choices(spec.values, weights=spec.marginals, k=1)[0]
+    values = [v for v in spec.values if v != exclude]
+    weights = [p for v, p in zip(spec.values, spec.marginals) if v != exclude]
+    if not values:  # single-valued feature cannot disagree
+        return exclude
+    return rng.choices(values, weights=weights, k=1)[0]
+
+
+def generate_reference(grammar, n_sentences: int, tokens_per_sentence: int = 3):
+    """synthetic.generate with one ``rng.choices`` call per feature value
+    drawn, a fresh FEATS dict per token and ``grammar.is_required`` asked
+    per edge."""
+    grammar.validate()
+    if tokens_per_sentence < 3 or tokens_per_sentence % 2 == 0:
+        raise InvalidGrammarError("tokens_per_sentence must be odd and >= 3")
+    edges = (tokens_per_sentence - 1) // 2
+    rng = random.Random(grammar.seed)
+    sentences = []
+    for s in range(1, n_sentences + 1):
+        tokens = [Token(id=1, form="x0", upos="X", feats={}, head=0, deprel="root")]
+        for e in range(edges):
+            head_id, dep_id = 2 * e + 2, 2 * e + 3
+            triple = Triple(
+                head_pos=rng.choice(grammar.head_pos),
+                relation=rng.choice(grammar.relations),
+                dep_pos=rng.choice(grammar.dep_pos),
+            )
+            required = grammar.is_required(triple)
+            head_feats: dict[str, str] = {}
+            dep_feats: dict[str, str] = {}
+            for spec in grammar.features:
+                head_value = _sample_value(rng, spec)
+                if required:
+                    if grammar.noise_rate > 0.0 and rng.random() < grammar.noise_rate:
+                        dep_value = _sample_value(rng, spec, exclude=head_value)
+                    else:
+                        dep_value = head_value
+                else:
+                    dep_value = _sample_value(rng, spec)
+                head_feats[spec.name] = head_value
+                dep_feats[spec.name] = dep_value
+            tokens.append(
+                Token(id=head_id, form=f"h{head_id}", upos=triple.head_pos,
+                      feats=head_feats, head=1, deprel="link")
+            )
+            tokens.append(
+                Token(id=dep_id, form=f"d{dep_id}", upos=triple.dep_pos,
+                      feats=dep_feats, head=head_id, deprel=triple.relation)
+            )
+        sentences.append(Sentence(sent_id=f"synth-{s}", tokens=tuple(tokens)))
+    return tuple(sentences)

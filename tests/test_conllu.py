@@ -1,5 +1,6 @@
 import gc
 import io
+import re
 import tracemalloc
 
 import pytest
@@ -22,6 +23,7 @@ from morphagree.errors import (
     EncodingError,
     InvalidHeadError,
     InvalidIdError,
+    InvalidSentIdError,
     MalformedFeatsError,
     MalformedLineError,
 )
@@ -223,6 +225,41 @@ def test_in_memory_sentences_fail_where_their_file_fails(tmp_path, token, error)
     with pytest.raises(error, match=r"^line 3: ") as in_memory:
         Treebank.from_sentences(sentences)
     assert str(in_memory.value) == str(from_file.value)
+
+
+@pytest.mark.parametrize("sent_id", [" a ", "", "a\nb"], ids=["padded", "empty", "line-break"])
+def test_sent_id_the_parse_would_not_read_back_is_refused(sent_id):
+    # the parse would rename ' a ' to 'a' and '' to the ordinal, and read a
+    # line 'b' the caller never wrote
+    sentences = [Sentence("ok", (_CASA,)), Sentence(sent_id, (_CASA,))]
+    message = rf"^sentence 2: sent_id {re.escape(repr(sent_id))} "
+    with pytest.raises(InvalidSentIdError, match=message):
+        treebank_to_conllu(sentences)
+    with pytest.raises(InvalidSentIdError, match=message):
+        Treebank.from_sentences(sentences)
+
+
+@pytest.mark.parametrize("sent_id", ["a b", "a=b", "a\tb", "a\rb", "é"])
+def test_sent_id_the_parse_reads_back_is_kept(sent_id):
+    assert list(Treebank.from_sentences([Sentence(sent_id, (_CASA,))]).forms) == [sent_id]
+
+
+def test_writer_formats_each_feats_dict_as_it_is_even_after_others_are_freed():
+    # fresh dicts per sentence, each sentence dropped once written: a freed
+    # dict's id() can come back for a later dict with other values
+    def sentence(i):
+        return Sentence(f"s{i}", (
+            Token(1, "a", "NOUN", {"Case": f"C{i}", "Gender": "Fem"}, 0, "root"),
+            Token(2, "b", "DET", {"Number": f"N{i % 7}"}, 1, "det"),
+            Token(3, "c", "ADJ", {}, 1, "amod"),
+        ))
+
+    expected = "\n".join(
+        f"# sent_id = s{i}\n" + "".join(
+            f"{t.id}\t{t.form}\t{t.form}\t{t.upos}\t_\t{feats_to_string(t.feats)}\t"
+            f"{t.head}\t{t.deprel}\t_\t_\n" for t in sentence(i).tokens)
+        for i in range(500))
+    assert treebank_to_conllu(sentence(i) for i in range(500)) == expected
 
 
 def test_sentence_without_tokens_dropped_as_a_comment_only_block_is():

@@ -1,6 +1,8 @@
+import hashlib
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphagree import (
     ExtractionConfig,
@@ -23,8 +25,8 @@ from morphagree.errors import FeatureMismatchError, InvalidGrammarError
 from morphagree.labeling import LeafVerdict
 from morphagree.tree import DecisionTree, HyperParams, Internal, Leaf, SplitPredicate
 
-from conftest import agrees
-from oracles import parse_conllu_reference
+from conftest import agrees, six_feature_conllu
+from oracles import generate_reference, parse_conllu_reference
 
 
 def simple_grammar(**overrides):
@@ -59,6 +61,54 @@ def test_generated_treebank_round_trips_through_conllu():
     assert extract_instances(reparsed, "Gender") == extract_instances(tb, "Gender")
     # synthetic re-exports the writer
     assert synthetic.treebank_to_conllu is treebank_to_conllu
+
+
+def test_generated_bytes_are_pinned():
+    # the benchmark's reference rules.json and the tests' fixed seeds rely on
+    # these bytes
+    digest = hashlib.sha256(six_feature_conllu(600).encode("utf-8")).hexdigest()
+    assert digest == "8097c6181316ab4a8321da3f27550a3548d4af83b6675897ac27d6bd5f642d40"
+
+
+def _slot(vocab):
+    return st.sampled_from((synthetic.WILDCARD,) + vocab)
+
+
+@st.composite
+def _grammars(draw):
+    features = []
+    for name in ("Gender", "Number", "Case", "Mood")[:draw(st.integers(1, 4))]:
+        values = draw(st.lists(st.sampled_from(("Fem", "Masc", "Neut", "Com", "Sing")),
+                               min_size=1, max_size=5, unique=True))
+        weights = draw(st.lists(st.integers(1, 1000), min_size=len(values),
+                                max_size=len(values)))
+        total = sum(weights)
+        features.append(FeatureSpec(name, tuple(values), tuple(w / total for w in weights)))
+    # repeated entries, as the benchmark's Zipf-weighted vocabularies have
+    vocab = st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=4).map(tuple)
+    relations, head_pos, dep_pos = draw(vocab), draw(vocab), draw(vocab)
+    rules = draw(st.lists(st.builds(RulePattern, _slot(head_pos), _slot(relations),
+                                    _slot(dep_pos)), max_size=3))
+    noise_rate = draw(st.just(0.0) | st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    return PlantedGrammar(tuple(features), relations, head_pos, dep_pos, tuple(rules),
+                          noise_rate, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grammars(), st.integers(0, 30), st.sampled_from((3, 5, 7, 9)))
+def test_generate_equals_the_choices_reference(grammar, n_sentences, tokens_per_sentence):
+    sentences = generate(grammar, n_sentences, tokens_per_sentence)
+    reference = generate_reference(grammar, n_sentences, tokens_per_sentence)
+    assert sentences == reference
+    assert treebank_to_conllu(sentences) == treebank_to_conllu(reference)
+
+
+def test_generated_tokens_share_one_feats_dict_per_value_combination():
+    sentences = generate(simple_grammar(seed=4), 50, 9)
+    dicts = {id(t.feats): t.feats for s in sentences for t in s.tokens}
+    # Fem/Masc on the tokens of edges, {} on the anchors
+    assert sorted(map(tuple, (d.items() for d in dicts.values()))) == [
+        (), (("Gender", "Fem"),), (("Gender", "Masc"),)]
 
 
 def test_required_edges_always_agree_without_noise():

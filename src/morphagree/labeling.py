@@ -5,6 +5,8 @@ what the feature's value distribution would produce by chance, judged by a
 chi-squared goodness-of-fit test plus an effect-size gate. Labeled leaves
 are then merged into a concise rule set that partitions triple space and
 induces exactly the same triple -> label function as the labeled tree.
+A rule has one constraint per slot: "in" admits exactly its values, and
+"not_in" every other value, values no corpus has shown included.
 
 A RuleSet keeps the tree its rules were merged from and its leaf verdicts.
 Lookups route the triple through that tree and map its leaf to the rule
@@ -207,9 +209,6 @@ class Constraint(NamedTuple):
         return self.mode == "not_in" and not self.values
 
 
-_UNCONSTRAINED = Constraint("not_in", frozenset())
-
-
 class LabeledRule(NamedTuple):
     rule_id: int
     label: Label
@@ -221,69 +220,60 @@ class LabeledRule(NamedTuple):
     counterexample_refs: tuple[tuple[str, int, int], ...] = ()
 
 
-def _descend(state: dict[str, Constraint], slot: str, value: str,
-             matched: bool) -> dict[str, Constraint]:
-    """state narrowed by the test slot == value, matched or not."""
-    mode, values = state[slot]
-    one = frozenset({value})
-    if matched:
-        narrowed = Constraint("in", values & one if mode == "in" else one - values)
-    else:
-        narrowed = Constraint(mode, values - one if mode == "in" else values | one)
-    return {**state, slot: narrowed}
+# The constraint algebra, on constraints read as sets of values. Narrowing
+# a path, containment, the triples errors name and merged slots are built
+# from these four; only _meet and _disjoint look at two constraints' modes.
+
+def _meet(a: Constraint, b: Constraint) -> Constraint:
+    """The values both a and b admit."""
+    if a.mode == b.mode:
+        return Constraint(a.mode, a.values & b.values if a.mode == "in" else a.values | b.values)
+    named, excluded = (a, b) if a.mode == "in" else (b, a)
+    return Constraint("in", named.values - excluded.values)
+
+
+def _complement(c: Constraint) -> Constraint:
+    """The values c does not admit."""
+    return Constraint("not_in" if c.mode == "in" else "in", c.values)
+
+
+def _disjoint(a: Constraint, b: Constraint) -> bool:
+    """Whether no value is admitted by both a and b: _meet(a, b) is empty."""
+    if a.mode == "in":
+        return a.values.isdisjoint(b.values) if b.mode == "in" else a.values <= b.values
+    return b.mode == "in" and b.values <= a.values
+
+
+def _witness(region: dict[str, Constraint]) -> Triple:
+    """A triple the region admits, given that each slot admits a value: the
+    least value of an in constraint, else the shortest run of '*' not named."""
+    values = {}
+    for slot in SLOT_ORDER:
+        mode, named = region[slot]
+        value = min(named) if mode == "in" else "*"
+        while mode == "not_in" and value in named:
+            value += "*"
+        values[slot] = value
+    return Triple(**values)
 
 
 def _leaf_regions(tree: DecisionTree) -> list[tuple[Leaf, dict[str, Constraint]]]:
     """Each leaf, in leaf order, with the constraint per slot that its path
     puts on the triples reaching it."""
     regions = []
-    stack = [(tree.root, dict.fromkeys(SLOT_ORDER, _UNCONSTRAINED))]
+    stack = [(tree.root, dict.fromkeys(SLOT_ORDER, Constraint("not_in", frozenset())))]
     while stack:
         node, state = stack.pop()
         if isinstance(node, Leaf):
             regions.append((node, state))
             continue
         slot, value = node.predicate.slot, node.predicate.value
-        stack.append((node.nomatch_child, _descend(state, slot, value, False)))
-        stack.append((node.match_child, _descend(state, slot, value, True)))
+        if slot not in state:
+            raise InvalidRuleSetError(f"split slot {slot!r} is not one of {', '.join(SLOT_ORDER)}")
+        one = Constraint("in", frozenset({value}))
+        stack.append((node.nomatch_child, {**state, slot: _meet(state[slot], _complement(one))}))
+        stack.append((node.match_child, {**state, slot: _meet(state[slot], one)}))
     return regions
-
-
-# Constraints are read as sets over a slot's vocabulary, which is
-# unbounded: a not_in constraint always admits values it does not name.
-
-def _within(a: Constraint, b: Constraint) -> bool:
-    """Whether every value a admits b admits too."""
-    if a.mode == "in":
-        return a.values <= b.values if b.mode == "in" else a.values.isdisjoint(b.values)
-    return b.mode == "not_in" and b.values <= a.values
-
-
-def _disjoint(a: Constraint, b: Constraint) -> bool:
-    """Whether no value is admitted by both a and b."""
-    if a.mode == "in":
-        return a.values.isdisjoint(b.values) if b.mode == "in" else a.values <= b.values
-    return b.mode == "in" and b.values <= a.values
-
-
-def _shared_triple(a: dict[str, Constraint], b: dict[str, Constraint]) -> Triple:
-    """A triple both sets of slot constraints admit, given that one does:
-    per slot the least value both admit, or a value neither names."""
-    values = {}
-    for slot in SLOT_ORDER:
-        ca, cb = a[slot], b[slot]
-        if ca.mode == cb.mode == "not_in":
-            value = "*"
-            while value in ca.values or value in cb.values:
-                value += "*"
-        else:
-            named, other = (ca, cb) if ca.mode == "in" else (cb, ca)
-            value = min(v for v in named.values if (v in other.values) == (other.mode == "in"))
-        values[slot] = value
-    return Triple(**values)
-
-
-_COMPLEMENT = {"in": "not_in", "not_in": "in"}
 
 
 def _checked_routing(
@@ -294,10 +284,11 @@ def _checked_routing(
 
     The checks, in order: leaf ids are distinct; leaf counts are at least 0
     and sum to the tree's training_size; the verdicts, then the rules'
-    source_leaf_ids, list each leaf once; rule ids are distinct; each rule's
-    counts and label are its source leaves' sums and verdict; every triple
-    that reaches a leaf matches the leaf's rule, so no triple is left
-    without a rule; no two rules share a triple.
+    source_leaf_ids, list each leaf once; rule ids are distinct; each rule
+    has a constraint for each slot and for no other; each rule's counts and
+    label are its source leaves' sums and verdict; every triple that
+    reaches a leaf matches the leaf's rule, so no triple is left without a
+    rule; no two rules share a triple.
     """
     regions = _leaf_regions(tree)
     leaf_by_id: dict[int, Leaf] = {}
@@ -322,6 +313,12 @@ def _checked_routing(
     if len({rule.rule_id for rule in rules}) != len(rules):
         raise InvalidRuleSetError("two rules share a rule_id")
     for rule in rules:
+        unknown = [slot for slot in rule.constraints if slot not in SLOT_ORDER]
+        missing = [slot for slot in SLOT_ORDER if slot not in rule.constraints]
+        if unknown or missing:
+            raise InvalidRuleSetError(f"rule {rule.rule_id}: " + (
+                f"slot {unknown[0]!r} is not one of {', '.join(SLOT_ORDER)}" if unknown
+                else f"no constraint for slot {missing[0]!r}"))
         sources = [leaf_by_id[leaf_id] for leaf_id in rule.source_leaf_ids]
         if (rule.n_agree != sum(leaf.n_agree for leaf in sources)
                 or rule.n_disagree != sum(leaf.n_disagree for leaf in sources)):
@@ -333,26 +330,28 @@ def _checked_routing(
             raise VerdictMismatchError(
                 f"rule {rule.rule_id}: 'label' differs from a source leaf's verdict"
             )
+    outside_of = {rule.rule_id: [_complement(rule.constraints[slot]) for slot in SLOT_ORDER]
+                  for rule in rules}
     for leaf, region in regions:
         if any(c.mode == "in" and not c.values for c in region.values()):
             continue  # a dead branch: no triple reaches the leaf
         rule = rule_by_leaf[leaf.leaf_id]
-        for slot in SLOT_ORDER:
-            constraint = rule.constraints[slot]
-            if not _within(region[slot], constraint):
-                outside = Constraint(_COMPLEMENT[constraint.mode], constraint.values)
+        for slot, outside in zip(SLOT_ORDER, outside_of[rule.rule_id]):
+            if not _disjoint(region[slot], outside):
+                missed = {**region, slot: _meet(region[slot], outside)}
                 raise NoMatchingRuleError(
-                    f"no rule matches triple {_shared_triple(region, {**region, slot: outside})}"
-                    f" through leaf {leaf.leaf_id}: the leaf's rule {rule.rule_id} excludes it"
+                    f"no rule matches triple {_witness(missed)} through leaf {leaf.leaf_id}: "
+                    f"the leaf's rule {rule.rule_id} excludes it"
                 )
     by_slot = [[rule.constraints[slot] for slot in SLOT_ORDER] for rule in rules]
     for i, a in enumerate(rules):
         for j in range(i + 1, len(rules)):
             if not any(map(_disjoint, by_slot[i], by_slot[j])):
                 b = rules[j]
+                shared = {slot: _meet(a.constraints[slot], b.constraints[slot])
+                          for slot in SLOT_ORDER}
                 raise NoMatchingRuleError(
-                    f"triple {_shared_triple(a.constraints, b.constraints)} "
-                    f"matches rules {a.rule_id} and {b.rule_id}"
+                    f"triple {_witness(shared)} matches rules {a.rule_id} and {b.rule_id}"
                 )
     return rule_by_leaf
 
@@ -402,8 +401,9 @@ def _leaf_rules(
 ) -> list[LabeledRule]:
     """One rule per leaf, in leaf order, with its path's constraints and its label or None."""
     rules: list[LabeledRule] = []
+    regions = _leaf_regions(tree)  # first, so that an unknown slot fails here
     refs_by_leaf = leaf_refs(tree, dataset) if dataset is not None else {}
-    for leaf, region in _leaf_regions(tree):
+    for leaf, region in regions:
         examples: list[tuple[str, int, int]] = []
         counters: list[tuple[str, int, int]] = []
         for ref in refs_by_leaf.get(leaf.leaf_id, ()):
@@ -435,16 +435,12 @@ def _try_merge(a: LabeledRule, b: LabeledRule) -> LabeledRule | None:
         return None
     slot = diff[0]
     ca, cb = a.constraints[slot], b.constraints[slot]
-    if ca.mode == "in" and cb.mode == "in":
-        merged = Constraint("in", ca.values | cb.values)
-    elif ca.mode == "in" and cb.mode == "not_in" and ca.values <= cb.values:
-        merged = Constraint("not_in", cb.values - ca.values)
-    elif cb.mode == "in" and ca.mode == "not_in" and cb.values <= ca.values:
-        merged = Constraint("not_in", ca.values - cb.values)
-    else:
+    union = _complement(_meet(_complement(ca), _complement(cb)))
+    # both in (the union is in too), or no value in common
+    if union.mode == "not_in" and not _disjoint(ca, cb):
         return None
     constraints = dict(a.constraints)
-    constraints[slot] = merged
+    constraints[slot] = union
     return LabeledRule(
         rule_id=0,
         label=a.label,
@@ -498,12 +494,14 @@ def merge_rules(
 ) -> RuleSet:
     """Collapse the labeled tree into a minimal-by-pairwise-merging rule set.
 
-    Sibling leaves with one label fold into their parent's path constraint,
-    uniform subtrees collapse entirely, and single-value rules that differ
-    in one slot union their value sets. The resulting rules partition
-    triple space and preserve the labeled tree's triple -> label function.
-    Passing the training dataset fills per-rule example provenance, at most
-    EXAMPLE_REFS_CAP refs per list.
+    Each leaf starts as a rule with its path's constraints. Two rules merge
+    when they have one label and differ in one slot only, where either both
+    constraints are "in" or no value is admitted by both; the merged slot
+    admits the values either admits. So sibling leaves with one label fold
+    into their parent's path constraint and uniform subtrees collapse. The
+    resulting rules partition triple space and preserve the labeled tree's
+    triple -> label function. Passing the training dataset fills per-rule
+    example provenance, at most EXAMPLE_REFS_CAP refs per list.
     """
     merged = _merge_to_fixpoint(_leaf_rules(tree, {v.leaf_id: v.label for v in verdicts}, dataset))
     return RuleSet(

@@ -12,9 +12,11 @@ rebucketing the triple groups reaching each node by every slot's values
 walked down the tree one at a time and scored one group at a time, grid
 search fits and scores every grid point and every cross-validation fold
 separately, rule merging rescans every pair from the start after each
-merge, a triple's rule is found by testing every rule instead of routing
-through the tree, CoNLL-U is parsed token by token with a fresh FEATS
-dict per token and walked once per feature, with no shared edge table, and
+merge and merges two constraints case by case (the package derives the
+merged constraint from set operations), a triple's rule is found by
+testing every rule instead of routing through the tree, CoNLL-U is parsed
+token by token with a fresh FEATS dict per token and walked once per
+feature, with no shared edge table, and
 a synthetic corpus is drawn with ``Random.choices`` per feature value and a
 fresh FEATS dict per token.
 """
@@ -36,8 +38,9 @@ from morphagree.errors import (
     MalformedLineError,
     NoMatchingRuleError,
 )
-from morphagree.labeling import ChanceModel, RuleSet, ThresholdMode, _leaf_rules, _try_merge
-from morphagree.tree import DecisionTree, Internal, Leaf, SplitPredicate, leaf_count
+from morphagree.labeling import (EXAMPLE_REFS_CAP, ChanceModel, Constraint, LabeledRule, RuleSet,
+                                 ThresholdMode, _leaf_rules)
+from morphagree.tree import SLOT_ORDER, DecisionTree, Internal, Leaf, SplitPredicate, leaf_count
 from morphagree.triples import FeatureDataset, Triple
 
 
@@ -380,13 +383,45 @@ def grid_search_per_point(train, grid, seed: int, metric: str = "accuracy", n_fo
     return _best_of((grow_by_rebucketing(train, hp), cv_score(hp)) for hp in grid.points())
 
 
+def try_merge_by_cases(a: LabeledRule, b: LabeledRule) -> LabeledRule | None:
+    """The merge of two rules, or None: they need one label and may differ
+    in one slot only, where both constraints are in (the merged one names
+    the values of both) or one is in and the other's not_in names each of
+    its values (the merged not_in names the other values)."""
+    if a.label != b.label:
+        return None
+    diff = [s for s in SLOT_ORDER if a.constraints[s] != b.constraints[s]]
+    if len(diff) != 1:
+        return None
+    slot = diff[0]
+    ca, cb = a.constraints[slot], b.constraints[slot]
+    if ca.mode == "in" and cb.mode == "in":
+        merged = Constraint("in", ca.values | cb.values)
+    elif ca.mode == "in" and cb.mode == "not_in" and ca.values <= cb.values:
+        merged = Constraint("not_in", cb.values - ca.values)
+    elif cb.mode == "in" and ca.mode == "not_in" and cb.values <= ca.values:
+        merged = Constraint("not_in", ca.values - cb.values)
+    else:
+        return None
+    return LabeledRule(
+        rule_id=0,
+        label=a.label,
+        constraints={**a.constraints, slot: merged},
+        n_agree=a.n_agree + b.n_agree,
+        n_disagree=a.n_disagree + b.n_disagree,
+        source_leaf_ids=tuple(sorted(a.source_leaf_ids + b.source_leaf_ids)),
+        example_refs=(a.example_refs + b.example_refs)[:EXAMPLE_REFS_CAP],
+        counterexample_refs=(a.counterexample_refs + b.counterexample_refs)[:EXAMPLE_REFS_CAP],
+    )
+
+
 def merge_rules_restarting(
     tree, verdicts, dataset=None, threshold_mode=ThresholdMode.STATISTICAL
 ) -> RuleSet:
     """merge_rules with the fixpoint written the direct way: merge the first
     mergeable pair in leaf order, re-sort, and rescan every pair from the
-    start. It shares the package's leaf rules and pairwise merge step, so it
-    checks only the order in which pairs are tried."""
+    start, by try_merge_by_cases. It shares only the package's leaf rules, so
+    it checks the order in which pairs are tried and the merge step."""
     rules = sorted(
         _leaf_rules(tree, {v.leaf_id: v.label for v in verdicts}, dataset),
         key=lambda r: r.source_leaf_ids[0],
@@ -396,7 +431,7 @@ def merge_rules_restarting(
         changed = False
         for i in range(len(rules)):
             for j in range(i + 1, len(rules)):
-                merged = _try_merge(rules[i], rules[j])
+                merged = try_merge_by_cases(rules[i], rules[j])
                 if merged is not None:
                     rules[i] = merged
                     del rules[j]

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from morphagree import (
     ChanceModel,
@@ -31,7 +31,12 @@ from morphagree.labeling import (
     LeafVerdict,
     RuleSet,
     ThresholdMode,
+    _complement,
+    _disjoint,
+    _meet,
     _merge_to_fixpoint,
+    _try_merge,
+    _witness,
     LabeledRule,
     chi_square_survival,
     rules_for,
@@ -51,7 +56,7 @@ from morphagree.triples import FeatureDataset
 
 from conftest import agrees, make_edge, make_treebank, six_feature_conllu
 from oracles import (chi2_sf_oracle, chi_squared_statistic_by_cells, merge_rules_restarting,
-                     rule_for_scanning, rule_matches)
+                     rule_for_scanning, rule_matches, try_merge_by_cases)
 from treegen import random_labeled_tree, random_triple
 
 
@@ -390,10 +395,59 @@ def test_merge_equivalence_on_random_trees():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 7))
-def test_merge_equals_restarting_oracle_on_random_trees(seed, max_depth):
-    tree, verdicts = random_labeled_tree(random.Random(seed), max_depth=max_depth)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.booleans())
+def test_merge_equals_restarting_oracle_on_random_trees(seed, max_depth, dead_branches):
+    # dead branches put empty in constraints into the rules, where the merge
+    # step meets the pairs that it refuses
+    tree, verdicts = random_labeled_tree(random.Random(seed), max_depth=max_depth,
+                                         dead_branches=dead_branches)
     assert merge_rules(tree, verdicts) == merge_rules_restarting(tree, verdicts)
+
+
+# --- the constraint algebra, read as explicit sets over a small vocabulary
+# plus one value that no constraint names ---
+
+_VOCAB = ("*", "a", "b")
+_UNIVERSE = frozenset(_VOCAB + ("unseen",))
+_constraints = st.builds(Constraint, st.sampled_from(("in", "not_in")),
+                         st.frozensets(st.sampled_from(_VOCAB)))
+
+
+def _admitted(constraint):
+    """The values of _UNIVERSE the constraint admits."""
+    if constraint.mode == "in":
+        return constraint.values
+    return _UNIVERSE - constraint.values
+
+
+@given(_constraints, _constraints)
+def test_meet_intersects_complement_complements_and_disjoint_is_an_empty_meet(a, b):
+    assert _admitted(_meet(a, b)) == _admitted(a) & _admitted(b)
+    assert _admitted(_complement(a)) == _UNIVERSE - _admitted(a)
+    assert _disjoint(a, b) == (not _admitted(a) & _admitted(b)) == (not _admitted(_meet(a, b)))
+
+
+@given(st.tuples(_constraints, _constraints, _constraints))
+def test_witness_is_a_triple_the_region_admits(constraints):
+    assume(all(_admitted(c) for c in constraints))
+    region = dict(zip(SLOT_ORDER, constraints))
+    witness = _witness(region)
+    assert all((getattr(witness, slot) in c.values) == (c.mode == "in")
+               for slot, c in region.items())
+
+
+@given(_constraints, _constraints, _constraints, st.sampled_from(SLOT_ORDER))
+def test_try_merge_unites_the_one_slot_that_differs(ca, cb, other, slot):
+    assume(ca != cb)
+    rest = dict.fromkeys(SLOT_ORDER, other)
+    a = LabeledRule(1, Label.REQUIRED, {**rest, slot: ca}, 1, 0, (1,))
+    b = LabeledRule(2, Label.REQUIRED, {**rest, slot: cb}, 0, 1, (2,))
+    merged = _try_merge(a, b)
+    assert merged == try_merge_by_cases(a, b)
+    assert (merged is not None) == (ca.mode == cb.mode == "in" or _disjoint(ca, cb))
+    if merged is not None:
+        assert merged.constraints == {**rest, slot: merged.constraints[slot]}
+        assert _admitted(merged.constraints[slot]) == _admitted(ca) | _admitted(cb)
 
 
 def _random_deep_fit(rng):
@@ -525,9 +579,24 @@ def _two_leaf_tree(nomatch=Leaf(2, 1, 4), training_size=10):
                            training_size)
 
 
+def _tree_split_on_lemma():
+    return _tree_from_root(Internal(SplitPredicate("lemma", "x"), Leaf(1, 3, 2), Leaf(2, 1, 4)),
+                           10)
+
+
+def _first_rule_constraints(ruleset, change):
+    """ruleset's rules with change applied to the first rule's constraints."""
+    first = ruleset.rules[0]
+    return (first._replace(constraints=change(first.constraints)),) + ruleset.rules[1:]
+
+
 # (change to a valid RuleSet of two one-leaf rules, error type, message), one
-# per check of counts, verdicts, rule ids and labels
+# per check of slots, counts, verdicts, rule ids and labels
 DISAGREEMENTS = [
+    pytest.param(lambda rs: _rebuilt(rs, tree=_tree_split_on_lemma()),
+                 InvalidRuleSetError,
+                 "split slot 'lemma' is not one of relation, head_pos, dep_pos",
+                 id="split on an unknown slot"),
     pytest.param(lambda rs: _rebuilt(rs, tree=_two_leaf_tree(Leaf(2, 1, -4), 2)),
                  InvalidRuleSetError, "a leaf of the tree has a negative count",
                  id="negative leaf count"),
@@ -553,6 +622,15 @@ DISAGREEMENTS = [
                                                 rs.rules[1])),
                  VerdictMismatchError, "rule 1: 'label' differs from a source leaf's verdict",
                  id="wrong rule label"),
+    pytest.param(lambda rs: _rebuilt(rs, rules=_first_rule_constraints(
+                     rs, lambda cs: {s: c for s, c in cs.items() if s != "head_pos"})),
+                 InvalidRuleSetError, "rule 1: no constraint for slot 'head_pos'",
+                 id="rule without a slot"),
+    pytest.param(lambda rs: _rebuilt(rs, rules=_first_rule_constraints(
+                     rs, lambda cs: {**cs, "lemma": Constraint("in", frozenset({"x"}))})),
+                 InvalidRuleSetError,
+                 "rule 1: slot 'lemma' is not one of relation, head_pos, dep_pos",
+                 id="rule with an unknown slot"),
 ]
 
 
@@ -577,6 +655,16 @@ def test_ruleset_construction_rejects_disagreeing_counts_verdicts_and_rules(
     with pytest.raises(InvalidRuleSetError) as info:
         change(ruleset)
     assert info.type is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("with_dataset", [False, True])
+def test_merge_rules_rejects_a_split_on_an_unknown_slot(with_dataset):
+    dataset = FeatureDataset("Gender", (make_edge(Triple("NOUN", "det", "DET"), True),))
+    verdicts = [_verdict(1, Label.REQUIRED), _verdict(2, Label.CHANCE)]
+    with pytest.raises(InvalidRuleSetError) as info:
+        merge_rules(_tree_split_on_lemma(), verdicts, dataset if with_dataset else None)
+    assert info.type is InvalidRuleSetError
+    assert str(info.value) == "split slot 'lemma' is not one of relation, head_pos, dep_pos"
 
 
 def test_ruleset_partitions_triple_space():
@@ -650,10 +738,10 @@ def _check_guard_against_scan(tree, verdicts, rng):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 7))
-def test_guard_equals_exact_scan_on_random_trees(seed, max_depth):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.booleans())
+def test_guard_equals_exact_scan_on_random_trees(seed, max_depth, dead_branches):
     rng = random.Random(seed)
-    tree, verdicts = random_labeled_tree(rng, max_depth=max_depth)
+    tree, verdicts = random_labeled_tree(rng, max_depth=max_depth, dead_branches=dead_branches)
     _check_guard_against_scan(tree, verdicts, rng)
 
 

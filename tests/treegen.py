@@ -23,12 +23,15 @@ VOCAB = {
 
 
 def random_labeled_tree(
-    rng: random.Random, max_depth: int = 4, p_leaf: float = 0.35
+    rng: random.Random, max_depth: int = 4, p_leaf: float = 0.35, dead_branches: bool = False
 ) -> tuple[DecisionTree, list[LeafVerdict]]:
     """A structurally consistent random tree plus random leaf labels.
 
     Consistency mirrors fitted trees: a pinned slot is never re-tested and
     excluded values are never re-excluded, so every branch is satisfiable.
+    With dead_branches, a slot pinned by a match may be tested again on any
+    of its values, so one side of that test admits no triple: fit never
+    builds such trees, but merge_rules and RuleSet accept them.
     """
     counter = [0]
 
@@ -39,6 +42,8 @@ def random_labeled_tree(
             if slot not in pinned
             for value in available[slot]
         ]
+        if dead_branches:
+            candidates += [(slot, value) for slot in sorted(pinned) for value in VOCAB[slot]]
         if depth >= max_depth or not candidates or rng.random() < p_leaf:
             counter[0] += 1
             n_agree = rng.randint(0, 5)

@@ -161,7 +161,9 @@ def cmd_hrm(args: argparse.Namespace) -> int:
             "n_triples": len(details),
             "per_triple": [
                 {
-                    **d.triple._asdict(),
+                    "relation": d.triple.relation,
+                    "head_pos": d.triple.head_pos,
+                    "dep_pos": d.triple.dep_pos,
                     "human_label": d.human_label.value,
                     "mapped_label": d.mapped_label.value,
                     "tree_label": d.tree_label.value,

@@ -277,20 +277,24 @@ def _leaf_regions(tree: DecisionTree) -> list[tuple[Leaf, dict[str, Constraint]]
 
 
 def _checked_routing(
-    tree: DecisionTree, verdicts: tuple[LeafVerdict, ...], rules: tuple[LabeledRule, ...]
+    tree: DecisionTree,
+    regions: list[tuple[Leaf, dict[str, Constraint]]],
+    verdicts: tuple[LeafVerdict, ...],
+    rules: tuple[LabeledRule, ...],
 ) -> dict[int, LabeledRule]:
-    """Each leaf id of the tree mapped to the rule that lists it, once it is
-    checked that the three agree; else an InvalidRuleSetError.
+    """Each leaf id of the tree, whose _leaf_regions are given, mapped to the
+    rule that lists it, once it is checked that the three agree; else an
+    InvalidRuleSetError.
 
     The checks, in order: leaf ids are distinct; leaf counts are at least 0
     and sum to the tree's training_size; the verdicts, then the rules'
     source_leaf_ids, list each leaf once; rule ids are distinct; each rule
-    has a constraint for each slot and for no other; each rule's counts and
-    label are its source leaves' sums and verdict; every triple that
-    reaches a leaf matches the leaf's rule, so no triple is left without a
-    rule; no two rules share a triple.
+    has a constraint for each slot and for no other, each of mode "in" or
+    "not_in" on a frozenset of strings; each rule's counts and label are its
+    source leaves' sums and verdict; every triple that reaches a leaf
+    matches the leaf's rule, so no triple is left without a rule; no two
+    rules share a triple.
     """
-    regions = _leaf_regions(tree)
     leaf_by_id: dict[int, Leaf] = {}
     for leaf, _ in regions:
         if leaf.leaf_id in leaf_by_id:
@@ -319,6 +323,14 @@ def _checked_routing(
             raise InvalidRuleSetError(f"rule {rule.rule_id}: " + (
                 f"slot {unknown[0]!r} is not one of {', '.join(SLOT_ORDER)}" if unknown
                 else f"no constraint for slot {missing[0]!r}"))
+        for slot in SLOT_ORDER:
+            mode, values = rule.constraints[slot]
+            if mode not in ("in", "not_in"):
+                raise InvalidRuleSetError(
+                    f"rule {rule.rule_id}: slot {slot!r}: mode {mode!r} is not 'in' or 'not_in'")
+            if not isinstance(values, frozenset) or not all(isinstance(v, str) for v in values):
+                raise InvalidRuleSetError(
+                    f"rule {rule.rule_id}: slot {slot!r}: values are not a frozenset of strings")
         sources = [leaf_by_id[leaf_id] for leaf_id in rule.source_leaf_ids]
         if (rule.n_agree != sum(leaf.n_agree for leaf in sources)
                 or rule.n_disagree != sum(leaf.n_disagree for leaf in sources)):
@@ -370,12 +382,16 @@ class RuleSet:
     def __init__(self, feature: str, rules: tuple[LabeledRule, ...],
                  threshold_mode: ThresholdMode, tree: DecisionTree,
                  verdicts: tuple[LeafVerdict, ...]):
+        self._set(feature, rules, threshold_mode, tree, verdicts, _leaf_regions(tree))
+
+    def _set(self, feature, rules, threshold_mode, tree, verdicts, regions) -> None:
+        """__init__, given the tree's _leaf_regions."""
         self.feature = feature
         self.rules = rules
         self.threshold_mode = threshold_mode
         self.tree = tree
         self.verdicts = verdicts
-        self._rule_by_leaf = _checked_routing(tree, verdicts, rules)
+        self._rule_by_leaf = _checked_routing(tree, regions, verdicts, rules)
 
     def _key(self) -> tuple:
         return self.feature, self.rules, self.threshold_mode, self.tree, self.verdicts
@@ -396,12 +412,14 @@ class RuleSet:
 
 def _leaf_rules(
     tree: DecisionTree,
+    regions: list[tuple[Leaf, dict[str, Constraint]]],
     label_by_leaf: dict[int, Label],
     dataset: FeatureDataset | None,
 ) -> list[LabeledRule]:
-    """One rule per leaf, in leaf order, with its path's constraints and its label or None."""
+    """One rule per leaf of the tree, in leaf order, with its path's
+    constraints (its region in regions, the tree's _leaf_regions) and its
+    label or None."""
     rules: list[LabeledRule] = []
-    regions = _leaf_regions(tree)  # first, so that an unknown slot fails here
     refs_by_leaf = leaf_refs(tree, dataset) if dataset is not None else {}
     for leaf, region in regions:
         examples: list[tuple[str, int, int]] = []
@@ -503,14 +521,14 @@ def merge_rules(
     triple -> label function. Passing the training dataset fills per-rule
     example provenance, at most EXAMPLE_REFS_CAP refs per list.
     """
-    merged = _merge_to_fixpoint(_leaf_rules(tree, {v.leaf_id: v.label for v in verdicts}, dataset))
-    return RuleSet(
-        feature=tree.feature,
-        rules=tuple(r._replace(rule_id=idx) for idx, r in enumerate(merged, start=1)),
-        threshold_mode=threshold_mode,
-        tree=tree,
-        verdicts=tuple(verdicts),
-    )
+    regions = _leaf_regions(tree)  # first, so that an unknown slot fails here
+    label_by_leaf = {v.leaf_id: v.label for v in verdicts}
+    merged = _merge_to_fixpoint(_leaf_rules(tree, regions, label_by_leaf, dataset))
+    rules = tuple(r._replace(rule_id=idx) for idx, r in enumerate(merged, start=1))
+    # RuleSet(...) as it would be built, with the regions walked once
+    ruleset = RuleSet.__new__(RuleSet)
+    ruleset._set(tree.feature, rules, threshold_mode, tree, tuple(verdicts), regions)
+    return ruleset
 
 
 def rules_for(ruleset: RuleSet, triples: Iterable[Triple]) -> dict[Triple, LabeledRule]:

@@ -2,10 +2,15 @@
 
 All documents are dumped in a canonical form (sorted keys, two-space
 indent, UTF-8, trailing newline) so identical runs produce byte-identical
-files. Reloading a rules document reconstructs the triple -> label
-behavior of the saved rule sets exactly. The loader checks JSON shape
-(types and known names); RuleSet checks meaning, that a feature's tree,
-leaf verdicts and rules agree.
+files. dump_canonical writes that form in one pass: every piece of text is
+appended once to one buffer, which is joined once. The documents it is
+given are lean: rows are literal dicts, and a rule's leaf ids and refs are
+its own tuples, written as JSON lists.
+
+Reloading a rules document reconstructs the triple -> label behavior of
+the saved rule sets exactly. The loader checks JSON shape (types and known
+names); RuleSet checks meaning, that a feature's tree, leaf verdicts and
+rules agree.
 """
 from __future__ import annotations
 
@@ -78,48 +83,99 @@ def _read_json(path: str | Path, error: type[Exception]):
             raise error(f"{path}: {exc}") from None
 
 
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
 def dump_canonical(doc: dict) -> str:
     """doc as json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2)
-    writes it, plus a newline. Given an indent, CPython up to 3.13 skips its
-    C encoder for a slower generator; this emitter joins each container's
-    items once instead. A key that is not a string raises TypeError."""
-    return _encode(doc, "") + "\n"
+    writes it, plus a newline.
 
+    Given an indent, CPython up to 3.13 skips its C encoder for a slower
+    generator. This emitter appends each piece of text once to one list
+    and joins the list once at the end, so no container's text is copied
+    into its parent's. A value of the exact type str, int, float, bool or
+    None is written without isinstance checks; a subclass (a str-valued
+    enum, a NamedTuple such as Triple, a dict or list subclass) takes the
+    isinstance path. Each key's '"key": ' text, with the separator before
+    it, is built once per indent. A key that is not a string raises
+    TypeError, as does a value that is not JSON."""
+    out: list[str] = []
+    append = out.append
+    # per indent, each key's ',\n<indent>"key": '
+    keys_at: dict[str, dict[str, str]] = {}
 
-def _encode(value, indent: str) -> str:
-    if isinstance(value, str):  # str-valued enums included
-        return encode_basestring(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = []
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring(key) + ": " + _encode(value[key], inner))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = [_encode(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    def emit(value, newline: str) -> None:
+        """Append value, a container indented at newline if it is one."""
+        kind = type(value)
+        if kind is str:
+            append(encode_basestring(value))
+        elif kind is int:
+            append(int.__repr__(value))
+        elif kind is dict:
+            emit_dict(value, newline)
+        elif kind is list or kind is tuple:
+            emit_list(value, newline)
+        elif kind is float:
+            append(_float_text(value))
+        elif value is None:
+            append("null")
+        elif kind is bool:
+            append("true" if value else "false")
+        # subclasses, in the order json.dumps tests them
+        elif isinstance(value, str):
+            append(encode_basestring(value))
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, float):
+            append(_float_text(value))
+        elif isinstance(value, (list, tuple)):
+            emit_list(value, newline)
+        elif isinstance(value, dict):
+            emit_dict(value, newline)
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    def emit_list(items, newline: str) -> None:
+        if not items:
+            append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        first = len(out)
+        for item in items:
+            append(comma)
+            emit(item, inner)
+        out[first] = "[" + inner
+        append(newline + "]")
+
+    def emit_dict(doc: dict, newline: str) -> None:
+        if not doc:
+            append("{}")
+            return
+        inner = newline + "  "
+        keys = keys_at.get(inner)
+        if keys is None:
+            keys = keys_at[inner] = {}
+        first = len(out)
+        for key in sorted(doc):
+            prefix = keys.get(key)
+            if prefix is None:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                prefix = keys[key] = "," + inner + encode_basestring(key) + ": "
+            append(prefix)
+            emit(doc[key], inner)
+        out[first] = "{" + out[first][1:]
+        append(newline + "}")
+
+    emit(doc, "\n")
+    append("\n")
+    return "".join(out)
 
 
 def write_json(doc: dict, path: str | Path) -> None:
@@ -206,9 +262,9 @@ def rule_to_dict(rule: LabeledRule) -> dict:
         "constraints": _constraints_to_dict(rule.constraints),
         "n_agree": rule.n_agree,
         "n_disagree": rule.n_disagree,
-        "source_leaf_ids": list(rule.source_leaf_ids),
-        "example_refs": [list(r) for r in rule.example_refs],
-        "counterexample_refs": [list(r) for r in rule.counterexample_refs],
+        "source_leaf_ids": rule.source_leaf_ids,
+        "example_refs": rule.example_refs,
+        "counterexample_refs": rule.counterexample_refs,
     }
 
 
@@ -262,7 +318,7 @@ def feature_rules_to_dict(result: FeatureRules) -> dict:
         return {"absent": True}
     assert result.chance is not None
     dataset = result.dataset
-    ranked = [dataset.triples[t] for t in dataset.ranking] if dataset is not None else []
+    ranking = dataset.ranking if dataset is not None else ()
     return {
         "absent": False,
         "training_size": result.ruleset.training_size,
@@ -274,7 +330,9 @@ def feature_rules_to_dict(result: FeatureRules) -> dict:
         "leaf_verdicts": [verdict_to_dict(v) for v in result.ruleset.verdicts],
         "rules": [rule_to_dict(r) for r in result.ruleset.rules],
         "training_triples": [
-            {**g.triple._asdict(), "count": g.size} for g in ranked
+            {"relation": t.relation, "head_pos": t.head_pos, "dep_pos": t.dep_pos,
+             "count": dataset.triples[t].size}
+            for t in ranking
         ],
     }
 
@@ -430,7 +488,9 @@ def eval_report_to_dict(report: EvalReport, baseline: EvalReport | None = None) 
         "n_triples": len(report.verdicts),
         "verdicts": [
             {
-                **v.triple._asdict(),
+                "relation": v.triple.relation,
+                "head_pos": v.triple.head_pos,
+                "dep_pos": v.triple.dep_pos,
                 "n_test": v.n_test,
                 "q": v.q,
                 "test_label": v.test_label.value,

@@ -39,7 +39,7 @@ from morphagree.errors import (
     NoMatchingRuleError,
 )
 from morphagree.labeling import (EXAMPLE_REFS_CAP, ChanceModel, Constraint, LabeledRule, RuleSet,
-                                 ThresholdMode, _leaf_rules)
+                                 ThresholdMode, _leaf_regions, _leaf_rules)
 from morphagree.tree import SLOT_ORDER, DecisionTree, Internal, Leaf, SplitPredicate, leaf_count
 from morphagree.triples import FeatureDataset, Triple
 
@@ -423,7 +423,7 @@ def merge_rules_restarting(
     start, by try_merge_by_cases. It shares only the package's leaf rules, so
     it checks the order in which pairs are tried and the merge step."""
     rules = sorted(
-        _leaf_rules(tree, {v.leaf_id: v.label for v in verdicts}, dataset),
+        _leaf_rules(tree, _leaf_regions(tree), {v.leaf_id: v.label for v in verdicts}, dataset),
         key=lambda r: r.source_leaf_ids[0],
     )
     changed = True

@@ -3,6 +3,7 @@ canonical settings (sorted keys, two-space indent, text not escaped to
 ASCII) plus a newline: json.dumps is the oracle."""
 import json
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,21 @@ _FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]),
 )
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
 _EMPTY = st.sampled_from([[], (), {}, [[]], ([], {}), {"": {}}, {"a": [()]}])
 _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT,
@@ -31,6 +47,10 @@ _VALUES = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(_TEXT, children, max_size=4),
+        # subclasses take the emitter's isinstance path
+        st.tuples(children, children).map(lambda pair: _Pair(*pair)),
+        st.dictionaries(_TEXT, children, max_size=4).map(_Dict),
+        st.lists(children, max_size=4).map(_List),
     ),
     max_leaves=20,
 )
@@ -62,5 +82,17 @@ def test_dump_canonical_writes_what_json_dumps_writes(value):
 # json.dumps would write an int key as a string; no document has one
 @pytest.mark.parametrize("value", [{1: "x"}, {"a": {None: 1}}, [{("a",): 1}]])
 def test_dump_canonical_rejects_a_key_that_is_not_a_string(value):
+    with pytest.raises(TypeError):
+        dump_canonical(value)
+
+
+# what json.dumps rejects: a set, bytes and a plain object, alone or nested
+@pytest.mark.parametrize("value", [
+    {"a"}, b"a", object(), {"a": [1, {"b": frozenset()}]}, [b""], _Pair(1, object()),
+    _Dict(a=set()), _List([bytearray()]),
+])
+def test_dump_canonical_rejects_a_value_that_is_not_json(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         dump_canonical(value)

@@ -99,3 +99,62 @@ def _golden_outputs(tmp_path, monkeypatch) -> dict[str, str]:
 
 def test_golden_eval_sheet_and_report_bytes(tmp_path, monkeypatch):
     assert _golden_outputs(tmp_path, monkeypatch) == GOLDEN_OUTPUT_DIGESTS
+
+
+# sha256 of the hrm, correlate and complexity outputs that
+# _golden_score_outputs derives from the golden files
+GOLDEN_SCORE_DIGESTS = {
+    "eval-dev.json": "65ab26558e5e370309f1ea7018f5672b56be8c7a5ce279261c579bee0a1ed08d",
+    "hrm.json": "2587278e3ec92be616bce00aa33a43f08dcbaf84e3f1fa12e16b8778ba745d7f",
+    "hrm-lenient.json": "34478cf2224eb222564c7b80c1f0a6f362107814d63d21f4b4f6a3ccfbfa02e0",
+    "correlate.json": "23c1ffd662d141431f4f3207f0e1f9ebfff221c2574e523c5177a3d8c390006d",
+    "complexity.json": "3ba188d1a22620aad486e5200a887e17613110fd2e52aefc95cffeabf520796c",
+    "complexity.csv": "af5380eb87ded070b67d97f56ad3c050bd9a8583888ff315a6951d4aa54fab8b",
+}
+
+
+def _golden_score_outputs(tmp_path, monkeypatch) -> dict[str, str]:
+    """sha256 of the JSON and CSV documents hrm, correlate and complexity
+    write from the golden files: a second evaluation (rules-dev.json on
+    dev.conllu, its top 5 training triples), a sheet annotated by cycling
+    through the three labels, scored strict and lenient, and the two
+    evaluations correlated with the two scorings."""
+    for name in ("rules.json", "rules-dev.json", "train.conllu", "dev.conllu"):
+        shutil.copy(GOLDEN_DIR / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["evaluate", "--rules", "rules.json", "--test", "train.conllu",
+         "--baseline", "--out", "eval.json"],
+        ["evaluate", "--rules", "rules-dev.json", "--test", "dev.conllu",
+         "--top-k", "5", "--out", "eval-dev.json"],
+        ["annotation-sheet", "--rules", "rules.json", "--train", "train.conllu",
+         "--top-k", "20", "--examples", "3", "--seed", "5", "--out", "sheet.tsv"],
+    ):
+        assert main(argv) == 0
+    header, *rows = Path("sheet.tsv").read_text(encoding="utf-8").splitlines()
+    at = header.split("\t").index("label")
+    labels = ("almost_always", "sometimes", "need_not")
+    annotated = [header]
+    for i, row in enumerate(rows):
+        cells = row.split("\t")
+        cells[at] = labels[i % len(labels)]
+        annotated.append("\t".join(cells))
+    Path("annotated.tsv").write_text("\n".join(annotated) + "\n", encoding="utf-8")
+    for argv in (
+        ["hrm", "--rules", "rules.json", "--annotations", "annotated.tsv", "--out", "hrm.json"],
+        ["hrm", "--rules", "rules.json", "--annotations", "annotated.tsv", "--lenient",
+         "--out", "hrm-lenient.json"],
+        ["correlate", "--eval", "eval.json", "eval-dev.json",
+         "--hrm", "hrm.json", "hrm-lenient.json", "--out", "correlate.json"],
+        ["complexity", "--train", "train.conllu", "dev.conllu",
+         "--rules", "rules.json", "rules-dev.json",
+         "--out", "complexity.json", "--csv", "complexity.csv"],
+    ):
+        assert main(argv) == 0
+    names = ("eval-dev.json", "hrm.json", "hrm-lenient.json", "correlate.json",
+             "complexity.json", "complexity.csv")
+    return {name: _digest(Path(name)) for name in names}
+
+
+def test_golden_hrm_correlate_and_complexity_bytes(tmp_path, monkeypatch):
+    assert _golden_score_outputs(tmp_path, monkeypatch) == GOLDEN_SCORE_DIGESTS

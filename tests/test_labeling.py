@@ -19,6 +19,7 @@ from morphagree import (
     label_triple,
     merge_rules,
 )
+from morphagree import labeling
 from morphagree.errors import (
     EmptyMarginalsError,
     InvalidRuleSetError,
@@ -631,6 +632,22 @@ DISAGREEMENTS = [
                  InvalidRuleSetError,
                  "rule 1: slot 'lemma' is not one of relation, head_pos, dep_pos",
                  id="rule with an unknown slot"),
+    # modes and values the loader would reject, were they written to rules.json
+    pytest.param(lambda rs: _rebuilt(rs, rules=_first_rule_constraints(
+                     rs, lambda cs: {**cs, "head_pos": Constraint("maybe", frozenset())})),
+                 InvalidRuleSetError,
+                 "rule 1: slot 'head_pos': mode 'maybe' is not 'in' or 'not_in'",
+                 id="constraint with an unknown mode"),
+    pytest.param(lambda rs: _rebuilt(rs, rules=_first_rule_constraints(
+                     rs, lambda cs: {**cs, "relation": Constraint("in", ["det"])})),
+                 InvalidRuleSetError,
+                 "rule 1: slot 'relation': values are not a frozenset of strings",
+                 id="constraint values in a list"),
+    pytest.param(lambda rs: _rebuilt(rs, rules=_first_rule_constraints(
+                     rs, lambda cs: {**cs, "dep_pos": Constraint("not_in", frozenset({1}))})),
+                 InvalidRuleSetError,
+                 "rule 1: slot 'dep_pos': values are not a frozenset of strings",
+                 id="constraint value not a string"),
 ]
 
 
@@ -665,6 +682,15 @@ def test_merge_rules_rejects_a_split_on_an_unknown_slot(with_dataset):
         merge_rules(_tree_split_on_lemma(), verdicts, dataset if with_dataset else None)
     assert info.type is InvalidRuleSetError
     assert str(info.value) == "split slot 'lemma' is not one of relation, head_pos, dep_pos"
+
+
+def test_merge_rules_walks_the_leaf_regions_once(monkeypatch):
+    walks = []
+    walk = labeling._leaf_regions
+    monkeypatch.setattr(labeling, "_leaf_regions", lambda tree: walks.append(tree) or walk(tree))
+    tree = _two_leaf_tree()
+    merge_rules(tree, [_verdict(1, Label.REQUIRED), _verdict(2, Label.CHANCE)])
+    assert walks == [tree]
 
 
 def test_ruleset_partitions_triple_space():

@@ -5,7 +5,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .conllu import parse_conllu_file
+from .conllu import _gc_paused, parse_conllu_file
 from .errors import EmptyCountsError, MorphagreeError, ZeroVarianceError
 from .evaluation import (
     arm,
@@ -436,7 +436,9 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_join_ranged_values(argv))
     try:
-        return args.func(args)
+        # commands build only acyclic data, which collections would rescan
+        with _gc_paused():
+            return args.func(args)
     except (MorphagreeError, OSError, ValueError) as exc:
         return _fail(str(exc))
 

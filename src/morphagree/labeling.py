@@ -471,37 +471,90 @@ def _try_merge(a: LabeledRule, b: LabeledRule) -> LabeledRule | None:
     )
 
 
+def _signatures(rule: LabeledRule) -> list[tuple]:
+    """The rule's signature for each slot: the slot, the rule's label and
+    its constraints on the other slots. _try_merge merges only rules with
+    one label that differ in one slot, so such rules share that slot's
+    signature."""
+    constraints = [rule.constraints[slot] for slot in SLOT_ORDER]
+    return [(k, rule.label, *constraints[:k], *constraints[k + 1:])
+            for k in range(len(constraints))]
+
+
+class _SignatureIndex:
+    """Rules by key, and the keys that hold each signature."""
+
+    __slots__ = ("rule_at", "_signatures_at", "_holders")
+
+    def __init__(self, rules: list[LabeledRule]):
+        self.rule_at: dict[int, LabeledRule] = {}
+        self._signatures_at: dict[int, list[tuple]] = {}
+        self._holders: dict[tuple, set[int]] = {}
+        for key, rule in enumerate(rules):
+            self._add(key, rule)
+
+    def _add(self, key: int, rule: LabeledRule) -> None:
+        self.rule_at[key] = rule
+        signatures = self._signatures_at[key] = _signatures(rule)
+        for signature in signatures:
+            self._holders.setdefault(signature, set()).add(key)
+
+    def partners(self, key: int, later: bool) -> list[int]:
+        """The keys after key (later) or before it that share one of its
+        rule's signatures, in ascending order."""
+        holders = self._holders
+        return sorted({k for signature in self._signatures_at[key] for k in holders[signature]
+                       if (k > key if later else k < key)})
+
+    def unite(self, kept: int, dropped: int, merged: LabeledRule) -> None:
+        """Put merged at key kept, in place of the rules at kept and dropped."""
+        for key in (kept, dropped):
+            del self.rule_at[key]
+            for signature in self._signatures_at.pop(key):
+                self._holders[signature].discard(key)
+        self._add(kept, merged)
+
+
 def _merge_to_fixpoint(rules: list[LabeledRule]) -> list[LabeledRule]:
     """Merge the first mergeable pair (i, j), i < j in leaf order, until no
     pair merges.
 
-    A merge keeps rule i's first leaf and deletes j, so the list stays in
-    leaf order. _try_merge depends only on its two rules, and every pair of
-    rules before i has already failed, so after rule i grows only the pairs
-    (p, i) with p < i and then row i can hold the next first pair.
+    Each rule is keyed by its rank in leaf order. A merge keeps rule i's key
+    and drops j's, so key order stays leaf order. _try_merge depends only on
+    its two rules, and every pair of rules before i has already failed, so
+    after rule i grows only the pairs (p, i) with p < i and then row i can
+    hold the next first pair. Only rules that share a signature (see
+    _signatures) can merge, so rule i is tried only against the keys that
+    hold one of its signatures, in ascending order: first the later ones,
+    and after a merge the earlier ones, again from the kept rule while one
+    merges. Every pair left out would fail, so the merges come in the same
+    sequence as in a scan of all pairs, and the work grows with the merges
+    made, not with the pairs of rules.
     """
-    rules = sorted(rules, key=lambda r: r.source_leaf_ids[0])
+    index = _SignatureIndex(sorted(rules, key=lambda r: r.source_leaf_ids[0]))
+    rule_at, end = index.rule_at, len(rules)
     i = 0
-    while i < len(rules):
-        for j in range(i + 1, len(rules)):
-            merged = _try_merge(rules[i], rules[j])
+    while i < end:
+        for j in index.partners(i, later=True):
+            merged = _try_merge(rule_at[i], rule_at[j])
             if merged is not None:
                 break
         else:
             i += 1
+            while i < end and i not in rule_at:
+                i += 1
             continue
-        rules[i] = merged
-        del rules[j]
-        p = 0
-        while p < i:
-            merged = _try_merge(rules[p], rules[i])
-            if merged is None:
-                p += 1
-                continue
-            rules[p] = merged
-            del rules[i]
-            i, p = p, 0
-    return rules
+        index.unite(i, j, merged)
+        moved = True
+        while moved:
+            moved = False
+            for p in index.partners(i, later=False):
+                merged = _try_merge(rule_at[p], rule_at[i])
+                if merged is not None:
+                    index.unite(p, i, merged)
+                    i, moved = p, True
+                    break
+    return [rule_at[key] for key in sorted(rule_at)]
 
 
 def merge_rules(
@@ -517,9 +570,12 @@ def merge_rules(
     constraints are "in" or no value is admitted by both; the merged slot
     admits the values either admits. So sibling leaves with one label fold
     into their parent's path constraint and uniform subtrees collapse. The
-    resulting rules partition triple space and preserve the labeled tree's
-    triple -> label function. Passing the training dataset fills per-rule
-    example provenance, at most EXAMPLE_REFS_CAP refs per list.
+    first mergeable pair in leaf order merges first; partners are looked up
+    by signature (see _merge_to_fixpoint), so the work grows with the merges
+    made, not with the pairs of rules. The resulting rules partition triple
+    space and preserve the labeled tree's triple -> label function. Passing
+    the training dataset fills per-rule example provenance, at most
+    EXAMPLE_REFS_CAP refs per list.
     """
     regions = _leaf_regions(tree)  # first, so that an unknown slot fails here
     label_by_leaf = {v.leaf_id: v.label for v in verdicts}

@@ -52,10 +52,14 @@ _REQUIRED = object()
 
 def _get(doc: dict, key: str, kind, default=_REQUIRED, choices=None):
     """doc[key], or default for a missing key when one is given, checked for
-    its JSON type and, given choices, its value; else MalformedRulesError."""
+    its JSON type and, given choices, its value; else MalformedRulesError.
+    JSON text may spell a float NaN, Infinity or 1e999, which the writers
+    never do: a float must be finite."""
     value = doc[key] if default is _REQUIRED else doc.get(key, default)
     if type(value) not in kind[0]:
         raise MalformedRulesError(f"{key!r} must be {kind[1]}, not {type(value).__name__}")
+    if type(value) is float and not math.isfinite(value):
+        raise MalformedRulesError(f"{key!r} must be a finite number, not {value!r}")
     if choices is not None and value not in choices:
         raise MalformedRulesError(f"{key} {value!r} is not one of {', '.join(choices)}")
     return value
@@ -68,6 +72,8 @@ def _get_each(doc: dict, key: str, kind, container=_LIST, default=_REQUIRED):
     for at, item in items.items() if container is _OBJECT else enumerate(items):
         if type(item) not in kind[0]:
             raise MalformedRulesError(f"{key!r}[{at!r}] must be {kind[1]}")
+        if type(item) is float and not math.isfinite(item):
+            raise MalformedRulesError(f"{key!r}[{at!r}] must be a finite number, not {item!r}")
     return items
 
 
@@ -474,8 +480,12 @@ def read_score_entries(path: str | Path) -> dict[str, dict]:
 def read_score(
     path: str | Path, entries: dict[str, dict], feature: str, key: str, nullable: bool = False
 ) -> float | None:
-    """A feature's number under key; a missing key reads as null."""
+    """A feature's number under key; a missing key reads as null. A float
+    must be finite, as in _get."""
     value = entries[feature].get(key)
+    if type(value) is float and not math.isfinite(value):
+        raise MalformedScoresError(
+            f"{path}: feature {feature!r}: {key!r} must be a finite number, not {value!r}")
     if type(value) in (int, float) or (value is None and nullable):
         return value
     raise MalformedScoresError(f"{path}: feature {feature!r}: {key!r} is missing or not a number"

@@ -13,7 +13,8 @@ walked down the tree one at a time and scored one group at a time, grid
 search fits and scores every grid point and every cross-validation fold
 separately, rule merging rescans every pair from the start after each
 merge and merges two constraints case by case (the package derives the
-merged constraint from set operations), a triple's rule is found by
+merged constraint from set operations), or tries every pair of rules
+instead of only those that share a signature, a triple's rule is found by
 testing every rule instead of routing through the tree, CoNLL-U is parsed
 token by token with a fresh FEATS dict per token and walked once per
 feature, with no shared edge table, and
@@ -39,7 +40,7 @@ from morphagree.errors import (
     NoMatchingRuleError,
 )
 from morphagree.labeling import (EXAMPLE_REFS_CAP, ChanceModel, Constraint, LabeledRule, RuleSet,
-                                 ThresholdMode, _leaf_regions, _leaf_rules)
+                                 ThresholdMode, _leaf_regions, _leaf_rules, _try_merge)
 from morphagree.tree import SLOT_ORDER, DecisionTree, Internal, Leaf, SplitPredicate, leaf_count
 from morphagree.triples import FeatureDataset, Triple
 
@@ -413,6 +414,37 @@ def try_merge_by_cases(a: LabeledRule, b: LabeledRule) -> LabeledRule | None:
         example_refs=(a.example_refs + b.example_refs)[:EXAMPLE_REFS_CAP],
         counterexample_refs=(a.counterexample_refs + b.counterexample_refs)[:EXAMPLE_REFS_CAP],
     )
+
+
+def merge_to_fixpoint_pairwise(rules: list[LabeledRule]) -> list[LabeledRule]:
+    """labeling._merge_to_fixpoint without its signature index: rule i is
+    tried against every later rule, and after it grows every earlier rule is
+    tried against it, by the package's _try_merge. Its accepted merges are
+    the same sequence as the restarting scan's, at a cost that grows with
+    the pairs of rules, so it pins the index on trees of over a thousand
+    leaves, where that scan is too slow."""
+    rules = sorted(rules, key=lambda r: r.source_leaf_ids[0])
+    i = 0
+    while i < len(rules):
+        for j in range(i + 1, len(rules)):
+            merged = _try_merge(rules[i], rules[j])
+            if merged is not None:
+                break
+        else:
+            i += 1
+            continue
+        rules[i] = merged
+        del rules[j]
+        p = 0
+        while p < i:
+            merged = _try_merge(rules[p], rules[i])
+            if merged is None:
+                p += 1
+                continue
+            rules[p] = merged
+            del rules[i]
+            i, p = p, 0
+    return rules
 
 
 def merge_rules_restarting(

@@ -1,9 +1,11 @@
+import gc
 import json
 import random
 from pathlib import Path
 
 import pytest
 
+import morphagree.cli
 from morphagree import (
     ExtractionConfig,
     FeatureSpec,
@@ -18,6 +20,7 @@ from morphagree import (
 from morphagree.cli import main
 from morphagree.serialization import load_rules, write_json
 
+from conftest import six_feature_conllu
 from treegen import random_triple
 
 
@@ -635,3 +638,49 @@ def test_malformed_rules_fail_with_error_line(
     assert err.startswith("error: ")
     assert "'Gender'" in err and named in err
     assert "Traceback" not in err
+
+
+def test_commands_leave_cyclic_garbage_that_does_not_grow_with_the_corpus(
+    tmp_path, capsys, monkeypatch
+):
+    # every command runs with the cyclic GC paused, which holds memory only
+    # if the data it builds is acyclic: the cycles a command leaves (its
+    # argument parser's) must not grow with a corpus 4x larger
+    parse = morphagree.cli.parse_conllu_file
+    collecting = []
+
+    def parse_noting_the_gc(path):
+        collecting.append(gc.isenabled())
+        return parse(path)
+
+    monkeypatch.setattr(morphagree.cli, "parse_conllu_file", parse_noting_the_gc)
+    found = {}
+    for n_sentences in (100, 400):
+        train = tmp_path / f"train-{n_sentences}.conllu"
+        train.write_text(six_feature_conllu(n_sentences), encoding="utf-8")
+        rules = str(tmp_path / f"rules-{n_sentences}.json")
+        commands = [
+            ["extract", "--train", str(train), "--out", rules],
+            ["evaluate", "--rules", rules, "--test", str(train), "--baseline",
+             "--out", str(tmp_path / "eval.json")],
+            ["annotation-sheet", "--rules", rules, "--train", str(train),
+             "--out", str(tmp_path / "sheet.tsv")],
+            ["report", "--rules", rules, "--train", str(train), "--out", str(tmp_path / "report")],
+        ]
+        was_enabled = gc.isenabled()
+        try:
+            for argv in commands:
+                gc.collect()
+                gc.disable()
+                assert main(argv) == 0
+                assert not gc.isenabled()
+                found[argv[0], n_sentences] = gc.collect()
+            gc.enable()
+            assert main(commands[-1]) == 0
+            assert gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+    assert collecting and not any(collecting)
+    for command in ("extract", "evaluate", "annotation-sheet", "report"):
+        assert found[command, 400] <= found[command, 100], command

@@ -9,6 +9,7 @@ document must then return 0, or 1 with an ``error:`` line, and raise
 nothing. The named cases are faults once seen as tracebacks or as silently
 wrong reports."""
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -253,6 +254,18 @@ RULES_FAULTS = [
      ("report", "evaluate"), "'label' differs from a source leaf's verdict"),
     # once read as one rule over 520 instances: the first leaf 1 and its 280 vanished
     (_second_leaf_renamed_first, EVERY_COMMAND, "two leaves of the tree have leaf_id 1"),
+    # json.dumps writes these as NaN and Infinity, which Python's json reads
+    # back; once reported as "chance agreement probability: nan" and <td>inf</td>
+    (lambda d: _gender(d)["chance_model"].update(p_chance=math.nan), ("report",),
+     "'p_chance' must be a finite number, not nan"),
+    (lambda d: _gender(d)["leaf_verdicts"][0].update(agree_ratio=math.inf), ("report",),
+     "'agree_ratio' must be a finite number, not inf"),
+    (lambda d: _gender(d)["leaf_verdicts"][0].update(chi2=-math.inf), ("report",),
+     "'chi2' must be a finite number, not -inf"),
+    (lambda d: _gender(d)["chance_model"]["value_probs"].update(Fem=math.nan), ("report",),
+     "'value_probs'['Fem'] must be a finite number, not nan"),
+    (lambda d: _gender(d)["tree"]["hyperparams"].update(min_impurity_decrease=math.inf),
+     EVERY_COMMAND, "'min_impurity_decrease' must be a finite number, not inf"),
 ]
 
 
@@ -359,8 +372,27 @@ def test_deeply_nested_rules_fail_with_error_line(workspace, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_overflowing_number_literal_is_rejected(workspace, capsys):
+    # 1e999 is valid JSON text that Python's json reads as inf
+    tmp_path, train = workspace
+    text = (GOLDEN_DIR / "rules.json").read_text(encoding="utf-8")
+    rules = tmp_path / "overflow.json"
+    rules.write_text(text.replace('"p_chance": 0.418809375', '"p_chance": 1e999', 1),
+                     encoding="utf-8")
+    capsys.readouterr()
+    for argv in _commands(tmp_path, train, str(rules), ("report", "evaluate")):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {rules}: feature 'Gender': 'p_chance' must be a finite number, not inf\n")
+
+
 # (edit of an eval.json, text the error names)
 EVAL_FAULTS = [
+    # once rendered as "ARM ... inf"
+    (lambda d: d["features"]["Gender"].update(arm=math.inf),
+     "feature 'Gender': 'arm' must be a finite number, not inf"),
+    (lambda d: d["features"]["Gender"].update(baseline_arm=math.nan),
+     "feature 'Gender': 'baseline_arm' must be a finite number, not nan"),
     (lambda d: d["features"]["Gender"].pop("arm"), "'arm' is missing"),
     (lambda d: d["features"]["Gender"].pop("n_triples"), "'n_triples' is missing"),
     (lambda d: d["features"]["Gender"].update(arm="1.0"), "'arm' is missing"),
@@ -387,6 +419,26 @@ def test_faulty_eval_fails_report_with_error_line(workspace, capsys, edit, named
                  "--eval", str(faulty), "--out", str(tmp_path / "report")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("kind, key", [("eval", "arm"), ("hrm", "hrm")])
+def test_non_finite_score_fails_correlate(workspace, capsys, kind, key):
+    # a NaN arm once printed "r = nan" and wrote "mean_r": NaN, which is not JSON
+    tmp_path, _ = workspace
+    source = tmp_path / ("eval.json" if kind == "eval" else "hrm-a.json")
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    doc["features"]["Gender"][key] = math.nan
+    faulty = tmp_path / f"faulty-{kind}.json"
+    faulty.write_text(json.dumps(doc), encoding="utf-8")
+    evals = [str(tmp_path / "eval.json")] * 2
+    hrms = [str(tmp_path / "hrm-a.json"), str(tmp_path / "hrm-b.json")]
+    (evals if kind == "eval" else hrms)[0] = str(faulty)
+    out = tmp_path / "correlation.json"
+    capsys.readouterr()
+    assert main(["correlate", "--eval", *evals, "--hrm", *hrms, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {faulty}: feature 'Gender': '{key}' must be a finite number, not nan\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -13,13 +13,18 @@ from morphagree import (
     chance_agreement_prob,
     chi_squared_gof,
     cramers_phi,
+    FeatureSpec,
+    PlantedGrammar,
+    RulePattern,
     extract_instances,
+    generate,
     label_leaf_hard,
     label_leaf_statistical,
     label_triple,
     merge_rules,
 )
 from morphagree import labeling
+from morphagree.conllu import Treebank
 from morphagree.errors import (
     EmptyMarginalsError,
     InvalidRuleSetError,
@@ -57,7 +62,8 @@ from morphagree.triples import FeatureDataset
 
 from conftest import agrees, make_edge, make_treebank, six_feature_conllu
 from oracles import (chi2_sf_oracle, chi_squared_statistic_by_cells, merge_rules_restarting,
-                     rule_for_scanning, rule_matches, try_merge_by_cases)
+                     merge_to_fixpoint_pairwise, rule_for_scanning, rule_matches,
+                     try_merge_by_cases)
 from treegen import random_labeled_tree, random_triple
 
 
@@ -476,6 +482,72 @@ def test_merge_equals_restarting_oracle_on_deep_fitted_trees(seed):
     assert merge_rules(tree, verdicts, dataset, ThresholdMode.HARD) == merge_rules_restarting(
         tree, verdicts, dataset, ThresholdMode.HARD
     )
+
+
+# 24 relations x 10 x 10 UPOS over 300 sentences of 29 tokens: 4,200 edges,
+# so thinly spread that depth-30 trees with no impurity floor grow over
+# 1,000 leaves
+_THIN_RELATIONS = tuple(f"rel{i}" for i in range(24))
+_THIN_POS = tuple(f"POS{i}" for i in range(10))
+_THIN_GRAMMAR = PlantedGrammar(
+    features=(FeatureSpec("Gender", ("Fem", "Masc", "Neut"), (0.5, 0.35, 0.15)),
+              FeatureSpec("Case", ("Nom", "Acc", "Dat", "Gen"), (0.4, 0.3, 0.2, 0.1))),
+    relations=_THIN_RELATIONS,
+    head_pos=_THIN_POS,
+    dep_pos=_THIN_POS,
+    required_rules=tuple(
+        RulePattern(relation=_THIN_RELATIONS[5 * i % 24], head_pos=_THIN_POS[i % 4])
+        for i in range(12)
+    ),
+    noise_rate=0.02,
+    seed=1,
+)
+
+
+@pytest.fixture(scope="module")
+def thousand_leaf_fits():
+    """Gender and Case trees of over 1,000 leaves each, fitted on a thin
+    corpus, with their statistical verdicts and datasets."""
+    treebank = Treebank.from_sentences(generate(_THIN_GRAMMAR, 300, 29))
+    fits = []
+    for feature in ("Gender", "Case"):
+        dataset = extract_instances(treebank, feature)
+        chance = chance_agreement_prob(dataset.value_marginals, feature)
+        tree = fit(dataset, HyperParams(max_depth=30, min_impurity_decrease=0.0))
+        verdicts = [label_leaf_statistical(leaf, chance) for leaf in leaves(tree)]
+        assert len(verdicts) >= 1000
+        fits.append((tree, verdicts, dataset))
+    return fits
+
+
+def test_merge_equals_pairwise_scan_on_thousand_leaf_trees(thousand_leaf_fits, monkeypatch):
+    for tree, verdicts, dataset in thousand_leaf_fits:
+        indexed = merge_rules(tree, verdicts, dataset)
+        with monkeypatch.context() as patched:
+            patched.setattr(labeling, "_merge_to_fixpoint", merge_to_fixpoint_pairwise)
+            pairwise = merge_rules(tree, verdicts, dataset)
+        assert indexed == pairwise
+        assert len(indexed.rules) < len(verdicts) / 4
+
+
+def test_merge_tries_only_rules_that_share_a_signature(thousand_leaf_fits, monkeypatch):
+    tried = []
+
+    def recording(a, b):
+        tried.append((a, b))
+        return _try_merge(a, b)
+
+    monkeypatch.setattr(labeling, "_try_merge", recording)
+    for tree, verdicts, dataset in thousand_leaf_fits:
+        tried.clear()
+        ruleset = merge_rules(tree, verdicts, dataset)
+        # one label, and equal constraints on all slots but at most one
+        assert all(a.label == b.label
+                   and sum(a.constraints[s] != b.constraints[s] for s in SLOT_ORDER) <= 1
+                   for a, b in tried)
+        # one call per merge at least; merge_to_fixpoint_pairwise makes
+        # about 290 per leaf on these trees
+        assert len(verdicts) - len(ruleset.rules) <= len(tried) < 2 * len(verdicts)
 
 
 def test_merged_refs_are_the_first_hundred_of_the_leaves_refs():

@@ -22,7 +22,7 @@ _EXPORTS = {
     "pipeline": "ExtractionConfig FeatureRules extract_feature_rules",
     "synthetic": "PlantedGrammar FeatureSpec RulePattern generate recovery_score",
     "tree": "DecisionTree HyperGrid HyperParams Internal Leaf SplitPredicate fit grid_search "
-            "leaf_count predict_leaf route",
+            "leaf_count predict_leaf",
     "triples": "DEFAULT_FEATURES FeatureDataset Triple extract_instances top_k_triples",
 }
 

@@ -9,20 +9,26 @@ A rule has one constraint per slot: "in" admits exactly its values, and
 "not_in" every other value, values no corpus has shown included.
 
 A RuleSet keeps the tree its rules were merged from and its leaf verdicts.
-Lookups route the triple through that tree and map its leaf to the rule
-that lists it in source_leaf_ids, in O(depth) whatever the number of rules.
-Building a RuleSet checks once that the three agree and that this routing
-finds, for every possible triple, the one rule whose constraints match it.
+Triples are routed through the tree's LeafTable, built from the regions
+its leaves' paths constrain: per slot, each value the tree names maps to
+the bitmask of the leaves whose region admits it, and one mask serves
+every value the tree never names. ANDing a triple's three masks leaves
+one bit, that of its leaf, so a lookup is three dict gets at any depth;
+the leaf maps to the rule that lists it in source_leaf_ids. The same
+table routes the training triples to their leaves for example refs and
+per-leaf marginals. Building a RuleSet checks once that the tree, the
+verdicts and the rules agree and that this routing finds, for every
+possible triple, the one rule whose constraints match it.
 """
 from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (EmptyMarginalsError, InvalidRuleSetError, NoMatchingRuleError,
                      VerdictMismatchError)
-from .tree import SLOT_ORDER, DecisionTree, Leaf, leaf_refs, route
+from .tree import SLOT_ORDER, DecisionTree, Leaf
 from .triples import FeatureDataset, Triple
 
 # example and counterexample refs kept per rule; refs run leaf by leaf in
@@ -188,7 +194,7 @@ def label_leaf_statistical(
 
 def leaf_marginals(refs: list[int], dataset: FeatureDataset) -> dict[str, int]:
     """Value counts over the head and dependent occurrences of one leaf's
-    instances (its entry in leaf_refs)."""
+    instances (its entry in LeafTable.refs)."""
     feature = dataset.feature
     counts: dict[str, int] = {}
     for ref in refs:
@@ -276,15 +282,131 @@ def _leaf_regions(tree: DecisionTree) -> list[tuple[Leaf, dict[str, Constraint]]
     return regions
 
 
+class LeafTable:
+    """A tree's batch router (see the module docstring): its leaves in leaf
+    order and, per slot of SLOT_ORDER, the mask of the leaves whose region
+    admits each value the tree names and the mask of those admitting the
+    values it never names. Bit k stands for the k-th leaf. A dead-branch
+    leaf's region has an "in" constraint with no value, so the leaf is in
+    none of that slot's masks and no AND of a triple's masks keeps it."""
+
+    __slots__ = ("leaves", "masks", "others")
+
+    def __init__(self, regions: list[tuple[Leaf, dict[str, Constraint]]]):
+        """The table of the tree whose _leaf_regions are given."""
+        self.leaves = tuple(leaf for leaf, _ in regions)
+        masks: list[dict[str, int]] = []
+        others: list[int] = []
+        for slot in SLOT_ORDER:
+            # per value, the leaves naming it in an "in" and in a "not_in"
+            admitted: dict[str, int] = {}
+            excluded: dict[str, int] = {}
+            other = 0
+            for k, (_, region) in enumerate(regions):
+                bit = 1 << k
+                mode, values = region[slot]
+                if mode == "in":
+                    for value in values:
+                        admitted[value] = admitted.get(value, 0) | bit
+                else:
+                    other |= bit
+                    for value in values:
+                        excluded[value] = excluded.get(value, 0) | bit
+            masks.append({value: admitted.get(value, 0) | (other & ~excluded.get(value, 0))
+                          for value in admitted.keys() | excluded.keys()})
+            others.append(other)
+        self.masks = tuple(masks)
+        self.others = tuple(others)
+
+    @classmethod
+    def of(cls, tree: DecisionTree) -> "LeafTable":
+        """The tree's table."""
+        return cls(_leaf_regions(tree))
+
+    def lookup(self, triples: Iterable[Triple], at: Sequence) -> dict:
+        """Each of the triples, seen or unseen, mapped to at[k], where the
+        k-th leaf is the one it reaches."""
+        (relation, head_pos, dep_pos), (other_r, other_h, other_d) = self.masks, self.others
+        return {
+            t: at[(relation.get(t.relation, other_r) & head_pos.get(t.head_pos, other_h)
+                   & dep_pos.get(t.dep_pos, other_d)).bit_length() - 1]
+            for t in triples
+        }
+
+    def refs(self, dataset: FeatureDataset) -> list[list[int]]:
+        """Per leaf, in leaf order, the indices of the dataset's instances
+        reaching it, triple by triple in the order of the dataset's triple
+        table, each triple's in document order."""
+        refs: list[list[int]] = [[] for _ in self.leaves]
+        leaf_of = self.lookup(dataset.triples, range(len(self.leaves)))
+        for k, group in zip(leaf_of.values(), dataset.triples.values()):
+            refs[k].extend(group.refs)
+        return refs
+
+    def meeting(self, constraints: dict[str, Constraint]) -> int:
+        """The mask of the live leaves whose region shares a triple with
+        the region the constraints, one per slot, admit."""
+        reach = -1
+        for slot, masks, other in zip(SLOT_ORDER, self.masks, self.others):
+            mode, values = constraints[slot]
+            if mode == "in":
+                bits = 0
+                for value in values:
+                    bits |= masks.get(value, other)
+            else:
+                # a "not_in" leaf and a "not_in" constraint share the values
+                # neither names; an "in" leaf names only values of the tree
+                bits = other
+                for value, mask in masks.items():
+                    if value not in values:
+                        bits |= mask
+            reach &= bits
+        return reach
+
+
+def _first_overlap(rules: tuple[LabeledRule, ...]) -> NoMatchingRuleError | None:
+    """The error naming the first pair of rules, in order, that share a
+    triple and one triple they share, found by testing every pair; None if
+    no two rules share one."""
+    by_slot = [[rule.constraints[slot] for slot in SLOT_ORDER] for rule in rules]
+    for i, a in enumerate(rules):
+        for j in range(i + 1, len(rules)):
+            if not any(map(_disjoint, by_slot[i], by_slot[j])):
+                b = rules[j]
+                shared = {slot: _meet(a.constraints[slot], b.constraints[slot])
+                          for slot in SLOT_ORDER}
+                return NoMatchingRuleError(
+                    f"triple {_witness(shared)} matches rules {a.rule_id} and {b.rule_id}"
+                )
+    return None
+
+
+def _check_disjoint(table: LeafTable, rules: tuple[LabeledRule, ...]) -> None:
+    """Raise the NoMatchingRuleError of _first_overlap if two rules share a
+    triple, given that the rules' source_leaf_ids list each leaf of the
+    table's tree once and that each live leaf's region lies inside its rule.
+
+    The live leaves partition triple space and each lies inside its rule,
+    so a rule shares a triple with another exactly when a live leaf of the
+    other meets it. Each rule is checked against the table's masks, and the
+    pairs are scanned only once a rule fails, to name the first pair."""
+    position = {leaf.leaf_id: k for k, leaf in enumerate(table.leaves)}
+    for rule in rules:
+        own = sum(1 << position[leaf_id] for leaf_id in rule.source_leaf_ids)
+        if table.meeting(rule.constraints) & ~own:
+            raise _first_overlap(rules)
+
+
 def _checked_routing(
     tree: DecisionTree,
     regions: list[tuple[Leaf, dict[str, Constraint]]],
+    table: LeafTable,
     verdicts: tuple[LeafVerdict, ...],
     rules: tuple[LabeledRule, ...],
-) -> dict[int, LabeledRule]:
-    """Each leaf id of the tree, whose _leaf_regions are given, mapped to the
-    rule that lists it, once it is checked that the three agree; else an
-    InvalidRuleSetError.
+) -> tuple[LabeledRule, ...]:
+    """The rule of each leaf of the tree, in leaf order, once it is checked
+    that the tree (its _leaf_regions and LeafTable given), its verdicts and
+    the rules agree; else an InvalidRuleSetError.
 
     The checks, in order: leaf ids are distinct; leaf counts are at least 0
     and sum to the tree's training_size; the verdicts, then the rules'
@@ -355,43 +477,38 @@ def _checked_routing(
                     f"no rule matches triple {_witness(missed)} through leaf {leaf.leaf_id}: "
                     f"the leaf's rule {rule.rule_id} excludes it"
                 )
-    by_slot = [[rule.constraints[slot] for slot in SLOT_ORDER] for rule in rules]
-    for i, a in enumerate(rules):
-        for j in range(i + 1, len(rules)):
-            if not any(map(_disjoint, by_slot[i], by_slot[j])):
-                b = rules[j]
-                shared = {slot: _meet(a.constraints[slot], b.constraints[slot])
-                          for slot in SLOT_ORDER}
-                raise NoMatchingRuleError(
-                    f"triple {_witness(shared)} matches rules {a.rule_id} and {b.rule_id}"
-                )
-    return rule_by_leaf
+    _check_disjoint(table, rules)
+    return tuple(rule_by_leaf[leaf.leaf_id] for leaf in table.leaves)
 
 
 class RuleSet:
     """Labeled rules, the tree they were merged from and its leaf verdicts.
 
     Construction raises an InvalidRuleSetError (see _checked_routing) unless
-    the three agree and routing any triple, seen or unseen, through the tree
-    reaches the only rule matching it. Treated as read-only once built; a
-    changed copy is built with the constructor, which checks it again.
+    the three agree and routing any triple, seen or unseen, through the
+    tree's LeafTable reaches the only rule matching it. Treated as read-only
+    once built; a changed copy is built with the constructor, which checks
+    it again.
     """
 
-    __slots__ = ("feature", "rules", "threshold_mode", "tree", "verdicts", "_rule_by_leaf")
+    __slots__ = ("feature", "rules", "threshold_mode", "tree", "verdicts", "_table",
+                 "_rule_at")
 
     def __init__(self, feature: str, rules: tuple[LabeledRule, ...],
                  threshold_mode: ThresholdMode, tree: DecisionTree,
                  verdicts: tuple[LeafVerdict, ...]):
-        self._set(feature, rules, threshold_mode, tree, verdicts, _leaf_regions(tree))
+        regions = _leaf_regions(tree)
+        self._set(feature, rules, threshold_mode, tree, verdicts, regions, LeafTable(regions))
 
-    def _set(self, feature, rules, threshold_mode, tree, verdicts, regions) -> None:
-        """__init__, given the tree's _leaf_regions."""
+    def _set(self, feature, rules, threshold_mode, tree, verdicts, regions, table) -> None:
+        """__init__, given the tree's _leaf_regions and their LeafTable."""
         self.feature = feature
         self.rules = rules
         self.threshold_mode = threshold_mode
         self.tree = tree
         self.verdicts = verdicts
-        self._rule_by_leaf = _checked_routing(tree, regions, verdicts, rules)
+        self._rule_at = _checked_routing(tree, regions, table, verdicts, rules)
+        self._table = table
 
     def _key(self) -> tuple:
         return self.feature, self.rules, self.threshold_mode, self.tree, self.verdicts
@@ -411,20 +528,20 @@ class RuleSet:
 
 
 def _leaf_rules(
-    tree: DecisionTree,
     regions: list[tuple[Leaf, dict[str, Constraint]]],
+    table: LeafTable,
     label_by_leaf: dict[int, Label],
     dataset: FeatureDataset | None,
 ) -> list[LabeledRule]:
-    """One rule per leaf of the tree, in leaf order, with its path's
-    constraints (its region in regions, the tree's _leaf_regions) and its
-    label or None."""
+    """One rule per leaf of a tree, in leaf order, with its path's
+    constraints (its region in regions, the tree's _leaf_regions, whose
+    LeafTable is given) and its label or None."""
     rules: list[LabeledRule] = []
-    refs_by_leaf = leaf_refs(tree, dataset) if dataset is not None else {}
-    for leaf, region in regions:
+    refs_by_leaf = table.refs(dataset) if dataset is not None else [()] * len(regions)
+    for (leaf, region), refs in zip(regions, refs_by_leaf):
         examples: list[tuple[str, int, int]] = []
         counters: list[tuple[str, int, int]] = []
-        for ref in refs_by_leaf.get(leaf.leaf_id, ()):
+        for ref in refs:
             kept = examples if dataset.agree[ref] else counters
             if len(kept) < EXAMPLE_REFS_CAP:
                 kept.append(dataset.instances[ref].provenance)
@@ -578,24 +695,21 @@ def merge_rules(
     EXAMPLE_REFS_CAP refs per list.
     """
     regions = _leaf_regions(tree)  # first, so that an unknown slot fails here
+    table = LeafTable(regions)
     label_by_leaf = {v.leaf_id: v.label for v in verdicts}
-    merged = _merge_to_fixpoint(_leaf_rules(tree, regions, label_by_leaf, dataset))
+    merged = _merge_to_fixpoint(_leaf_rules(regions, table, label_by_leaf, dataset))
     rules = tuple(r._replace(rule_id=idx) for idx, r in enumerate(merged, start=1))
     # RuleSet(...) as it would be built, with the regions walked once
     ruleset = RuleSet.__new__(RuleSet)
-    ruleset._set(tree.feature, rules, threshold_mode, tree, tuple(verdicts), regions)
+    ruleset._set(tree.feature, rules, threshold_mode, tree, tuple(verdicts), regions, table)
     return ruleset
 
 
 def rules_for(ruleset: RuleSet, triples: Iterable[Triple]) -> dict[Triple, LabeledRule]:
-    """Each of the triples mapped to the rule of the tree leaf it routes to,
-    the batch routed at once; building the RuleSet checked that it is the
-    only rule matching the triple."""
-    rule_by_leaf = ruleset._rule_by_leaf
-    return {
-        triple: rule_by_leaf[leaf_id]
-        for triple, leaf_id in route(ruleset.tree, triples).items()
-    }
+    """Each of the triples mapped to the rule of the tree leaf it reaches
+    through the RuleSet's LeafTable; building the RuleSet checked that it
+    is the only rule matching the triple."""
+    return ruleset._table.lookup(triples, ruleset._rule_at)
 
 
 def label_triple(ruleset: RuleSet, triple: Triple) -> Label:

@@ -6,6 +6,7 @@ from typing import NamedTuple
 from .conllu import Treebank
 from .labeling import (
     ChanceModel,
+    LeafTable,
     LeafVerdict,
     RuleSet,
     ThresholdMode,
@@ -15,7 +16,7 @@ from .labeling import (
     leaf_marginals,
     merge_rules,
 )
-from .tree import DecisionTree, HyperGrid, grid_search, leaf_refs, leaves
+from .tree import DecisionTree, HyperGrid, grid_search, leaves
 from .triples import DEFAULT_FEATURES, FeatureDataset, extract_instances
 
 
@@ -57,20 +58,19 @@ def label_leaves(
     """One verdict per leaf under the configured threshold strategy."""
     if config.threshold_mode is ThresholdMode.HARD:
         return tuple(label_leaf_hard(leaf, config.hard_threshold) for leaf in leaves(tree))
-    refs_by_leaf = leaf_refs(tree, dataset) if config.marginals_scope == "per-leaf" else None
-    verdicts = []
-    for leaf in leaves(tree):
-        model = chance
-        if refs_by_leaf is not None:
-            model = chance_agreement_prob(
-                leaf_marginals(refs_by_leaf.get(leaf.leaf_id, []), dataset), dataset.feature
-            )
-        verdicts.append(
-            label_leaf_statistical(
-                leaf, model, config.alpha, config.phi_min, config.phi_sqrt
-            )
+    if config.marginals_scope != "per-leaf":
+        return tuple(
+            label_leaf_statistical(leaf, chance, config.alpha, config.phi_min, config.phi_sqrt)
+            for leaf in leaves(tree)
         )
-    return tuple(verdicts)
+    table = LeafTable.of(tree)
+    return tuple(
+        label_leaf_statistical(
+            leaf, chance_agreement_prob(leaf_marginals(refs, dataset), dataset.feature),
+            config.alpha, config.phi_min, config.phi_sqrt,
+        )
+        for leaf, refs in zip(table.leaves, table.refs(dataset))
+    )
 
 
 def extract_feature_rules(

@@ -18,13 +18,13 @@ from .triples import extract_instances, top_k_triples
 
 
 def render_example(
-    forms: tuple[str, ...], head_id: int, dep_id: int,
-    marks: tuple[str, str] = ("[[{}]]", "(({}))"), escape=str,
+    forms: Sequence[str], head_id: int, dep_id: int,
+    marks: tuple[str, str] = ("[[{}]]", "(({}))"),
 ) -> str:
-    """A sentence's forms, each passed through escape, joined by spaces; the
-    forms of tokens head_id and dep_id are set in their marks (plain text
-    [[head]] and ((dependent)) by default)."""
-    words = [escape(form) for form in forms]
+    """A sentence's forms joined by spaces; the forms of tokens head_id and
+    dep_id are set in their marks (plain text [[head]] and ((dependent))
+    by default)."""
+    words = list(forms)
     head_mark, dep_mark = marks
     words[head_id - 1] = head_mark.format(words[head_id - 1])
     words[dep_id - 1] = dep_mark.format(words[dep_id - 1])
@@ -155,7 +155,11 @@ def render_feature_page(
     examples: int,
     seed: int,
     eval_entry: tuple[float, float, float | None] | None,
+    escaped_forms: dict[str, list[str]],
 ) -> str:
+    """The feature's page. escaped_forms caches each sentence's forms,
+    HTML-escaped, by sent_id; the pages of one report share it, so that
+    each sampled sentence is escaped once."""
     import html
 
     dataset = extract_instances(train, feature)
@@ -224,9 +228,10 @@ def render_feature_page(
             key = f"{seed}:{feature}:{rule.rule_id}:{kind}"
             for inst in _sample(pool, examples, key):
                 sent_id, head_id, dep_id = inst.provenance
-                sentence = render_example(
-                    train.forms[sent_id], head_id, dep_id, _HTML_MARKS, html.escape
-                )
+                forms = escaped_forms.get(sent_id)
+                if forms is None:
+                    forms = escaped_forms[sent_id] = list(map(html.escape, train.forms[sent_id]))
+                sentence = render_example(forms, head_id, dep_id, _HTML_MARKS)
                 values = " / ".join(
                     html.escape(feats[feature]) for feats in (inst.head_feats, inst.dep_feats)
                 )
@@ -288,6 +293,7 @@ def write_report(
     index_path = out / "index.html"
     index_path.write_text(render_index_page(doc, eval_scores), encoding="utf-8")
     written.append(index_path)
+    escaped_forms: dict[str, list[str]] = {}
     for feature in doc.features:
         if feature in doc.absent:
             continue
@@ -299,6 +305,7 @@ def write_report(
             examples,
             seed,
             eval_scores.get(feature),
+            escaped_forms,
         )
         path = out / f"feature-{feature}.html"
         path.write_text(page, encoding="utf-8")

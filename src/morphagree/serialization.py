@@ -2,10 +2,11 @@
 
 All documents are dumped in a canonical form (sorted keys, two-space
 indent, UTF-8, trailing newline) so identical runs produce byte-identical
-files. dump_canonical writes that form in one pass: every piece of text is
-appended once to one buffer, which is joined once. The documents it is
-given are lean: rows are literal dicts, and a rule's leaf ids and refs are
-its own tuples, written as JSON lists.
+files. dump_canonical and write_json share one emitter, which writes that
+form in one pass: every piece of text is appended once to one buffer, and
+every few thousand pieces are joined into a chunk, which write_json writes
+as it is. The documents they are given are lean: rows are literal dicts,
+and a rule's leaf ids and refs are its own tuples, written as JSON lists.
 
 Reloading a rules document reconstructs the triple -> label behavior of
 the saved rule sets exactly. The loader checks JSON shape (types and known
@@ -97,19 +98,28 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def dump_canonical(doc: dict) -> str:
+# pieces of text the emitter joins into one chunk
+_CHUNK_PIECES = 4096
+
+
+def _canonical_chunks(doc: dict) -> list[str]:
     """doc as json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2)
-    writes it, plus a newline.
+    writes it, plus a newline, as consecutive chunks of text.
 
     Given an indent, CPython up to 3.13 skips its C encoder for a slower
-    generator. This emitter appends each piece of text once to one list
-    and joins the list once at the end, so no container's text is copied
-    into its parent's. A value of the exact type str, int, float, bool or
-    None is written without isinstance checks; a subclass (a str-valued
-    enum, a NamedTuple such as Triple, a dict or list subclass) takes the
-    isinstance path. Each key's '"key": ' text, with the separator before
-    it, is built once per indent. A key that is not a string raises
-    TypeError, as does a value that is not JSON."""
+    generator. This emitter appends each piece of text once to one list;
+    when a container closes with at least _CHUNK_PIECES pieces in the
+    list, they are joined into a chunk and the list is emptied. So no
+    container's text is copied into its parent's, and the whole text is
+    never joined at once. A piece is final once appended, except a list's
+    last comma, which becomes its closing bracket before any join. A value
+    of the exact type str, int, float, bool or None is written without
+    isinstance checks; a subclass (a str-valued enum, a NamedTuple such as
+    Triple, a dict or list subclass) takes the isinstance path. Each key's
+    '"key": ' text, with the separator before it, is built once per
+    indent. A key that is not a string raises TypeError, as does a value
+    that is not JSON."""
+    chunks: list[str] = []
     out: list[str] = []
     append = out.append
     # per indent, each key's ',\n<indent>"key": '
@@ -146,18 +156,39 @@ def dump_canonical(doc: dict) -> str:
         else:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
+    def flush() -> None:
+        chunks.append("".join(out))
+        out.clear()
+
     def emit_list(items, newline: str) -> None:
         if not items:
             append("[]")
             return
         inner = newline + "  "
         comma = "," + inner
-        first = len(out)
+        append("[" + inner)
+        # strings and ints, most of a document's values, are written here
+        # and in emit_dict without a call of emit
         for item in items:
+            kind = type(item)
+            if kind is str:
+                append(encode_basestring(item))
+            elif kind is int:
+                append(int.__repr__(item))
+            else:
+                emit(item, inner)
             append(comma)
-            emit(item, inner)
-        out[first] = "[" + inner
-        append(newline + "]")
+        # the last comma becomes the closing bracket
+        out[-1] = newline + "]"
+        if len(out) >= _CHUNK_PIECES:
+            flush()
+
+    def key_text(keys: dict[str, str], key, inner: str) -> str:
+        """The ',<inner>"key": ' text of key, built and kept in keys."""
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        text = keys[key] = "," + inner + encode_basestring(key) + ": "
+        return text
 
     def emit_dict(doc: dict, newline: str) -> None:
         if not doc:
@@ -167,25 +198,42 @@ def dump_canonical(doc: dict) -> str:
         keys = keys_at.get(inner)
         if keys is None:
             keys = keys_at[inner] = {}
-        first = len(out)
-        for key in sorted(doc):
-            prefix = keys.get(key)
-            if prefix is None:
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                prefix = keys[key] = "," + inner + encode_basestring(key) + ": "
-            append(prefix)
-            emit(doc[key], inner)
-        out[first] = "{" + out[first][1:]
+        ordered = iter(sorted(doc))
+        key = next(ordered)
+        append("{" + (keys.get(key) or key_text(keys, key, inner))[1:])
+        emit(doc[key], inner)
+        for key in ordered:
+            append(keys.get(key) or key_text(keys, key, inner))
+            value = doc[key]
+            kind = type(value)
+            if kind is str:
+                append(encode_basestring(value))
+            elif kind is int:
+                append(int.__repr__(value))
+            else:
+                emit(value, inner)
         append(newline + "}")
+        if len(out) >= _CHUNK_PIECES:
+            flush()
 
     emit(doc, "\n")
     append("\n")
-    return "".join(out)
+    flush()
+    return chunks
+
+
+def dump_canonical(doc: dict) -> str:
+    """doc in canonical form (see _canonical_chunks)."""
+    return "".join(_canonical_chunks(doc))
 
 
 def write_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(dump_canonical(doc), encoding="utf-8")
+    """Write doc in canonical form to path as UTF-8. The whole text is
+    emitted before the file is opened, so a value that is not JSON raises
+    TypeError and leaves an existing file as it was."""
+    chunks = _canonical_chunks(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
 
 
 def _finite(value: float | None) -> float | None:

@@ -10,10 +10,12 @@ value) gets a code in that order, so code order is tie order, and each
 triple group becomes a row of its three codes and counts. Split search
 scans a node's per-code totals once; after a split only the child with
 fewer rows is counted, and the other's totals are the node's minus those
-(histogram subtraction, exact on integers). Scored rows take the training
-codes; a value training lacks gets -1, which never matches. Held-out rows
-travel with growth: each node splits them with the test that splits its
-training rows, and records their (agree, disagree) totals.
+(histogram subtraction, exact on integers). Gini is scored inline, by
+_gini's operations in _gini's order, so its floats are those of a call per
+code. Scored rows take the training codes; a value training lacks gets -1,
+which never matches. Held-out rows travel with growth: each node splits
+them with the test that splits its training rows, and records their
+(agree, disagree) totals.
 
 Depth nesting: for a fixed criterion and min_impurity_decrease, the split
 chosen at a node depends only on the groups reaching it; max_depth only
@@ -25,11 +27,9 @@ cross-validation fold) it grows one tree at the grid's largest depth,
 carrying the scored rows, and scores every grid point from the held-out
 totals of the nodes its cut makes leaves. Only the winning point is frozen.
 
-Routing is by partition: route splits a batch of triples once per
-internal node it reaches, as growth splits rows, so no triple walks the
-tree on its own. Leaves hold counts only; leaf_refs recovers the
-instances of each leaf of one chosen tree by routing the dataset's
-triples through it.
+Leaves hold counts only. predict_leaf walks one triple down the tree;
+batches of triples are routed by labeling's LeafTable, which finds a
+triple's leaf in three dict lookups at any depth.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ import math
 import random
 from functools import lru_cache
 from itertools import compress
-from operator import add
+from operator import add, sub
 from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .errors import EmptyDatasetError
@@ -146,21 +146,23 @@ class _Node:
 
 class _Codes:
     """A feature's code table (see the module docstring): each code's
-    predicate, the code of each (slot, value), and the groups' coded rows."""
+    predicate, per slot the code of each value, and the groups' coded rows."""
 
     def __init__(self, groups: Collection[TripleGroup]):
         self.predicates = [
             SplitPredicate(slot, value)
             for slot in SLOT_ORDER for value in sorted({getattr(g.triple, slot) for g in groups})
         ]
-        self.code_of = {(p.slot, p.value): code for code, p in enumerate(self.predicates)}
+        self.code_of: tuple[dict[str, int], ...] = tuple({} for _ in SLOT_ORDER)
+        for code, (slot, value) in enumerate(self.predicates):
+            self.code_of[SLOT_ORDER.index(slot)][value] = code
         self.rows = self.coded(groups)
 
     def coded(self, groups: Iterable[TripleGroup]) -> list[Row]:
-        code = self.code_of.get
+        relation, head_pos, dep_pos = (codes.get for codes in self.code_of)
         return [
-            (code(("relation", g.triple.relation), -1), code(("head_pos", g.triple.head_pos), -1),
-             code(("dep_pos", g.triple.dep_pos), -1), g.n_agree, g.n_disagree)
+            (relation(g.triple.relation, -1), head_pos(g.triple.head_pos, -1),
+             dep_pos(g.triple.dep_pos, -1), g.n_agree, g.n_disagree)
             for g in groups
         ]
 
@@ -185,23 +187,36 @@ def _best_split(
 ) -> tuple[int, float, int, int] | None:
     """The first split, in code order, of maximal impurity decrease: its
     code, the decrease and the match side's (agree, disagree) totals. Only
-    the codes some row of the node has are scored."""
+    the codes some row of the node has are scored. Both sides of a scored
+    split are non-empty, so gini is computed inline without _gini's empty
+    case."""
     n_node = node_agree + node_disagree
     node_impurity = impurity(node_agree, node_disagree)
+    weight = n_node / n_total
     best: tuple[int, float, int, int] | None = None
+    best_delta = 0.0
     sizes = list(map(add, agree, disagree))
+    gini = impurity is _gini
     for code in compress(range(len(sizes)), sizes):
         n_match = sizes[code]
         if n_match == n_node:
             continue
         m_agree, m_disagree = agree[code], disagree[code]
-        child_impurity = (
-            n_match * impurity(m_agree, m_disagree)
-            + (n_node - n_match) * impurity(node_agree - m_agree, node_disagree - m_disagree)
-        ) / n_node
-        delta = (n_node / n_total) * (node_impurity - child_impurity)
-        if best is None or delta > best[1]:
+        n_rest = n_node - n_match
+        if gini:
+            p = m_agree / n_match
+            q = (node_agree - m_agree) / n_rest
+            child_impurity = (n_match * (2.0 * p * (1.0 - p))
+                              + n_rest * (2.0 * q * (1.0 - q))) / n_node
+        else:
+            child_impurity = (
+                n_match * impurity(m_agree, m_disagree)
+                + n_rest * impurity(node_agree - m_agree, node_disagree - m_disagree)
+            ) / n_node
+        delta = weight * (node_impurity - child_impurity)
+        if best is None or delta > best_delta:
             best = (code, delta, m_agree, m_disagree)
+            best_delta = delta
     return best
 
 
@@ -232,7 +247,7 @@ def _grow(
         # only the child with fewer rows is counted; the other's counts are
         # the node's minus those
         small = _counts(min(match, nomatch, key=len), len(codes.predicates))
-        large = tuple([p - s for p, s in zip(whole, part)] for whole, part in zip(counts, small))
+        large = tuple(list(map(sub, whole, part)) for whole, part in zip(counts, small))
         match_counts, nomatch_counts = (
             (small, large) if len(match) <= len(nomatch) else (large, small))
         match_child = grow(match, match_counts, [r for r in held if r[pos] == code],
@@ -308,44 +323,14 @@ def fit(dataset: FeatureDataset, hyperparams: HyperParams) -> DecisionTree:
     return _frozen(dataset.feature, root, hyperparams)
 
 
-def route(tree: DecisionTree, triples: Iterable[Triple]) -> dict[Triple, int]:
-    """Each of the triples, seen or unseen, mapped to the id of its unique
-    leaf. The batch is split once per internal node that a triple of it
-    reaches, so routing one triple costs the depth of its leaf."""
-    leaf_of: dict[Triple, int] = {}
-    stack = [(tree.root, list(triples))]
-    while stack:
-        node, batch = stack.pop()
-        if isinstance(node, Leaf):
-            for triple in batch:
-                leaf_of[triple] = node.leaf_id
-            continue
-        slot, value = node.predicate.slot, node.predicate.value
-        match: list[Triple] = []
-        nomatch: list[Triple] = []
-        for triple in batch:
-            (match if getattr(triple, slot) == value else nomatch).append(triple)
-        if nomatch:
-            stack.append((node.nomatch_child, nomatch))
-        if match:
-            stack.append((node.match_child, match))
-    return leaf_of
-
-
 def predict_leaf(tree: DecisionTree, triple: Triple) -> int:
-    """Route a triple (seen or unseen) to the id of its unique leaf."""
-    return route(tree, (triple,))[triple]
-
-
-def leaf_refs(tree: DecisionTree, dataset: FeatureDataset) -> dict[int, list[int]]:
-    """Indices of the dataset's instances per leaf id, triple by triple in
-    the order of the dataset's triple table, each triple's in document
-    order. Leaves that no instance reaches are absent."""
-    leaf_of = route(tree, dataset.triples)
-    refs: dict[int, list[int]] = {}
-    for triple, group in dataset.triples.items():
-        refs.setdefault(leaf_of[triple], []).extend(group.refs)
-    return refs
+    """The id of the unique leaf a triple (seen or unseen) reaches, walked
+    down the tree node by node."""
+    node = tree.root
+    while not isinstance(node, Leaf):
+        slot, value = node.predicate
+        node = node.match_child if getattr(triple, slot) == value else node.nomatch_child
+    return node.leaf_id
 
 
 def leaves(tree: DecisionTree) -> list[Leaf]:

@@ -4,7 +4,8 @@ These deliberately avoid the package's own code paths: the chi-square
 statistic is summed cell by cell in Fraction arithmetic (the package
 divides two integers once, by its closed form), the chi-square survival
 function is adaptive-Simpson integration of the density (the package uses
-erfc), splits are found by exhaustive enumeration,
+erfc), splits are found by exhaustive enumeration, or scored by calling
+the impurity function per side (the package inlines gini),
 entropy/correlation are recomputed from their definitions, a whole tree is
 grown by exhaustive search over instances at every node, or by
 rebucketing the triple groups reaching each node by every slot's values
@@ -15,7 +16,9 @@ separately, rule merging rescans every pair from the start after each
 merge and merges two constraints case by case (the package derives the
 merged constraint from set operations), or tries every pair of rules
 instead of only those that share a signature, a triple's rule is found by
-testing every rule instead of routing through the tree, CoNLL-U is parsed
+testing every rule instead of routing through the tree's leaf table, two
+rules sharing a triple are found by testing every pair (the package ANDs
+leaf masks), CoNLL-U is parsed
 token by token with a fresh FEATS dict per token and walked once per
 feature, with no shared edge table, and
 a synthetic corpus is drawn with ``Random.choices`` per feature value and a
@@ -27,6 +30,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from itertools import compress
+from operator import add
 
 from morphagree.conllu import Edge, Sentence, Token, feats_to_string, parse_feats
 from morphagree.errors import (
@@ -39,8 +44,9 @@ from morphagree.errors import (
     MalformedLineError,
     NoMatchingRuleError,
 )
-from morphagree.labeling import (EXAMPLE_REFS_CAP, ChanceModel, Constraint, LabeledRule, RuleSet,
-                                 ThresholdMode, _leaf_regions, _leaf_rules, _try_merge)
+from morphagree.labeling import (EXAMPLE_REFS_CAP, ChanceModel, Constraint, LabeledRule, LeafTable,
+                                 RuleSet, ThresholdMode, _disjoint, _leaf_regions, _leaf_rules,
+                                 _meet, _try_merge, _witness)
 from morphagree.tree import SLOT_ORDER, DecisionTree, Internal, Leaf, SplitPredicate, leaf_count
 from morphagree.triples import FeatureDataset, Triple
 
@@ -140,6 +146,28 @@ def brute_force_best_first_split(instances, criterion: str = "gini"):
             elif abs(delta - best_delta) <= 1e-12:
                 best.append((slot, value, delta))
     return best, best_delta
+
+
+def best_split_calling_impurity(agree, disagree, node_agree, node_disagree, impurity, n_total):
+    """tree._best_split as it was written before gini was inlined: one call
+    of the impurity function per side of each scored code."""
+    n_node = node_agree + node_disagree
+    node_impurity = impurity(node_agree, node_disagree)
+    best = None
+    sizes = list(map(add, agree, disagree))
+    for code in compress(range(len(sizes)), sizes):
+        n_match = sizes[code]
+        if n_match == n_node:
+            continue
+        m_agree, m_disagree = agree[code], disagree[code]
+        child_impurity = (
+            n_match * impurity(m_agree, m_disagree)
+            + (n_node - n_match) * impurity(node_agree - m_agree, node_disagree - m_disagree)
+        ) / n_node
+        delta = (n_node / n_total) * (node_impurity - child_impurity)
+        if best is None or delta > best[1]:
+            best = (code, delta, m_agree, m_disagree)
+    return best
 
 
 def _impurity_of_counts(criterion: str, n_agree: int, n_disagree: int) -> float:
@@ -454,8 +482,9 @@ def merge_rules_restarting(
     mergeable pair in leaf order, re-sort, and rescan every pair from the
     start, by try_merge_by_cases. It shares only the package's leaf rules, so
     it checks the order in which pairs are tried and the merge step."""
+    regions = _leaf_regions(tree)
     rules = sorted(
-        _leaf_rules(tree, _leaf_regions(tree), {v.leaf_id: v.label for v in verdicts}, dataset),
+        _leaf_rules(regions, LeafTable(regions), {v.leaf_id: v.label for v in verdicts}, dataset),
         key=lambda r: r.source_leaf_ids[0],
     )
     changed = True
@@ -479,6 +508,23 @@ def merge_rules_restarting(
         tree=tree,
         verdicts=tuple(verdicts),
     )
+
+
+def check_disjoint_pairwise(table, rules) -> None:
+    """labeling._check_disjoint by testing every pair of rules, constraint
+    by constraint, as RuleSet did before it had a leaf table: the first
+    pair, in order, whose constraints meet in every slot raises
+    NoMatchingRuleError naming a triple both match."""
+    by_slot = [[rule.constraints[slot] for slot in SLOT_ORDER] for rule in rules]
+    for i, a in enumerate(rules):
+        for j in range(i + 1, len(rules)):
+            if not any(map(_disjoint, by_slot[i], by_slot[j])):
+                b = rules[j]
+                shared = {slot: _meet(a.constraints[slot], b.constraints[slot])
+                          for slot in SLOT_ORDER}
+                raise NoMatchingRuleError(
+                    f"triple {_witness(shared)} matches rules {a.rule_id} and {b.rule_id}"
+                )
 
 
 def rule_matches(rule, triple) -> bool:

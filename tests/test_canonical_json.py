@@ -1,6 +1,7 @@
 """dump_canonical writes, byte for byte, what json.dumps writes with the
 canonical settings (sorted keys, two-space indent, text not escaped to
-ASCII) plus a newline: json.dumps is the oracle."""
+ASCII) plus a newline: json.dumps is the oracle. write_json writes the
+same text to a file, encoded as UTF-8."""
 import json
 import math
 from typing import NamedTuple
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphagree.evaluation import HumanLabel
+from morphagree import serialization
 from morphagree.labeling import Label, ThresholdMode
-from morphagree.serialization import dump_canonical
+from morphagree.serialization import dump_canonical, write_json
 
 _TEXT = st.one_of(
     st.text(),
@@ -96,3 +98,28 @@ def test_dump_canonical_rejects_a_value_that_is_not_json(value):
         json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         dump_canonical(value)
+
+
+# chunks of one to eight pieces put chunk ends everywhere in these values
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_VALUES, _deeply_nested()), st.one_of(st.integers(1, 8), st.just(4096)))
+def test_write_json_writes_the_bytes_of_dump_canonical(tmp_path_factory, value, chunk_pieces):
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    expected = json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialization, "_CHUNK_PIECES", chunk_pieces)
+        write_json(value, path)
+        assert dump_canonical(value) == expected
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [
+    {"a": list(range(20_000)), "b": object()}, [{"x": [1.5] * 9_000}, {b"k": 1}],
+])
+def test_write_json_leaves_the_file_as_it_was_on_a_value_that_is_not_json(tmp_path, value):
+    # the text before the fault spans several chunks
+    path = tmp_path / "doc.json"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(TypeError):
+        write_json(value, path)
+    assert path.read_text(encoding="utf-8") == "old\n"

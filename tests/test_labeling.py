@@ -61,9 +61,9 @@ from morphagree.tree import (
 from morphagree.triples import FeatureDataset
 
 from conftest import agrees, make_edge, make_treebank, six_feature_conllu
-from oracles import (chi2_sf_oracle, chi_squared_statistic_by_cells, merge_rules_restarting,
-                     merge_to_fixpoint_pairwise, rule_for_scanning, rule_matches,
-                     try_merge_by_cases)
+from oracles import (check_disjoint_pairwise, chi2_sf_oracle, chi_squared_statistic_by_cells,
+                     merge_rules_restarting, merge_to_fixpoint_pairwise, rule_for_scanning,
+                     rule_matches, try_merge_by_cases)
 from treegen import random_labeled_tree, random_triple
 
 
@@ -851,6 +851,46 @@ def test_guard_equals_exact_scan_on_deep_fitted_trees(seed):
     _check_guard_against_scan(tree, verdicts, rng)
 
 
+def _built_or_error(build):
+    """What building a RuleSet gives: None, or the error's type and text."""
+    try:
+        build()
+    except InvalidRuleSetError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _check_disjointness_against_pairwise_scan(tree, verdicts, rng):
+    """On the merged rules and on single-constraint mutations of them, the
+    leaf-table overlap check accepts and rejects the rule sets that the
+    pairwise scan does, with the same message."""
+    merged = merge_rules(tree, verdicts)
+    rejected = 0
+    for rules in [merged.rules] + [_mutated(merged.rules, rng) for _ in range(8)]:
+        with_table = _built_or_error(lambda: _rebuilt(merged, rules=rules))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(labeling, "_check_disjoint", check_disjoint_pairwise)
+            assert _built_or_error(lambda: _rebuilt(merged, rules=rules)) == with_table
+        rejected += with_table is not None and "matches rules" in with_table[1]
+    return rejected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.booleans())
+def test_table_overlap_check_equals_pairwise_scan_on_random_trees(seed, max_depth, dead_branches):
+    rng = random.Random(seed)
+    tree, verdicts = random_labeled_tree(rng, max_depth=max_depth, dead_branches=dead_branches)
+    _check_disjointness_against_pairwise_scan(tree, verdicts, rng)
+
+
+def test_table_overlap_check_equals_pairwise_scan_on_deep_fitted_trees():
+    rng = random.Random(11)
+    rejected = sum(_check_disjointness_against_pairwise_scan(*_random_deep_fit(rng)[:2], rng)
+                   for _ in range(30))
+    # overlapping mutations are among the rule sets compared
+    assert rejected > 0
+
+
 def _depth(node) -> int:
     if isinstance(node, Leaf):
         return 0
@@ -880,5 +920,7 @@ def test_rule_for_tests_at_most_depth_predicates():
             calls.clear()
             rules_for(ruleset, (triple,))
             assert len(calls) <= depth
+            # the leaf table reads each slot once, whatever the depth
+            assert len(calls) == len(SLOT_ORDER)
     # the bound holds where a scan would test more rules than the tree is deep
     assert most_rules_over_depth > 0

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from morphagree import (
     FeatureDataset,
@@ -15,23 +15,26 @@ from morphagree import (
     predict_leaf,
 )
 from morphagree.errors import EmptyDatasetError
+from morphagree.labeling import LeafTable
 from morphagree.serialization import tree_to_dict
 from morphagree.tree import (
+    SLOT_ORDER,
     Internal,
     Leaf,
     SplitPredicate,
     _Codes,
+    _IMPURITY,
+    _best_split,
     _frozen,
     _grow_points,
-    leaf_refs,
     leaves,
-    route,
 )
 
 
 from conftest import agrees, make_dataset
 from oracles import (
     METRICS,
+    best_split_calling_impurity,
     brute_force_best_first_split,
     brute_force_grow,
     grid_search_on_validation,
@@ -49,7 +52,7 @@ def test_single_instance_single_leaf():
     tree = fit(dataset, HP)
     assert isinstance(tree.root, Leaf)
     assert tree.root.leaf_id == 1
-    assert leaf_refs(tree, dataset) == {1: [0]}
+    assert LeafTable.of(tree).refs(dataset) == [[0]]
     assert leaf_count(tree) == 1
     assert predict_leaf(tree, Triple("X", "y", "Z")) == 1
 
@@ -393,7 +396,7 @@ def test_growth_reads_each_triple_once_per_fit_whatever_the_depth_or_folds():
 
 @settings(max_examples=60, deadline=None)
 @given(_datasets, st.integers(min_value=1, max_value=15))
-def test_leaf_refs_group_instances_by_first_occurrence_of_their_triple(dataset, depth):
+def test_leaf_table_refs_group_instances_by_first_occurrence_of_their_triple(dataset, depth):
     tree = fit(dataset, HyperParams(max_depth=depth, min_impurity_decrease=0.0))
     first = {}
     for idx, inst in enumerate(dataset.instances):
@@ -402,11 +405,9 @@ def test_leaf_refs_group_instances_by_first_occurrence_of_their_triple(dataset, 
     for idx in sorted(range(len(dataset.instances)),
                       key=lambda i: (first[dataset.instances[i].triple], i)):
         expected.setdefault(predict_leaf(tree, dataset.instances[idx].triple), []).append(idx)
-    refs = leaf_refs(tree, dataset)
-    assert refs == expected
-    assert {leaf_id: len(r) for leaf_id, r in refs.items()} == {
-        leaf.leaf_id: leaf.size for leaf in leaves(tree)
-    }
+    refs = LeafTable.of(tree).refs(dataset)
+    assert refs == [expected.get(leaf.leaf_id, []) for leaf in leaves(tree)]
+    assert [len(r) for r in refs] == [leaf.size for leaf in leaves(tree)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -437,14 +438,58 @@ def test_grid_search_equals_per_point_validation(train, validation, metric):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=40))
-def test_route_equals_walking_each_triple(seed, n_triples):
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=40),
+       st.booleans())
+def test_leaf_table_equals_walking_each_triple(seed, n_triples, dead_branches):
     rng = random.Random(seed)
-    tree, _ = random_labeled_tree(rng, max_depth=rng.randint(0, 6))
+    tree, _ = random_labeled_tree(rng, max_depth=rng.randint(0, 6), dead_branches=dead_branches)
+    table = LeafTable.of(tree)
+    assert list(table.leaves) == leaves(tree)
     # repeats included, and values no split tests
     triples = [random_triple(rng) for _ in range(n_triples)]
-    assert route(tree, triples) == {t: leaf_id_by_walking(tree, t) for t in triples}
+    walked = {t: leaf_id_by_walking(tree, t) for t in triples}
+    assert table.lookup(triples, [leaf.leaf_id for leaf in table.leaves]) == walked
+    assert {t: predict_leaf(tree, t) for t in triples} == walked
+    # the three masks of a triple share one bit, a dead-branch leaf's none
+    for t in triples:
+        common = -1
+        for slot, masks, other in zip(SLOT_ORDER, table.masks, table.others):
+            common &= masks.get(getattr(t, slot), other)
+        assert common.bit_count() == 1
+
+
+# count vectors over a few codes with small counts, so that many codes tie;
+# the node's totals are the codes' sums plus rows no code of the vector has
+_count_vectors = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_vectors, st.integers(0, 4), st.integers(0, 4), st.integers(0, 20),
+       st.sampled_from(["gini", "entropy"]))
+def test_best_split_equals_calling_the_impurity_per_code(
+        counts, extra_agree, extra_disagree, beyond, criterion):
+    agree = [a for a, _ in counts]
+    disagree = [d for _, d in counts]
+    node_agree, node_disagree = sum(agree) + extra_agree, sum(disagree) + extra_disagree
+    assume(node_agree + node_disagree > 0)
+    args = (agree, disagree, node_agree, node_disagree, _IMPURITY[criterion],
+            node_agree + node_disagree + beyond)
+    found, expected = _best_split(*args), best_split_calling_impurity(*args)
+    # the same code and totals, and the same float bits
+    assert found == expected
+    assert found is None or found[1].hex() == expected[1].hex()
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_best_split_takes_the_first_of_tied_codes(criterion):
+    # codes 1 and 3 split off the same counts, ahead of the others
+    agree, disagree = [1, 4, 1, 4, 1], [1, 0, 1, 0, 1]
+    args = (agree, disagree, 10, 3, _IMPURITY[criterion], 20)
+    assert _best_split(*args) == best_split_calling_impurity(*args)
+    assert _best_split(*args)[0] == 1
 
 
 def _structure(node):

@@ -48,7 +48,6 @@ class AnnotationVerdict(NamedTuple):
 
 
 class EvalReport(NamedTuple):
-    feature: str
     arm: float
     verdicts: tuple[TripleVerdict, ...]
 
@@ -58,7 +57,6 @@ def _score_triples(
     triples: Iterable[Triple],
     tau: float,
     tree_label_of,
-    feature: str,
 ) -> EvalReport:
     verdicts: list[TripleVerdict] = []
     for triple in dict.fromkeys(triples):  # deduplicated, first occurrence kept
@@ -82,7 +80,7 @@ def _score_triples(
     if not verdicts:
         raise NoEvaluableTriplesError("no requested triple occurs in the test data")
     arm_score = sum(v.score for v in verdicts) / len(verdicts)
-    return EvalReport(feature=feature, arm=arm_score, verdicts=tuple(verdicts))
+    return EvalReport(arm=arm_score, verdicts=tuple(verdicts))
 
 
 def arm(
@@ -95,14 +93,14 @@ def arm(
     the held-out label (required iff empirical agreement q > tau)."""
     triples = list(triples)
     rule_of = rules_for(ruleset, triples)
-    return _score_triples(test, triples, tau, lambda t: rule_of[t].label, ruleset.feature)
+    return _score_triples(test, triples, tau, lambda t: rule_of[t].label)
 
 
 def baseline_arm(
     test: FeatureDataset, triples: Iterable[Triple], tau: float = 0.95
 ) -> EvalReport:
     """ARM of the degenerate rule set that labels every triple chance."""
-    return _score_triples(test, triples, tau, lambda t: Label.CHANCE, test.feature)
+    return _score_triples(test, triples, tau, lambda t: Label.CHANCE)
 
 
 def map_human_label(human: HumanLabel, strict: bool = True) -> Label:

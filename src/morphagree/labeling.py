@@ -8,17 +8,17 @@ induces exactly the same triple -> label function as the labeled tree.
 A rule has one constraint per slot: "in" admits exactly its values, and
 "not_in" every other value, values no corpus has shown included.
 
-A RuleSet keeps the tree its rules were merged from and its leaf verdicts.
-Triples are routed through the tree's LeafTable, built from the regions
-its leaves' paths constrain: per slot, each value the tree names maps to
-the bitmask of the leaves whose region admits it, and one mask serves
-every value the tree never names. ANDing a triple's three masks leaves
-one bit, that of its leaf, so a lookup is three dict gets at any depth;
-the leaf maps to the rule that lists it in source_leaf_ids. The same
-table routes the training triples to their leaves for example refs and
-per-leaf marginals. Building a RuleSet checks once that the tree, the
-verdicts and the rules agree and that this routing finds, for every
-possible triple, the one rule whose constraints match it.
+A RegionTable routes triples to regions, one per item, that partition
+triple space: per slot, each value some region names maps to the bitmask
+of the items whose region admits it, and one mask serves every value no
+region names. ANDing a triple's three masks leaves one bit, that of its
+item, so a lookup is three dict gets however many items there are.
+A RuleSet keeps the tree its rules were merged from, its leaf verdicts
+and the table of its own rules; building it checks once that the tree,
+the verdicts and the rules agree and that every possible triple matches
+exactly one rule, so a triple's rule is looked up in that table. A tree's
+table, RegionTable.of(tree), routes the training triples to their leaves
+for example refs and per-leaf marginals.
 """
 from __future__ import annotations
 
@@ -194,7 +194,7 @@ def label_leaf_statistical(
 
 def leaf_marginals(refs: list[int], dataset: FeatureDataset) -> dict[str, int]:
     """Value counts over the head and dependent occurrences of one leaf's
-    instances (its entry in LeafTable.refs)."""
+    instances (its entry in RegionTable.refs)."""
     feature = dataset.feature
     counts: dict[str, int] = {}
     for ref in refs:
@@ -282,23 +282,25 @@ def _leaf_regions(tree: DecisionTree) -> list[tuple[Leaf, dict[str, Constraint]]
     return regions
 
 
-class LeafTable:
-    """A tree's batch router (see the module docstring): its leaves in leaf
-    order and, per slot of SLOT_ORDER, the mask of the leaves whose region
-    admits each value the tree names and the mask of those admitting the
-    values it never names. Bit k stands for the k-th leaf. A dead-branch
-    leaf's region has an "in" constraint with no value, so the leaf is in
-    none of that slot's masks and no AND of a triple's masks keeps it."""
+class RegionTable:
+    """A batch router over regions (see the module docstring): the items in
+    order and, per slot of SLOT_ORDER, the mask of the items whose region
+    admits each value some region names and the mask of those admitting the
+    values none names. Bit k stands for the k-th item. A region with an "in"
+    constraint on no value (a dead-branch leaf's) admits no triple, so its
+    item is in none of that slot's masks and no AND of a triple's masks
+    keeps it."""
 
-    __slots__ = ("leaves", "masks", "others")
+    __slots__ = ("items", "masks", "others")
 
-    def __init__(self, regions: list[tuple[Leaf, dict[str, Constraint]]]):
-        """The table of the tree whose _leaf_regions are given."""
-        self.leaves = tuple(leaf for leaf, _ in regions)
+    def __init__(self, regions: list[tuple[object, dict[str, Constraint]]]):
+        """The table of the items, each given with its region, a constraint
+        per slot."""
+        self.items = tuple(item for item, _ in regions)
         masks: list[dict[str, int]] = []
         others: list[int] = []
         for slot in SLOT_ORDER:
-            # per value, the leaves naming it in an "in" and in a "not_in"
+            # per value, the items naming it in an "in" and in a "not_in"
             admitted: dict[str, int] = {}
             excluded: dict[str, int] = {}
             other = 0
@@ -319,13 +321,13 @@ class LeafTable:
         self.others = tuple(others)
 
     @classmethod
-    def of(cls, tree: DecisionTree) -> "LeafTable":
-        """The tree's table."""
+    def of(cls, tree: DecisionTree) -> "RegionTable":
+        """The table of the tree's leaves, in leaf order, and their regions."""
         return cls(_leaf_regions(tree))
 
     def lookup(self, triples: Iterable[Triple], at: Sequence) -> dict:
         """Each of the triples, seen or unseen, mapped to at[k], where the
-        k-th leaf is the one it reaches."""
+        k-th item's region is the one admitting it."""
         (relation, head_pos, dep_pos), (other_r, other_h, other_d) = self.masks, self.others
         return {
             t: at[(relation.get(t.relation, other_r) & head_pos.get(t.head_pos, other_h)
@@ -334,18 +336,20 @@ class LeafTable:
         }
 
     def refs(self, dataset: FeatureDataset) -> list[list[int]]:
-        """Per leaf, in leaf order, the indices of the dataset's instances
-        reaching it, triple by triple in the order of the dataset's triple
-        table, each triple's in document order."""
-        refs: list[list[int]] = [[] for _ in self.leaves]
-        leaf_of = self.lookup(dataset.triples, range(len(self.leaves)))
-        for k, group in zip(leaf_of.values(), dataset.triples.values()):
+        """Per item, in order, the indices of the dataset's instances whose
+        triple its region admits, triple by triple in the order of the
+        dataset's triple table, each triple's in document order."""
+        refs: list[list[int]] = [[] for _ in self.items]
+        item_of = self.lookup(dataset.triples, range(len(self.items)))
+        for k, group in zip(item_of.values(), dataset.triples.values()):
             refs[k].extend(group.refs)
         return refs
 
     def meeting(self, constraints: dict[str, Constraint]) -> int:
-        """The mask of the live leaves whose region shares a triple with
-        the region the constraints, one per slot, admit."""
+        """The mask of the items whose region shares a triple with the
+        region the constraints, one per slot, admit: regions are products
+        of their slots' values, so those whose constraint shares a value
+        with the given one in every slot."""
         reach = -1
         for slot, masks, other in zip(SLOT_ORDER, self.masks, self.others):
             mode, values = constraints[slot]
@@ -354,8 +358,8 @@ class LeafTable:
                 for value in values:
                     bits |= masks.get(value, other)
             else:
-                # a "not_in" leaf and a "not_in" constraint share the values
-                # neither names; an "in" leaf names only values of the tree
+                # a "not_in" item and a "not_in" constraint share the values
+                # neither names; an "in" item names all the values it admits
                 bits = other
                 for value, mask in masks.items():
                     if value not in values:
@@ -364,49 +368,15 @@ class LeafTable:
         return reach
 
 
-def _first_overlap(rules: tuple[LabeledRule, ...]) -> NoMatchingRuleError | None:
-    """The error naming the first pair of rules, in order, that share a
-    triple and one triple they share, found by testing every pair; None if
-    no two rules share one."""
-    by_slot = [[rule.constraints[slot] for slot in SLOT_ORDER] for rule in rules]
-    for i, a in enumerate(rules):
-        for j in range(i + 1, len(rules)):
-            if not any(map(_disjoint, by_slot[i], by_slot[j])):
-                b = rules[j]
-                shared = {slot: _meet(a.constraints[slot], b.constraints[slot])
-                          for slot in SLOT_ORDER}
-                return NoMatchingRuleError(
-                    f"triple {_witness(shared)} matches rules {a.rule_id} and {b.rule_id}"
-                )
-    return None
-
-
-def _check_disjoint(table: LeafTable, rules: tuple[LabeledRule, ...]) -> None:
-    """Raise the NoMatchingRuleError of _first_overlap if two rules share a
-    triple, given that the rules' source_leaf_ids list each leaf of the
-    table's tree once and that each live leaf's region lies inside its rule.
-
-    The live leaves partition triple space and each lies inside its rule,
-    so a rule shares a triple with another exactly when a live leaf of the
-    other meets it. Each rule is checked against the table's masks, and the
-    pairs are scanned only once a rule fails, to name the first pair."""
-    position = {leaf.leaf_id: k for k, leaf in enumerate(table.leaves)}
-    for rule in rules:
-        own = sum(1 << position[leaf_id] for leaf_id in rule.source_leaf_ids)
-        if table.meeting(rule.constraints) & ~own:
-            raise _first_overlap(rules)
-
-
 def _checked_routing(
     tree: DecisionTree,
     regions: list[tuple[Leaf, dict[str, Constraint]]],
-    table: LeafTable,
     verdicts: tuple[LeafVerdict, ...],
     rules: tuple[LabeledRule, ...],
-) -> tuple[LabeledRule, ...]:
-    """The rule of each leaf of the tree, in leaf order, once it is checked
-    that the tree (its _leaf_regions and LeafTable given), its verdicts and
-    the rules agree; else an InvalidRuleSetError.
+) -> RegionTable:
+    """The RegionTable of the rules, once it is checked that the tree (its
+    _leaf_regions given), its verdicts and the rules agree; else an
+    InvalidRuleSetError.
 
     The checks, in order: leaf ids are distinct; leaf counts are at least 0
     and sum to the tree's training_size; the verdicts, then the rules'
@@ -415,7 +385,8 @@ def _checked_routing(
     "not_in" on a frozenset of strings; each rule's counts and label are its
     source leaves' sums and verdict; every triple that reaches a leaf
     matches the leaf's rule, so no triple is left without a rule; no two
-    rules share a triple.
+    rules share a triple, so each triple's rule is the one bit its masks in
+    the table share.
     """
     leaf_by_id: dict[int, Leaf] = {}
     for leaf, _ in regions:
@@ -477,38 +448,46 @@ def _checked_routing(
                     f"no rule matches triple {_witness(missed)} through leaf {leaf.leaf_id}: "
                     f"the leaf's rule {rule.rule_id} excludes it"
                 )
-    _check_disjoint(table, rules)
-    return tuple(rule_by_leaf[leaf.leaf_id] for leaf in table.leaves)
+    table = RegionTable([(rule, rule.constraints) for rule in rules])
+    for k, rule in enumerate(rules):
+        partners = table.meeting(rule.constraints) & ~(1 << k)
+        if partners:
+            # rule k is the first to meet another, so no earlier rule meets
+            # it: its lowest partner bit is the first rule after it that does
+            other = rules[(partners & -partners).bit_length() - 1]
+            shared = {slot: _meet(rule.constraints[slot], other.constraints[slot])
+                      for slot in SLOT_ORDER}
+            raise NoMatchingRuleError(
+                f"triple {_witness(shared)} matches rules {rule.rule_id} and {other.rule_id}"
+            )
+    return table
 
 
 class RuleSet:
     """Labeled rules, the tree they were merged from and its leaf verdicts.
 
     Construction raises an InvalidRuleSetError (see _checked_routing) unless
-    the three agree and routing any triple, seen or unseen, through the
-    tree's LeafTable reaches the only rule matching it. Treated as read-only
-    once built; a changed copy is built with the constructor, which checks
-    it again.
+    the three agree and every triple, seen or unseen, matches exactly one
+    rule; the RegionTable of the rules it then keeps finds that rule.
+    Treated as read-only once built; a changed copy is built with the
+    constructor, which checks it again.
     """
 
-    __slots__ = ("feature", "rules", "threshold_mode", "tree", "verdicts", "_table",
-                 "_rule_at")
+    __slots__ = ("feature", "rules", "threshold_mode", "tree", "verdicts", "_table")
 
     def __init__(self, feature: str, rules: tuple[LabeledRule, ...],
                  threshold_mode: ThresholdMode, tree: DecisionTree,
                  verdicts: tuple[LeafVerdict, ...]):
-        regions = _leaf_regions(tree)
-        self._set(feature, rules, threshold_mode, tree, verdicts, regions, LeafTable(regions))
+        self._set(feature, rules, threshold_mode, tree, verdicts, _leaf_regions(tree))
 
-    def _set(self, feature, rules, threshold_mode, tree, verdicts, regions, table) -> None:
-        """__init__, given the tree's _leaf_regions and their LeafTable."""
+    def _set(self, feature, rules, threshold_mode, tree, verdicts, regions) -> None:
+        """__init__, given the tree's _leaf_regions."""
         self.feature = feature
         self.rules = rules
         self.threshold_mode = threshold_mode
         self.tree = tree
         self.verdicts = verdicts
-        self._rule_at = _checked_routing(tree, regions, table, verdicts, rules)
-        self._table = table
+        self._table = _checked_routing(tree, regions, verdicts, rules)
 
     def _key(self) -> tuple:
         return self.feature, self.rules, self.threshold_mode, self.tree, self.verdicts
@@ -529,13 +508,13 @@ class RuleSet:
 
 def _leaf_rules(
     regions: list[tuple[Leaf, dict[str, Constraint]]],
-    table: LeafTable,
+    table: RegionTable,
     label_by_leaf: dict[int, Label],
     dataset: FeatureDataset | None,
 ) -> list[LabeledRule]:
     """One rule per leaf of a tree, in leaf order, with its path's
     constraints (its region in regions, the tree's _leaf_regions, whose
-    LeafTable is given) and its label or None."""
+    RegionTable is given) and its label or None."""
     rules: list[LabeledRule] = []
     refs_by_leaf = table.refs(dataset) if dataset is not None else [()] * len(regions)
     for (leaf, region), refs in zip(regions, refs_by_leaf):
@@ -695,21 +674,20 @@ def merge_rules(
     EXAMPLE_REFS_CAP refs per list.
     """
     regions = _leaf_regions(tree)  # first, so that an unknown slot fails here
-    table = LeafTable(regions)
     label_by_leaf = {v.leaf_id: v.label for v in verdicts}
-    merged = _merge_to_fixpoint(_leaf_rules(regions, table, label_by_leaf, dataset))
+    merged = _merge_to_fixpoint(_leaf_rules(regions, RegionTable(regions), label_by_leaf, dataset))
     rules = tuple(r._replace(rule_id=idx) for idx, r in enumerate(merged, start=1))
     # RuleSet(...) as it would be built, with the regions walked once
     ruleset = RuleSet.__new__(RuleSet)
-    ruleset._set(tree.feature, rules, threshold_mode, tree, tuple(verdicts), regions, table)
+    ruleset._set(tree.feature, rules, threshold_mode, tree, tuple(verdicts), regions)
     return ruleset
 
 
 def rules_for(ruleset: RuleSet, triples: Iterable[Triple]) -> dict[Triple, LabeledRule]:
-    """Each of the triples mapped to the rule of the tree leaf it reaches
-    through the RuleSet's LeafTable; building the RuleSet checked that it
-    is the only rule matching the triple."""
-    return ruleset._table.lookup(triples, ruleset._rule_at)
+    """Each of the triples mapped to the one rule matching it, looked up in
+    the RegionTable of the RuleSet's rules; building the RuleSet checked
+    that exactly one rule matches every triple."""
+    return ruleset._table.lookup(triples, ruleset.rules)
 
 
 def label_triple(ruleset: RuleSet, triple: Triple) -> Label:

@@ -6,8 +6,8 @@ from typing import NamedTuple
 from .conllu import Treebank
 from .labeling import (
     ChanceModel,
-    LeafTable,
     LeafVerdict,
+    RegionTable,
     RuleSet,
     ThresholdMode,
     chance_agreement_prob,
@@ -63,13 +63,13 @@ def label_leaves(
             label_leaf_statistical(leaf, chance, config.alpha, config.phi_min, config.phi_sqrt)
             for leaf in leaves(tree)
         )
-    table = LeafTable.of(tree)
+    table = RegionTable.of(tree)
     return tuple(
         label_leaf_statistical(
             leaf, chance_agreement_prob(leaf_marginals(refs, dataset), dataset.feature),
             config.alpha, config.phi_min, config.phi_sqrt,
         )
-        for leaf, refs in zip(table.leaves, table.refs(dataset))
+        for leaf, refs in zip(table.items, table.refs(dataset))
     )
 
 

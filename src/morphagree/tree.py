@@ -27,9 +27,11 @@ cross-validation fold) it grows one tree at the grid's largest depth,
 carrying the scored rows, and scores every grid point from the held-out
 totals of the nodes its cut makes leaves. Only the winning point is frozen.
 
-Leaves hold counts only. predict_leaf walks one triple down the tree;
-batches of triples are routed by labeling's LeafTable, which finds a
-triple's leaf in three dict lookups at any depth.
+Leaves hold counts only. Training triples reach their leaves in batches
+through labeling's RegionTable.of(tree), which finds a triple's leaf in
+three dict lookups at any depth; a rule set looks triples up in the table
+of its own rules. predict_leaf, the one walk of a triple down the tree,
+stays public as the reference those tables are checked against.
 """
 from __future__ import annotations
 
@@ -325,7 +327,12 @@ def fit(dataset: FeatureDataset, hyperparams: HyperParams) -> DecisionTree:
 
 def predict_leaf(tree: DecisionTree, triple: Triple) -> int:
     """The id of the unique leaf a triple (seen or unseen) reaches, walked
-    down the tree node by node."""
+    down the tree node by node.
+
+    It is the only per-triple walk of a tree and uses no table, so the
+    tests and the benchmark's merge-equivalence check use it as the
+    reference that RegionTable lookups and rule-set lookups must agree
+    with; that is why it stays public."""
     node = tree.root
     while not isinstance(node, Leaf):
         slot, value = node.predicate

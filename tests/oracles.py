@@ -44,9 +44,9 @@ from morphagree.errors import (
     MalformedLineError,
     NoMatchingRuleError,
 )
-from morphagree.labeling import (EXAMPLE_REFS_CAP, ChanceModel, Constraint, LabeledRule, LeafTable,
-                                 RuleSet, ThresholdMode, _disjoint, _leaf_regions, _leaf_rules,
-                                 _meet, _try_merge, _witness)
+from morphagree.labeling import (EXAMPLE_REFS_CAP, ChanceModel, Constraint, LabeledRule,
+                                 RegionTable, RuleSet, ThresholdMode, _disjoint, _leaf_regions,
+                                 _leaf_rules, _meet, _try_merge, _witness)
 from morphagree.tree import SLOT_ORDER, DecisionTree, Internal, Leaf, SplitPredicate, leaf_count
 from morphagree.triples import FeatureDataset, Triple
 
@@ -484,7 +484,8 @@ def merge_rules_restarting(
     it checks the order in which pairs are tried and the merge step."""
     regions = _leaf_regions(tree)
     rules = sorted(
-        _leaf_rules(regions, LeafTable(regions), {v.leaf_id: v.label for v in verdicts}, dataset),
+        _leaf_rules(regions, RegionTable(regions), {v.leaf_id: v.label for v in verdicts},
+                    dataset),
         key=lambda r: r.source_leaf_ids[0],
     )
     changed = True
@@ -510,10 +511,10 @@ def merge_rules_restarting(
     )
 
 
-def check_disjoint_pairwise(table, rules) -> None:
-    """labeling._check_disjoint by testing every pair of rules, constraint
-    by constraint, as RuleSet did before it had a leaf table: the first
-    pair, in order, whose constraints meet in every slot raises
+def check_disjoint_pairwise(rules) -> None:
+    """RuleSet's overlap check by testing every pair of rules, constraint
+    by constraint, as RuleSet did before it had a table of its rules: the
+    first pair, in order, whose constraints meet in every slot raises
     NoMatchingRuleError naming a triple both match."""
     by_slot = [[rule.constraints[slot] for slot in SLOT_ORDER] for rule in rules]
     for i, a in enumerate(rules):

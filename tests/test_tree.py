@@ -15,7 +15,7 @@ from morphagree import (
     predict_leaf,
 )
 from morphagree.errors import EmptyDatasetError
-from morphagree.labeling import LeafTable
+from morphagree.labeling import RegionTable
 from morphagree.serialization import tree_to_dict
 from morphagree.tree import (
     SLOT_ORDER,
@@ -52,7 +52,7 @@ def test_single_instance_single_leaf():
     tree = fit(dataset, HP)
     assert isinstance(tree.root, Leaf)
     assert tree.root.leaf_id == 1
-    assert LeafTable.of(tree).refs(dataset) == [[0]]
+    assert RegionTable.of(tree).refs(dataset) == [[0]]
     assert leaf_count(tree) == 1
     assert predict_leaf(tree, Triple("X", "y", "Z")) == 1
 
@@ -405,7 +405,7 @@ def test_leaf_table_refs_group_instances_by_first_occurrence_of_their_triple(dat
     for idx in sorted(range(len(dataset.instances)),
                       key=lambda i: (first[dataset.instances[i].triple], i)):
         expected.setdefault(predict_leaf(tree, dataset.instances[idx].triple), []).append(idx)
-    refs = LeafTable.of(tree).refs(dataset)
+    refs = RegionTable.of(tree).refs(dataset)
     assert refs == [expected.get(leaf.leaf_id, []) for leaf in leaves(tree)]
     assert [len(r) for r in refs] == [leaf.size for leaf in leaves(tree)]
 
@@ -444,12 +444,12 @@ def test_grid_search_equals_per_point_validation(train, validation, metric):
 def test_leaf_table_equals_walking_each_triple(seed, n_triples, dead_branches):
     rng = random.Random(seed)
     tree, _ = random_labeled_tree(rng, max_depth=rng.randint(0, 6), dead_branches=dead_branches)
-    table = LeafTable.of(tree)
-    assert list(table.leaves) == leaves(tree)
+    table = RegionTable.of(tree)
+    assert list(table.items) == leaves(tree)
     # repeats included, and values no split tests
     triples = [random_triple(rng) for _ in range(n_triples)]
     walked = {t: leaf_id_by_walking(tree, t) for t in triples}
-    assert table.lookup(triples, [leaf.leaf_id for leaf in table.leaves]) == walked
+    assert table.lookup(triples, [leaf.leaf_id for leaf in table.items]) == walked
     assert {t: predict_leaf(tree, t) for t in triples} == walked
     # the three masks of a triple share one bit, a dead-branch leaf's none
     for t in triples:

@@ -508,15 +508,19 @@ class RuleSet:
 
 def _leaf_rules(
     regions: list[tuple[Leaf, dict[str, Constraint]]],
-    table: RegionTable,
     label_by_leaf: dict[int, Label],
     dataset: FeatureDataset | None,
 ) -> list[LabeledRule]:
     """One rule per leaf of a tree, in leaf order, with its path's
-    constraints (its region in regions, the tree's _leaf_regions, whose
-    RegionTable is given) and its label or None."""
+    constraints (its region in regions, the tree's _leaf_regions) and its
+    label or None. Given the dataset, the RegionTable of the regions routes
+    its instances to fill each rule's example refs; without one, no table
+    is built."""
     rules: list[LabeledRule] = []
-    refs_by_leaf = table.refs(dataset) if dataset is not None else [()] * len(regions)
+    if dataset is None:
+        refs_by_leaf: list = [()] * len(regions)
+    else:
+        refs_by_leaf = RegionTable(regions).refs(dataset)
     for (leaf, region), refs in zip(regions, refs_by_leaf):
         examples: list[tuple[str, int, int]] = []
         counters: list[tuple[str, int, int]] = []
@@ -675,7 +679,7 @@ def merge_rules(
     """
     regions = _leaf_regions(tree)  # first, so that an unknown slot fails here
     label_by_leaf = {v.leaf_id: v.label for v in verdicts}
-    merged = _merge_to_fixpoint(_leaf_rules(regions, RegionTable(regions), label_by_leaf, dataset))
+    merged = _merge_to_fixpoint(_leaf_rules(regions, label_by_leaf, dataset))
     rules = tuple(r._replace(rule_id=idx) for idx, r in enumerate(merged, start=1))
     # RuleSet(...) as it would be built, with the regions walked once
     ruleset = RuleSet.__new__(RuleSet)

@@ -1,20 +1,31 @@
 """Annotation-sheet export and self-contained static HTML rule reports.
 
+Neither builds a FeatureDataset: each reads the training treebank's edge
+table directly, keeping the edges that carry the feature at both ends, in
+document order. The sheet counts them per triple, ranks the triples by
+rank_triples and collects the edges of the top-k only; the report maps
+each distinct triple to its rule once and puts each edge in its rule's
+agreeing or disagreeing pool. Examples are then sampled from those
+document-order lists by position.
+
 ``html`` is imported only by the functions that render HTML, so the
 commands that import this module without writing a report do not load it.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
+from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
-from .conllu import Edge, Treebank
+from .conllu import Edge, Treebank, Triple
 from .evaluation import ANNOTATION_COLUMNS
 from .labeling import Label, LabeledRule, RuleSet, rules_for
 from .serialization import RulesDocument
 from .tree import SLOT_ORDER
-from .triples import extract_instances, top_k_triples
+from .triples import rank_triples
 
 
 def render_example(
@@ -40,6 +51,15 @@ def _sample(items: Sequence, k: int, seed_key: str) -> list:
     return [items[i] for i in picked]
 
 
+def _instances(train: Treebank, feature: str) -> list[Edge]:
+    """The edges of the train's edge table whose two tokens carry the
+    feature, in document order: the feature's agreement instances."""
+    return [e for e in train.edges.entries if feature in e.head_feats and feature in e.dep_feats]
+
+
+_TRIPLE = attrgetter("triple")
+
+
 def build_annotation_rows(
     features: list[str],
     train: Treebank,
@@ -47,17 +67,26 @@ def build_annotation_rows(
     examples: int,
     seed: int,
 ) -> list[tuple[str, ...]]:
-    """Sheet rows: one per (feature, top triple), label column left blank."""
+    """Sheet rows: one per (feature, top triple), label column left blank.
+    A feature's top triples are its top_k by rank_triples; each row's
+    examples are sampled from its triple's instances in document order."""
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
     rows: list[tuple[str, ...]] = []
     for feature in features:
-        dataset = extract_instances(train, feature)
-        if not dataset.instances:
-            continue
-        for triple in top_k_triples(dataset, top_k):
+        instances = _instances(train, feature)
+        pools: dict[Triple, list[Edge]] = {
+            triple: [] for triple in rank_triples(Counter(map(_TRIPLE, instances)))[:top_k]
+        }
+        for inst in instances:
+            pool = pools.get(inst.triple)
+            if pool is not None:
+                pool.append(inst)
+        for triple, pool in pools.items():
             key = f"{seed}:{feature}:{triple.relation}:{triple.head_pos}:{triple.dep_pos}"
             rendered = []
-            for ref in _sample(dataset.triples[triple].refs, examples, key):
-                sent_id, head_id, dep_id = dataset.instances[ref].provenance
+            for inst in _sample(pool, examples, key):
+                sent_id, head_id, dep_id = inst.provenance
                 rendered.append(
                     f"{sent_id}:h{head_id}:d{dep_id} "
                     + render_example(train.forms[sent_id], head_id, dep_id)
@@ -147,6 +176,36 @@ def _stats_cell(value: float | None, fmt: str = "{:.4g}") -> str:
     return fmt.format(value)
 
 
+def example_pools(
+    feature: str, ruleset: RuleSet, train: Treebank
+) -> dict[int, tuple[list[Edge], list[Edge]]]:
+    """Per rule id, the (agreeing, disagreeing) instances of the feature
+    whose triple the rule matches, each list in document order: one pass
+    over the instances, after one rules_for over their distinct triples."""
+    instances = _instances(train, feature)
+    by_rule: dict[int, tuple[list[Edge], list[Edge]]] = {
+        rule.rule_id: ([], []) for rule in ruleset.rules
+    }
+    pools_of = {
+        triple: by_rule[rule.rule_id]
+        for triple, rule in rules_for(ruleset, dict.fromkeys(map(_TRIPLE, instances))).items()
+    }
+    for inst in instances:
+        pools_of[inst.triple][inst.head_feats[feature] != inst.dep_feats[feature]].append(inst)
+    return by_rule
+
+
+def _escaped_forms(forms: Sequence[str]) -> list[str]:
+    """Each form HTML-escaped, in one html.escape call over the forms joined
+    by tabs. No form parsed from CoNLL-U holds a tab, since tabs separate
+    its columns; a Treebank built by hand might, so then each form is
+    escaped alone."""
+    import html
+
+    escaped = html.escape("\t".join(forms)).split("\t")
+    return escaped if len(escaped) == len(forms) else list(map(html.escape, forms))
+
+
 def render_feature_page(
     feature: str,
     ruleset: RuleSet,
@@ -162,17 +221,8 @@ def render_feature_page(
     each sampled sentence is escaped once."""
     import html
 
-    dataset = extract_instances(train, feature)
-    # (agreeing, disagreeing) example pools per rule, in document order
-    by_rule: dict[int, tuple[list[Edge], list[Edge]]] = {
-        rule.rule_id: ([], []) for rule in ruleset.rules
-    }
-    pools_of = {
-        triple: by_rule[rule.rule_id]
-        for triple, rule in rules_for(ruleset, dataset.triples).items()
-    }
-    for inst, agree in zip(dataset.instances, dataset.agree):
-        pools_of[inst.triple][not agree].append(inst)
+    by_rule = example_pools(feature, ruleset, train)
+    escape_value = lru_cache(maxsize=None)(html.escape)  # a feature has few values
     verdict_by_leaf = {v.leaf_id: v for v in ruleset.verdicts}
     chance = doc.chance_models[feature]
     body = [f"<h1>{html.escape(feature)} agreement rules</h1>"]
@@ -230,10 +280,10 @@ def render_feature_page(
                 sent_id, head_id, dep_id = inst.provenance
                 forms = escaped_forms.get(sent_id)
                 if forms is None:
-                    forms = escaped_forms[sent_id] = list(map(html.escape, train.forms[sent_id]))
+                    forms = escaped_forms[sent_id] = _escaped_forms(train.forms[sent_id])
                 sentence = render_example(forms, head_id, dep_id, _HTML_MARKS)
                 values = " / ".join(
-                    html.escape(feats[feature]) for feats in (inst.head_feats, inst.dep_feats)
+                    escape_value(feats[feature]) for feats in (inst.head_feats, inst.dep_feats)
                 )
                 body.append(
                     f'<div class="example">{sentence} <span class="muted">'

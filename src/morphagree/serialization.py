@@ -10,8 +10,9 @@ and a rule's leaf ids and refs are its own tuples, written as JSON lists.
 
 Reloading a rules document reconstructs the triple -> label behavior of
 the saved rule sets exactly. The loader checks JSON shape (types and known
-names); RuleSet checks meaning, that a feature's tree, leaf verdicts and
-rules agree.
+names), and that each chance model and leaf verdict agrees with the counts
+it was computed from; RuleSet checks meaning, that a feature's tree, leaf
+verdicts and rules agree.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .labeling import (
     ThresholdMode,
 )
 from .pipeline import ExtractionConfig, FeatureRules
-from .tree import SLOT_ORDER, DecisionTree, HyperParams, Internal, Leaf, SplitPredicate
+from .tree import SLOT_ORDER, DecisionTree, HyperParams, Internal, Leaf, SplitPredicate, leaves
 from .triples import Triple
 
 FORMAT_VERSION = "1"
@@ -416,6 +417,49 @@ def rules_document(
     }
 
 
+def _checked_chance_model(chance: ChanceModel) -> ChanceModel:
+    """The chance model, unless its value_probs are not proportions in
+    (0, 1] summing to 1 within 1e-9, or its p_chance is not their sum of
+    squares within a relative 1e-9, as chance_agreement_prob computes both
+    from counts."""
+    probs = chance.value_probs
+    for value, q in probs.items():
+        if not 0 < q <= 1:
+            raise MalformedRulesError(f"'value_probs'[{value!r}] {q!r} is not in (0, 1]")
+    total = math.fsum(probs.values())
+    if abs(total - 1) > 1e-9:
+        raise MalformedRulesError(f"'value_probs' sum to {total!r}, not 1")
+    sum_sq = math.fsum(q * q for q in probs.values())
+    if abs(chance.p_chance - sum_sq) > 1e-9 * sum_sq:
+        raise MalformedRulesError(
+            f"'p_chance' {chance.p_chance!r} is not the sum of the squared 'value_probs', "
+            f"{sum_sq:.9g}")
+    return chance
+
+
+def _check_verdict_statistics(tree: DecisionTree, verdicts: tuple[LeafVerdict, ...]) -> None:
+    """Raise MalformedRulesError unless each verdict's agree_ratio is its
+    leaf's n_agree / (n_agree + n_disagree), exactly as the labelers compute
+    it, its p_value, when given, lies in [0, 1], and its chi2 and phi_c, when
+    given, are at least 0. Whether chi2 follows from the counts is not
+    checked."""
+    leaf_by_id = {leaf.leaf_id: leaf for leaf in leaves(tree)}
+    for verdict in verdicts:
+        leaf = leaf_by_id[verdict.leaf_id]
+        size = leaf.n_agree + leaf.n_disagree
+        if size == 0 or verdict.agree_ratio != leaf.n_agree / size:
+            raise MalformedRulesError(
+                f"leaf {leaf.leaf_id}: 'agree_ratio' {verdict.agree_ratio!r} is not n_agree / "
+                f"(n_agree + n_disagree) = {leaf.n_agree} / {size}")
+        if verdict.p_value is not None and not 0 <= verdict.p_value <= 1:
+            raise MalformedRulesError(
+                f"leaf {leaf.leaf_id}: 'p_value' {verdict.p_value!r} is not in [0, 1]")
+        for key in ("chi2", "phi_c"):
+            value = getattr(verdict, key)
+            if value is not None and value < 0:
+                raise MalformedRulesError(f"leaf {leaf.leaf_id}: {key!r} {value!r} is negative")
+
+
 @contextmanager
 def _naming(path: str | Path, feature: str | None = None):
     """Raise a fault in a rules document as MalformedRulesError naming the
@@ -438,9 +482,12 @@ class RulesDocument:
     Every MalformedRulesError it raises names the file at path. A feature
     entry raises one naming the feature too when it lacks a key the loader
     reads, holds a value of the wrong JSON type or an unknown name, or gives
-    a training_size other than its tree's; or when its RuleSet fails to
-    build because its tree, leaf verdicts and rules disagree (see RuleSet).
-    Its training_triples are checked alike, when they are first read.
+    a training_size other than its tree's; when its RuleSet fails to build
+    because its tree, leaf verdicts and rules disagree (see RuleSet); or
+    when its chance model or a leaf verdict's statistics contradict the
+    counts they come from (see _checked_chance_model and
+    _check_verdict_statistics), so that report never prints them. Its
+    training_triples are checked alike, when they are first read.
     """
 
     def __init__(self, doc: dict, path: str | Path):
@@ -471,18 +518,20 @@ class RulesDocument:
             return
         tree = self.trees[feature] = tree_from_dict(_get(entry, "tree", _OBJECT))
         chance = _get(entry, "chance_model", _OBJECT)
-        self.chance_models[feature] = ChanceModel(
+        self.chance_models[feature] = _checked_chance_model(ChanceModel(
             feature=feature,
             value_probs=dict(_get_each(chance, "value_probs", _NUMBER, _OBJECT)),
             p_chance=_get(chance, "p_chance", _NUMBER),
-        )
-        self.rulesets[feature] = RuleSet(
+        ))
+        ruleset = self.rulesets[feature] = RuleSet(
             feature=feature,
             rules=tuple(map(rule_from_dict, _get_each(entry, "rules", _OBJECT))),
             threshold_mode=mode,
             tree=tree,
             verdicts=tuple(map(verdict_from_dict, _get_each(entry, "leaf_verdicts", _OBJECT))),
         )
+        # RuleSet checked that the verdicts list each leaf once
+        _check_verdict_statistics(tree, ruleset.verdicts)
         # RuleSet checked that the tree's training_size sums its leaf counts
         if _get(entry, "training_size", _INT) != tree.training_size:
             raise MalformedRulesError(

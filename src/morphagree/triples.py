@@ -11,12 +11,16 @@ Each FeatureDataset carries its per-triple table, built once from its
 instances: ``triples`` maps every distinct triple, in order of first
 occurrence, to a TripleGroup holding its disagree and agree counts and the
 indices of its instances in document order. ``ranking`` lists the same
-triples by count descending, ties broken by (relation, head_pos, dep_pos).
-Tree fitting, scoring, ARM, ``training_triples``, the annotation sheet and
-the report all read this one table; its two orders are what keep their
-outputs byte-stable.
+triples in rank_triples order: count descending, ties broken by (relation,
+head_pos, dep_pos). Tree fitting, scoring, ARM and ``training_triples``
+read this one table; its two orders are what keep their outputs
+byte-stable. The annotation sheet and the report build no dataset: they
+read the edge table itself, and the sheet ranks its triples by
+rank_triples too.
 """
 from __future__ import annotations
+
+from operator import attrgetter
 
 from .conllu import Edge, Treebank, Triple
 
@@ -74,9 +78,7 @@ class FeatureDataset:
         self.value_marginals = {} if value_marginals is None else value_marginals
         self.agree = bytes(agree)
         self.triples = triples
-        self.ranking = tuple(sorted(
-            triples, key=lambda t: (-triples[t].size, t.relation, t.head_pos, t.dep_pos)
-        ))
+        self.ranking = rank_triples({t: g.n_agree + g.n_disagree for t, g in triples.items()})
 
     def _key(self) -> tuple:
         return self.feature, self.instances, self.value_marginals
@@ -113,9 +115,19 @@ def extract_instances(treebank: Treebank, feature: str) -> FeatureDataset:
     return FeatureDataset(feature, instances, marginals)
 
 
+_TIE_BREAK = attrgetter("relation", "head_pos", "dep_pos")
+
+
+def rank_triples(size_of: dict[Triple, int]) -> tuple[Triple, ...]:
+    """The triples of size_of by size descending, ties broken by (relation,
+    head_pos, dep_pos). Two stable sorts with C-level keys: by the tie-break,
+    then by size, where reverse=True keeps equal sizes in tie-break order."""
+    return tuple(sorted(sorted(size_of, key=_TIE_BREAK), key=size_of.__getitem__, reverse=True))
+
+
 def top_k_triples(dataset: FeatureDataset, k: int) -> list[Triple]:
-    """Most frequent triples, count-descending; ties broken lexicographically
-    by (relation, head_pos, dep_pos)."""
+    """The k most frequent triples of the dataset's ranking (see
+    rank_triples)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return list(dataset.ranking[:k])

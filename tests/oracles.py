@@ -20,7 +20,10 @@ testing every rule instead of routing through the tree's leaf table, two
 rules sharing a triple are found by testing every pair (the package ANDs
 leaf masks), CoNLL-U is parsed
 token by token with a fresh FEATS dict per token and walked once per
-feature, with no shared edge table, and
+feature, with no shared edge table, the report's example pools and the
+annotation sheet's rows are read from each feature's FeatureDataset and
+its triples ranked by one sort on a composite key (the package reads the
+edge table directly and ranks by two stable sorts), and
 a synthetic corpus is drawn with ``Random.choices`` per feature value and a
 fresh FEATS dict per token.
 """
@@ -45,10 +48,11 @@ from morphagree.errors import (
     NoMatchingRuleError,
 )
 from morphagree.labeling import (EXAMPLE_REFS_CAP, ChanceModel, Constraint, LabeledRule,
-                                 RegionTable, RuleSet, ThresholdMode, _disjoint, _leaf_regions,
-                                 _leaf_rules, _meet, _try_merge, _witness)
+                                 RuleSet, ThresholdMode, _disjoint, _leaf_regions, _leaf_rules,
+                                 _meet, _try_merge, _witness, rules_for)
+from morphagree.report import _sample, render_example
 from morphagree.tree import SLOT_ORDER, DecisionTree, Internal, Leaf, SplitPredicate, leaf_count
-from morphagree.triples import FeatureDataset, Triple
+from morphagree.triples import FeatureDataset, Triple, extract_instances
 
 
 def chi_squared_statistic_by_cells(observed: tuple[int, int], chance: ChanceModel) -> float:
@@ -484,8 +488,7 @@ def merge_rules_restarting(
     it checks the order in which pairs are tried and the merge step."""
     regions = _leaf_regions(tree)
     rules = sorted(
-        _leaf_rules(regions, RegionTable(regions), {v.leaf_id: v.label for v in verdicts},
-                    dataset),
+        _leaf_rules(regions, {v.leaf_id: v.label for v in verdicts}, dataset),
         key=lambda r: r.source_leaf_ids[0],
     )
     changed = True
@@ -681,6 +684,41 @@ def extract_instances_reference(sentences, feature: str) -> FeatureDataset:
                 )
             )
     return FeatureDataset(feature, tuple(instances), marginals)
+
+
+def example_pools_from_dataset(feature: str, ruleset: RuleSet, train):
+    """report.example_pools from the feature's FeatureDataset: its triple
+    table mapped to rules, and each instance put in a pool by its agree
+    byte."""
+    dataset = extract_instances(train, feature)
+    by_rule = {rule.rule_id: ([], []) for rule in ruleset.rules}
+    pools_of = {triple: by_rule[rule.rule_id]
+                for triple, rule in rules_for(ruleset, dataset.triples).items()}
+    for inst, agree in zip(dataset.instances, dataset.agree):
+        pools_of[inst.triple][not agree].append(inst)
+    return by_rule
+
+
+def annotation_rows_from_datasets(features, train, top_k: int, examples: int, seed: int):
+    """report.build_annotation_rows from each feature's FeatureDataset: the
+    top_k of its triple table sorted on one (-count, relation, head_pos,
+    dep_pos) key, each sampled from its TripleGroup's refs."""
+    rows = []
+    for feature in features:
+        dataset = extract_instances(train, feature)
+        groups = dataset.triples
+        ranked = sorted(groups, key=lambda t: (-groups[t].size, t.relation, t.head_pos,
+                                               t.dep_pos))
+        for triple in ranked[:top_k]:
+            key = f"{seed}:{feature}:{triple.relation}:{triple.head_pos}:{triple.dep_pos}"
+            rendered = []
+            for ref in _sample(groups[triple].refs, examples, key):
+                sent_id, head_id, dep_id = dataset.instances[ref].provenance
+                rendered.append(f"{sent_id}:h{head_id}:d{dep_id} "
+                                + render_example(train.forms[sent_id], head_id, dep_id))
+            rows.append((feature, triple.relation, triple.head_pos, triple.dep_pos, "",
+                         " ||| ".join(rendered)))
+    return rows
 
 
 def _sample_value(rng: random.Random, spec, exclude: str | None = None) -> str:

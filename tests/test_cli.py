@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -504,6 +505,21 @@ def test_report_marks_absent_features_on_index(workspace):
     index = (out / "index.html").read_text(encoding="utf-8")
     assert "Case" in index and "absent from the treebank" in index
     assert not (out / "feature-Case.html").exists()
+
+
+def test_report_and_annotation_sheet_build_no_dataset(workspace, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("extract_instances called")
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("morphagree") and hasattr(module, "extract_instances"):
+            monkeypatch.setattr(module, "extract_instances", refuse)
+    rules, train = str(workspace / "rules.json"), str(workspace / "train.conllu")
+    assert main(["annotation-sheet", "--rules", rules, "--train", train,
+                 "--out", str(tmp_path / "sheet.tsv")]) == 0
+    assert main(["report", "--rules", rules, "--train", train,
+                 "--out", str(tmp_path / "report")]) == 0
+    assert (tmp_path / "report" / "feature-Gender.html").exists()
 
 
 def test_hard_vs_statistical_threshold_on_small_pure_leaf(tmp_path):

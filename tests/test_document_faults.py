@@ -266,6 +266,24 @@ RULES_FAULTS = [
      "'value_probs'['Fem'] must be a finite number, not nan"),
     (lambda d: _gender(d)["tree"]["hyperparams"].update(min_impurity_decrease=math.inf),
      EVERY_COMMAND, "'min_impurity_decrease' must be a finite number, not inf"),
+    # statistics that contradict the document's own counts, each once
+    # printed by report as it stood (a chi2 of 5e9 is still accepted: it
+    # would have to be recomputed from the counts)
+    (lambda d: _gender(d)["leaf_verdicts"][0].update(agree_ratio=0.123), ("report",),
+     "leaf 1: 'agree_ratio' 0.123 is not n_agree / (n_agree + n_disagree) = 276 / 280"),
+    (lambda d: _gender(d)["leaf_verdicts"][0].update(p_value=-3), ("report",),
+     "leaf 1: 'p_value' -3 is not in [0, 1]"),
+    *[
+        (lambda d, key=key: _gender(d)["leaf_verdicts"][0].update({key: -0.5}), ("report",),
+         f"leaf 1: '{key}' -0.5 is negative")
+        for key in ("chi2", "phi_c")
+    ],
+    (lambda d: _gender(d)["chance_model"].update(p_chance=0.99), ("report",),
+     "'p_chance' 0.99 is not the sum of the squared 'value_probs', 0.418809375"),
+    (lambda d: _gender(d)["chance_model"].update(value_probs={"Masc": 2.0}), ("report",),
+     "'value_probs'['Masc'] 2.0 is not in (0, 1]"),
+    (lambda d: _gender(d)["chance_model"]["value_probs"].pop("Neut"), ("report",),
+     "'value_probs' sum to 0.85625, not 1"),
 ]
 
 

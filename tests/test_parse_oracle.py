@@ -1,17 +1,25 @@
 """The parser and the edge-table extraction against the reference copies in
 oracles.py, which parse into a Token per line and a Sentence per sentence,
-then walk those tokens once for the edge table and once per feature."""
+then walk those tokens once for the edge table and once per feature; and
+the report's example pools and the annotation sheet's rows, read from the
+edge table, against their copies read from each feature's dataset."""
 import io
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from morphagree import extract_instances, feats_to_string, parse_conllu, parse_conllu_file
+from morphagree import (HyperParams, chance_agreement_prob, extract_instances, feats_to_string,
+                        fit, label_leaf_statistical, merge_rules, parse_conllu,
+                        parse_conllu_file)
 from morphagree.errors import EncodingError, MorphagreeError
+from morphagree.report import build_annotation_rows, example_pools
+from morphagree.tree import leaves
 
-from oracles import edge_table_reference, extract_instances_reference, parse_conllu_reference
+from oracles import (annotation_rows_from_datasets, edge_table_reference,
+                     example_pools_from_dataset, extract_instances_reference,
+                     parse_conllu_reference)
 
 FEATURE_VALUES = {
     "Gender": ["Fem", "Masc", "Fem,Masc"],
@@ -136,6 +144,25 @@ def _check_equivalent(lines: list[str], crlf: bool) -> None:
 @given(_document(), st.booleans())
 def test_parse_and_extract_match_reference(lines, crlf):
     _check_equivalent(lines, crlf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_document(), st.integers(1, 4), st.integers(0, 3), st.integers(0, 2))
+def test_report_pools_and_sheet_rows_match_dataset_reference(lines, top_k, examples, seed):
+    treebank, error = _outcome(parse_conllu, "\n".join(lines))
+    assume(error is None)
+    for feature in FEATURES:
+        dataset = extract_instances(treebank, feature)
+        if not dataset.instances:
+            continue
+        # no impurity floor, so impure nodes split and rules get several triples
+        tree = fit(dataset, HyperParams(max_depth=6, min_impurity_decrease=0.0))
+        chance = chance_agreement_prob(dataset.value_marginals, feature)
+        ruleset = merge_rules(tree, [label_leaf_statistical(leaf, chance) for leaf in leaves(tree)])
+        assert example_pools(feature, ruleset, treebank) == example_pools_from_dataset(
+            feature, ruleset, treebank)
+    assert build_annotation_rows(list(FEATURES), treebank, top_k, examples, seed) == (
+        annotation_rows_from_datasets(FEATURES, treebank, top_k, examples, seed))
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphagree import (
     DEFAULT_FEATURES,
@@ -11,6 +12,7 @@ from morphagree import (
     parse_conllu_file,
     top_k_triples,
 )
+from morphagree.triples import rank_triples
 from morphagree.conllu import Edge
 from morphagree.errors import EmptyMarginalsError
 
@@ -132,6 +134,18 @@ def test_top_k_count_ordering():
     instances = [make_edge(a, True)] * 100 + [make_edge(b, True)] * 99
     dataset = FeatureDataset("Gender", tuple(instances))
     assert top_k_triples(dataset, 2) == [a, b]
+
+
+_slot_values = st.sampled_from(["a", "b", "c"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.builds(Triple, _slot_values, _slot_values, _slot_values),
+                       st.integers(1, 3)))
+def test_rank_triples_is_one_sort_on_the_composite_key(size_of):
+    # sizes 1-3 over up to 27 triples: most sizes tie
+    assert rank_triples(size_of) == tuple(sorted(
+        size_of, key=lambda t: (-size_of[t], t.relation, t.head_pos, t.dep_pos)))
 
 
 def test_multi_valued_feats_compared_verbatim():

@@ -23,7 +23,7 @@ _EXPORTS = {
     "synthetic": "PlantedGrammar FeatureSpec RulePattern generate recovery_score",
     "tree": "DecisionTree HyperGrid HyperParams Internal Leaf SplitPredicate fit grid_search "
             "leaf_count predict_leaf",
-    "triples": "DEFAULT_FEATURES FeatureDataset Triple extract_instances top_k_triples",
+    "triples": "DEFAULT_FEATURES FeatureDataset Triple extract_instances",
 }
 
 # public name -> the submodule that defines it

@@ -17,25 +17,25 @@ A RuleSet keeps the tree its rules were merged from, its leaf verdicts
 and the table of its own rules; building it checks once that the tree,
 the verdicts and the rules agree and that every possible triple matches
 exactly one rule, so a triple's rule is looked up in that table. A tree's
-table, RegionTable.of(tree), routes the training triples to their leaves
-for example refs and per-leaf marginals.
+table, RegionTable.of(tree), routes the training triple groups to their
+leaves for per-leaf marginals and, once merging is done, example refs.
 """
 from __future__ import annotations
 
 import enum
 import math
+from itertools import chain, islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (EmptyMarginalsError, InvalidRuleSetError, NoMatchingRuleError,
                      VerdictMismatchError)
 from .tree import SLOT_ORDER, DecisionTree, Leaf
-from .triples import FeatureDataset, Triple
+from .triples import FeatureDataset, Triple, TripleGroup
 
-# example and counterexample refs kept per rule; refs run leaf by leaf in
-# merge order, and within a leaf triple by triple in order of first
-# occurrence, each triple's in document order. Capping each leaf's lists
-# and each merge's concatenations keeps the same first refs as capping the
-# full lists once.
+# example and counterexample refs kept per rule: the first of its agreeing
+# and of its disagreeing instances, leaf by leaf in merge order, and within
+# a leaf triple by triple in order of first occurrence, each triple's in
+# document order
 EXAMPLE_REFS_CAP = 100
 
 
@@ -192,15 +192,16 @@ def label_leaf_statistical(
     )
 
 
-def leaf_marginals(refs: list[int], dataset: FeatureDataset) -> dict[str, int]:
+def leaf_marginals(groups: list[TripleGroup], dataset: FeatureDataset) -> dict[str, int]:
     """Value counts over the head and dependent occurrences of one leaf's
-    instances (its entry in RegionTable.refs)."""
+    instances, those of its triple groups (its entry in RegionTable.groups)."""
     feature = dataset.feature
     counts: dict[str, int] = {}
-    for ref in refs:
-        inst = dataset.instances[ref]
-        for value in (inst.head_feats[feature], inst.dep_feats[feature]):
-            counts[value] = counts.get(value, 0) + 1
+    for group in groups:
+        for ref in (*group.agreeing, *group.disagreeing):
+            inst = dataset.instances[ref]
+            for value in (inst.head_feats[feature], inst.dep_feats[feature]):
+                counts[value] = counts.get(value, 0) + 1
     return counts
 
 
@@ -335,15 +336,14 @@ class RegionTable:
             for t in triples
         }
 
-    def refs(self, dataset: FeatureDataset) -> list[list[int]]:
-        """Per item, in order, the indices of the dataset's instances whose
-        triple its region admits, triple by triple in the order of the
-        dataset's triple table, each triple's in document order."""
-        refs: list[list[int]] = [[] for _ in self.items]
+    def groups(self, dataset: FeatureDataset) -> list[list[TripleGroup]]:
+        """Per item, in order, the dataset's triple groups whose triple its
+        region admits, in the order of the dataset's triple table."""
+        groups: list[list[TripleGroup]] = [[] for _ in self.items]
         item_of = self.lookup(dataset.triples, range(len(self.items)))
         for k, group in zip(item_of.values(), dataset.triples.values()):
-            refs[k].extend(group.refs)
-        return refs
+            groups[k].append(group)
+        return groups
 
     def meeting(self, constraints: dict[str, Constraint]) -> int:
         """The mask of the items whose region shares a triple with the
@@ -509,40 +509,21 @@ class RuleSet:
 def _leaf_rules(
     regions: list[tuple[Leaf, dict[str, Constraint]]],
     label_by_leaf: dict[int, Label],
-    dataset: FeatureDataset | None,
 ) -> list[LabeledRule]:
     """One rule per leaf of a tree, in leaf order, with its path's
-    constraints (its region in regions, the tree's _leaf_regions) and its
-    label or None. Given the dataset, the RegionTable of the regions routes
-    its instances to fill each rule's example refs; without one, no table
-    is built."""
-    rules: list[LabeledRule] = []
-    if dataset is None:
-        refs_by_leaf: list = [()] * len(regions)
-    else:
-        refs_by_leaf = RegionTable(regions).refs(dataset)
-    for (leaf, region), refs in zip(regions, refs_by_leaf):
-        examples: list[tuple[str, int, int]] = []
-        counters: list[tuple[str, int, int]] = []
-        for ref in refs:
-            kept = examples if dataset.agree[ref] else counters
-            if len(kept) < EXAMPLE_REFS_CAP:
-                kept.append(dataset.instances[ref].provenance)
-            elif len(examples) == len(counters) == EXAMPLE_REFS_CAP:
-                break
-        rules.append(
-            LabeledRule(
-                rule_id=0,
-                label=label_by_leaf.get(leaf.leaf_id),
-                constraints=region,
-                n_agree=leaf.n_agree,
-                n_disagree=leaf.n_disagree,
-                source_leaf_ids=(leaf.leaf_id,),
-                example_refs=tuple(examples),
-                counterexample_refs=tuple(counters),
-            )
+    constraints (its region in regions, the tree's _leaf_regions), its
+    label or None and its counts; no example refs."""
+    return [
+        LabeledRule(
+            rule_id=0,
+            label=label_by_leaf.get(leaf.leaf_id),
+            constraints=region,
+            n_agree=leaf.n_agree,
+            n_disagree=leaf.n_disagree,
+            source_leaf_ids=(leaf.leaf_id,),
         )
-    return rules
+        for leaf, region in regions
+    ]
 
 
 def _try_merge(a: LabeledRule, b: LabeledRule) -> LabeledRule | None:
@@ -565,9 +546,7 @@ def _try_merge(a: LabeledRule, b: LabeledRule) -> LabeledRule | None:
         constraints=constraints,
         n_agree=a.n_agree + b.n_agree,
         n_disagree=a.n_disagree + b.n_disagree,
-        source_leaf_ids=tuple(sorted(a.source_leaf_ids + b.source_leaf_ids)),
-        example_refs=(a.example_refs + b.example_refs)[:EXAMPLE_REFS_CAP],
-        counterexample_refs=(a.counterexample_refs + b.counterexample_refs)[:EXAMPLE_REFS_CAP],
+        source_leaf_ids=a.source_leaf_ids + b.source_leaf_ids,
     )
 
 
@@ -657,6 +636,14 @@ def _merge_to_fixpoint(rules: list[LabeledRule]) -> list[LabeledRule]:
     return [rule_at[key] for key in sorted(rule_at)]
 
 
+def _first_refs(leaf_ids: tuple[int, ...], groups_of: dict, side: str, instances) -> tuple:
+    """The provenance of the first EXAMPLE_REFS_CAP instances in the side
+    list ("agreeing" or "disagreeing") of the leaves' triple groups, in order."""
+    refs = chain.from_iterable(getattr(group, side) for leaf in leaf_ids
+                               for group in groups_of[leaf])
+    return tuple(instances[ref].provenance for ref in islice(refs, EXAMPLE_REFS_CAP))
+
+
 def merge_rules(
     tree: DecisionTree,
     verdicts: list[LeafVerdict],
@@ -674,13 +661,26 @@ def merge_rules(
     by signature (see _merge_to_fixpoint), so the work grows with the merges
     made, not with the pairs of rules. The resulting rules partition triple
     space and preserve the labeled tree's triple -> label function. Passing
-    the training dataset fills per-rule example provenance, at most
-    EXAMPLE_REFS_CAP refs per list.
+    the training dataset fills each merged rule's example refs once: its
+    source leaves' agreeing and disagreeing instances (see EXAMPLE_REFS_CAP),
+    as the tree's RegionTable routes the dataset's triple groups.
     """
     regions = _leaf_regions(tree)  # first, so that an unknown slot fails here
     label_by_leaf = {v.leaf_id: v.label for v in verdicts}
-    merged = _merge_to_fixpoint(_leaf_rules(regions, label_by_leaf, dataset))
-    rules = tuple(r._replace(rule_id=idx) for idx, r in enumerate(merged, start=1))
+    merged = _merge_to_fixpoint(_leaf_rules(regions, label_by_leaf))
+    groups = [()] * len(regions) if dataset is None else RegionTable(regions).groups(dataset)
+    groups_of = {leaf.leaf_id: leaf_groups for (leaf, _), leaf_groups in zip(regions, groups)}
+    instances = () if dataset is None else dataset.instances
+    rules = tuple(
+        rule._replace(
+            rule_id=rule_id,
+            source_leaf_ids=tuple(sorted(rule.source_leaf_ids)),
+            example_refs=_first_refs(rule.source_leaf_ids, groups_of, "agreeing", instances),
+            counterexample_refs=_first_refs(
+                rule.source_leaf_ids, groups_of, "disagreeing", instances),
+        )
+        for rule_id, rule in enumerate(merged, start=1)
+    )
     # RuleSet(...) as it would be built, with the regions walked once
     ruleset = RuleSet.__new__(RuleSet)
     ruleset._set(tree.feature, rules, threshold_mode, tree, tuple(verdicts), regions)

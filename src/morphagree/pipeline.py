@@ -66,10 +66,10 @@ def label_leaves(
     table = RegionTable.of(tree)
     return tuple(
         label_leaf_statistical(
-            leaf, chance_agreement_prob(leaf_marginals(refs, dataset), dataset.feature),
+            leaf, chance_agreement_prob(leaf_marginals(groups, dataset), dataset.feature),
             config.alpha, config.phi_min, config.phi_sqrt,
         )
-        for leaf, refs in zip(table.items, table.refs(dataset))
+        for leaf, groups in zip(table.items, table.groups(dataset))
     )
 
 

@@ -1,8 +1,8 @@
 """Annotation-sheet export and self-contained static HTML rule reports.
 
-Neither builds a FeatureDataset: each reads the training treebank's edge
-table directly, keeping the edges that carry the feature at both ends, in
-document order. The sheet counts them per triple, ranks the triples by
+Neither builds a FeatureDataset: each reads feature_edges of the training
+treebank, the edges that carry the feature at both ends, in document
+order. The sheet counts them per triple, ranks the triples by
 rank_triples and collects the edges of the top-k only; the report maps
 each distinct triple to its rule once and puts each edge in its rule's
 agreeing or disagreeing pool. Examples are then sampled from those
@@ -25,7 +25,7 @@ from .evaluation import ANNOTATION_COLUMNS
 from .labeling import Label, LabeledRule, RuleSet, rules_for
 from .serialization import RulesDocument
 from .tree import SLOT_ORDER
-from .triples import rank_triples
+from .triples import feature_edges, rank_triples
 
 
 def render_example(
@@ -51,12 +51,6 @@ def _sample(items: Sequence, k: int, seed_key: str) -> list:
     return [items[i] for i in picked]
 
 
-def _instances(train: Treebank, feature: str) -> list[Edge]:
-    """The edges of the train's edge table whose two tokens carry the
-    feature, in document order: the feature's agreement instances."""
-    return [e for e in train.edges.entries if feature in e.head_feats and feature in e.dep_feats]
-
-
 _TRIPLE = attrgetter("triple")
 
 
@@ -74,7 +68,7 @@ def build_annotation_rows(
         raise ValueError("top_k must be >= 1")
     rows: list[tuple[str, ...]] = []
     for feature in features:
-        instances = _instances(train, feature)
+        instances = feature_edges(train, feature)
         pools: dict[Triple, list[Edge]] = {
             triple: [] for triple in rank_triples(Counter(map(_TRIPLE, instances)))[:top_k]
         }
@@ -91,16 +85,8 @@ def build_annotation_rows(
                     f"{sent_id}:h{head_id}:d{dep_id} "
                     + render_example(train.forms[sent_id], head_id, dep_id)
                 )
-            rows.append(
-                (
-                    feature,
-                    triple.relation,
-                    triple.head_pos,
-                    triple.dep_pos,
-                    "",
-                    " ||| ".join(rendered),
-                )
-            )
+            rows.append((feature, triple.relation, triple.head_pos, triple.dep_pos, "",
+                         " ||| ".join(rendered)))
     return rows
 
 
@@ -182,7 +168,7 @@ def example_pools(
     """Per rule id, the (agreeing, disagreeing) instances of the feature
     whose triple the rule matches, each list in document order: one pass
     over the instances, after one rules_for over their distinct triples."""
-    instances = _instances(train, feature)
+    instances = feature_edges(train, feature)
     by_rule: dict[int, tuple[list[Edge], list[Edge]]] = {
         rule.rule_id: ([], []) for rule in ruleset.rules
     }

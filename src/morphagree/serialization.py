@@ -33,6 +33,8 @@ from .labeling import (
     LeafVerdict,
     RuleSet,
     ThresholdMode,
+    chi_square_survival,
+    cramers_phi,
 )
 from .pipeline import ExtractionConfig, FeatureRules
 from .tree import SLOT_ORDER, DecisionTree, HyperParams, Internal, Leaf, SplitPredicate, leaves
@@ -437,12 +439,15 @@ def _checked_chance_model(chance: ChanceModel) -> ChanceModel:
     return chance
 
 
-def _check_verdict_statistics(tree: DecisionTree, verdicts: tuple[LeafVerdict, ...]) -> None:
+def _check_verdict_statistics(
+    tree: DecisionTree, verdicts: tuple[LeafVerdict, ...], phi_sqrt: bool
+) -> None:
     """Raise MalformedRulesError unless each verdict's agree_ratio is its
     leaf's n_agree / (n_agree + n_disagree), exactly as the labelers compute
-    it, its p_value, when given, lies in [0, 1], and its chi2 and phi_c, when
-    given, are at least 0. Whether chi2 follows from the counts is not
-    checked."""
+    it, its p_value, when given, lies in [0, 1], its chi2 and phi_c, when
+    given, are at least 0, and its p_value and phi_c follow from its chi2 as
+    label_leaf_statistical computes them, an infinite chi2 and phi_c being
+    written null. Whether chi2 follows from the counts is not checked."""
     leaf_by_id = {leaf.leaf_id: leaf for leaf in leaves(tree)}
     for verdict in verdicts:
         leaf = leaf_by_id[verdict.leaf_id]
@@ -458,6 +463,13 @@ def _check_verdict_statistics(tree: DecisionTree, verdicts: tuple[LeafVerdict, .
             value = getattr(verdict, key)
             if value is not None and value < 0:
                 raise MalformedRulesError(f"leaf {leaf.leaf_id}: {key!r} {value!r} is negative")
+        chi2 = verdict.chi2
+        follow = (((None, None), (0.0, None)) if chi2 is None  # not computed, or infinite
+                  else ((chi_square_survival(chi2), cramers_phi(chi2, size, phi_sqrt)),))
+        if (verdict.p_value, verdict.phi_c) not in follow:
+            raise MalformedRulesError(
+                f"leaf {leaf.leaf_id}: 'p_value' {verdict.p_value!r} and 'phi_c' "
+                f"{verdict.phi_c!r} do not follow from 'chi2' {chi2!r}")
 
 
 @contextmanager
@@ -503,6 +515,7 @@ class RulesDocument:
             self.params: dict = _get(doc, "params", _OBJECT, {})
             mode = ThresholdMode(_get(self.params, "threshold_mode", _STRING, "statistical",
                                       [m.value for m in ThresholdMode]))
+            phi_sqrt = _get(self.params, "phi_sqrt", _BOOL, False)
             features = _get_each(doc, "features", _OBJECT, _OBJECT, {})
         self.rulesets: dict[str, RuleSet] = {}
         self.absent: set[str] = set()
@@ -510,9 +523,10 @@ class RulesDocument:
         self.chance_models: dict[str, ChanceModel] = {}
         for feature, entry in features.items():
             with _naming(path, feature):
-                self._load_feature(feature, entry, mode)
+                self._load_feature(feature, entry, mode, phi_sqrt)
 
-    def _load_feature(self, feature: str, entry: dict, mode: ThresholdMode) -> None:
+    def _load_feature(self, feature: str, entry: dict, mode: ThresholdMode,
+                      phi_sqrt: bool) -> None:
         if _get(entry, "absent", _BOOL, False):
             self.absent.add(feature)
             return
@@ -531,7 +545,7 @@ class RulesDocument:
             verdicts=tuple(map(verdict_from_dict, _get_each(entry, "leaf_verdicts", _OBJECT))),
         )
         # RuleSet checked that the verdicts list each leaf once
-        _check_verdict_statistics(tree, ruleset.verdicts)
+        _check_verdict_statistics(tree, ruleset.verdicts, phi_sqrt)
         # RuleSet checked that the tree's training_size sums its leaf counts
         if _get(entry, "training_size", _INT) != tree.training_size:
             raise MalformedRulesError(

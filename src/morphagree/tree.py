@@ -400,16 +400,15 @@ def _scores(roots: list[_Node], points: list[HyperParams], metric) -> list[float
 
 @lru_cache(maxsize=8)
 def _fold_of(seed: int, n: int, k: int) -> bytes:
-    """Twice the fold of each of n instance indices, one byte each (so k <=
-    128): the indices are shuffled by the seed, and fold f takes every k-th
-    of them from position f. Features of one run share a seed and often
-    their instance count, so the shuffle is made once per (seed, n, k)."""
+    """The fold of each of n instance indices, one byte each (so k <= 256):
+    the indices are shuffled by the seed, and fold f takes every k-th of
+    them from position f. Features of one run share a seed and often their
+    instance count, so the shuffle is made once per (seed, n, k)."""
     indices = list(range(n))
     random.Random(seed).shuffle(indices)
     fold_of = bytearray(n)
-    for fold in range(k):
-        for idx in indices[fold::k]:
-            fold_of[idx] = 2 * fold
+    for position, idx in enumerate(indices):
+        fold_of[idx] = position % k
     return bytes(fold_of)
 
 
@@ -427,15 +426,17 @@ def _cv_scores(
     k = min(n_folds, n)
     if k < 2:
         return [0.0] * len(points)
-    # each instance's (fold, agree) as the byte 2 * fold + agree
-    key = bytes(map(add, _fold_of(seed, n, k), train.agree))
+    fold_of = _fold_of(seed, n, k)
     held: list[list[Row]] = [[] for _ in range(k)]
     rest: list[list[Row]] = [[] for _ in range(k)]
     for (c0, c1, c2, n_agree, n_disagree), group in zip(codes.rows, train.triples.values()):
-        counts = [0] * (2 * k)
-        for idx in group.refs:
-            counts[key[idx]] += 1
-        for fold, (held_disagree, held_agree) in enumerate(zip(counts[::2], counts[1::2])):
+        agree_counts = [0] * k
+        for idx in group.agreeing:
+            agree_counts[fold_of[idx]] += 1
+        disagree_counts = [0] * k
+        for idx in group.disagreeing:
+            disagree_counts[fold_of[idx]] += 1
+        for fold, (held_agree, held_disagree) in enumerate(zip(agree_counts, disagree_counts)):
             if held_agree or held_disagree:
                 held[fold].append((c0, c1, c2, held_agree, held_disagree))
             if held_agree + held_disagree < n_agree + n_disagree:

@@ -54,7 +54,7 @@ def make_edge(triple, agree, provenance=("s", 1, 2), feature="Gender"):
 
 def agrees(edge, feature="Gender") -> bool:
     """Whether the edge's two values of the feature are equal, read from its
-    FEATS rather than from a dataset's agree column."""
+    FEATS rather than from a dataset's triple table."""
     return edge.head_feats[feature] == edge.dep_feats[feature]
 
 

@@ -51,7 +51,8 @@ from morphagree.labeling import (EXAMPLE_REFS_CAP, ChanceModel, Constraint, Labe
                                  RuleSet, ThresholdMode, _disjoint, _leaf_regions, _leaf_rules,
                                  _meet, _try_merge, _witness, rules_for)
 from morphagree.report import _sample, render_example
-from morphagree.tree import SLOT_ORDER, DecisionTree, Internal, Leaf, SplitPredicate, leaf_count
+from morphagree.tree import (SLOT_ORDER, DecisionTree, Internal, Leaf, SplitPredicate, leaf_count,
+                             leaves, predict_leaf)
 from morphagree.triples import FeatureDataset, Triple, extract_instances
 
 
@@ -479,18 +480,47 @@ def merge_to_fixpoint_pairwise(rules: list[LabeledRule]) -> list[LabeledRule]:
     return rules
 
 
+def leaf_refs_by_walking(tree, dataset) -> dict[int, tuple[tuple, tuple]]:
+    """Per leaf id, the provenance of the first EXAMPLE_REFS_CAP agreeing
+    and of the first disagreeing instances reaching it, each instance walked
+    down the tree by predict_leaf and its agreement read from its FEATS; in
+    a leaf, triple by triple in order of first occurrence, each triple's
+    instances in document order."""
+    feature = dataset.feature
+    by_leaf = {leaf.leaf_id: {} for leaf in leaves(tree)}
+    for inst in dataset.instances:
+        by_leaf[predict_leaf(tree, inst.triple)].setdefault(inst.triple, []).append(inst)
+    refs = {}
+    for leaf_id, by_triple in by_leaf.items():
+        reaching = [inst for insts in by_triple.values() for inst in insts]
+        agreeing = [i.provenance for i in reaching if i.head_feats[feature] == i.dep_feats[feature]]
+        disagreeing = [i.provenance for i in reaching
+                       if i.head_feats[feature] != i.dep_feats[feature]]
+        refs[leaf_id] = (tuple(agreeing[:EXAMPLE_REFS_CAP]), tuple(disagreeing[:EXAMPLE_REFS_CAP]))
+    return refs
+
+
 def merge_rules_restarting(
     tree, verdicts, dataset=None, threshold_mode=ThresholdMode.STATISTICAL
 ) -> RuleSet:
     """merge_rules with the fixpoint written the direct way: merge the first
     mergeable pair in leaf order, re-sort, and rescan every pair from the
-    start, by try_merge_by_cases. It shares only the package's leaf rules, so
-    it checks the order in which pairs are tried and the merge step."""
+    start, by try_merge_by_cases. It shares only the package's leaf rules,
+    without refs, so it checks the order in which pairs are tried and the
+    merge step. Given the dataset, each leaf's refs come from
+    leaf_refs_by_walking and every merge carries and caps them, so the
+    package's fill after merging is checked against a path with no
+    RegionTable."""
     regions = _leaf_regions(tree)
-    rules = sorted(
-        _leaf_rules(regions, {v.leaf_id: v.label for v in verdicts}, dataset),
-        key=lambda r: r.source_leaf_ids[0],
-    )
+    rules = _leaf_rules(regions, {v.leaf_id: v.label for v in verdicts})
+    if dataset is not None:
+        refs = leaf_refs_by_walking(tree, dataset)
+        rules = [
+            rule._replace(example_refs=refs[rule.source_leaf_ids[0]][0],
+                          counterexample_refs=refs[rule.source_leaf_ids[0]][1])
+            for rule in rules
+        ]
+    rules.sort(key=lambda r: r.source_leaf_ids[0])
     changed = True
     while changed:
         changed = False
@@ -688,21 +718,23 @@ def extract_instances_reference(sentences, feature: str) -> FeatureDataset:
 
 def example_pools_from_dataset(feature: str, ruleset: RuleSet, train):
     """report.example_pools from the feature's FeatureDataset: its triple
-    table mapped to rules, and each instance put in a pool by its agree
-    byte."""
+    table mapped to rules, each group's agreeing and disagreeing indices
+    put in its rule's pools, and each pool sorted into document order."""
     dataset = extract_instances(train, feature)
     by_rule = {rule.rule_id: ([], []) for rule in ruleset.rules}
-    pools_of = {triple: by_rule[rule.rule_id]
-                for triple, rule in rules_for(ruleset, dataset.triples).items()}
-    for inst, agree in zip(dataset.instances, dataset.agree):
-        pools_of[inst.triple][not agree].append(inst)
-    return by_rule
+    for triple, rule in rules_for(ruleset, dataset.triples).items():
+        agreeing, disagreeing = by_rule[rule.rule_id]
+        agreeing.extend(dataset.triples[triple].agreeing)
+        disagreeing.extend(dataset.triples[triple].disagreeing)
+    return {rule_id: tuple([dataset.instances[ref] for ref in sorted(refs)] for refs in pools)
+            for rule_id, pools in by_rule.items()}
 
 
 def annotation_rows_from_datasets(features, train, top_k: int, examples: int, seed: int):
     """report.build_annotation_rows from each feature's FeatureDataset: the
     top_k of its triple table sorted on one (-count, relation, head_pos,
-    dep_pos) key, each sampled from its TripleGroup's refs."""
+    dep_pos) key, each sampled from its TripleGroup's instances in document
+    order."""
     rows = []
     for feature in features:
         dataset = extract_instances(train, feature)
@@ -712,7 +744,8 @@ def annotation_rows_from_datasets(features, train, top_k: int, examples: int, se
         for triple in ranked[:top_k]:
             key = f"{seed}:{feature}:{triple.relation}:{triple.head_pos}:{triple.dep_pos}"
             rendered = []
-            for ref in _sample(groups[triple].refs, examples, key):
+            group = groups[triple]
+            for ref in _sample(sorted([*group.agreeing, *group.disagreeing]), examples, key):
                 sent_id, head_id, dep_id = dataset.instances[ref].provenance
                 rendered.append(f"{sent_id}:h{head_id}:d{dep_id} "
                                 + render_example(train.forms[sent_id], head_id, dep_id))

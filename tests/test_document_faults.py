@@ -266,9 +266,10 @@ RULES_FAULTS = [
      "'value_probs'['Fem'] must be a finite number, not nan"),
     (lambda d: _gender(d)["tree"]["hyperparams"].update(min_impurity_decrease=math.inf),
      EVERY_COMMAND, "'min_impurity_decrease' must be a finite number, not inf"),
-    # statistics that contradict the document's own counts, each once
-    # printed by report as it stood (a chi2 of 5e9 is still accepted: it
-    # would have to be recomputed from the counts)
+    # statistics that contradict the document's own counts or chi2, each
+    # once printed by report as it stood (whether chi2 follows from the
+    # counts is not checked; a p_value and phi_c that do not follow from it
+    # give it away)
     (lambda d: _gender(d)["leaf_verdicts"][0].update(agree_ratio=0.123), ("report",),
      "leaf 1: 'agree_ratio' 0.123 is not n_agree / (n_agree + n_disagree) = 276 / 280"),
     (lambda d: _gender(d)["leaf_verdicts"][0].update(p_value=-3), ("report",),
@@ -278,6 +279,13 @@ RULES_FAULTS = [
          f"leaf 1: '{key}' -0.5 is negative")
         for key in ("chi2", "phi_c")
     ],
+    (lambda d: _gender(d)["leaf_verdicts"][0].update(p_value=0.5, phi_c=0.001), ("report",),
+     "leaf 1: 'p_value' 0.5 and 'phi_c' 0.001 do not follow from 'chi2' 369.6949127161583"),
+    (lambda d: _gender(d)["leaf_verdicts"][0].update(chi2=5e9), ("report",),
+     "leaf 1: 'p_value' 2.1808266043617394e-82 and 'phi_c' 1.3203389739862796 do not follow "
+     "from 'chi2' 5000000000.0"),
+    (lambda d: _gender(d)["leaf_verdicts"][1].update(p_value=0.0, phi_c=0.0), ("report",),
+     "leaf 2: 'p_value' 0.0 and 'phi_c' 0.0 do not follow from 'chi2' None"),
     (lambda d: _gender(d)["chance_model"].update(p_chance=0.99), ("report",),
      "'p_chance' 0.99 is not the sum of the squared 'value_probs', 0.418809375"),
     (lambda d: _gender(d)["chance_model"].update(value_probs={"Masc": 2.0}), ("report",),
@@ -303,6 +311,16 @@ def test_faulty_rules_fail_with_error_line(workspace, capsys, edit, commands, na
         assert err.startswith("error: ") and named in err
         if _gender(doc) != _gender(golden):
             assert "'Gender'" in err
+
+
+def test_verdict_of_an_infinite_chi2_loads(tmp_path):
+    # label_leaf_statistical gives an infinite chi2 a p_value of 0.0 and an
+    # infinite phi_c; rules.json writes the two infinities as null
+    doc = json.loads((GOLDEN_DIR / "rules.json").read_text(encoding="utf-8"))
+    _gender(doc)["leaf_verdicts"][0].update(chi2=None, p_value=0.0, phi_c=None)
+    rules = tmp_path / "infinite.json"
+    rules.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_rules(rules).rulesets["Gender"].verdicts[0].p_value == 0.0
 
 
 # the RULES_FAULTS cases that break training_triples[0]

@@ -7,6 +7,8 @@ import hashlib
 import shutil
 from pathlib import Path
 
+import pytest
+
 from morphagree import Label, Triple, label_triple
 from morphagree.cli import main
 from morphagree.serialization import load_rules
@@ -59,6 +61,27 @@ def test_extract_on_dev_set_reproduces_golden_rules(tmp_path, monkeypatch):
         "--dev", "tests/data/golden/dev.conllu", "--depth-range", "--metric", "macro-f1",
     )
     assert written == (GOLDEN_DIR / "rules-dev.json").read_bytes()
+
+
+# sha256 of the golden-train extract under options the committed golden
+# files do not cover: per-leaf marginals, with and without the square-root
+# effect size, and the hard threshold
+GOLDEN_VARIANT_DIGESTS = {
+    ("--marginals", "per-leaf"):
+        "97b3a836c414fae38e4107de20941b36a586edec7f77cf7a9a1fdeaedda5d3d2",
+    ("--marginals", "per-leaf", "--phi-sqrt"):
+        "52cfffe7331f5ef9ec456967353c223e4d55705747a2c266ebdd23febeb35065",
+    ("--threshold", "hard"):
+        "0abc600ca986b584f4624dec63908477d802acd2b9e59740b1e3e374554f0b36",
+}
+
+
+@pytest.mark.parametrize("options", GOLDEN_VARIANT_DIGESTS, ids=" ".join)
+def test_extract_variants_keep_their_bytes(tmp_path, monkeypatch, options):
+    written = _extract_from_repo_root(tmp_path, monkeypatch, *options)
+    assert hashlib.sha256(written).hexdigest() == GOLDEN_VARIANT_DIGESTS[options]
+    # the loader accepts the statistics each variant writes
+    assert load_rules(tmp_path / "rules.json").rulesets
 
 
 def test_golden_rules_label_planted_grammar():

@@ -131,11 +131,11 @@ def _check_equivalent(lines: list[str], crlf: bool) -> None:
         got = extract_instances(treebank, feature)
         want = extract_instances_reference(reference, feature)
         assert got.instances == want.instances
-        assert got.agree == want.agree
         assert list(got.value_marginals.items()) == list(want.value_marginals.items())
         assert list(got.triples) == list(want.triples)
-        assert [(g.n_disagree, g.n_agree, g.refs) for g in got.triples.values()] == [
-            (g.n_disagree, g.n_agree, g.refs) for g in want.triples.values()
+        assert [(g.n_disagree, g.n_agree, g.agreeing, g.disagreeing)
+                for g in got.triples.values()] == [
+            (g.n_disagree, g.n_agree, g.agreeing, g.disagreeing) for g in want.triples.values()
         ]
         assert got.ranking == want.ranking
 

@@ -52,7 +52,7 @@ def test_single_instance_single_leaf():
     tree = fit(dataset, HP)
     assert isinstance(tree.root, Leaf)
     assert tree.root.leaf_id == 1
-    assert RegionTable.of(tree).refs(dataset) == [[0]]
+    assert RegionTable.of(tree).groups(dataset) == [list(dataset.triples.values())]
     assert leaf_count(tree) == 1
     assert predict_leaf(tree, Triple("X", "y", "Z")) == 1
 
@@ -405,7 +405,10 @@ def test_leaf_table_refs_group_instances_by_first_occurrence_of_their_triple(dat
     for idx in sorted(range(len(dataset.instances)),
                       key=lambda i: (first[dataset.instances[i].triple], i)):
         expected.setdefault(predict_leaf(tree, dataset.instances[idx].triple), []).append(idx)
-    refs = RegionTable.of(tree).refs(dataset)
+    groups = RegionTable.of(tree).groups(dataset)
+    assert all(group is dataset.triples[group.triple] for gs in groups for group in gs)
+    refs = [[idx for group in gs for idx in sorted([*group.agreeing, *group.disagreeing])]
+            for gs in groups]
     assert refs == [expected.get(leaf.leaf_id, []) for leaf in leaves(tree)]
     assert [len(r) for r in refs] == [leaf.size for leaf in leaves(tree)]
 

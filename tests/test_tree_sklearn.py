@@ -15,7 +15,7 @@ np = pytest.importorskip("numpy")
 sklearn_tree = pytest.importorskip("sklearn.tree")
 
 from morphagree import HyperParams, Triple, fit, leaf_count
-from conftest import make_dataset
+from conftest import agrees, make_dataset
 from oracles import METRICS
 
 
@@ -28,7 +28,7 @@ def _one_hot(dataset):
     for r, inst in enumerate(dataset.instances):
         for c, (slot, v) in enumerate(cols):
             X[r, c] = getattr(inst.triple, slot) == v
-    y = np.array(list(dataset.agree))
+    y = np.array([int(agrees(inst, dataset.feature)) for inst in dataset.instances])
     return X, y
 
 

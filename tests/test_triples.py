@@ -10,7 +10,6 @@ from morphagree import (
     chance_agreement_prob,
     extract_instances,
     parse_conllu_file,
-    top_k_triples,
 )
 from morphagree.triples import rank_triples
 from morphagree.conllu import Edge
@@ -42,7 +41,7 @@ def test_object_verb_edge_agrees_by_chance(spanish_fig):
             dep_feats={"Number": "Sing"},
         )
     ]
-    assert dataset.agree[dataset.instances.index(obj[0])] == 1
+    assert dataset.instances.index(obj[0]) in dataset.triples[obj[0].triple].agreeing
 
 
 def test_edge_without_feature_on_one_side_is_filtered():
@@ -80,7 +79,7 @@ def test_marginals_hand_tally_fixture(gender_tally_path):
     dataset = extract_instances(parse_conllu_file(gender_tally_path), "Gender")
     assert dataset.value_marginals == {"Fem": 5, "Masc": 3, "Neut": 1}
     assert len(dataset.instances) == 6
-    assert sum(dataset.agree) == 1
+    assert sum(group.n_agree for group in dataset.triples.values()) == 1
 
 
 def test_empty_marginals_error():
@@ -107,7 +106,9 @@ def test_instance_count_matches_independent_double_loop(gender_tally_path):
                 expected += 1
     dataset = extract_instances(tb, feature)
     assert len(dataset.instances) == expected
-    assert list(dataset.agree) == [agrees(i) for i in dataset.instances]
+    agreeing = {idx for group in dataset.triples.values() for idx in group.agreeing}
+    assert [idx in agreeing for idx in range(expected)] == [
+        agrees(i) for i in dataset.instances]
 
 
 def test_extraction_is_deterministic(spanish_fig):
@@ -118,14 +119,14 @@ def test_extraction_is_deterministic(spanish_fig):
 def test_top_k_truncates_to_distinct_count():
     triples = [Triple("NOUN", f"rel{i}", "DET") for i in range(7)]
     dataset = FeatureDataset("Gender", tuple(make_edge(t, True) for t in triples))
-    assert len(top_k_triples(dataset, 20)) == 7
+    assert len(dataset.ranking[:20]) == 7
 
 
 def test_top_k_tie_breaks_lexicographically():
     a = Triple(head_pos="NOUN", relation="det", dep_pos="DET")
     b = Triple(head_pos="NOUN", relation="conj", dep_pos="DET")
     dataset = FeatureDataset("Gender", (make_edge(a, True), make_edge(b, True)))
-    assert top_k_triples(dataset, 2) == [b, a]  # conj < det
+    assert dataset.ranking[:2] == (b, a)  # conj < det
 
 
 def test_top_k_count_ordering():
@@ -133,7 +134,7 @@ def test_top_k_count_ordering():
     b = Triple(head_pos="NOUN", relation="subj", dep_pos="VERB")
     instances = [make_edge(a, True)] * 100 + [make_edge(b, True)] * 99
     dataset = FeatureDataset("Gender", tuple(instances))
-    assert top_k_triples(dataset, 2) == [a, b]
+    assert dataset.ranking[:2] == (a, b)
 
 
 _slot_values = st.sampled_from(["a", "b", "c"])
@@ -157,7 +158,7 @@ def test_multi_valued_feats_compared_verbatim():
     assert [(i.head_feats["Case"], i.dep_feats["Case"]) for i in dataset.instances] == [
         ("Nom,Acc", "Nom")
     ]
-    assert dataset.agree == b"\x00"
+    assert [(g.agreeing, g.disagreeing) for g in dataset.triples.values()] == [((), [0])]
     assert dataset.value_marginals == {"Nom": 1, "Nom,Acc": 1}
 
 
@@ -167,10 +168,12 @@ def test_triple_table_matches_instances(gender_tally_path):
     assert list(dataset.triples) == first_seen
     for triple, group in dataset.triples.items():
         refs = [k for k, i in enumerate(dataset.instances) if i.triple == triple]
-        agree = sum(agrees(dataset.instances[k]) for k in refs)
-        assert (group.triple, group.n_disagree, group.n_agree, group.refs) == (
-            triple, len(refs) - agree, agree, refs
-        )
+        agreeing = [k for k in refs if agrees(dataset.instances[k])]
+        disagreeing = [k for k in refs if not agrees(dataset.instances[k])]
+        # a side with no instance is the empty tuple
+        assert (group.triple, group.n_disagree, group.n_agree, group.agreeing,
+                group.disagreeing) == (triple, len(disagreeing), len(agreeing),
+                                       agreeing or (), disagreeing or ())
     assert sorted(dataset.ranking) == sorted(first_seen)
     sizes = [dataset.triples[t].size for t in dataset.ranking]
     assert sizes == sorted(sizes, reverse=True)
@@ -199,9 +202,9 @@ def test_instances_are_the_treebanks_edge_records():
 
 
 def test_extraction_keeps_few_bytes_per_instance():
-    # what a dataset adds to the shared edge table: a tuple slot, an agree
-    # byte and its triple table's index. About 48 bytes per instance here;
-    # a 5-field tuple per instance and feature kept about 136
+    # what a dataset adds to the shared edge table: a tuple slot and its
+    # index in one of its triple group's two lists. About 48 bytes per
+    # instance here; a 5-field tuple per instance and feature kept about 136
     tb = make_treebank(six_feature_conllu(600))
     tracemalloc.start()
     try:

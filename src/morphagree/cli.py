@@ -14,7 +14,7 @@ from .evaluation import (
     pearson,
     read_annotations,
 )
-from .labeling import Label, ThresholdMode
+from .labeling import GATE_BOUNDS, Bounds, Label, ThresholdMode
 from .pipeline import ExtractionConfig, extract_feature_rules
 from .report import build_annotation_rows, write_annotation_sheet, write_report
 from .serialization import (
@@ -326,12 +326,11 @@ def _join_ranged_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def _within(low: float, high: float, low_open: bool = False):
-    """An argparse type: a finite number in [low, high], or in (low, high] if low_open."""
+def _within(bounds: Bounds):
+    """An argparse type: a finite number within bounds."""
     def number(text: str) -> float:
         value = float(text)
-        if not (low < value <= high or value == low and not low_open):
-            bounds = f"{'(' if low_open else '['}{low:g}, {high:g}]"
+        if not bounds.holds(value):
             raise argparse.ArgumentTypeError(f"must be in {bounds}, not {text}")
         return value
     return number
@@ -366,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marginals", choices=["global", "per-leaf"], default="global")
     p.add_argument("--phi-sqrt", action="store_true",
                    help="use the square-root effect-size variant")
-    p.add_argument("--alpha", type=_within(0, 1, low_open=True), default=0.01)
-    p.add_argument("--phi-min", type=_within(0, 1), default=0.5)
-    p.add_argument("--hard-threshold", type=_within(0.5, 1), default=0.9)
+    p.add_argument("--alpha", type=_within(GATE_BOUNDS["alpha"]), default=0.01)
+    p.add_argument("--phi-min", type=_within(GATE_BOUNDS["phi_min"]), default=0.5)
+    p.add_argument("--hard-threshold", type=_within(GATE_BOUNDS["hard_threshold"]), default=0.9)
     p.add_argument("--depth-range", action="store_true",
                    help="search max depths 6..15 instead of {6, 15}")
     p.add_argument("--metric", choices=["accuracy", "macro-f1"], default="accuracy")
@@ -383,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate the top K training triples")
     group.add_argument("--all", action="store_true",
                        help="evaluate every distinct test triple (default)")
-    p.add_argument("--tau", type=_within(0, 1), default=0.95)
+    p.add_argument("--tau", type=_within(Bounds(0, 1)), default=0.95)
     p.add_argument("--baseline", action="store_true",
                    help="also score the all-chance baseline")
     p.set_defaults(func=cmd_evaluate)
@@ -409,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", nargs="+", action=_Distinct, required=True)
     p.add_argument("--rules", nargs="*", default=[],
                    help="rules.json per treebank, enables leaf-count correlation")
-    p.add_argument("--lambda", dest="lambda_override", type=_within(0, 1), default=None)
+    p.add_argument("--lambda", dest="lambda_override", type=_within(Bounds(0, 1)), default=None)
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_complexity)

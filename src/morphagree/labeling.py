@@ -148,17 +148,44 @@ class LeafVerdict(NamedTuple):
     phi_c: float | None = None
 
 
+class Bounds(NamedTuple):
+    """The numbers in [low, high], or in (low, high] if low_open."""
+
+    low: float
+    high: float
+    low_open: bool = False
+
+    def holds(self, value: float) -> bool:
+        return self.low < value <= self.high or value == self.low and not self.low_open
+
+    def __str__(self) -> str:
+        return f"{'(' if self.low_open else '['}{self.low:g}, {self.high:g}]"
+
+
+# each labeling param's bounds: the CLI takes it, and the rules loader reads
+# it, only within them
+GATE_BOUNDS = {"hard_threshold": Bounds(0.5, 1), "alpha": Bounds(0, 1, low_open=True),
+               "phi_min": Bounds(0, 1)}
+
+
 def label_leaf_hard(leaf: Leaf, threshold: float = 0.9) -> LeafVerdict:
     """Required iff the leaf's agreement ratio strictly exceeds the threshold.
 
     Thresholds below 0.5 are rejected: a required-agreement verdict must
     come from an agreement-majority leaf.
     """
-    if not 0.5 <= threshold <= 1.0:
-        raise ValueError("hard threshold must be in [0.5, 1.0]")
+    if not GATE_BOUNDS["hard_threshold"].holds(threshold):
+        raise ValueError(f"hard threshold must be in {GATE_BOUNDS['hard_threshold']}")
     ratio = leaf.agree_ratio
     label = Label.REQUIRED if ratio > threshold else Label.CHANCE
     return LeafVerdict(leaf_id=leaf.leaf_id, label=label, agree_ratio=ratio)
+
+
+def passes_gates(ratio: float, p_value: float, phi: float, alpha: float, phi_min: float,
+                 p_chance: float | None) -> bool:
+    """Whether a tested leaf is required: its agreement ratio is above
+    p_chance (None passes), its p-value below alpha, its effect size above phi_min."""
+    return (p_chance is None or ratio > p_chance) and p_value < alpha and phi > phi_min
 
 
 def label_leaf_statistical(
@@ -181,7 +208,7 @@ def label_leaf_statistical(
         return LeafVerdict(leaf_id=leaf.leaf_id, label=Label.CHANCE, agree_ratio=ratio)
     chi2, p_value = chi_squared_gof((leaf.n_disagree, leaf.n_agree), chance)
     phi = cramers_phi(chi2, leaf.size, sqrt_variant)
-    required = ratio > chance.p_chance and p_value < alpha and phi > phi_min
+    required = passes_gates(ratio, p_value, phi, alpha, phi_min, chance.p_chance)
     return LeafVerdict(
         leaf_id=leaf.leaf_id,
         label=Label.REQUIRED if required else Label.CHANCE,

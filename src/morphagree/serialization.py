@@ -1,18 +1,19 @@
 """Versioned JSON persistence for rules and evaluation documents.
 
-All documents are dumped in a canonical form (sorted keys, two-space
-indent, UTF-8, trailing newline) so identical runs produce byte-identical
-files. dump_canonical and write_json share one emitter, which writes that
-form in one pass: every piece of text is appended once to one buffer, and
-every few thousand pieces are joined into a chunk, which write_json writes
-as it is. The documents they are given are lean: rows are literal dicts,
-and a rule's leaf ids and refs are its own tuples, written as JSON lists.
+write_json writes every document in one canonical form: UTF-8, sorted
+keys, two-space indent and a final newline, so identical runs produce
+byte-identical files. It takes only what the loaders read back: exact
+JSON types and finite numbers. Its emitter writes that form in one pass,
+appending every piece of text once to one buffer and joining every few
+thousand pieces into a chunk. The documents it is given are lean: rows
+are literal dicts, and a rule's leaf ids and refs are its own tuples.
 
 Reloading a rules document reconstructs the triple -> label behavior of
 the saved rule sets exactly. The loader checks JSON shape (types and known
-names), and that each chance model and leaf verdict agrees with the counts
-it was computed from; RuleSet checks meaning, that a feature's tree, leaf
-verdicts and rules agree.
+names), that each chance model and leaf verdict agrees with the counts
+it was computed from and each verdict's label with its statistics;
+RuleSet checks meaning, that a feature's tree, leaf verdicts and rules
+agree.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from pathlib import Path
 from .errors import InvalidRuleSetError, MalformedRulesError, MalformedScoresError
 from .evaluation import EvalReport
 from .labeling import (
+    GATE_BOUNDS,
     ChanceModel,
     Constraint,
     Label,
@@ -35,6 +37,7 @@ from .labeling import (
     ThresholdMode,
     chi_square_survival,
     cramers_phi,
+    passes_gates,
 )
 from .pipeline import ExtractionConfig, FeatureRules
 from .tree import SLOT_ORDER, DecisionTree, HyperParams, Internal, Leaf, SplitPredicate, leaves
@@ -93,21 +96,14 @@ def _read_json(path: str | Path, error: type[Exception]):
             raise error(f"{path}: {exc}") from None
 
 
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value in (math.inf, -math.inf):
-        return "Infinity" if value > 0 else "-Infinity"
-    return float.__repr__(value)
-
-
 # pieces of text the emitter joins into one chunk
 _CHUNK_PIECES = 4096
 
 
 def _canonical_chunks(doc: dict) -> list[str]:
-    """doc as json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2)
-    writes it, plus a newline, as consecutive chunks of text.
+    """doc as json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2,
+    allow_nan=False) writes it, plus a newline, as consecutive chunks of
+    text.
 
     Given an indent, CPython up to 3.13 skips its C encoder for a slower
     generator. This emitter appends each piece of text once to one list;
@@ -116,16 +112,16 @@ def _canonical_chunks(doc: dict) -> list[str]:
     container's text is copied into its parent's, and the whole text is
     never joined at once. A piece is final once appended, except a list's
     last comma, which becomes its closing bracket before any join. A value
-    of the exact type str, int, float, bool or None is written without
-    isinstance checks; a subclass (a str-valued enum, a NamedTuple such as
-    Triple, a dict or list subclass) takes the isinstance path. Each key's
-    '"key": ' text, with the separator before it, is built once per
-    indent. A key that is not a string raises TypeError, as does a value
-    that is not JSON."""
+    must be of the exact type dict, list, tuple, str, int, float, bool or
+    None, and a key of the exact type str: anything else, a subclass too (a
+    str-valued enum, a NamedTuple such as Triple), raises TypeError. A NaN
+    or infinite float raises ValueError. Each key's '"key": ' text, with
+    the separator before it, is built once per indent, and only an
+    exact-str key reads it back."""
     chunks: list[str] = []
     out: list[str] = []
     append = out.append
-    # per indent, each key's ',\n<indent>"key": '
+    # per indent, each exact-str key's ',\n<indent>"key": '
     keys_at: dict[str, dict[str, str]] = {}
 
     def emit(value, newline: str) -> None:
@@ -140,22 +136,13 @@ def _canonical_chunks(doc: dict) -> list[str]:
         elif kind is list or kind is tuple:
             emit_list(value, newline)
         elif kind is float:
-            append(_float_text(value))
+            if not math.isfinite(value):
+                raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+            append(float.__repr__(value))
         elif value is None:
             append("null")
         elif kind is bool:
             append("true" if value else "false")
-        # subclasses, in the order json.dumps tests them
-        elif isinstance(value, str):
-            append(encode_basestring(value))
-        elif isinstance(value, int):
-            append(int.__repr__(value))
-        elif isinstance(value, float):
-            append(_float_text(value))
-        elif isinstance(value, (list, tuple)):
-            emit_list(value, newline)
-        elif isinstance(value, dict):
-            emit_dict(value, newline)
         else:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -188,7 +175,7 @@ def _canonical_chunks(doc: dict) -> list[str]:
 
     def key_text(keys: dict[str, str], key, inner: str) -> str:
         """The ',<inner>"key": ' text of key, built and kept in keys."""
-        if not isinstance(key, str):
+        if type(key) is not str:
             raise TypeError(f"keys must be str, not {type(key).__name__}")
         text = keys[key] = "," + inner + encode_basestring(key) + ": "
         return text
@@ -203,10 +190,10 @@ def _canonical_chunks(doc: dict) -> list[str]:
             keys = keys_at[inner] = {}
         ordered = iter(sorted(doc))
         key = next(ordered)
-        append("{" + (keys.get(key) or key_text(keys, key, inner))[1:])
+        append("{" + ((type(key) is str and keys.get(key)) or key_text(keys, key, inner))[1:])
         emit(doc[key], inner)
         for key in ordered:
-            append(keys.get(key) or key_text(keys, key, inner))
+            append((type(key) is str and keys.get(key)) or key_text(keys, key, inner))
             value = doc[key]
             kind = type(value)
             if kind is str:
@@ -225,15 +212,11 @@ def _canonical_chunks(doc: dict) -> list[str]:
     return chunks
 
 
-def dump_canonical(doc: dict) -> str:
-    """doc in canonical form (see _canonical_chunks)."""
-    return "".join(_canonical_chunks(doc))
-
-
 def write_json(doc: dict, path: str | Path) -> None:
-    """Write doc in canonical form to path as UTF-8. The whole text is
-    emitted before the file is opened, so a value that is not JSON raises
-    TypeError and leaves an existing file as it was."""
+    """Write doc in canonical form (see _canonical_chunks) to path as UTF-8.
+    The whole text is emitted before the file is opened, so a value that
+    is not of an exact JSON type raises TypeError, and a NaN or infinite
+    float ValueError, and an existing file is left as it was."""
     chunks = _canonical_chunks(doc)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(chunks)
@@ -439,15 +422,19 @@ def _checked_chance_model(chance: ChanceModel) -> ChanceModel:
     return chance
 
 
-def _check_verdict_statistics(
-    tree: DecisionTree, verdicts: tuple[LeafVerdict, ...], phi_sqrt: bool
-) -> None:
+def _check_verdict_statistics(tree: DecisionTree, verdicts: tuple[LeafVerdict, ...],
+                              config: ExtractionConfig, chance: ChanceModel) -> None:
     """Raise MalformedRulesError unless each verdict's agree_ratio is its
     leaf's n_agree / (n_agree + n_disagree), exactly as the labelers compute
     it, its p_value, when given, lies in [0, 1], its chi2 and phi_c, when
     given, are at least 0, and its p_value and phi_c follow from its chi2 as
     label_leaf_statistical computes them, an infinite chi2 and phi_c being
-    written null. Whether chi2 follows from the counts is not checked."""
+    written null. Whether chi2 follows from the counts is not checked. Its
+    statistics must be null unless config's labeler tests the leaf, and its
+    label be the labeler's on them; only a required one is checked under
+    per-leaf marginals, whose p_chance is not stored."""
+    statistical = config.threshold_mode is ThresholdMode.STATISTICAL
+    p_chance = None if statistical and config.marginals_scope == "per-leaf" else chance.p_chance
     leaf_by_id = {leaf.leaf_id: leaf for leaf in leaves(tree)}
     for verdict in verdicts:
         leaf = leaf_by_id[verdict.leaf_id]
@@ -465,11 +452,24 @@ def _check_verdict_statistics(
                 raise MalformedRulesError(f"leaf {leaf.leaf_id}: {key!r} {value!r} is negative")
         chi2 = verdict.chi2
         follow = (((None, None), (0.0, None)) if chi2 is None  # not computed, or infinite
-                  else ((chi_square_survival(chi2), cramers_phi(chi2, size, phi_sqrt)),))
+                  else ((chi_square_survival(chi2), cramers_phi(chi2, size, config.phi_sqrt)),))
         if (verdict.p_value, verdict.phi_c) not in follow:
             raise MalformedRulesError(
                 f"leaf {leaf.leaf_id}: 'p_value' {verdict.p_value!r} and 'phi_c' "
                 f"{verdict.phi_c!r} do not follow from 'chi2' {chi2!r}")
+        ratio, tested = verdict.agree_ratio, verdict.p_value is not None
+        if tested != (statistical and ratio > 0.5):
+            raise MalformedRulesError(
+                f"leaf {leaf.leaf_id}: statistics are {'given' if tested else 'null'} beside "
+                f"'agree_ratio' {ratio!r} under {config.threshold_mode.value} labeling")
+        phi = math.inf if verdict.phi_c is None else verdict.phi_c
+        required = (
+            passes_gates(ratio, verdict.p_value, phi, config.alpha, config.phi_min, p_chance)
+            if tested else not statistical and ratio > config.hard_threshold)
+        if (verdict.label is Label.REQUIRED) != required and (p_chance is not None or not required):
+            raise MalformedRulesError(
+                f"leaf {leaf.leaf_id}: 'label' {verdict.label.value!r} is not what "
+                f"{config.threshold_mode.value} labeling gives it")
 
 
 @contextmanager
@@ -491,15 +491,18 @@ def _naming(path: str | Path, feature: str | None = None):
 class RulesDocument:
     """A loaded rules.json: per-feature rule sets plus training metadata.
 
-    Every MalformedRulesError it raises names the file at path. A feature
-    entry raises one naming the feature too when it lacks a key the loader
-    reads, holds a value of the wrong JSON type or an unknown name, or gives
-    a training_size other than its tree's; when its RuleSet fails to build
+    Every MalformedRulesError it raises names the file at path. Its params
+    hard_threshold, alpha and phi_min must lie within GATE_BOUNDS, the
+    ranges the CLI accepts. A feature entry raises one naming the feature
+    too when it lacks a key the loader reads, holds a value of the wrong
+    JSON type or an unknown name, or gives a training_size other than its
+    tree's; when its RuleSet fails to build
     because its tree, leaf verdicts and rules disagree (see RuleSet); or
     when its chance model or a leaf verdict's statistics contradict the
-    counts they come from (see _checked_chance_model and
-    _check_verdict_statistics), so that report never prints them. Its
-    training_triples are checked alike, when they are first read.
+    counts they come from, or a verdict's label its statistics (see
+    _checked_chance_model and _check_verdict_statistics), so that report
+    never prints them. Its training_triples are checked alike, when they
+    are first read.
     """
 
     def __init__(self, doc: dict, path: str | Path):
@@ -512,10 +515,20 @@ class RulesDocument:
                     f"unsupported rules format_version {doc.get('format_version')!r}")
             self.raw = doc
             self.treebank: str = _get(doc, "treebank", _STRING, "")
-            self.params: dict = _get(doc, "params", _OBJECT, {})
-            mode = ThresholdMode(_get(self.params, "threshold_mode", _STRING, "statistical",
-                                      [m.value for m in ThresholdMode]))
-            phi_sqrt = _get(self.params, "phi_sqrt", _BOOL, False)
+            params = self.params = _get(doc, "params", _OBJECT, {})
+            # the labeler's params, a missing one at its ExtractionConfig default
+            config = ExtractionConfig(
+                threshold_mode=ThresholdMode(_get(params, "threshold_mode", _STRING, "statistical",
+                                                  [m.value for m in ThresholdMode])),
+                marginals_scope=_get(params, "marginals_scope", _STRING, "global",
+                                     ("global", "per-leaf")),
+                **{key: _get(params, key, kind, ExtractionConfig._field_defaults[key])
+                   for key, kind in (("hard_threshold", _NUMBER), ("alpha", _NUMBER),
+                                     ("phi_min", _NUMBER), ("phi_sqrt", _BOOL))})
+            for key, bounds in GATE_BOUNDS.items():
+                value = getattr(config, key)
+                if not bounds.holds(value):
+                    raise MalformedRulesError(f"'{key}' {value!r} is not in {bounds}")
             features = _get_each(doc, "features", _OBJECT, _OBJECT, {})
         self.rulesets: dict[str, RuleSet] = {}
         self.absent: set[str] = set()
@@ -523,10 +536,9 @@ class RulesDocument:
         self.chance_models: dict[str, ChanceModel] = {}
         for feature, entry in features.items():
             with _naming(path, feature):
-                self._load_feature(feature, entry, mode, phi_sqrt)
+                self._load_feature(feature, entry, config)
 
-    def _load_feature(self, feature: str, entry: dict, mode: ThresholdMode,
-                      phi_sqrt: bool) -> None:
+    def _load_feature(self, feature: str, entry: dict, config: ExtractionConfig) -> None:
         if _get(entry, "absent", _BOOL, False):
             self.absent.add(feature)
             return
@@ -540,12 +552,12 @@ class RulesDocument:
         ruleset = self.rulesets[feature] = RuleSet(
             feature=feature,
             rules=tuple(map(rule_from_dict, _get_each(entry, "rules", _OBJECT))),
-            threshold_mode=mode,
+            threshold_mode=config.threshold_mode,
             tree=tree,
             verdicts=tuple(map(verdict_from_dict, _get_each(entry, "leaf_verdicts", _OBJECT))),
         )
         # RuleSet checked that the verdicts list each leaf once
-        _check_verdict_statistics(tree, ruleset.verdicts, phi_sqrt)
+        _check_verdict_statistics(tree, ruleset.verdicts, config, self.chance_models[feature])
         # RuleSet checked that the tree's training_size sums its leaf counts
         if _get(entry, "training_size", _INT) != tree.training_size:
             raise MalformedRulesError(

@@ -4,9 +4,10 @@ The JSON fuzz makes one change to the golden rules.json, or to an eval.json
 or hrm.json derived from it: it replaces one value at any depth (only the
 first three items of each list are visited) or deletes one object key. The
 sheet fuzz makes one cell or line change to a labeled annotation sheet
-exported from the golden files. Every command that reads the changed
-document must then return 0, or 1 with an ``error:`` line, and raise
-nothing. The named cases are faults once seen as tracebacks or as silently
+exported from the golden files, and the CoNLL-U fuzz one column or line
+change to the golden training treebank. Every command that reads the
+changed document must then return 0, or 1 with an ``error:`` line, and
+raise nothing. The named cases are faults once seen as tracebacks or as silently
 wrong reports."""
 import json
 import math
@@ -197,6 +198,29 @@ def _second_leaf_renamed_first(doc):
                         "n_disagree": second["n_disagree"]}]
 
 
+def _relabel_first(doc):
+    """Gender's first leaf and its rule, rule 1, labeled chance."""
+    _gender(doc)["leaf_verdicts"][0]["label"] = _gender(doc)["rules"][0]["label"] = "chance"
+
+
+def _hard(doc):
+    """The golden document as the hard labeler at its 0.9 threshold gives
+    it: the same labels, and no statistics."""
+    doc["params"]["threshold_mode"] = "hard"
+    for entry in doc["features"].values():
+        for verdict in entry.get("leaf_verdicts", ()):
+            verdict.update(chi2=None, p_value=None, phi_c=None)
+
+
+def _untested_first(doc):
+    """Gender's first leaf given 252 of its 280 instances agreeing, a ratio
+    of 0.9, and no statistics: as if the labeler had not tested it."""
+    gender = _gender(doc)
+    _first_leaf(gender["tree"]["root"]).update(n_agree=252, n_disagree=28)
+    gender["rules"][0].update(n_agree=252, n_disagree=28)
+    gender["leaf_verdicts"][0].update(agree_ratio=0.9, chi2=None, p_value=None, phi_c=None)
+
+
 # (edit of the golden rules.json, commands that read it, text the error names)
 RULES_FAULTS = [
     (lambda d: d.update(params=[]), EVERY_COMMAND, "'params' must be an object"),
@@ -292,6 +316,20 @@ RULES_FAULTS = [
      "'value_probs'['Masc'] 2.0 is not in (0, 1]"),
     (lambda d: _gender(d)["chance_model"]["value_probs"].pop("Neut"), ("report",),
      "'value_probs' sum to 0.85625, not 1"),
+    # labels that contradict the verdict's own statistics under the params;
+    # once reported as "Rule 1 chance-agreement" beside p 2.2e-82 and
+    # phi_c 1.32, and scored by evaluate with that label
+    (_relabel_first, ("report", "evaluate"),
+     "leaf 1: 'label' 'chance' is not what statistical labeling gives it"),
+    (lambda d: (_hard(d), _relabel_first(d)), ("report", "evaluate"),
+     "leaf 1: 'label' 'chance' is not what hard labeling gives it"),
+    (_untested_first, ("report",),
+     "leaf 1: statistics are null beside 'agree_ratio' 0.9 under statistical labeling"),
+    # a param outside the CLI's range; at hard_threshold 0.3 a leaf with 203
+    # of 520 instances agreeing would read as required
+    (lambda d: d["params"].update(threshold_mode="hard", hard_threshold=0.3),
+     ("report", "evaluate"),
+     "'hard_threshold' 0.3 is not in [0.5, 1]"),
 ]
 
 
@@ -321,6 +359,27 @@ def test_verdict_of_an_infinite_chi2_loads(tmp_path):
     rules = tmp_path / "infinite.json"
     rules.write_text(json.dumps(doc), encoding="utf-8")
     assert load_rules(rules).rulesets["Gender"].verdicts[0].p_value == 0.0
+
+
+def test_labels_that_follow_from_their_statistics_load(tmp_path):
+    doc = json.loads((GOLDEN_DIR / "rules.json").read_text(encoding="utf-8"))
+    _hard(doc)
+    rules = tmp_path / "hard.json"
+    rules.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_rules(rules).rulesets["Gender"].verdicts[0].label.value == "required"
+    # a leaf's own p_chance is not stored under per-leaf marginals: a
+    # chance label may have failed that gate, and is not checked
+    doc = json.loads((GOLDEN_DIR / "rules.json").read_text(encoding="utf-8"))
+    doc["params"]["marginals_scope"] = "per-leaf"
+    _relabel_first(doc)
+    rules.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_rules(rules).rulesets["Gender"].verdicts[0].label.value == "chance"
+    # but a required label must pass the gates it can be checked against
+    _gender(doc)["leaf_verdicts"][0]["label"] = _gender(doc)["rules"][0]["label"] = "required"
+    doc["params"]["alpha"] = 1e-100  # leaf 1's p_value is 2.2e-82
+    rules.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedRulesError, match="'label' 'required' is not what statistical"):
+        load_rules(rules)
 
 
 # the RULES_FAULTS cases that break training_triples[0]
@@ -694,3 +753,58 @@ def test_changed_annotation_sheets_never_escape(workspace, capsys):
     cases = (sheet_changes(lines, SHEET_CASES, 3)
              + sheet_changes(_label_first(lines), SHEET_CASES, 4))
     assert _run_all(tmp_path, cases, commands, capsys, "changed.tsv", str) == []
+
+
+CONLLU_CASES = 40
+# what replaces a token line's column, or follows "# sent_id = "
+CONLLU_TOKENS = ("", "_", "0", "-1", "99", "1-2", "1.1", "Gender", "Gender=", "=x",
+                 "Gender=Masc|Gender=Fem", "\t", "\ufeff", "\r")
+
+
+def conllu_changes(text: str, count: int, seed: int) -> list[tuple[str, str]]:
+    """count (case id, changed treebank text) pairs, drawn with a seeded
+    generator: one column of one token line replaced by a CONLLU_TOKENS
+    entry, one line deleted, doubled or cut short, or a sent_id comment
+    inserted."""
+    lines = text.split("\n")
+    tokens = [at for at, line in enumerate(lines) if line and not line.startswith("#")]
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        changed = list(lines)
+        kind = rng.choice(("replace", "delete line", "double line", "cut", "sent_id"))
+        at = rng.choice(tokens) if kind == "replace" else rng.randrange(len(lines))
+        value = rng.choice(CONLLU_TOKENS)
+        if kind == "replace":
+            columns = changed[at].split("\t")
+            col = rng.randrange(len(columns))
+            columns[col] = value
+            changed[at] = "\t".join(columns)
+            kind = f"column {col + 1} {value!r}"
+        elif kind == "delete line":
+            del changed[at]
+        elif kind == "double line":
+            changed.insert(at, changed[at])
+        elif kind == "cut":
+            changed[at] = changed[at][:rng.randrange(len(changed[at]) + 1)]
+        else:
+            changed.insert(at, f"# sent_id = {value}")
+            kind = f"sent_id {value!r}"
+        cases.append((f"line {at + 1}: {kind}", "\n".join(changed)))
+    return cases
+
+
+def test_changed_treebanks_never_escape(tmp_path, capsys):
+    train, changed = str(GOLDEN_DIR / "train.conllu"), str(tmp_path / "changed.conllu")
+    rules, out = str(GOLDEN_DIR / "rules.json"), str(tmp_path / "out")
+    commands = (
+        ["extract", "--train", changed, "--out", out],
+        ["extract", "--train", train, "--dev", changed, "--out", out],
+        ["evaluate", "--rules", rules, "--test", changed, "--out", out],
+        ["annotation-sheet", "--rules", rules, "--train", changed, "--out", out],
+        ["report", "--rules", rules, "--train", changed, "--examples", "2",
+         "--out", str(tmp_path / "report")],
+        ["complexity", "--train", changed],
+    )
+    cases = conllu_changes(Path(train).read_text(encoding="utf-8"), CONLLU_CASES, 7)
+    assert _run_all(tmp_path, cases, commands, capsys, "changed.conllu", str) == []

@@ -61,7 +61,9 @@ def word_entropy(
     if not counts:
         raise EmptyCountsError("no tokens")
     probs, lam = js_shrinkage_probs(dict(counts), lambda_override)
-    entropy = -math.fsum(p * math.log2(p) for p in probs.values() if p > 0.0)
+    # 0.0 - x rather than -x: one word type sums to -0.0, which would print
+    # as -0.0000
+    entropy = 0.0 - math.fsum(p * math.log2(p) for p in probs.values() if p > 0.0)
     return EntropyEstimate(
         vocab_size=len(counts),
         total_tokens=sum(counts.values()),

@@ -6,12 +6,13 @@ pairs. Only HEAD/DEPREL define edges. A token line is read for ID, FORM,
 UPOS, FEATS, HEAD and DEPREL; LEMMA, XPOS, DEPS, MISC and comments other
 than ``sent_id`` are read past.
 
-Files are streamed and decoded line by line, so no whole-file copy is
-held, and nothing per token outlives its sentence: each validated line
-becomes a plain tuple in ``Token``'s field order, and at the sentence's end
-its ids and heads are checked, its edges appended and its forms kept.
-Within one parse, tokens with the same FEATS string share one dict, so
-FEATS dicts are read-only.
+Files are read in blocks of 64 KiB, each cut at its last LF and decoded
+once, so no whole-file copy is held; a block that is not UTF-8 is decoded
+again a line at a time, so the error names the line. Nothing per token
+outlives its sentence: the sentence is kept as one list per column, and at
+its end its ids and heads are checked, its edges appended and its forms
+kept. Within one parse, tokens with the same FEATS string share one dict,
+so FEATS dicts are read-only.
 
 In-memory ``Sentence``s, as ``synthetic.generate`` and tests build them,
 become a Treebank only through ``Treebank.from_sentences``, which parses
@@ -32,12 +33,13 @@ A Treebank holds:
 """
 from __future__ import annotations
 
+import codecs
 import gc
 import io
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import (
     DuplicateSentIdError,
@@ -198,6 +200,13 @@ def treebank_to_conllu(sentences: Iterable[Sentence]) -> str:
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
+# bytes read at a time; each block is cut at its last LF and decoded once
+_BLOCK_SIZE = 1 << 16
+
+# canonical id and head text -> its value; other text takes the isdecimal path
+_NUMBERS = {str(i): i for i in range(1000)}
+
+
 def _is_range_or_empty_node_id(col: str) -> bool:
     """``N-M`` (multiword range) or ``N.M`` (empty node), digits on both sides."""
     for sep in "-.":
@@ -207,9 +216,87 @@ def _is_range_or_empty_node_id(col: str) -> bool:
     return False
 
 
+def _token_id(col: str, line_no: int) -> int | None:
+    """The ID column's value, or None for a range or empty node to skip."""
+    if not col.isdecimal():
+        if _is_range_or_empty_node_id(col):
+            return None
+        raise InvalidIdError(f"line {line_no}: bad token id {col!r}")
+    token_id = int(col)
+    if token_id < 1:
+        raise InvalidIdError(f"line {line_no}: bad token id {col!r}")
+    return token_id
+
+
+def _head(col: str, line_no: int) -> int:
+    if not col.isdecimal():
+        raise InvalidHeadError(f"line {line_no}: bad head {col!r}")
+    return int(col)
+
+
+def _byte_blocks(stream: IO[bytes] | Iterable[bytes]) -> Iterator[bytes]:
+    """A byte stream's bytes in blocks of whole lines: each block ends with
+    an LF, but the last one may end with the stream instead. An iterable
+    without ``read`` gives its items, each one line, with or without its
+    line end."""
+    read = getattr(stream, "read", None)
+    if read is None:
+        yield from stream
+        return
+    pending: list[bytes] = []  # the start of a line no block has ended yet
+    while chunk := read(_BLOCK_SIZE):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            pending.append(chunk)
+            continue
+        if pending:
+            pending.append(chunk[:cut])
+            yield b"".join(pending)
+            pending = []
+        else:
+            yield chunk[:cut]
+        if cut < len(chunk):
+            pending.append(chunk[cut:])
+    if pending:
+        yield b"".join(pending)
+
+
+def _line_blocks(stream: IO[bytes] | Iterable[bytes]) -> Iterator[list[str]]:
+    """The stream's lines, without their LF or CRLF, decoded a block at a
+    time, in lists. A byte order mark that starts the stream is dropped."""
+    line_no = 0
+    mark = codecs.BOM_UTF8
+    for block in _byte_blocks(stream):
+        block, mark = block.removeprefix(mark), b""
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError:
+            # again a line at a time, each with its LF, as a line-by-line
+            # read decodes them: the first that is not UTF-8 raises, naming it
+            *ended, rest = block.split(b"\n")
+            for raw in [line + b"\n" for line in ended] + [rest]:
+                try:
+                    text = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise EncodingError(f"line {line_no + 1}: {exc}") from None
+                if text:
+                    line_no += 1
+                    yield [text.rstrip("\n").rstrip("\r")]
+            continue
+        lines = text.split("\n")
+        if text[-1:] == "\n":
+            lines.pop()
+        if "\r" in text:
+            lines = [line.rstrip("\r") for line in lines]
+        line_no += len(lines)
+        yield lines
+
+
 def parse_conllu(stream: IO[bytes] | Iterable[bytes]) -> Treebank:
     """Parse a CoNLL-U stream of UTF-8 bytes (LF or CRLF line endings) into
-    a Treebank.
+    a Treebank. ``stream`` is a binary file object, read a block at a time,
+    or an iterable of byte lines, with or without their line ends. A byte
+    order mark may start it.
 
     Comment ``# sent_id = X`` populates the sentence id; sentences without
     one get their 1-based ordinal as a string. Ids must be unique, since
@@ -226,77 +313,90 @@ def parse_conllu(stream: IO[bytes] | Iterable[bytes]) -> Treebank:
     # FEATS string -> [its dict, its token count]; successful parses only,
     # so a bad string raises on every line it is on
     feats_of: dict[str, list] = {}
-    rows: list[tuple] = []
+    numbers = _NUMBERS
+    new = tuple.__new__
+    # the sentence's columns, one entry per token
+    ids: list[int] = []
+    words: list[str] = []
+    uposes: list[str] = []
+    feats_col: list[dict[str, str]] = []
+    heads: list[int] = []
+    deprels: list[str] = []
+    columns = (ids, words, uposes, feats_col, heads, deprels)
     sent_id: str | None = None
-    sentences = token_count = 0
+    sentences = token_count = line_no = 0
     duplicate: str | None = None  # the first repeated sent_id's message
     with _gc_paused():
         # a blank line after the last ends the last sentence
-        for line_no, raw in enumerate(chain(stream, (b"",)), start=1):
-            # the LF byte occurs in UTF-8 only as LF, so per-line decoding is safe
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise EncodingError(f"line {line_no}: {exc}") from None
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                if rows:
-                    sentences += 1
-                    name = sent_id or str(sentences)  # the ordinal without an id
-                    n = len(rows)
-                    ids = [row[0] for row in rows]
-                    if ids != list(range(1, n + 1)):
-                        raise InvalidIdError(
-                            f"sentence {name}: token ids are not consecutive 1..n: {ids}")
-                    for dep_id, _, upos, feats, head, deprel in rows:
-                        if head > n:
+        for lines in chain(_line_blocks(stream), ([""],)):
+            for line in lines:
+                line_no += 1
+                if not line:
+                    if ids:
+                        sentences += 1
+                        name = sent_id or str(sentences)  # the ordinal without an id
+                        n = len(ids)
+                        if ids != list(range(1, n + 1)):
+                            raise InvalidIdError(
+                                f"sentence {name}: token ids are not consecutive 1..n: {ids}")
+                        if max(heads) > n:
+                            dep_id, head = next(pair for pair in zip(ids, heads) if pair[1] > n)
                             raise InvalidHeadError(
                                 f"sentence {name}: token {dep_id} points to missing head {head}")
-                        if head and feats:
-                            _, _, head_upos, head_feats, _, _ = rows[head - 1]
-                            if head_feats:
-                                shape = (head_upos, deprel, upos)
-                                triple = triples.get(shape)
-                                if triple is None:
-                                    triple = triples[shape] = Triple(*shape)
-                                append(Edge(triple, (name, head, dep_id), head_feats, feats))
-                    token_count += n
-                    if name in forms and duplicate is None:
-                        duplicate = f"sentence {sentences}: duplicate sent_id {name!r}"
-                    forms[name] = tuple([row[1] for row in rows])
-                rows, sent_id = [], None
-                continue
-            if line[0] == "#":
-                key, sep, value = line[1:].partition("=")
-                if sep and key.strip() == "sent_id":
-                    sent_id = value.strip()
-                continue
-            cols = line.split("\t")
-            if len(cols) != N_COLUMNS:
-                raise MalformedLineError(
-                    f"line {line_no}: expected {N_COLUMNS} columns, got {len(cols)}"
-                )
-            id_col, head_col = cols[0], cols[6]
-            if not id_col.isdecimal():
-                if _is_range_or_empty_node_id(id_col):
+                        for dep_id, head, feats, deprel, upos in zip(
+                                ids, heads, feats_col, deprels, uposes):
+                            if head and feats:
+                                head_feats = feats_col[head - 1]
+                                if head_feats:
+                                    shape = (uposes[head - 1], deprel, upos)
+                                    triple = triples.get(shape)
+                                    if triple is None:
+                                        triple = triples[shape] = new(Triple, shape)
+                                    append(new(Edge, (triple, (name, head, dep_id),
+                                                      head_feats, feats)))
+                        token_count += n
+                        if name in forms and duplicate is None:
+                            duplicate = f"sentence {sentences}: duplicate sent_id {name!r}"
+                        forms[name] = tuple(words)
+                        for column in columns:
+                            column.clear()
+                    sent_id = None
                     continue
-                raise InvalidIdError(f"line {line_no}: bad token id {id_col!r}")
-            token_id = int(id_col)
-            if token_id < 1:
-                raise InvalidIdError(f"line {line_no}: bad token id {id_col!r}")
-            if not head_col.isdecimal():
-                raise InvalidHeadError(f"line {line_no}: bad head {head_col!r}")
-            head = int(head_col)
-            if head == token_id:
-                raise InvalidHeadError(f"line {line_no}: head {head} invalid for token {token_id}")
-            entry = feats_of.get(cols[5])
-            if entry is None:
+                if line[0] == "#":
+                    key, sep, value = line[1:].partition("=")
+                    if sep and key.strip() == "sent_id":
+                        sent_id = value.strip()
+                    continue
                 try:
-                    entry = feats_of[cols[5]] = [parse_feats(cols[5]), 0]
-                except MalformedFeatsError as exc:
-                    raise MalformedFeatsError(f"line {line_no}: {exc}") from None
-            entry[1] += 1
-            rows.append((token_id, cols[1], cols[3], entry[0], head, cols[7]))
+                    id_col, form, _, upos, _, feats_text, head_col, deprel, _, _ = line.split("\t")
+                except ValueError:
+                    got = line.count("\t") + 1
+                    raise MalformedLineError(
+                        f"line {line_no}: expected {N_COLUMNS} columns, got {got}") from None
+                token_id = numbers.get(id_col)
+                if not token_id:
+                    token_id = _token_id(id_col, line_no)
+                    if token_id is None:
+                        continue
+                head = numbers.get(head_col)
+                if head is None:
+                    head = _head(head_col, line_no)
+                if head == token_id:
+                    raise InvalidHeadError(
+                        f"line {line_no}: head {head} invalid for token {token_id}")
+                entry = feats_of.get(feats_text)
+                if entry is None:
+                    try:
+                        entry = feats_of[feats_text] = [parse_feats(feats_text), 0]
+                    except MalformedFeatsError as exc:
+                        raise MalformedFeatsError(f"line {line_no}: {exc}") from None
+                entry[1] += 1
+                ids.append(token_id)
+                words.append(form)
+                uposes.append(upos)
+                feats_col.append(entry[0])
+                heads.append(head)
+                deprels.append(deprel)
     if duplicate is not None:
         raise DuplicateSentIdError(duplicate)
     feats_counts = tuple((feats, count) for feats, count in feats_of.values() if feats)
@@ -304,8 +404,9 @@ def parse_conllu(stream: IO[bytes] | Iterable[bytes]) -> Treebank:
 
 
 def parse_conllu_file(path: str | Path) -> Treebank:
-    """Parse a CoNLL-U file (UTF-8, LF or CRLF line endings), streamed line
-    by line. An EncodingError names the path and the line."""
+    """Parse a CoNLL-U file (UTF-8, LF or CRLF line endings, an optional
+    byte order mark), read and decoded a block at a time. An EncodingError
+    names the path and the line."""
     with open(path, "rb") as fh:
         try:
             return parse_conllu(fh)

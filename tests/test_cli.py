@@ -271,6 +271,15 @@ def test_complexity_uniform_corpus(tmp_path, capsys):
     assert entry["vocab_size"] == 8
 
 
+def test_complexity_of_one_word_type_is_positive_zero(tmp_path, capsys):
+    train = tmp_path / "one-type.conllu"
+    train.write_text("1\tword\tw\tNOUN\t_\t_\t0\troot\t_\t_\n\n" * 3, encoding="utf-8")
+    out = tmp_path / "cx.json"
+    assert main(["complexity", "--train", str(train), "--out", str(out)]) == 0
+    assert f"{train}: H=0.0000 bits (V=1, n=3," in capsys.readouterr().out
+    assert '"entropy_bits": 0.0,' in out.read_text(encoding="utf-8")
+
+
 # once exit 1 with neither document written: the golden train and dev sets
 # have one entropy and one mean leaf count, so r is undefined
 def test_complexity_with_constant_values_writes_null_r(tmp_path, capsys):

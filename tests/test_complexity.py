@@ -52,6 +52,7 @@ def test_probs_sum_to_one():
 def test_single_type_entropy_zero():
     estimate = word_entropy(["word"] * 6, lambda_override=0.0)
     assert estimate.entropy_bits == 0.0
+    assert math.copysign(1.0, estimate.entropy_bits) == 1.0  # not -0.0
     assert estimate.vocab_size == 1
     assert estimate.total_tokens == 6
 

@@ -2,6 +2,7 @@ import gc
 import io
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -168,6 +169,24 @@ def test_byte_stream_and_encoding_error():
     assert tb.forms == {"1": ("á",)}
     with pytest.raises(EncodingError):
         parse_conllu(io.BytesIO(b"1\t\xff\xfe\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"))
+
+
+def test_a_byte_order_mark_at_the_start_is_read_past(tmp_path):
+    golden = Path(__file__).parent / "data" / "golden" / "train.conllu"
+    marked = tmp_path / "train.conllu"
+    marked.write_bytes(b"\xef\xbb\xbf" + golden.read_bytes())
+    assert parse_conllu_file(marked) == parse_conllu_file(golden)
+
+
+@pytest.mark.parametrize("stream, line_no", [
+    (io.BytesIO(b"\xef\xbb\xbf\xef\xbb\xbf1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"), 1),
+    (io.BytesIO(b"\n\xef\xbb\xbf1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"), 2),
+    ([b"\n", b"\xef\xbb\xbf1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"], 2),
+], ids=["second-mark", "second-line", "second-item"])
+def test_a_byte_order_mark_anywhere_else_is_a_bad_id(stream, line_no):
+    with pytest.raises(InvalidIdError) as info:
+        parse_conllu(stream)
+    assert str(info.value) == f"line {line_no}: bad token id '\\ufeff1'"
 
 
 def test_parse_feats_basics():

@@ -234,15 +234,10 @@ def _head(col: str, line_no: int) -> int:
     return int(col)
 
 
-def _byte_blocks(stream: IO[bytes] | Iterable[bytes]) -> Iterator[bytes]:
+def _byte_blocks(stream: IO[bytes]) -> Iterator[bytes]:
     """A byte stream's bytes in blocks of whole lines: each block ends with
-    an LF, but the last one may end with the stream instead. An iterable
-    without ``read`` gives its items, each one line, with or without its
-    line end."""
-    read = getattr(stream, "read", None)
-    if read is None:
-        yield from stream
-        return
+    an LF, but the last one may end with the stream instead."""
+    read = stream.read
     pending: list[bytes] = []  # the start of a line no block has ended yet
     while chunk := read(_BLOCK_SIZE):
         cut = chunk.rfind(b"\n") + 1
@@ -261,7 +256,7 @@ def _byte_blocks(stream: IO[bytes] | Iterable[bytes]) -> Iterator[bytes]:
         yield b"".join(pending)
 
 
-def _line_blocks(stream: IO[bytes] | Iterable[bytes]) -> Iterator[list[str]]:
+def _line_blocks(stream: IO[bytes]) -> Iterator[list[str]]:
     """The stream's lines, without their LF or CRLF, decoded a block at a
     time, in lists. A byte order mark that starts the stream is dropped."""
     line_no = 0
@@ -292,11 +287,10 @@ def _line_blocks(stream: IO[bytes] | Iterable[bytes]) -> Iterator[list[str]]:
         yield lines
 
 
-def parse_conllu(stream: IO[bytes] | Iterable[bytes]) -> Treebank:
+def parse_conllu(stream: IO[bytes]) -> Treebank:
     """Parse a CoNLL-U stream of UTF-8 bytes (LF or CRLF line endings) into
-    a Treebank. ``stream`` is a binary file object, read a block at a time,
-    or an iterable of byte lines, with or without their line ends. A byte
-    order mark may start it.
+    a Treebank. ``stream`` is a binary file object, read a block at a time.
+    A byte order mark may start it.
 
     Comment ``# sent_id = X`` populates the sentence id; sentences without
     one get their 1-based ordinal as a string. Ids must be unique, since

@@ -53,24 +53,23 @@ class EmptyCountsError(MorphagreeError):
 # --- rule sets ---
 
 class InvalidRuleSetError(MorphagreeError):
-    """A RuleSet's tree, leaf verdicts and rules disagree; raised whenever
-    one is built, through the API or by the rules.json loader."""
+    """A tree and its leaf verdicts cannot be merged into a RuleSet: a
+    split tests an unknown slot, two leaves share an id, or leaf counts are
+    negative or do not sum to training_size. Raised by merge_rules and by
+    the rules.json loader."""
 
 
 class VerdictMismatchError(InvalidRuleSetError):
-    """Leaf verdicts do not list each leaf once, or differ from a rule's label."""
-
-
-class NoMatchingRuleError(InvalidRuleSetError):
-    """A rule set leaves a triple without a rule or gives it two, or its
-    rules do not list each leaf of its tree once."""
+    """Leaf verdicts do not list each leaf of the tree once."""
 
 
 class MalformedRulesError(MorphagreeError):
     """A rules document is not UTF-8 JSON, has another format_version, lacks
     a key, holds a value of the wrong JSON type, an unknown name or a
-    training_size other than its tree's, or holds a rule set that is not
-    valid (RuleSet)."""
+    training_size other than its tree's, holds a tree and leaf verdicts
+    that cannot be merged (InvalidRuleSetError), verdict statistics or
+    labels that do not follow from their counts, or rules other than the
+    merge of the tree's labeled leaves."""
 
 
 # --- evaluation ---

@@ -13,12 +13,12 @@ triple space: per slot, each value some region names maps to the bitmask
 of the items whose region admits it, and one mask serves every value no
 region names. ANDing a triple's three masks leaves one bit, that of its
 item, so a lookup is three dict gets however many items there are.
-A RuleSet keeps the tree its rules were merged from, its leaf verdicts
-and the table of its own rules; building it checks once that the tree,
-the verdicts and the rules agree and that every possible triple matches
-exactly one rule, so a triple's rule is looked up in that table. A tree's
-table, RegionTable.of(tree), routes the training triple groups to their
-leaves for per-leaf marginals and, once merging is done, example refs.
+A RuleSet is built one way, by merging a tree's labeled leaves, once the
+tree and its leaf verdicts are checked to agree; it keeps the tree, the
+verdicts and the table of its rules, in which a triple's one rule is
+looked up. A tree's table, RegionTable.of(tree), routes the training
+triple groups to their leaves for per-leaf marginals and, once merging is
+done, example refs.
 """
 from __future__ import annotations
 
@@ -27,8 +27,7 @@ import math
 from itertools import chain, islice
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (EmptyMarginalsError, InvalidRuleSetError, NoMatchingRuleError,
-                     VerdictMismatchError)
+from .errors import EmptyMarginalsError, InvalidRuleSetError, VerdictMismatchError
 from .tree import SLOT_ORDER, DecisionTree, Leaf
 from .triples import FeatureDataset, Triple, TripleGroup
 
@@ -255,8 +254,8 @@ class LabeledRule(NamedTuple):
 
 
 # The constraint algebra, on constraints read as sets of values. Narrowing
-# a path, containment, the triples errors name and merged slots are built
-# from these four; only _meet and _disjoint look at two constraints' modes.
+# a path and merged slots are built from these three; only _meet and
+# _disjoint look at two constraints' modes.
 
 def _meet(a: Constraint, b: Constraint) -> Constraint:
     """The values both a and b admit."""
@@ -276,19 +275,6 @@ def _disjoint(a: Constraint, b: Constraint) -> bool:
     if a.mode == "in":
         return a.values.isdisjoint(b.values) if b.mode == "in" else a.values <= b.values
     return b.mode == "in" and b.values <= a.values
-
-
-def _witness(region: dict[str, Constraint]) -> Triple:
-    """A triple the region admits, given that each slot admits a value: the
-    least value of an in constraint, else the shortest run of '*' not named."""
-    values = {}
-    for slot in SLOT_ORDER:
-        mode, named = region[slot]
-        value = min(named) if mode == "in" else "*"
-        while mode == "not_in" and value in named:
-            value += "*"
-        values[slot] = value
-    return Triple(**values)
 
 
 def _leaf_regions(tree: DecisionTree) -> list[tuple[Leaf, dict[str, Constraint]]]:
@@ -371,166 +357,6 @@ class RegionTable:
         for k, group in zip(item_of.values(), dataset.triples.values()):
             groups[k].append(group)
         return groups
-
-    def meeting(self, constraints: dict[str, Constraint]) -> int:
-        """The mask of the items whose region shares a triple with the
-        region the constraints, one per slot, admit: regions are products
-        of their slots' values, so those whose constraint shares a value
-        with the given one in every slot."""
-        reach = -1
-        for slot, masks, other in zip(SLOT_ORDER, self.masks, self.others):
-            mode, values = constraints[slot]
-            if mode == "in":
-                bits = 0
-                for value in values:
-                    bits |= masks.get(value, other)
-            else:
-                # a "not_in" item and a "not_in" constraint share the values
-                # neither names; an "in" item names all the values it admits
-                bits = other
-                for value, mask in masks.items():
-                    if value not in values:
-                        bits |= mask
-            reach &= bits
-        return reach
-
-
-def _checked_routing(
-    tree: DecisionTree,
-    regions: list[tuple[Leaf, dict[str, Constraint]]],
-    verdicts: tuple[LeafVerdict, ...],
-    rules: tuple[LabeledRule, ...],
-) -> RegionTable:
-    """The RegionTable of the rules, once it is checked that the tree (its
-    _leaf_regions given), its verdicts and the rules agree; else an
-    InvalidRuleSetError.
-
-    The checks, in order: leaf ids are distinct; leaf counts are at least 0
-    and sum to the tree's training_size; the verdicts, then the rules'
-    source_leaf_ids, list each leaf once; rule ids are distinct; each rule
-    has a constraint for each slot and for no other, each of mode "in" or
-    "not_in" on a frozenset of strings; each rule's counts and label are its
-    source leaves' sums and verdict; every triple that reaches a leaf
-    matches the leaf's rule, so no triple is left without a rule; no two
-    rules share a triple, so each triple's rule is the one bit its masks in
-    the table share.
-    """
-    leaf_by_id: dict[int, Leaf] = {}
-    for leaf, _ in regions:
-        if leaf.leaf_id in leaf_by_id:
-            raise InvalidRuleSetError(f"two leaves of the tree have leaf_id {leaf.leaf_id}")
-        leaf_by_id[leaf.leaf_id] = leaf
-    if any(leaf.n_agree < 0 or leaf.n_disagree < 0 for leaf in leaf_by_id.values()):
-        raise InvalidRuleSetError("a leaf of the tree has a negative count")
-    total = sum(leaf.size for leaf in leaf_by_id.values())
-    if tree.training_size != total:
-        raise InvalidRuleSetError(
-            f"'training_size' is not {total}, the sum of the tree's leaf counts"
-        )
-    label_by_leaf = {verdict.leaf_id: verdict.label for verdict in verdicts}
-    if len(label_by_leaf) != len(verdicts) or label_by_leaf.keys() != leaf_by_id.keys():
-        raise VerdictMismatchError("'leaf_verdicts' do not list each leaf of the tree once")
-    rule_by_leaf = {leaf_id: rule for rule in rules for leaf_id in rule.source_leaf_ids}
-    if (len(rule_by_leaf) != sum(len(rule.source_leaf_ids) for rule in rules)
-            or rule_by_leaf.keys() != leaf_by_id.keys()):
-        raise NoMatchingRuleError("'source_leaf_ids' do not list each leaf of the tree once")
-    if len({rule.rule_id for rule in rules}) != len(rules):
-        raise InvalidRuleSetError("two rules share a rule_id")
-    for rule in rules:
-        unknown = [slot for slot in rule.constraints if slot not in SLOT_ORDER]
-        missing = [slot for slot in SLOT_ORDER if slot not in rule.constraints]
-        if unknown or missing:
-            raise InvalidRuleSetError(f"rule {rule.rule_id}: " + (
-                f"slot {unknown[0]!r} is not one of {', '.join(SLOT_ORDER)}" if unknown
-                else f"no constraint for slot {missing[0]!r}"))
-        for slot in SLOT_ORDER:
-            mode, values = rule.constraints[slot]
-            if mode not in ("in", "not_in"):
-                raise InvalidRuleSetError(
-                    f"rule {rule.rule_id}: slot {slot!r}: mode {mode!r} is not 'in' or 'not_in'")
-            if not isinstance(values, frozenset) or not all(isinstance(v, str) for v in values):
-                raise InvalidRuleSetError(
-                    f"rule {rule.rule_id}: slot {slot!r}: values are not a frozenset of strings")
-        sources = [leaf_by_id[leaf_id] for leaf_id in rule.source_leaf_ids]
-        if (rule.n_agree != sum(leaf.n_agree for leaf in sources)
-                or rule.n_disagree != sum(leaf.n_disagree for leaf in sources)):
-            raise InvalidRuleSetError(
-                f"rule {rule.rule_id}: 'n_agree' and 'n_disagree' are not the sums "
-                "over its source leaves"
-            )
-        if any(label_by_leaf[leaf_id] != rule.label for leaf_id in rule.source_leaf_ids):
-            raise VerdictMismatchError(
-                f"rule {rule.rule_id}: 'label' differs from a source leaf's verdict"
-            )
-    outside_of = {rule.rule_id: [_complement(rule.constraints[slot]) for slot in SLOT_ORDER]
-                  for rule in rules}
-    for leaf, region in regions:
-        if any(c.mode == "in" and not c.values for c in region.values()):
-            continue  # a dead branch: no triple reaches the leaf
-        rule = rule_by_leaf[leaf.leaf_id]
-        for slot, outside in zip(SLOT_ORDER, outside_of[rule.rule_id]):
-            if not _disjoint(region[slot], outside):
-                missed = {**region, slot: _meet(region[slot], outside)}
-                raise NoMatchingRuleError(
-                    f"no rule matches triple {_witness(missed)} through leaf {leaf.leaf_id}: "
-                    f"the leaf's rule {rule.rule_id} excludes it"
-                )
-    table = RegionTable([(rule, rule.constraints) for rule in rules])
-    for k, rule in enumerate(rules):
-        partners = table.meeting(rule.constraints) & ~(1 << k)
-        if partners:
-            # rule k is the first to meet another, so no earlier rule meets
-            # it: its lowest partner bit is the first rule after it that does
-            other = rules[(partners & -partners).bit_length() - 1]
-            shared = {slot: _meet(rule.constraints[slot], other.constraints[slot])
-                      for slot in SLOT_ORDER}
-            raise NoMatchingRuleError(
-                f"triple {_witness(shared)} matches rules {rule.rule_id} and {other.rule_id}"
-            )
-    return table
-
-
-class RuleSet:
-    """Labeled rules, the tree they were merged from and its leaf verdicts.
-
-    Construction raises an InvalidRuleSetError (see _checked_routing) unless
-    the three agree and every triple, seen or unseen, matches exactly one
-    rule; the RegionTable of the rules it then keeps finds that rule.
-    Treated as read-only once built; a changed copy is built with the
-    constructor, which checks it again.
-    """
-
-    __slots__ = ("feature", "rules", "threshold_mode", "tree", "verdicts", "_table")
-
-    def __init__(self, feature: str, rules: tuple[LabeledRule, ...],
-                 threshold_mode: ThresholdMode, tree: DecisionTree,
-                 verdicts: tuple[LeafVerdict, ...]):
-        self._set(feature, rules, threshold_mode, tree, verdicts, _leaf_regions(tree))
-
-    def _set(self, feature, rules, threshold_mode, tree, verdicts, regions) -> None:
-        """__init__, given the tree's _leaf_regions."""
-        self.feature = feature
-        self.rules = rules
-        self.threshold_mode = threshold_mode
-        self.tree = tree
-        self.verdicts = verdicts
-        self._table = _checked_routing(tree, regions, verdicts, rules)
-
-    def _key(self) -> tuple:
-        return self.feature, self.rules, self.threshold_mode, self.tree, self.verdicts
-
-    def __eq__(self, other):
-        if other.__class__ is not RuleSet:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return ("RuleSet(feature={!r}, rules={!r}, threshold_mode={!r}, tree={!r}, "
-                "verdicts={!r})".format(*self._key()))
-
-    @property
-    def training_size(self) -> int:
-        return self.tree.training_size
 
 
 def _leaf_rules(
@@ -671,6 +497,90 @@ def _first_refs(leaf_ids: tuple[int, ...], groups_of: dict, side: str, instances
     return tuple(instances[ref].provenance for ref in islice(refs, EXAMPLE_REFS_CAP))
 
 
+def _checked_labels(
+    tree: DecisionTree,
+    regions: list[tuple[Leaf, dict[str, Constraint]]],
+    verdicts: tuple[LeafVerdict, ...],
+) -> dict[int, Label]:
+    """Each leaf's verdict label by leaf id, once it is checked that the
+    tree (its _leaf_regions given) and its verdicts agree: leaf ids are
+    distinct, leaf counts are at least 0 and sum to the tree's
+    training_size, and the verdicts list each leaf once; else an
+    InvalidRuleSetError."""
+    leaf_by_id: dict[int, Leaf] = {}
+    for leaf, _ in regions:
+        if leaf.leaf_id in leaf_by_id:
+            raise InvalidRuleSetError(f"two leaves of the tree have leaf_id {leaf.leaf_id}")
+        leaf_by_id[leaf.leaf_id] = leaf
+    if any(leaf.n_agree < 0 or leaf.n_disagree < 0 for leaf in leaf_by_id.values()):
+        raise InvalidRuleSetError("a leaf of the tree has a negative count")
+    total = sum(leaf.size for leaf in leaf_by_id.values())
+    if tree.training_size != total:
+        raise InvalidRuleSetError(
+            f"'training_size' is not {total}, the sum of the tree's leaf counts"
+        )
+    label_by_leaf = {verdict.leaf_id: verdict.label for verdict in verdicts}
+    if len(label_by_leaf) != len(verdicts) or label_by_leaf.keys() != leaf_by_id.keys():
+        raise VerdictMismatchError("'leaf_verdicts' do not list each leaf of the tree once")
+    return label_by_leaf
+
+
+class RuleSet:
+    """The rules merged from a tree's labeled leaves, the tree and its leaf
+    verdicts.
+
+    Built from the tree and the verdicts alone (see merge_rules), so its
+    rules partition triple space and the RegionTable of its rules finds
+    each triple's one rule. Construction raises an InvalidRuleSetError
+    unless every split tests a slot of SLOT_ORDER and the tree and the
+    verdicts agree (see _checked_labels). Given the training dataset, each
+    rule gets its example refs. Treated as read-only once built.
+    """
+
+    __slots__ = ("feature", "rules", "threshold_mode", "tree", "verdicts", "_table")
+
+    def __init__(self, tree: DecisionTree, verdicts: Iterable[LeafVerdict],
+                 threshold_mode: ThresholdMode = ThresholdMode.STATISTICAL,
+                 dataset: FeatureDataset | None = None):
+        regions = _leaf_regions(tree)  # first, so that an unknown slot fails here
+        verdicts = tuple(verdicts)
+        merged = _merge_to_fixpoint(_leaf_rules(regions, _checked_labels(tree, regions, verdicts)))
+        groups = [()] * len(regions) if dataset is None else RegionTable(regions).groups(dataset)
+        groups_of = {leaf.leaf_id: leaf_groups for (leaf, _), leaf_groups in zip(regions, groups)}
+        instances = () if dataset is None else dataset.instances
+        self.feature = tree.feature
+        self.rules = tuple(
+            rule._replace(
+                rule_id=rule_id,
+                source_leaf_ids=tuple(sorted(rule.source_leaf_ids)),
+                example_refs=_first_refs(rule.source_leaf_ids, groups_of, "agreeing", instances),
+                counterexample_refs=_first_refs(
+                    rule.source_leaf_ids, groups_of, "disagreeing", instances),
+            )
+            for rule_id, rule in enumerate(merged, start=1)
+        )
+        self.threshold_mode = threshold_mode
+        self.tree = tree
+        self.verdicts = verdicts
+        self._table = RegionTable([(rule, rule.constraints) for rule in self.rules])
+
+    def _key(self) -> tuple:
+        return self.feature, self.rules, self.threshold_mode, self.tree, self.verdicts
+
+    def __eq__(self, other):
+        if other.__class__ is not RuleSet:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return ("<RuleSet feature={!r} rules={!r} threshold_mode={!r} tree={!r} "
+                "verdicts={!r}>".format(*self._key()))
+
+    @property
+    def training_size(self) -> int:
+        return self.tree.training_size
+
+
 def merge_rules(
     tree: DecisionTree,
     verdicts: list[LeafVerdict],
@@ -691,33 +601,18 @@ def merge_rules(
     the training dataset fills each merged rule's example refs once: its
     source leaves' agreeing and disagreeing instances (see EXAMPLE_REFS_CAP),
     as the tree's RegionTable routes the dataset's triple groups.
+
+    This is RuleSet(tree, verdicts, threshold_mode, dataset). The rules
+    loader calls the constructor, so that a tracer of merge_rules counts
+    extraction's merges only.
     """
-    regions = _leaf_regions(tree)  # first, so that an unknown slot fails here
-    label_by_leaf = {v.leaf_id: v.label for v in verdicts}
-    merged = _merge_to_fixpoint(_leaf_rules(regions, label_by_leaf))
-    groups = [()] * len(regions) if dataset is None else RegionTable(regions).groups(dataset)
-    groups_of = {leaf.leaf_id: leaf_groups for (leaf, _), leaf_groups in zip(regions, groups)}
-    instances = () if dataset is None else dataset.instances
-    rules = tuple(
-        rule._replace(
-            rule_id=rule_id,
-            source_leaf_ids=tuple(sorted(rule.source_leaf_ids)),
-            example_refs=_first_refs(rule.source_leaf_ids, groups_of, "agreeing", instances),
-            counterexample_refs=_first_refs(
-                rule.source_leaf_ids, groups_of, "disagreeing", instances),
-        )
-        for rule_id, rule in enumerate(merged, start=1)
-    )
-    # RuleSet(...) as it would be built, with the regions walked once
-    ruleset = RuleSet.__new__(RuleSet)
-    ruleset._set(tree.feature, rules, threshold_mode, tree, tuple(verdicts), regions)
-    return ruleset
+    return RuleSet(tree, verdicts, threshold_mode, dataset)
 
 
 def rules_for(ruleset: RuleSet, triples: Iterable[Triple]) -> dict[Triple, LabeledRule]:
     """Each of the triples mapped to the one rule matching it, looked up in
-    the RegionTable of the RuleSet's rules; building the RuleSet checked
-    that exactly one rule matches every triple."""
+    the RegionTable of the RuleSet's rules, which were merged to match
+    every triple exactly once."""
     return ruleset._table.lookup(triples, ruleset.rules)
 
 

@@ -8,12 +8,13 @@ appending every piece of text once to one buffer and joining every few
 thousand pieces into a chunk. The documents it is given are lean: rows
 are literal dicts, and a rule's leaf ids and refs are its own tuples.
 
-Reloading a rules document reconstructs the triple -> label behavior of
-the saved rule sets exactly. The loader checks JSON shape (types and known
-names), that each chance model and leaf verdict agrees with the counts
-it was computed from and each verdict's label with its statistics;
-RuleSet checks meaning, that a feature's tree, leaf verdicts and rules
-agree.
+Reloading a rules document rebuilds each saved rule set the way extract
+built it, by merging the tree's labeled leaves, so it has the saved
+triple -> label behavior exactly. The loader checks JSON shape (types and
+known names), that each chance model and leaf verdict agrees with the
+counts it was computed from and each verdict's label with its statistics,
+and that the stored rules are the merged ones, as rule_to_dict writes
+them; only their example refs are read from the document.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from .labeling import (
     RuleSet,
     ThresholdMode,
     chi_square_survival,
+    chi_squared_gof,
     cramers_phi,
     passes_gates,
 )
@@ -283,18 +285,6 @@ def _constraints_to_dict(constraints: dict[str, Constraint]) -> dict:
             for slot, c in constraints.items() if not c.trivial}
 
 
-def _constraints_from_dict(doc: dict) -> dict[str, Constraint]:
-    constraints = {slot: Constraint("not_in", frozenset()) for slot in SLOT_ORDER}
-    for slot, entry in doc.items():
-        if slot not in SLOT_ORDER:
-            raise MalformedRulesError(f"slot {slot!r} is not one of {', '.join(SLOT_ORDER)}")
-        mode, values = _get(entry, "mode", _STRING, choices=("in", "not_in")), entry["values"]
-        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-            raise MalformedRulesError(f"constraint values {values!r} are not a list of strings")
-        constraints[slot] = Constraint(mode, frozenset(values))
-    return constraints
-
-
 def rule_to_dict(rule: LabeledRule) -> dict:
     return {
         "rule_id": rule.rule_id,
@@ -318,17 +308,26 @@ def _refs(doc: dict, key: str) -> tuple[tuple[str, int, int], ...]:
     return refs
 
 
-def rule_from_dict(doc: dict) -> LabeledRule:
-    return LabeledRule(
-        rule_id=_get(doc, "rule_id", _INT),
-        label=Label(_get(doc, "label", _STRING, choices=_LABELS)),
-        constraints=_constraints_from_dict(_get_each(doc, "constraints", _OBJECT, _OBJECT)),
-        n_agree=_get(doc, "n_agree", _INT),
-        n_disagree=_get(doc, "n_disagree", _INT),
-        source_leaf_ids=tuple(_get_each(doc, "source_leaf_ids", _INT)),
-        example_refs=_refs(doc, "example_refs"),
-        counterexample_refs=_refs(doc, "counterexample_refs"),
-    )
+# the keys of a rule entry that merging the tree's labeled leaves fixes
+_MERGED_KEYS = ("rule_id", "label", "constraints", "n_agree", "n_disagree", "source_leaf_ids")
+
+
+def _checked_rule(entry: dict, rule: LabeledRule) -> LabeledRule:
+    """rule, merged without refs, given entry's example and counterexample
+    refs, once entry is checked to be rule as rule_to_dict writes it, refs
+    aside; else MalformedRulesError naming the rule."""
+    with _naming(f"rule {rule.rule_id}: "):
+        # integers, not a boolean or a float equal to one
+        for key in ("rule_id", "n_agree", "n_disagree"):
+            _get(entry, key, _INT)
+        _get_each(entry, "source_leaf_ids", _INT)
+        written = {**rule_to_dict(rule), "source_leaf_ids": list(rule.source_leaf_ids)}
+        for key in _MERGED_KEYS:
+            if entry[key] != written[key]:
+                raise MalformedRulesError(
+                    f"{key!r} differs from the merge of the tree's labeled leaves")
+        return rule._replace(example_refs=_refs(entry, "example_refs"),
+                             counterexample_refs=_refs(entry, "counterexample_refs"))
 
 
 def verdict_to_dict(verdict: LeafVerdict) -> dict:
@@ -429,12 +428,18 @@ def _check_verdict_statistics(tree: DecisionTree, verdicts: tuple[LeafVerdict, .
     it, its p_value, when given, lies in [0, 1], its chi2 and phi_c, when
     given, are at least 0, and its p_value and phi_c follow from its chi2 as
     label_leaf_statistical computes them, an infinite chi2 and phi_c being
-    written null. Whether chi2 follows from the counts is not checked. Its
+    written null. Under statistical labeling with global marginals, a
+    tested verdict's chi2 must be chi_squared_gof of its leaf's counts
+    under the chance model, within a relative and an absolute 1e-9. Its
     statistics must be null unless config's labeler tests the leaf, and its
     label be the labeler's on them; only a required one is checked under
     per-leaf marginals, whose p_chance is not stored."""
     statistical = config.threshold_mode is ThresholdMode.STATISTICAL
     p_chance = None if statistical and config.marginals_scope == "per-leaf" else chance.p_chance
+    # the model given p_chance's exact value as a fraction once, so that
+    # chi_squared_gof does not convert p_chance for each leaf
+    exact = (chance._replace(p_chance_exact=p_chance.as_integer_ratio())
+             if statistical and p_chance is not None else None)
     leaf_by_id = {leaf.leaf_id: leaf for leaf in leaves(tree)}
     for verdict in verdicts:
         leaf = leaf_by_id[verdict.leaf_id]
@@ -457,6 +462,13 @@ def _check_verdict_statistics(tree: DecisionTree, verdicts: tuple[LeafVerdict, .
             raise MalformedRulesError(
                 f"leaf {leaf.leaf_id}: 'p_value' {verdict.p_value!r} and 'phi_c' "
                 f"{verdict.phi_c!r} do not follow from 'chi2' {chi2!r}")
+        if exact is not None and verdict.p_value is not None:
+            expected = chi_squared_gof((leaf.n_disagree, leaf.n_agree), exact)[0]
+            if not math.isclose(math.inf if chi2 is None else chi2, expected,
+                                rel_tol=1e-9, abs_tol=1e-9):
+                raise MalformedRulesError(
+                    f"leaf {leaf.leaf_id}: 'chi2' {chi2!r} is not {expected!r}, the statistic of "
+                    f"its counts under 'p_chance'")
         ratio, tested = verdict.agree_ratio, verdict.p_value is not None
         if tested != (statistical and ratio > 0.5):
             raise MalformedRulesError(
@@ -473,12 +485,11 @@ def _check_verdict_statistics(tree: DecisionTree, verdicts: tuple[LeafVerdict, .
 
 
 @contextmanager
-def _naming(path: str | Path, feature: str | None = None):
-    """Raise a fault in a rules document as MalformedRulesError naming the
-    file and, given one, the feature whose entry holds it. A container of
-    the wrong type surfaces as TypeError or AttributeError, a tree nested
-    too deeply as RecursionError."""
-    where = f"{path}: " if feature is None else f"{path}: feature {feature!r}: "
+def _naming(where: str):
+    """Raise a fault in a rules document as MalformedRulesError whose
+    message starts with where: the file, and the feature or the rule whose
+    entry holds it. A container of the wrong type surfaces as TypeError or
+    AttributeError, a tree nested too deeply as RecursionError."""
     try:
         yield
     except KeyError as exc:
@@ -496,18 +507,22 @@ class RulesDocument:
     ranges the CLI accepts. A feature entry raises one naming the feature
     too when it lacks a key the loader reads, holds a value of the wrong
     JSON type or an unknown name, or gives a training_size other than its
-    tree's; when its RuleSet fails to build
-    because its tree, leaf verdicts and rules disagree (see RuleSet); or
-    when its chance model or a leaf verdict's statistics contradict the
-    counts they come from, or a verdict's label its statistics (see
-    _checked_chance_model and _check_verdict_statistics), so that report
-    never prints them. Its training_triples are checked alike, when they
-    are first read.
+    tree's; when its tree and leaf verdicts cannot be merged into a RuleSet
+    (see RuleSet); when its chance model or a leaf verdict's statistics
+    contradict the counts they come from, or a verdict's label its
+    statistics (see _checked_chance_model and _check_verdict_statistics),
+    so that report never prints them; or when its rules are not, in order,
+    what rule_to_dict writes for the merge of the tree's labeled leaves,
+    refs aside (the message names the first rule and key that differ, see
+    _checked_rule). The RuleSet is built with its constructor, not through
+    merge_rules, so that a tracer of merge_rules counts extraction only; it
+    keeps the document's refs, so it equals the one extract wrote. Its
+    training_triples are checked alike, when they are first read.
     """
 
     def __init__(self, doc: dict, path: str | Path):
         self.path = path
-        with _naming(path):
+        with _naming(f"{path}: "):
             if not isinstance(doc, dict):
                 raise MalformedRulesError("rules document is not a JSON object")
             if doc.get("format_version") != FORMAT_VERSION:
@@ -535,7 +550,7 @@ class RulesDocument:
         self.trees: dict[str, DecisionTree] = {}
         self.chance_models: dict[str, ChanceModel] = {}
         for feature, entry in features.items():
-            with _naming(path, feature):
+            with _naming(f"{path}: feature {feature!r}: "):
                 self._load_feature(feature, entry, config)
 
     def _load_feature(self, feature: str, entry: dict, config: ExtractionConfig) -> None:
@@ -549,15 +564,19 @@ class RulesDocument:
             value_probs=dict(_get_each(chance, "value_probs", _NUMBER, _OBJECT)),
             p_chance=_get(chance, "p_chance", _NUMBER),
         ))
-        ruleset = self.rulesets[feature] = RuleSet(
-            feature=feature,
-            rules=tuple(map(rule_from_dict, _get_each(entry, "rules", _OBJECT))),
-            threshold_mode=config.threshold_mode,
-            tree=tree,
-            verdicts=tuple(map(verdict_from_dict, _get_each(entry, "leaf_verdicts", _OBJECT))),
-        )
+        verdicts = tuple(map(verdict_from_dict, _get_each(entry, "leaf_verdicts", _OBJECT)))
+        ruleset = RuleSet(tree, verdicts, config.threshold_mode)
         # RuleSet checked that the verdicts list each leaf once
-        _check_verdict_statistics(tree, ruleset.verdicts, config, self.chance_models[feature])
+        _check_verdict_statistics(tree, verdicts, config, self.chance_models[feature])
+        entries = _get_each(entry, "rules", _OBJECT)
+        if len(entries) != len(ruleset.rules):
+            raise MalformedRulesError(
+                f"'rules' lists {len(entries)} rules, not the {len(ruleset.rules)} of the merge "
+                "of the tree's labeled leaves")
+        # merged without the training dataset, the rules have no refs: each
+        # takes its entry's
+        ruleset.rules = tuple(map(_checked_rule, entries, ruleset.rules))
+        self.rulesets[feature] = ruleset
         # RuleSet checked that the tree's training_size sums its leaf counts
         if _get(entry, "training_size", _INT) != tree.training_size:
             raise MalformedRulesError(
@@ -571,7 +590,7 @@ class RulesDocument:
         and checked on first use, not when the document loads."""
         triples = {}
         for feature in self.rulesets:
-            with _naming(self.path, feature):
+            with _naming(f"{self.path}: feature {feature!r}: "):
                 triples[feature] = [
                     (Triple(*(_get(t, slot, _STRING) for slot in Triple._fields)),
                      _get(t, "count", _INT))

@@ -16,9 +16,8 @@ separately, rule merging rescans every pair from the start after each
 merge and merges two constraints case by case (the package derives the
 merged constraint from set operations), or tries every pair of rules
 instead of only those that share a signature, a triple's rule is found by
-testing every rule instead of routing through the tree's leaf table, two
-rules sharing a triple are found by testing every pair (the package ANDs
-leaf masks), CoNLL-U is parsed
+testing every rule instead of routing through the table of the rules,
+CoNLL-U is parsed
 token by token with a fresh FEATS dict per token and walked once per
 feature, with no shared edge table, the report's example pools and the
 annotation sheet's rows are read from each feature's FeatureDataset and
@@ -45,11 +44,9 @@ from morphagree.errors import (
     InvalidIdError,
     MalformedFeatsError,
     MalformedLineError,
-    NoMatchingRuleError,
 )
 from morphagree.labeling import (EXAMPLE_REFS_CAP, ChanceModel, Constraint, LabeledRule,
-                                 RuleSet, ThresholdMode, _disjoint, _leaf_regions, _leaf_rules,
-                                 _meet, _try_merge, _witness, rules_for)
+                                 RuleSet, _leaf_regions, _leaf_rules, _try_merge, rules_for)
 from morphagree.report import _sample, render_example
 from morphagree.tree import (SLOT_ORDER, DecisionTree, Internal, Leaf, SplitPredicate, leaf_count,
                              leaves, predict_leaf)
@@ -500,12 +497,10 @@ def leaf_refs_by_walking(tree, dataset) -> dict[int, tuple[tuple, tuple]]:
     return refs
 
 
-def merge_rules_restarting(
-    tree, verdicts, dataset=None, threshold_mode=ThresholdMode.STATISTICAL
-) -> RuleSet:
-    """merge_rules with the fixpoint written the direct way: merge the first
-    mergeable pair in leaf order, re-sort, and rescan every pair from the
-    start, by try_merge_by_cases. It shares only the package's leaf rules,
+def merge_rules_restarting(tree, verdicts, dataset=None) -> tuple[LabeledRule, ...]:
+    """The rules of merge_rules, with the fixpoint written the direct way:
+    merge the first mergeable pair in leaf order, re-sort, and rescan every
+    pair from the start, by try_merge_by_cases. It shares only the package's leaf rules,
     without refs, so it checks the order in which pairs are tried and the
     merge step. Given the dataset, each leaf's refs come from
     leaf_refs_by_walking and every merge carries and caps them, so the
@@ -535,30 +530,7 @@ def merge_rules_restarting(
                     break
             if changed:
                 break
-    return RuleSet(
-        feature=tree.feature,
-        rules=tuple(r._replace(rule_id=idx) for idx, r in enumerate(rules, start=1)),
-        threshold_mode=threshold_mode,
-        tree=tree,
-        verdicts=tuple(verdicts),
-    )
-
-
-def check_disjoint_pairwise(rules) -> None:
-    """RuleSet's overlap check by testing every pair of rules, constraint
-    by constraint, as RuleSet did before it had a table of its rules: the
-    first pair, in order, whose constraints meet in every slot raises
-    NoMatchingRuleError naming a triple both match."""
-    by_slot = [[rule.constraints[slot] for slot in SLOT_ORDER] for rule in rules]
-    for i, a in enumerate(rules):
-        for j in range(i + 1, len(rules)):
-            if not any(map(_disjoint, by_slot[i], by_slot[j])):
-                b = rules[j]
-                shared = {slot: _meet(a.constraints[slot], b.constraints[slot])
-                          for slot in SLOT_ORDER}
-                raise NoMatchingRuleError(
-                    f"triple {_witness(shared)} matches rules {a.rule_id} and {b.rule_id}"
-                )
+    return tuple(r._replace(rule_id=idx) for idx, r in enumerate(rules, start=1))
 
 
 def rule_matches(rule, triple) -> bool:
@@ -572,10 +544,10 @@ def rule_matches(rule, triple) -> bool:
 
 def rule_for_scanning(rules, triple):
     """The one rule of rules matching the triple, found by testing every
-    rule; NoMatchingRuleError when none or several match."""
+    rule; LookupError when none or several match."""
     matched = [rule for rule in rules if rule_matches(rule, triple)]
     if len(matched) != 1:
-        raise NoMatchingRuleError(
+        raise LookupError(
             f"triple {triple} matches rules {[rule.rule_id for rule in matched]}"
         )
     return matched[0]

@@ -613,14 +613,14 @@ def _broken(doc, feature, edit):
             lambda entry: entry["rules"][0].update(
                 constraints={"relation": {"mode": "in", "values": ["__none__"]}}
             ),
-            "no rule matches",
+            "rule 1: 'constraints' differs",
         ),
         # rule 2 overlapping rule 1: no command may pick the first match
         *[
             (
                 command,
                 lambda entry: entry["rules"][1].update(constraints={}),
-                "matches rules 1 and 2",
+                "rule 2: 'constraints' differs",
             )
             for command in ("report", "annotation-sheet", "evaluate")
         ],
@@ -630,14 +630,14 @@ def _broken(doc, feature, edit):
             lambda entry: entry["rules"][0]["constraints"].update(
                 relation={"mode": "in", "values": "det"}
             ),
-            "'det' are not a list of strings",
+            "rule 1: 'constraints' differs from",
         ),
         (
             "report",
             lambda entry: entry["rules"][0]["constraints"].update(
                 relation={"mode": "IN", "values": ["det"]}
             ),
-            "mode 'IN'",
+            "rule 1: 'constraints' differs from the merge",
         ),
     ],
 )

@@ -18,7 +18,7 @@ from morphagree import (
     parse_feats,
     treebank_to_conllu,
 )
-from morphagree.conllu import Edge, Edges, Sentence, Token, Treebank, Triple
+from morphagree.conllu import _BLOCK_SIZE, Edge, Edges, Sentence, Token, Treebank, Triple
 from morphagree.errors import (
     DuplicateSentIdError,
     EncodingError,
@@ -181,8 +181,10 @@ def test_a_byte_order_mark_at_the_start_is_read_past(tmp_path):
 @pytest.mark.parametrize("stream, line_no", [
     (io.BytesIO(b"\xef\xbb\xbf\xef\xbb\xbf1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"), 1),
     (io.BytesIO(b"\n\xef\xbb\xbf1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"), 2),
-    ([b"\n", b"\xef\xbb\xbf1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"], 2),
-], ids=["second-mark", "second-line", "second-item"])
+    # the mark starts the second block the stream is read in
+    (io.BytesIO(b"\n" * _BLOCK_SIZE + b"\xef\xbb\xbf1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"),
+     _BLOCK_SIZE + 1),
+], ids=["second-mark", "second-line", "second-block"])
 def test_a_byte_order_mark_anywhere_else_is_a_bad_id(stream, line_no):
     with pytest.raises(InvalidIdError) as info:
         parse_conllu(stream)

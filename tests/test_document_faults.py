@@ -22,6 +22,7 @@ from morphagree.cli import main
 from morphagree.conllu import parse_conllu_file
 from morphagree.errors import MalformedRulesError
 from morphagree.evaluation import HumanLabel
+from morphagree.labeling import chi_square_survival, cramers_phi
 from morphagree.serialization import load_rules
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -234,7 +235,7 @@ RULES_FAULTS = [
     ],
     *[
         (lambda d, key=key: _gender(d)["rules"][0].update({key: {}}), ("report",),
-         f"'{key}' must be an integer")
+         f"rule 1: '{key}' must be an integer")
         for key in ("n_agree", "n_disagree", "rule_id")
     ],
     (lambda d: _gender(d)["chance_model"].update(p_chance={}), ("report",),
@@ -247,24 +248,24 @@ RULES_FAULTS = [
         for key in ("agree_ratio", "chi2", "p_value", "phi_c")
     ],
     (lambda d: _gender(d)["rules"][0].update(label="sometimes"), ("evaluate",),
-     "label 'sometimes'"),
+     "rule 1: 'label' differs from the merge of the tree's labeled leaves"),
     (lambda d: _gender(d)["tree"]["root"]["split"].update(slot="bogus"), ("evaluate",),
      "slot 'bogus'"),
     (lambda d: _gender(d)["rules"][0]["constraints"].update(bogus={}), ("evaluate",),
-     "slot 'bogus'"),
+     "rule 1: 'constraints' differs from the merge"),
     # a string of leaf ids would read as its characters
     (lambda d: _gender(d)["rules"][0].update(source_leaf_ids="ab"), ("report",),
-     "'source_leaf_ids' must be a list"),
+     "rule 1: 'source_leaf_ids' must be a list"),
     (lambda d: _gender(d)["rules"][1]["source_leaf_ids"].append(
         _gender(d)["rules"][0]["source_leaf_ids"][0]), ("report",),
-     "'source_leaf_ids' do not list each leaf"),
+     "rule 2: 'source_leaf_ids' differs from the merge"),
     (lambda d: _gender(d)["rules"][1].update(rule_id=_gender(d)["rules"][0]["rule_id"]),
-     ("report",), "two rules share a rule_id"),
+     ("report",), "rule 2: 'rule_id' differs from the merge"),
     # once read as a rule without its verdict table, and as "agree: -7"
     (lambda d: _gender(d)["leaf_verdicts"].pop(0), ("report", "evaluate"),
      "'leaf_verdicts' do not list each leaf"),
     (lambda d: _gender(d)["rules"][0].update(n_agree=-7), ("report", "annotation-sheet"),
-     "'n_agree' and 'n_disagree' are not the sums over its source leaves"),
+     "rule 1: 'n_agree' differs from the merge of the tree's labeled leaves"),
     (lambda d: _first_leaf(_gender(d)["tree"]["root"]).update(n_disagree=-1), ("report",),
      "negative count"),
     # once read as "training instances: 5" beside rules that count 800
@@ -275,7 +276,7 @@ RULES_FAULTS = [
     ],
     (lambda d: _gender(d)["rules"][0].update(
         label={"required": "chance", "chance": "required"}[_gender(d)["rules"][0]["label"]]),
-     ("report", "evaluate"), "'label' differs from a source leaf's verdict"),
+     ("report", "evaluate"), "rule 1: 'label' differs from the merge of"),
     # once read as one rule over 520 instances: the first leaf 1 and its 280 vanished
     (_second_leaf_renamed_first, EVERY_COMMAND, "two leaves of the tree have leaf_id 1"),
     # json.dumps writes these as NaN and Infinity, which Python's json reads
@@ -291,9 +292,7 @@ RULES_FAULTS = [
     (lambda d: _gender(d)["tree"]["hyperparams"].update(min_impurity_decrease=math.inf),
      EVERY_COMMAND, "'min_impurity_decrease' must be a finite number, not inf"),
     # statistics that contradict the document's own counts or chi2, each
-    # once printed by report as it stood (whether chi2 follows from the
-    # counts is not checked; a p_value and phi_c that do not follow from it
-    # give it away)
+    # once printed by report as it stood
     (lambda d: _gender(d)["leaf_verdicts"][0].update(agree_ratio=0.123), ("report",),
      "leaf 1: 'agree_ratio' 0.123 is not n_agree / (n_agree + n_disagree) = 276 / 280"),
     (lambda d: _gender(d)["leaf_verdicts"][0].update(p_value=-3), ("report",),
@@ -310,6 +309,15 @@ RULES_FAULTS = [
      "from 'chi2' 5000000000.0"),
     (lambda d: _gender(d)["leaf_verdicts"][1].update(p_value=0.0, phi_c=0.0), ("report",),
      "leaf 2: 'p_value' 0.0 and 'phi_c' 0.0 do not follow from 'chi2' None"),
+    # a chi2, p_value and phi_c that follow from one another but not from
+    # the leaf's 276 of 280 agreeing under p_chance 0.418809375; finite,
+    # and infinite as rules.json writes it
+    (lambda d: _gender(d)["leaf_verdicts"][0].update(
+        chi2=400.0, p_value=chi_square_survival(400.0), phi_c=cramers_phi(400.0, 280)),
+     ("report", "evaluate"),
+     "leaf 1: 'chi2' 400.0 is not 369.6949127161583, the statistic of its counts"),
+    (lambda d: _gender(d)["leaf_verdicts"][0].update(chi2=None, p_value=0.0, phi_c=None),
+     ("report",), "leaf 1: 'chi2' None is not 369.6949127161583, the statistic of its counts"),
     (lambda d: _gender(d)["chance_model"].update(p_chance=0.99), ("report",),
      "'p_chance' 0.99 is not the sum of the squared 'value_probs', 0.418809375"),
     (lambda d: _gender(d)["chance_model"].update(value_probs={"Masc": 2.0}), ("report",),
@@ -353,8 +361,11 @@ def test_faulty_rules_fail_with_error_line(workspace, capsys, edit, commands, na
 
 def test_verdict_of_an_infinite_chi2_loads(tmp_path):
     # label_leaf_statistical gives an infinite chi2 a p_value of 0.0 and an
-    # infinite phi_c; rules.json writes the two infinities as null
+    # infinite phi_c; rules.json writes the two infinities as null. Under
+    # per-leaf marginals, whose p_chance is not stored, chi2 is not
+    # recomputed from the counts
     doc = json.loads((GOLDEN_DIR / "rules.json").read_text(encoding="utf-8"))
+    doc["params"]["marginals_scope"] = "per-leaf"
     _gender(doc)["leaf_verdicts"][0].update(chi2=None, p_value=0.0, phi_c=None)
     rules = tmp_path / "infinite.json"
     rules.write_text(json.dumps(doc), encoding="utf-8")
@@ -368,14 +379,20 @@ def test_labels_that_follow_from_their_statistics_load(tmp_path):
     rules.write_text(json.dumps(doc), encoding="utf-8")
     assert load_rules(rules).rulesets["Gender"].verdicts[0].label.value == "required"
     # a leaf's own p_chance is not stored under per-leaf marginals: a
-    # chance label may have failed that gate, and is not checked
+    # chance label may have failed that gate, and is not checked; its two
+    # chance leaves merge into one rule
     doc = json.loads((GOLDEN_DIR / "rules.json").read_text(encoding="utf-8"))
     doc["params"]["marginals_scope"] = "per-leaf"
+    gender = _gender(doc)
     _relabel_first(doc)
+    gender["rules"] = [{**gender["rules"][0], "constraints": {}, "n_agree": 276 + 203,
+                        "n_disagree": 4 + 317, "source_leaf_ids": [1, 2]}]
     rules.write_text(json.dumps(doc), encoding="utf-8")
     assert load_rules(rules).rulesets["Gender"].verdicts[0].label.value == "chance"
     # but a required label must pass the gates it can be checked against
-    _gender(doc)["leaf_verdicts"][0]["label"] = _gender(doc)["rules"][0]["label"] = "required"
+    golden = json.loads((GOLDEN_DIR / "rules.json").read_text(encoding="utf-8"))
+    gender["leaf_verdicts"][0]["label"] = "required"
+    gender["rules"] = _gender(golden)["rules"]
     doc["params"]["alpha"] = 1e-100  # leaf 1's p_value is 2.2e-82
     rules.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(MalformedRulesError, match="'label' 'required' is not what statistical"):
@@ -416,7 +433,7 @@ NAMED_FILE_FAULTS = [
     (lambda d: d.update(format_version="2"), "complexity",
      "unsupported rules format_version '2'"),
     (lambda d: _gender(d)["rules"][0].update(rule_id={}), "complexity",
-     "feature 'Gender': 'rule_id' must be an integer, not dict"),
+     "feature 'Gender': rule 1: 'rule_id' must be an integer, not dict"),
     (lambda d: _gender(d)["training_triples"][0].update(relation=[]), "evaluate",
      "feature 'Gender': 'relation' must be a string, not list"),
 ]

@@ -4,14 +4,16 @@ on dev.conllu) byte for byte, the golden file must keep meaning what it
 meant when frozen, and the eval.json, sheet.tsv and report pages derived
 from it keep their bytes."""
 import hashlib
+import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from morphagree import Label, Triple, label_triple
+from morphagree import (ExtractionConfig, Label, Triple, extract_feature_rules, label_triple,
+                        parse_conllu_file)
 from morphagree.cli import main
-from morphagree.serialization import load_rules
+from morphagree.serialization import load_rules, rule_to_dict, rules_document, write_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "data" / "golden"
@@ -82,6 +84,34 @@ def test_extract_variants_keep_their_bytes(tmp_path, monkeypatch, options):
     assert hashlib.sha256(written).hexdigest() == GOLDEN_VARIANT_DIGESTS[options]
     # the loader accepts the statistics each variant writes
     assert load_rules(tmp_path / "rules.json").rulesets
+
+
+@pytest.mark.parametrize("source", ["rules.json", "rules-dev.json", ("--threshold", "hard"),
+                                    ("--marginals", "per-leaf"), ("--phi-sqrt",)],
+                         ids=lambda source: source if isinstance(source, str) else " ".join(source))
+def test_loaded_rules_write_back_as_their_document_holds_them(tmp_path, monkeypatch, source):
+    # the loader rebuilds each rule by merging and keeps only the refs of
+    # the document's entry, so the whole entry pins the merge
+    if isinstance(source, str):
+        path = GOLDEN_DIR / source
+    else:
+        _extract_from_repo_root(tmp_path, monkeypatch, *source)
+        path = tmp_path / "rules.json"
+    doc = load_rules(path)
+    for feature, ruleset in doc.rulesets.items():
+        written = json.loads(json.dumps([rule_to_dict(rule) for rule in ruleset.rules]))
+        assert written == doc.raw["features"][feature]["rules"]
+        assert any(rule.example_refs for rule in ruleset.rules)
+
+
+def test_loaded_rule_sets_equal_the_extracted_ones(tmp_path):
+    train = parse_conllu_file(GOLDEN_DIR / "train.conllu")
+    config = ExtractionConfig(features=("Gender", "Number"))
+    results = {feature: extract_feature_rules(train, feature, config)
+               for feature in config.features}
+    write_json(rules_document(results, config, "train.conllu"), tmp_path / "rules.json")
+    loaded = load_rules(tmp_path / "rules.json").rulesets
+    assert loaded == {feature: result.ruleset for feature, result in results.items()}
 
 
 def test_golden_rules_label_planted_grammar():

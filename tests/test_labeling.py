@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import random
 
@@ -28,25 +29,25 @@ from morphagree.conllu import Treebank
 from morphagree.errors import (
     EmptyMarginalsError,
     InvalidRuleSetError,
-    NoMatchingRuleError,
+    MalformedRulesError,
     VerdictMismatchError,
 )
 from morphagree.labeling import (
     EXAMPLE_REFS_CAP,
     Constraint,
     LeafVerdict,
-    RuleSet,
     ThresholdMode,
     _complement,
     _disjoint,
     _meet,
     _merge_to_fixpoint,
     _try_merge,
-    _witness,
     LabeledRule,
     chi_square_survival,
     rules_for,
 )
+from morphagree.pipeline import ExtractionConfig, FeatureRules
+from morphagree.serialization import load_rules, rule_to_dict, rules_document
 from morphagree.tree import (
     SLOT_ORDER,
     DecisionTree,
@@ -61,9 +62,8 @@ from morphagree.tree import (
 from morphagree.triples import FeatureDataset
 
 from conftest import agrees, make_edge, make_treebank, six_feature_conllu
-from oracles import (check_disjoint_pairwise, chi2_sf_oracle, chi_squared_statistic_by_cells,
-                     merge_rules_restarting, merge_to_fixpoint_pairwise, rule_for_scanning,
-                     rule_matches, try_merge_by_cases)
+from oracles import (chi2_sf_oracle, chi_squared_statistic_by_cells, merge_rules_restarting,
+                     merge_to_fixpoint_pairwise, rule_for_scanning, try_merge_by_cases)
 from treegen import random_labeled_tree, random_triple
 
 
@@ -408,7 +408,7 @@ def test_merge_equals_restarting_oracle_on_random_trees(seed, max_depth, dead_br
     # step meets the pairs that it refuses
     tree, verdicts = random_labeled_tree(random.Random(seed), max_depth=max_depth,
                                          dead_branches=dead_branches)
-    assert merge_rules(tree, verdicts) == merge_rules_restarting(tree, verdicts)
+    assert merge_rules(tree, verdicts).rules == merge_rules_restarting(tree, verdicts)
 
 
 # --- the constraint algebra, read as explicit sets over a small vocabulary
@@ -432,15 +432,6 @@ def test_meet_intersects_complement_complements_and_disjoint_is_an_empty_meet(a,
     assert _admitted(_meet(a, b)) == _admitted(a) & _admitted(b)
     assert _admitted(_complement(a)) == _UNIVERSE - _admitted(a)
     assert _disjoint(a, b) == (not _admitted(a) & _admitted(b)) == (not _admitted(_meet(a, b)))
-
-
-@given(st.tuples(_constraints, _constraints, _constraints))
-def test_witness_is_a_triple_the_region_admits(constraints):
-    assume(all(_admitted(c) for c in constraints))
-    region = dict(zip(SLOT_ORDER, constraints))
-    witness = _witness(region)
-    assert all((getattr(witness, slot) in c.values) == (c.mode == "in")
-               for slot, c in region.items())
 
 
 @given(_constraints, _constraints, _constraints, st.sampled_from(SLOT_ORDER))
@@ -479,9 +470,8 @@ def test_merge_equals_restarting_oracle_on_deep_fitted_trees(seed):
     # every instance has its own provenance, so the comparison also pins
     # the order of example_refs and counterexample_refs
     tree, verdicts, dataset = _random_deep_fit(random.Random(seed))
-    assert merge_rules(tree, verdicts, dataset, ThresholdMode.HARD) == merge_rules_restarting(
-        tree, verdicts, dataset, ThresholdMode.HARD
-    )
+    assert merge_rules(tree, verdicts, dataset).rules == merge_rules_restarting(
+        tree, verdicts, dataset)
 
 
 # 24 relations x 10 x 10 UPOS over 300 sentences of 29 tokens: 4,200 edges,
@@ -607,44 +597,27 @@ def test_merge_rejects_bad_verdicts():
         merge_rules(tree, [_verdict(1, Label.CHANCE), _verdict(2, Label.CHANCE)])
 
 
-def test_ruleset_construction_rejects_corrupt_rules():
-    tree = _tree_from_root(Leaf(1, 3, 2), 5)
-    ruleset = merge_rules(tree, [_verdict(1, Label.CHANCE)])
-    with pytest.raises(NoMatchingRuleError, match="do not list each leaf"):
-        RuleSet(
-            feature="Gender",
-            rules=(),
-            threshold_mode=ThresholdMode.STATISTICAL,
-            tree=tree,
-            verdicts=ruleset.verdicts,
-        )
-    with pytest.raises(NoMatchingRuleError, match="do not list each leaf"):
-        RuleSet(
-            feature="Gender",
-            rules=ruleset.rules + ruleset.rules,
-            threshold_mode=ThresholdMode.STATISTICAL,
-            tree=tree,
-            verdicts=ruleset.verdicts,
-        )
-    tree = _tree_from_root(Internal(SplitPredicate("relation", "det"), Leaf(1, 3, 2),
-                                    Leaf(2, 1, 4)), 10)
-    ruleset = merge_rules(tree, [_verdict(1, Label.REQUIRED), _verdict(2, Label.CHANCE)])
-    first, second = ruleset.rules
-    narrowed = first._replace(constraints={**first.constraints,
-                                           "relation": Constraint("in", frozenset({"obj"}))})
-    with pytest.raises(NoMatchingRuleError, match="no rule matches triple .*relation='det'"):
-        _rebuilt(ruleset, rules=(narrowed, second))
-    widened = second._replace(constraints={**second.constraints,
-                                           "relation": Constraint("not_in", frozenset())})
-    with pytest.raises(NoMatchingRuleError, match="relation='det'.* matches rules 1 and 2"):
-        _rebuilt(ruleset, rules=(first, widened))
+def _hard_labeled(tree):
+    """The tree's leaf verdicts as the hard labeler gives them at threshold 0.5."""
+    return [label_leaf_hard(leaf, 0.5) for leaf in leaves(tree)]
 
 
-def _rebuilt(ruleset, **changes):
-    """A RuleSet with some of ruleset's fields changed, built and checked anew."""
-    fields = {name: getattr(ruleset, name)
-              for name in ("feature", "rules", "threshold_mode", "tree", "verdicts")}
-    return RuleSet(**{**fields, **changes})
+def _rules_doc(ruleset) -> dict:
+    """A rules document holding ruleset, whose verdicts are _hard_labeled,
+    as its Gender entry, read back from its JSON text."""
+    config = ExtractionConfig(features=("Gender",), threshold_mode=ThresholdMode.HARD,
+                              hard_threshold=0.5)
+    chance = ChanceModel("Gender", {"Fem": 0.5, "Masc": 0.5}, 0.5)
+    result = FeatureRules("Gender", absent=False, chance=chance, ruleset=ruleset)
+    return json.loads(json.dumps(rules_document({"Gender": result}, config, "")))
+
+
+def _load_error(path, doc) -> str:
+    """The message of the MalformedRulesError load_rules raises on doc, written to path."""
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(MalformedRulesError) as info:
+        load_rules(path)
+    return str(info.value)
 
 
 def _two_leaf_tree(nomatch=Leaf(2, 1, 4), training_size=10):
@@ -657,93 +630,75 @@ def _tree_split_on_lemma():
                            10)
 
 
-def _first_rule_constraints(ruleset, change):
-    """ruleset's rules with change applied to the first rule's constraints."""
-    first = ruleset.rules[0]
-    return (first._replace(constraints=change(first.constraints)),) + ruleset.rules[1:]
+def _root(entry):
+    return entry["tree"]["root"]
 
 
-# (change to a valid RuleSet of two one-leaf rules, error type, message), one
-# per check of slots, counts, verdicts, rule ids and labels
+def _first_constraints(entry):
+    return entry["rules"][0]["constraints"]
+
+
+_DIFFERS = "differs from the merge of the tree's labeled leaves"
+
+# (edit of the Gender entry of a rules document of two one-leaf rules, the
+# loader's message after the feature), one per check of slots, counts,
+# verdicts, rule ids, labels and constraints
 DISAGREEMENTS = [
-    pytest.param(lambda rs: _rebuilt(rs, tree=_tree_split_on_lemma()),
-                 InvalidRuleSetError,
-                 "split slot 'lemma' is not one of relation, head_pos, dep_pos",
+    pytest.param(lambda e: _root(e)["split"].update(slot="lemma"),
+                 "slot 'lemma' is not one of relation, head_pos, dep_pos",
                  id="split on an unknown slot"),
-    pytest.param(lambda rs: _rebuilt(rs, tree=_two_leaf_tree(Leaf(2, 1, -4), 2)),
-                 InvalidRuleSetError, "a leaf of the tree has a negative count",
-                 id="negative leaf count"),
-    pytest.param(lambda rs: _rebuilt(rs, tree=_two_leaf_tree(training_size=9)),
-                 InvalidRuleSetError,
+    pytest.param(lambda e: (_root(e)["nomatch"]["leaf"].update(n_disagree=-4),
+                            e["tree"].update(training_size=2)),
+                 "a leaf of the tree has a negative count", id="negative leaf count"),
+    pytest.param(lambda e: e["tree"].update(training_size=9),
                  "'training_size' is not 10, the sum of the tree's leaf counts",
                  id="wrong training_size"),
-    pytest.param(lambda rs: RuleSet(feature="Gender", rules=rs.rules,
-                                    threshold_mode=rs.threshold_mode, tree=rs.tree,
-                                    verdicts=rs.verdicts[:1]),
-                 VerdictMismatchError, "'leaf_verdicts' do not list each leaf of the tree once",
-                 id="missing verdict"),
-    pytest.param(lambda rs: _rebuilt(rs, verdicts=rs.verdicts + rs.verdicts[:1]),
-                 VerdictMismatchError, "'leaf_verdicts' do not list each leaf of the tree once",
+    pytest.param(lambda e: e["leaf_verdicts"].pop(),
+                 "'leaf_verdicts' do not list each leaf of the tree once", id="missing verdict"),
+    pytest.param(lambda e: e["leaf_verdicts"].append(e["leaf_verdicts"][0]),
+                 "'leaf_verdicts' do not list each leaf of the tree once",
                  id="duplicate verdict"),
-    pytest.param(lambda rs: _rebuilt(rs, rules=(rs.rules[0], rs.rules[1]._replace(rule_id=1))),
-                 InvalidRuleSetError, "two rules share a rule_id", id="duplicate rule id"),
-    pytest.param(lambda rs: _rebuilt(rs, rules=(rs.rules[0]._replace(n_agree=4), rs.rules[1])),
-                 InvalidRuleSetError,
-                 "rule 1: 'n_agree' and 'n_disagree' are not the sums over its source leaves",
+    pytest.param(lambda e: e.update(rules=[]),
+                 "'rules' lists 0 rules, not the 2 of the merge of the tree's labeled leaves",
+                 id="no rules"),
+    pytest.param(lambda e: e["rules"].extend(e["rules"]),
+                 "'rules' lists 4 rules, not the 2 of the merge of the tree's labeled leaves",
+                 id="rules twice"),
+    pytest.param(lambda e: e["rules"][1].update(rule_id=1), f"rule 2: 'rule_id' {_DIFFERS}",
+                 id="duplicate rule id"),
+    pytest.param(lambda e: e["rules"][0].update(n_agree=4), f"rule 1: 'n_agree' {_DIFFERS}",
                  id="wrong rule counts"),
-    pytest.param(lambda rs: _rebuilt(rs, rules=(rs.rules[0]._replace(label=Label.CHANCE),
-                                                rs.rules[1])),
-                 VerdictMismatchError, "rule 1: 'label' differs from a source leaf's verdict",
+    pytest.param(lambda e: e["rules"][0].update(label="chance"), f"rule 1: 'label' {_DIFFERS}",
                  id="wrong rule label"),
-    pytest.param(lambda rs: _rebuilt(rs, rules=_first_rule_constraints(
-                     rs, lambda cs: {s: c for s, c in cs.items() if s != "head_pos"})),
-                 InvalidRuleSetError, "rule 1: no constraint for slot 'head_pos'",
-                 id="rule without a slot"),
-    pytest.param(lambda rs: _rebuilt(rs, rules=_first_rule_constraints(
-                     rs, lambda cs: {**cs, "lemma": Constraint("in", frozenset({"x"}))})),
-                 InvalidRuleSetError,
-                 "rule 1: slot 'lemma' is not one of relation, head_pos, dep_pos",
-                 id="rule with an unknown slot"),
-    # modes and values the loader would reject, were they written to rules.json
-    pytest.param(lambda rs: _rebuilt(rs, rules=_first_rule_constraints(
-                     rs, lambda cs: {**cs, "head_pos": Constraint("maybe", frozenset())})),
-                 InvalidRuleSetError,
-                 "rule 1: slot 'head_pos': mode 'maybe' is not 'in' or 'not_in'",
-                 id="constraint with an unknown mode"),
-    pytest.param(lambda rs: _rebuilt(rs, rules=_first_rule_constraints(
-                     rs, lambda cs: {**cs, "relation": Constraint("in", ["det"])})),
-                 InvalidRuleSetError,
-                 "rule 1: slot 'relation': values are not a frozenset of strings",
-                 id="constraint values in a list"),
-    pytest.param(lambda rs: _rebuilt(rs, rules=_first_rule_constraints(
-                     rs, lambda cs: {**cs, "dep_pos": Constraint("not_in", frozenset({1}))})),
-                 InvalidRuleSetError,
-                 "rule 1: slot 'dep_pos': values are not a frozenset of strings",
-                 id="constraint value not a string"),
+    pytest.param(lambda e: _first_constraints(e).pop("relation"),
+                 f"rule 1: 'constraints' {_DIFFERS}", id="rule without a slot"),
+    pytest.param(lambda e: _first_constraints(e).update(lemma={"mode": "in", "values": ["x"]}),
+                 f"rule 1: 'constraints' {_DIFFERS}", id="rule with an unknown slot"),
+    pytest.param(lambda e: _first_constraints(e).update(head_pos={"mode": "maybe", "values": []}),
+                 f"rule 1: 'constraints' {_DIFFERS}", id="constraint with an unknown mode"),
+    pytest.param(lambda e: _first_constraints(e)["relation"].update(values="det"),
+                 f"rule 1: 'constraints' {_DIFFERS}", id="constraint values in a string"),
+    pytest.param(lambda e: _first_constraints(e).update(dep_pos={"mode": "not_in", "values": [1]}),
+                 f"rule 1: 'constraints' {_DIFFERS}", id="constraint value not a string"),
 ]
+
+
+@pytest.mark.parametrize("edit, message", DISAGREEMENTS)
+def test_loader_rejects_disagreeing_counts_verdicts_and_rules(tmp_path, edit, message):
+    tree = _two_leaf_tree()
+    doc = _rules_doc(merge_rules(tree, _hard_labeled(tree), threshold_mode=ThresholdMode.HARD))
+    assert len(doc["features"]["Gender"]["rules"]) == 2
+    edit(doc["features"]["Gender"])
+    path = tmp_path / "rules.json"
+    assert _load_error(path, doc) == f"{path}: feature 'Gender': {message}"
 
 
 def test_ruleset_construction_rejects_repeated_leaf_ids():
     # once accepted, with training_size 7: the first leaf 1 and its counts vanished
     tree = _tree_from_root(
         Internal(SplitPredicate("relation", "det"), Leaf(1, 5, 0), Leaf(1, 0, 7)), 7)
-    rule = LabeledRule(rule_id=1, label=Label.CHANCE,
-                       constraints=dict.fromkeys(SLOT_ORDER, Constraint("not_in", frozenset())),
-                       n_agree=0, n_disagree=7, source_leaf_ids=(1,))
     with pytest.raises(InvalidRuleSetError, match="two leaves of the tree have leaf_id 1"):
-        RuleSet(feature="Gender", rules=(rule,), threshold_mode=ThresholdMode.STATISTICAL,
-                tree=tree, verdicts=(_verdict(1, Label.CHANCE),))
-
-
-@pytest.mark.parametrize("change, error, message", DISAGREEMENTS)
-def test_ruleset_construction_rejects_disagreeing_counts_verdicts_and_rules(
-        change, error, message):
-    ruleset = merge_rules(_two_leaf_tree(), [_verdict(1, Label.REQUIRED),
-                                             _verdict(2, Label.CHANCE)])
-    assert len(ruleset.rules) == 2
-    with pytest.raises(InvalidRuleSetError) as info:
-        change(ruleset)
-    assert info.type is error and str(info.value) == message
+        merge_rules(tree, [_verdict(1, Label.CHANCE)])
 
 
 @pytest.mark.parametrize("with_dataset", [False, True])
@@ -796,8 +751,9 @@ def _every_class_of_triples(tree, rules) -> list[Triple]:
 
 
 def _mutated(rules, rng):
-    """rules with one slot constraint of one rule changed: a value added or
-    dropped, the mode flipped, or a random constraint put in its place."""
+    """The index of one rule and rules with one slot constraint of that rule
+    changed: a value added or dropped, the mode flipped, or a random
+    constraint put in its place."""
     at = rng.randrange(len(rules))
     slot = rng.choice(SLOT_ORDER)
     old = rules[at].constraints[slot]
@@ -812,84 +768,53 @@ def _mutated(rules, rng):
         new = Constraint(rng.choice(("in", "not_in")),
                          frozenset(v for v in pool if rng.random() < 0.3))
     changed = rules[at]._replace(constraints={**rules[at].constraints, slot: new})
-    return rules[:at] + (changed,) + rules[at + 1:]
+    return at, rules[:at] + (changed,) + rules[at + 1:]
 
 
-def _check_guard_against_scan(tree, verdicts, rng):
-    """On the merged rules and on single-constraint mutations of them, the
-    RuleSet guard accepts exactly the rules a scan of every class of
-    triples finds without gap or overlap, and routed lookups then equal
-    the scan."""
-    merged = merge_rules(tree, verdicts)
-    for rules in [merged.rules] + [_mutated(merged.rules, rng) for _ in range(8)]:
-        triples = _every_class_of_triples(tree, rules)
-        partitioned = all(sum(rule_matches(r, t) for r in rules) == 1 for t in triples)
-        try:
-            ruleset = _rebuilt(merged, rules=rules)
-        except NoMatchingRuleError:
-            assert not partitioned
+@pytest.fixture(scope="module")
+def rules_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "rules.json"
+
+
+def _check_partition_and_mutations(tree, rng, path):
+    """The rules merged from the tree, its leaves _hard_labeled, match each
+    class of triples exactly once, and routed lookups find that rule; their
+    document loads as the same RuleSet; and load_rules rejects each
+    single-constraint mutation of them that changes the document, naming
+    the mutated rule."""
+    ruleset = merge_rules(tree, _hard_labeled(tree), threshold_mode=ThresholdMode.HARD)
+    triples = _every_class_of_triples(tree, ruleset.rules)
+    found = rules_for(ruleset, triples)
+    for triple in triples:
+        # raises LookupError if no rule or two rules match
+        assert found[triple] is rule_for_scanning(ruleset.rules, triple)
+    doc = _rules_doc(ruleset)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_rules(path).rulesets == {"Gender": ruleset}
+    for _ in range(8):
+        at, rules = _mutated(ruleset.rules, rng)
+        if rule_to_dict(rules[at]) == rule_to_dict(ruleset.rules[at]):
             continue
-        assert partitioned
-        found = rules_for(ruleset, triples)
-        for triple in triples:
-            assert found[triple] is rule_for_scanning(rules, triple)
+        doc["features"]["Gender"]["rules"] = [rule_to_dict(rule) for rule in rules]
+        assert _load_error(path, doc) == (
+            f"{path}: feature 'Gender': rule {at + 1}: 'constraints' {_DIFFERS}")
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.booleans())
-def test_guard_equals_exact_scan_on_random_trees(seed, max_depth, dead_branches):
+def test_merged_rules_partition_and_mutations_fail_to_load_on_random_trees(
+        rules_path, seed, max_depth, dead_branches):
     rng = random.Random(seed)
-    tree, verdicts = random_labeled_tree(rng, max_depth=max_depth, dead_branches=dead_branches)
-    _check_guard_against_scan(tree, verdicts, rng)
+    tree, _ = random_labeled_tree(rng, max_depth=max_depth, dead_branches=dead_branches)
+    _check_partition_and_mutations(tree, rng, rules_path)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_guard_equals_exact_scan_on_deep_fitted_trees(seed):
+def test_merged_rules_partition_and_mutations_fail_to_load_on_deep_fitted_trees(rules_path, seed):
     rng = random.Random(seed)
-    tree, verdicts, _ = _random_deep_fit(rng)
-    _check_guard_against_scan(tree, verdicts, rng)
-
-
-def _built_or_error(build):
-    """What building a RuleSet gives: None, or the error's type and text."""
-    try:
-        build()
-    except InvalidRuleSetError as exc:
-        return type(exc), str(exc)
-    return None
-
-
-def _check_disjointness_against_pairwise_scan(tree, verdicts, rng):
-    """On the merged rules and on single-constraint mutations of them, the
-    rule-table overlap check, which runs once every earlier check passes,
-    accepts and rejects the rule sets that the pairwise scan does, with the
-    same message."""
-    merged = merge_rules(tree, verdicts)
-    rejected = 0
-    for rules in [merged.rules] + [_mutated(merged.rules, rng) for _ in range(8)]:
-        with_table = _built_or_error(lambda: _rebuilt(merged, rules=rules))
-        overlap = with_table is not None and "matches rules" in with_table[1]
-        if with_table is None or overlap:
-            assert _built_or_error(lambda: check_disjoint_pairwise(rules)) == with_table
-        rejected += overlap
-    return rejected
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.booleans())
-def test_table_overlap_check_equals_pairwise_scan_on_random_trees(seed, max_depth, dead_branches):
-    rng = random.Random(seed)
-    tree, verdicts = random_labeled_tree(rng, max_depth=max_depth, dead_branches=dead_branches)
-    _check_disjointness_against_pairwise_scan(tree, verdicts, rng)
-
-
-def test_table_overlap_check_equals_pairwise_scan_on_deep_fitted_trees():
-    rng = random.Random(11)
-    rejected = sum(_check_disjointness_against_pairwise_scan(*_random_deep_fit(rng)[:2], rng)
-                   for _ in range(30))
-    # overlapping mutations are among the rule sets compared
-    assert rejected > 0
+    tree, _, _ = _random_deep_fit(rng)
+    _check_partition_and_mutations(tree, rng, rules_path)
 
 
 def _depth(node) -> int:

@@ -280,18 +280,6 @@ def test_invalid_utf8_in_a_later_block_names_its_line(tail, reason):
         f"line {2 * repeats + 1}: 'utf-8' codec can't decode byte 0xc3 in position 3: {reason}")
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data(), _document(), st.booleans(), st.booleans())
-def test_byte_lines_parse_like_the_byte_stream(data, lines, crlf, corrupt):
-    if corrupt:
-        lines = _corrupt(data.draw, lines)
-    encoded = ("\r\n" if crlf else "\n").join(lines).encode("utf-8")
-    want = _outcome_of(parse_conllu, io.BytesIO(encoded))
-    with_ends = list(io.BytesIO(encoded))
-    assert _outcome_of(parse_conllu, with_ends) == want
-    assert _outcome_of(parse_conllu, [line.rstrip(b"\r\n") for line in with_ends]) == want
-
-
 def test_parse_holds_little_beyond_what_it_keeps(tmp_path):
     # a read of the whole file would hold its 1.9 MB, and its text, at the peak
     path = tmp_path / "train.conllu"

@@ -10,12 +10,12 @@ value) gets a code in that order, so code order is tie order, and each
 triple group becomes a row of its three codes and counts. Split search
 scans a node's per-code totals once; after a split only the child with
 fewer rows is counted, and the other's totals are the node's minus those
-(histogram subtraction, exact on integers). Gini is scored inline, by
-_gini's operations in _gini's order, so its floats are those of a call per
-code. Scored rows take the training codes; a value training lacks gets -1,
-which never matches. Held-out rows travel with growth: each node splits
-them with the test that splits its training rows, and records their
-(agree, disagree) totals.
+(histogram subtraction, exact on integers). Gini and entropy are scored
+inline, by _gini's and _entropy's operations in their order, so their
+floats are those of a call per side of each code. Scored rows take the
+training codes; a value training lacks gets -1, which never matches.
+Held-out rows travel with growth: each node splits them with the test
+that splits its training rows, and records their (agree, disagree) totals.
 
 Depth nesting: for a fixed criterion and min_impurity_decrease, the split
 chosen at a node depends only on the groups reaching it; max_depth only
@@ -26,6 +26,14 @@ relies on this for growth and for scoring: per criterion (and per
 cross-validation fold) it grows one tree at the grid's largest depth,
 carrying the scored rows, and scores every grid point from the held-out
 totals of the nodes its cut makes leaves. Only the winning point is frozen.
+
+Joint growth: the criteria of one impurity floor grow in one recursion.
+At each node every criterion picks its split; criteria picking the same
+code share that node's partition of the rows, the count of its smaller
+child and the split of its held-out rows, and they recurse apart only
+below a node where their splits differ. Each still gets its own nodes,
+the tree it would grow alone, and fit is the same recursion with one
+criterion.
 
 Leaves hold counts only. Training triples reach their leaves in batches
 through labeling's RegionTable.of(tree), which finds a triple's leaf in
@@ -40,7 +48,7 @@ import random
 from functools import lru_cache
 from itertools import compress
 from operator import add, sub
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .errors import EmptyDatasetError
 from .triples import FeatureDataset, Triple, TripleGroup
@@ -78,6 +86,7 @@ class Internal(NamedTuple):
 
 TreeNode = Leaf | Internal
 Row = tuple[int, int, int, int, int]  # slot codes in SLOT_ORDER, n_agree, n_disagree
+_Member = tuple[Callable[[int, int], float], int]  # a growth's impurity and max_depth
 
 
 class HyperParams(NamedTuple):
@@ -148,16 +157,18 @@ class _Node:
 
 class _Codes:
     """A feature's code table (see the module docstring): each code's
-    predicate, per slot the code of each value, and the groups' coded rows."""
+    predicate and its slot's position in SLOT_ORDER, per slot the code of
+    each value, and the groups' coded rows."""
 
     def __init__(self, groups: Collection[TripleGroup]):
         self.predicates = [
             SplitPredicate(slot, value)
             for slot in SLOT_ORDER for value in sorted({getattr(g.triple, slot) for g in groups})
         ]
+        self.slot_of = [SLOT_ORDER.index(slot) for slot, _ in self.predicates]
         self.code_of: tuple[dict[str, int], ...] = tuple({} for _ in SLOT_ORDER)
-        for code, (slot, value) in enumerate(self.predicates):
-            self.code_of[SLOT_ORDER.index(slot)][value] = code
+        for code, (pos, (_, value)) in enumerate(zip(self.slot_of, self.predicates)):
+            self.code_of[pos][value] = code
         self.rows = self.coded(groups)
 
     def coded(self, groups: Iterable[TripleGroup]) -> list[Row]:
@@ -189,9 +200,10 @@ def _best_split(
 ) -> tuple[int, float, int, int] | None:
     """The first split, in code order, of maximal impurity decrease: its
     code, the decrease and the match side's (agree, disagree) totals. Only
-    the codes some row of the node has are scored. Both sides of a scored
-    split are non-empty, so gini is computed inline without _gini's empty
-    case."""
+    the codes some row of the node has are scored. Both impurities are
+    computed inline, by _gini's or _entropy's operations in their order, so
+    the floats are those of a call per side; both sides of a scored split
+    are non-empty, so gini needs no empty case."""
     n_node = node_agree + node_disagree
     node_impurity = impurity(node_agree, node_disagree)
     weight = n_node / n_total
@@ -199,6 +211,7 @@ def _best_split(
     best_delta = 0.0
     sizes = list(map(add, agree, disagree))
     gini = impurity is _gini
+    log2 = math.log2
     for code in compress(range(len(sizes)), sizes):
         n_match = sizes[code]
         if n_match == n_node:
@@ -211,10 +224,20 @@ def _best_split(
             child_impurity = (n_match * (2.0 * p * (1.0 - p))
                               + n_rest * (2.0 * q * (1.0 - q))) / n_node
         else:
-            child_impurity = (
-                n_match * impurity(m_agree, m_disagree)
-                + n_rest * impurity(node_agree - m_agree, node_disagree - m_disagree)
-            ) / n_node
+            h_match = h_rest = 0.0
+            if m_disagree:
+                p = m_disagree / n_match
+                h_match -= p * log2(p)
+            if m_agree:
+                p = m_agree / n_match
+                h_match -= p * log2(p)
+            if node_disagree - m_disagree:
+                p = (node_disagree - m_disagree) / n_rest
+                h_rest -= p * log2(p)
+            if node_agree - m_agree:
+                p = (node_agree - m_agree) / n_rest
+                h_rest -= p * log2(p)
+            child_impurity = (n_match * h_match + n_rest * h_rest) / n_node
         delta = weight * (node_impurity - child_impurity)
         if best is None or delta > best_delta:
             best = (code, delta, m_agree, m_disagree)
@@ -224,44 +247,77 @@ def _best_split(
 
 def _grow(
     codes: _Codes, rows: list[Row], counts: tuple[list[int], list[int]], held: list[Row],
-    max_depth: int, min_impurity_decrease: float, impurity,
-) -> _Node:
-    """Grow a tree from the coded rows, given their per-code counts; every
-    node records the totals of the held-out rows reaching it."""
+    members: list[_Member], min_impurity_decrease: float,
+) -> list[_Node]:
+    """Grow one tree per member (impurity, max_depth) from the coded rows,
+    given their per-code counts; every node records the totals of the
+    held-out rows reaching it. The members grow together: at each node each
+    picks its split, those picking the same code share one partition of the
+    rows, one count of the smaller child and one split of the held-out rows,
+    and they recurse apart only below a node where their splits differ. Each
+    member gets its own nodes, the tree it would grow alone."""
     # each row adds its counts to three codes, one per slot
     n_agree, n_disagree = sum(counts[0]) // 3, sum(counts[1]) // 3
     n_total = n_agree + n_disagree
+    n_codes = len(codes.predicates)
 
-    def grow(rows, counts, held, n_agree, n_disagree, depth) -> _Node:
-        node = _Node(depth, n_agree, n_disagree)
-        best = None
-        if n_agree and n_disagree and depth < max_depth and len(rows) > 1:
-            best = _best_split(*counts, n_agree, n_disagree, impurity, n_total)
-        if best is None or best[1] < min_impurity_decrease:
-            node.held_agree = sum(r[3] for r in held)
-            node.held_disagree = sum(r[4] for r in held)
-            return node
-        code, _, m_agree, m_disagree = best
-        predicate = codes.predicates[code]
-        pos = SLOT_ORDER.index(predicate.slot)
-        match = [r for r in rows if r[pos] == code]
-        nomatch = [r for r in rows if r[pos] != code]
-        # only the child with fewer rows is counted; the other's counts are
-        # the node's minus those
-        small = _counts(min(match, nomatch, key=len), len(codes.predicates))
-        large = tuple(list(map(sub, whole, part)) for whole, part in zip(counts, small))
-        match_counts, nomatch_counts = (
-            (small, large) if len(match) <= len(nomatch) else (large, small))
-        match_child = grow(match, match_counts, [r for r in held if r[pos] == code],
-                           m_agree, m_disagree, depth + 1)
-        nomatch_child = grow(nomatch, nomatch_counts, [r for r in held if r[pos] != code],
-                             n_agree - m_agree, n_disagree - m_disagree, depth + 1)
-        node.held_agree = match_child.held_agree + nomatch_child.held_agree
-        node.held_disagree = match_child.held_disagree + nomatch_child.held_disagree
-        node.split = (predicate, match_child, nomatch_child)
-        return node
+    def grow(rows, counts, held, n_agree, n_disagree, depth, members) -> list[_Node]:
+        nodes = []
+        # per code split on here, the members splitting on it and their nodes
+        splitting: dict[int, tuple[list[_Member], list[_Node]]] = {}
+        splittable = n_agree and n_disagree and len(rows) > 1
+        for member in members:
+            node = _Node(depth, n_agree, n_disagree)
+            nodes.append(node)
+            if splittable and depth < member[1]:
+                best = _best_split(*counts, n_agree, n_disagree, member[0], n_total)
+                if best is not None and best[1] >= min_impurity_decrease:
+                    split_members, split_nodes = splitting.setdefault(best[0], ([], []))
+                    split_members.append(member)
+                    split_nodes.append(node)
+        if not splitting:
+            held_agree = held_disagree = 0
+            for r in held:
+                held_agree += r[3]
+                held_disagree += r[4]
+        for code, (split_members, split_nodes) in splitting.items():
+            pos = codes.slot_of[code]
+            match: list[Row] = []
+            nomatch: list[Row] = []
+            for r in rows:
+                (match if r[pos] == code else nomatch).append(r)
+            held_match: list[Row] = []
+            held_nomatch: list[Row] = []
+            for r in held:
+                (held_match if r[pos] == code else held_nomatch).append(r)
+            # only the child with fewer rows is counted; the other's counts
+            # are the node's minus those
+            if len(match) <= len(nomatch):
+                match_counts = _counts(match, n_codes)
+                nomatch_counts = (list(map(sub, counts[0], match_counts[0])),
+                                  list(map(sub, counts[1], match_counts[1])))
+            else:
+                nomatch_counts = _counts(nomatch, n_codes)
+                match_counts = (list(map(sub, counts[0], nomatch_counts[0])),
+                                list(map(sub, counts[1], nomatch_counts[1])))
+            m_agree, m_disagree = counts[0][code], counts[1][code]
+            match_children = grow(match, match_counts, held_match, m_agree, m_disagree,
+                                  depth + 1, split_members)
+            nomatch_children = grow(nomatch, nomatch_counts, held_nomatch, n_agree - m_agree,
+                                    n_disagree - m_disagree, depth + 1, split_members)
+            predicate = codes.predicates[code]
+            for node, match_child, nomatch_child in zip(split_nodes, match_children,
+                                                        nomatch_children):
+                node.split = (predicate, match_child, nomatch_child)
+            # the same held-out rows reach every member's node
+            held_agree = match_children[0].held_agree + nomatch_children[0].held_agree
+            held_disagree = match_children[0].held_disagree + nomatch_children[0].held_disagree
+        for node in nodes:
+            node.held_agree = held_agree
+            node.held_disagree = held_disagree
+        return nodes
 
-    return grow(rows, counts, held, n_agree, n_disagree, 0)
+    return grow(rows, counts, held, n_agree, n_disagree, 0, members)
 
 
 def _freeze(node: _Node, max_depth: int, counter: list[int]) -> TreeNode:
@@ -281,17 +337,23 @@ def _grow_points(
 ) -> list[_Node]:
     """The grown root of every point, in order, from the coded rows, each
     node holding the totals of the held-out rows reaching it. Points sharing
-    a criterion and impurity floor share one growth at their largest
-    max_depth (depth nesting, see the module docstring)."""
-    depths: dict[tuple[str, float], int] = {}
+    a criterion and impurity floor share one tree grown at their largest
+    max_depth (depth nesting, see the module docstring), and the criteria of
+    one floor grow together, sharing each node's work until their splits
+    differ."""
+    depths: dict[float, dict[str, int]] = {}
     for hp in points:
         if hp.criterion not in _IMPURITY:
             raise ValueError(f"unknown criterion {hp.criterion!r}")
-        key = (hp.criterion, hp.min_impurity_decrease)
-        depths[key] = max(depths.get(key, hp.max_depth), hp.max_depth)
+        by_criterion = depths.setdefault(hp.min_impurity_decrease, {})
+        by_criterion[hp.criterion] = max(by_criterion.get(hp.criterion, hp.max_depth),
+                                         hp.max_depth)
     counts = _counts(rows, len(codes.predicates))
-    grown = {key: _grow(codes, rows, counts, held, depth, key[1], _IMPURITY[key[0]])
-             for key, depth in depths.items()}
+    grown: dict[tuple[str, float], _Node] = {}
+    for floor, by_criterion in depths.items():
+        members = [(_IMPURITY[criterion], depth) for criterion, depth in by_criterion.items()]
+        roots = _grow(codes, rows, counts, held, members, floor)
+        grown.update(((criterion, floor), root) for criterion, root in zip(by_criterion, roots))
     return [grown[hp.criterion, hp.min_impurity_decrease] for hp in points]
 
 
@@ -412,35 +474,53 @@ def _fold_of(seed: int, n: int, k: int) -> bytes:
     return bytes(fold_of)
 
 
+def _fold_rows(
+    train: FeatureDataset, codes: _Codes, fold_of: bytes, k: int
+) -> tuple[list[list[Row]], list[list[Row]]]:
+    """Per fold, its held-out rows and its training rows, each in group
+    order: a group's held-out row has its instances in the fold and its
+    training row the others, and a row with no instance is left out."""
+    agree_counts: list[list[int]] = []
+    disagree_counts: list[list[int]] = []
+    for group in train.triples.values():
+        counts = [0] * k
+        for idx in group.agreeing:
+            counts[fold_of[idx]] += 1
+        agree_counts.append(counts)
+        counts = [0] * k
+        for idx in group.disagreeing:
+            counts[fold_of[idx]] += 1
+        disagree_counts.append(counts)
+    c0, c1, c2, n_agree, n_disagree = zip(*codes.rows)
+    held: list[list[Row]] = []
+    rest: list[list[Row]] = []
+    # per fold, the column of each group's count in it
+    for held_agree, held_disagree in zip(zip(*agree_counts), zip(*disagree_counts)):
+        held.append(list(compress(zip(c0, c1, c2, held_agree, held_disagree),
+                                  map(add, held_agree, held_disagree))))
+        rest_agree = list(map(sub, n_agree, held_agree))
+        rest_disagree = list(map(sub, n_disagree, held_disagree))
+        rest.append(list(compress(zip(c0, c1, c2, rest_agree, rest_disagree),
+                                  map(add, rest_agree, rest_disagree))))
+    return held, rest
+
+
 def _cv_scores(
     train: FeatureDataset, codes: _Codes, points: list[HyperParams], seed: int, metric,
     n_folds: int = 5,
 ) -> list[float]:
     """Seed-shuffled k-fold score of every point, at triple-count granularity.
 
-    The folds' training and held-out rows are built once, from train's
-    coded rows; each fold then grows once per criterion, carrying its
-    held-out rows, for all points.
+    The folds' training and held-out rows are built once, a fold at a time
+    from train's coded rows and each group's per-fold instance counts; each
+    fold then grows its criteria together, carrying its held-out rows, for
+    all points.
     """
     n = len(train.instances)
     k = min(n_folds, n)
     if k < 2:
         return [0.0] * len(points)
-    fold_of = _fold_of(seed, n, k)
-    held: list[list[Row]] = [[] for _ in range(k)]
-    rest: list[list[Row]] = [[] for _ in range(k)]
-    for (c0, c1, c2, n_agree, n_disagree), group in zip(codes.rows, train.triples.values()):
-        agree_counts = [0] * k
-        for idx in group.agreeing:
-            agree_counts[fold_of[idx]] += 1
-        disagree_counts = [0] * k
-        for idx in group.disagreeing:
-            disagree_counts[fold_of[idx]] += 1
-        for fold, (held_agree, held_disagree) in enumerate(zip(agree_counts, disagree_counts)):
-            if held_agree or held_disagree:
-                held[fold].append((c0, c1, c2, held_agree, held_disagree))
-            if held_agree + held_disagree < n_agree + n_disagree:
-                rest[fold].append((c0, c1, c2, n_agree - held_agree, n_disagree - held_disagree))
+    held, rest = _fold_rows(train, codes, _fold_of(seed, n, k), k)
     fold_scores = [
         _scores(_grow_points(codes, rest_rows, held_rows, points), points, metric)
         for held_rows, rest_rows in zip(held, rest)

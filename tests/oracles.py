@@ -5,14 +5,16 @@ statistic is summed cell by cell in Fraction arithmetic (the package
 divides two integers once, by its closed form), the chi-square survival
 function is adaptive-Simpson integration of the density (the package uses
 erfc), splits are found by exhaustive enumeration, or scored by calling
-the impurity function per side (the package inlines gini),
+the impurity function per side (the package inlines gini and entropy),
 entropy/correlation are recomputed from their definitions, a whole tree is
 grown by exhaustive search over instances at every node, or by
 rebucketing the triple groups reaching each node by every slot's values
 (the package scans integer count tables), triples are
 walked down the tree one at a time and scored one group at a time, grid
 search fits and scores every grid point and every cross-validation fold
-separately, rule merging rescans every pair from the start after each
+separately, a fold's held-out and training rows are appended group by
+group and fold by fold (the package builds them a column at a time), rule
+merging rescans every pair from the start after each
 merge and merges two constraints case by case (the package derives the
 merged constraint from set operations), or tries every pair of rules
 instead of only those that share a signature, a triple's rule is found by
@@ -151,8 +153,9 @@ def brute_force_best_first_split(instances, criterion: str = "gini"):
 
 
 def best_split_calling_impurity(agree, disagree, node_agree, node_disagree, impurity, n_total):
-    """tree._best_split as it was written before gini was inlined: one call
-    of the impurity function per side of each scored code."""
+    """tree._best_split as it was written before gini and entropy were
+    inlined: one call of the impurity function per side of each scored
+    code."""
     n_node = node_agree + node_disagree
     node_impurity = impurity(node_agree, node_disagree)
     best = None
@@ -412,6 +415,27 @@ def grid_search_per_point(train, grid, seed: int, metric: str = "accuracy", n_fo
         return sum(scores) / len(scores) if scores else 0.0
 
     return _best_of((grow_by_rebucketing(train, hp), cv_score(hp)) for hp in grid.points())
+
+
+def fold_rows_reference(train, codes, fold_of: bytes, k: int):
+    """Per fold, its held-out and training rows, built the direct way: a
+    group's instances counted per fold, then its two rows appended to each
+    fold that has some of them, group by group and fold by fold."""
+    held = [[] for _ in range(k)]
+    rest = [[] for _ in range(k)]
+    for (c0, c1, c2, n_agree, n_disagree), group in zip(codes.rows, train.triples.values()):
+        agree_counts = [0] * k
+        for idx in group.agreeing:
+            agree_counts[fold_of[idx]] += 1
+        disagree_counts = [0] * k
+        for idx in group.disagreeing:
+            disagree_counts[fold_of[idx]] += 1
+        for fold, (held_agree, held_disagree) in enumerate(zip(agree_counts, disagree_counts)):
+            if held_agree or held_disagree:
+                held[fold].append((c0, c1, c2, held_agree, held_disagree))
+            if held_agree + held_disagree < n_agree + n_disagree:
+                rest[fold].append((c0, c1, c2, n_agree - held_agree, n_disagree - held_disagree))
+    return held, rest
 
 
 def try_merge_by_cases(a: LabeledRule, b: LabeledRule) -> LabeledRule | None:

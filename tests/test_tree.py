@@ -14,6 +14,7 @@ from morphagree import (
     leaf_count,
     predict_leaf,
 )
+from morphagree import tree as tree_module
 from morphagree.errors import EmptyDatasetError
 from morphagree.labeling import RegionTable
 from morphagree.serialization import tree_to_dict
@@ -24,9 +25,13 @@ from morphagree.tree import (
     SplitPredicate,
     _Codes,
     _IMPURITY,
+    _METRICS,
     _best_split,
+    _fold_of,
+    _fold_rows,
     _frozen,
     _grow_points,
+    _scores,
     leaves,
 )
 
@@ -37,6 +42,7 @@ from oracles import (
     best_split_calling_impurity,
     brute_force_best_first_split,
     brute_force_grow,
+    fold_rows_reference,
     grid_search_on_validation,
     grid_search_per_point,
     grow_by_rebucketing,
@@ -330,6 +336,105 @@ def test_trees_cut_from_one_growth_equal_separate_fits(dataset, floor):
     nested = [_frozen(dataset.feature, root, hp) for root, hp in zip(roots, points)]
     # structure, leaf ids, counts and hyperparams
     assert nested == [fit(dataset, hp) for hp in points]
+
+
+def _grown(node):
+    """A grown node as nested tuples: its depth, training totals, held-out
+    totals and split."""
+    split = node.split and (node.split[0], _grown(node.split[1]), _grown(node.split[2]))
+    return (node.depth, node.n_agree, node.n_disagree, node.held_agree, node.held_disagree,
+            split)
+
+
+def _assert_joint_growth_equals_growing_alone(train, validation, floor):
+    grid = HyperGrid(max_depths=DEEP_GRID.max_depths, min_impurity_decrease=floor)
+    points = grid.points()
+    codes = _Codes(list(train.triples.values()))
+    held = codes.coded(validation.triples.values())
+    roots = _grow_points(codes, codes.rows, held, points)
+    for criterion in grid.criteria:
+        alone = [hp for hp in points if hp.criterion == criterion]
+        alone_roots = _grow_points(codes, codes.rows, held, alone)
+        joint_roots = [root for root, hp in zip(roots, points) if hp.criterion == criterion]
+        # structure, training totals and held-out totals of every node
+        assert [_grown(r) for r in joint_roots] == [_grown(r) for r in alone_roots]
+        for metric in _METRICS.values():
+            assert _scores(joint_roots, alone, metric) == _scores(alone_roots, alone, metric)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_datasets, _datasets, st.sampled_from([0.0, 1e-3, 2e-2]))
+def test_joint_growth_keeps_each_criterions_held_out_totals(train, validation, floor):
+    _assert_joint_growth_equals_growing_alone(train, validation, floor)
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-3, 2e-2])
+def test_joint_growth_keeps_held_out_totals_where_criteria_diverge(floor):
+    # r0 has 3 agreeing and 1 disagreeing instance, r1 one agreeing, r2 one
+    # of each: gini splits r2 off first, entropy r1
+    def pairs(copies):
+        return [(Triple("NOUN", relation, "DET"), agree)
+                for relation, n_agree, n_disagree in (("r0", 3, 1), ("r1", 1, 0), ("r2", 1, 1))
+                for agree in [True] * n_agree + [False] * n_disagree] * copies
+    train, validation = make_dataset(pairs(2)), make_dataset(pairs(1))
+    roots = {hp.criterion: fit(train, hp).root
+             for hp in (HyperParams("gini", 1, floor), HyperParams("entropy", 1, floor))}
+    assert roots["gini"].predicate == SplitPredicate("relation", "r2")
+    assert roots["entropy"].predicate == SplitPredicate("relation", "r1")
+    _assert_joint_growth_equals_growing_alone(train, validation, floor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_datasets, st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 7))
+def test_fold_rows_equal_the_per_group_loop(dataset, seed, n_folds):
+    k = min(n_folds, len(dataset.instances))
+    assume(k >= 2)
+    codes = _Codes(list(dataset.triples.values()))
+    fold_of = _fold_of(seed, len(dataset.instances), k)
+    # rows and their order
+    assert _fold_rows(dataset, codes, fold_of, k) == fold_rows_reference(
+        dataset, codes, fold_of, k)
+
+
+def test_fold_rows_leave_out_a_group_a_fold_has_all_or_none_of():
+    # r1's one instance lies in one fold: that fold's training rows lack r1,
+    # and so do the other folds' held-out rows
+    single = Triple("NOUN", "r1", "DET")
+    dataset = make_dataset([(single, True)] + [(Triple("NOUN", "r2", "DET"), i % 2 == 0)
+                                               for i in range(20)])
+    codes = _Codes(list(dataset.triples.values()))
+    fold_of = _fold_of(0, len(dataset.instances), 5)
+    held, rest = _fold_rows(dataset, codes, fold_of, 5)
+    assert (held, rest) == fold_rows_reference(dataset, codes, fold_of, 5)
+    single_codes = codes.rows[0][:3]
+    assert [any(r[:3] == single_codes for r in rows) for rows in held] == [
+        fold == fold_of[0] for fold in range(5)]
+    assert [any(r[:3] == single_codes for r in rows) for rows in rest] == [
+        fold != fold_of[0] for fold in range(5)]
+
+
+def test_criteria_splitting_alike_count_each_node_once(monkeypatch):
+    dataset = _deep_rule_dataset(copies=3)
+    codes = _Codes(list(dataset.triples.values()))
+    gini, entropy = _grow_points(codes, codes.rows, [], [HyperParams("gini", 15, 1e-3),
+                                                         HyperParams("entropy", 15, 1e-3)])
+    assert _grown(gini) == _grown(entropy)
+    counted = []
+    count = tree_module._counts
+
+    def counting(rows, n_codes):
+        counted.append(len(rows))
+        return count(rows, n_codes)
+
+    monkeypatch.setattr(tree_module, "_counts", counting)
+    grid_search(dataset, None, HyperGrid(), seed=3)
+    both = counted[:]
+    counted.clear()
+    grid_search(dataset, None, HyperGrid(criteria=("gini",)), seed=3)
+    # the same rows counted, in the same order: the roots of the full data
+    # and of the five folds, and each split's smaller child
+    assert both == counted
+    assert len(counted) > 6
 
 
 # a wider vocabulary than _triples', with one dependent POS that most

@@ -180,34 +180,31 @@ def label_leaf_hard(leaf: Leaf, threshold: float = 0.9) -> LeafVerdict:
     return LeafVerdict(leaf_id=leaf.leaf_id, label=label, agree_ratio=ratio)
 
 
-def passes_gates(ratio: float, p_value: float, phi: float, alpha: float, phi_min: float,
-                 p_chance: float | None) -> bool:
-    """Whether a tested leaf is required: its agreement ratio is above
-    p_chance (None passes), its p-value below alpha, its effect size above phi_min."""
-    return (p_chance is None or ratio > p_chance) and p_value < alpha and phi > phi_min
-
-
-def label_leaf_statistical(
-    leaf: Leaf,
-    chance: ChanceModel,
-    alpha: float = 0.01,
-    phi_min: float = 0.5,
-    sqrt_variant: bool = False,
-) -> LeafVerdict:
+def label_leaf_statistical(leaf: Leaf, chance: ChanceModel, alpha: float = 0.01,
+                           phi_min: float = 0.5, sqrt_variant: bool = False) -> LeafVerdict:
     """Test an agreement-majority leaf against the chance null hypothesis.
 
-    Required needs all of: agreement ratio above 0.5, above the chance
-    probability (two-sided deviations in the disagree direction are not
-    evidence of required agreement), p-value below alpha, and effect size
-    above phi_min. Leaves without agreement majority are chance without
-    testing.
+    Leaves without agreement majority are chance without testing; the
+    others get tested_verdict of their counts' chi_squared_gof statistic.
     """
     ratio = leaf.agree_ratio
     if ratio <= 0.5:
         return LeafVerdict(leaf_id=leaf.leaf_id, label=Label.CHANCE, agree_ratio=ratio)
-    chi2, p_value = chi_squared_gof((leaf.n_disagree, leaf.n_agree), chance)
+    chi2 = chi_squared_gof((leaf.n_disagree, leaf.n_agree), chance)[0]
+    return tested_verdict(leaf, chi2, chance.p_chance, alpha, phi_min, sqrt_variant)
+
+
+def tested_verdict(leaf: Leaf, chi2: float, p_chance: float | None, alpha: float,
+                   phi_min: float, sqrt_variant: bool) -> LeafVerdict:
+    """The verdict of a tested leaf whose statistic is chi2, with its
+    p-value and effect size. Required needs all of: agreement ratio above
+    p_chance (None passes; two-sided deviations in the disagree direction
+    are not evidence of required agreement), p-value below alpha, and
+    effect size above phi_min."""
+    ratio = leaf.agree_ratio
+    p_value = chi_square_survival(chi2)
     phi = cramers_phi(chi2, leaf.size, sqrt_variant)
-    required = passes_gates(ratio, p_value, phi, alpha, phi_min, chance.p_chance)
+    required = (p_chance is None or ratio > p_chance) and p_value < alpha and phi > phi_min
     return LeafVerdict(
         leaf_id=leaf.leaf_id,
         label=Label.REQUIRED if required else Label.CHANCE,

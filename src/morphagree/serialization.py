@@ -11,10 +11,11 @@ are literal dicts, and a rule's leaf ids and refs are its own tuples.
 Reloading a rules document rebuilds each saved rule set the way extract
 built it, by merging the tree's labeled leaves, so it has the saved
 triple -> label behavior exactly. The loader checks JSON shape (types and
-known names), that each chance model and leaf verdict agrees with the
-counts it was computed from and each verdict's label with its statistics,
-and that the stored rules are the merged ones, as rule_to_dict writes
-them; only their example refs are read from the document.
+known names), that each chance model agrees with the counts it was
+computed from, that each leaf verdict is the one the configured labeler
+gives its leaf, and that the stored rules are the merged ones, as
+rule_to_dict writes them; only their example refs are read from the
+document.
 """
 from __future__ import annotations
 
@@ -36,10 +37,9 @@ from .labeling import (
     LeafVerdict,
     RuleSet,
     ThresholdMode,
-    chi_square_survival,
-    chi_squared_gof,
-    cramers_phi,
-    passes_gates,
+    label_leaf_hard,
+    label_leaf_statistical,
+    tested_verdict,
 )
 from .pipeline import ExtractionConfig, FeatureRules
 from .tree import SLOT_ORDER, DecisionTree, HyperParams, Internal, Leaf, SplitPredicate, leaves
@@ -421,66 +421,50 @@ def _checked_chance_model(chance: ChanceModel) -> ChanceModel:
     return chance
 
 
-def _check_verdict_statistics(tree: DecisionTree, verdicts: tuple[LeafVerdict, ...],
-                              config: ExtractionConfig, chance: ChanceModel) -> None:
-    """Raise MalformedRulesError unless each verdict's agree_ratio is its
-    leaf's n_agree / (n_agree + n_disagree), exactly as the labelers compute
-    it, its p_value, when given, lies in [0, 1], its chi2 and phi_c, when
-    given, are at least 0, and its p_value and phi_c follow from its chi2 as
-    label_leaf_statistical computes them, an infinite chi2 and phi_c being
-    written null. Under statistical labeling with global marginals, a
-    tested verdict's chi2 must be chi_squared_gof of its leaf's counts
-    under the chance model, within a relative and an absolute 1e-9. Its
-    statistics must be null unless config's labeler tests the leaf, and its
-    label be the labeler's on them; only a required one is checked under
-    per-leaf marginals, whose p_chance is not stored."""
+def _check_verdicts(tree: DecisionTree, verdicts: tuple[LeafVerdict, ...],
+                    config: ExtractionConfig, chance: ChanceModel) -> None:
+    """Raise MalformedRulesError, naming the leaf and the first key that
+    differs, unless each verdict is what config's labeler gives its leaf
+    under the chance model, as verdict_to_dict writes both; a leaf with no
+    instances is rejected first. A tested verdict's chi2 within a relative
+    and an absolute 1e-9 of its counts' statistic is taken as it stands,
+    and the rest derived from it: extract computes the statistic from
+    p_chance's exact fraction, which the document does not store. Under
+    per-leaf marginals the leaf's own p_chance is not stored either, so a
+    tested verdict's chi2 need only be at least 0, its label pass the gates
+    without the p_chance one, or be chance."""
     statistical = config.threshold_mode is ThresholdMode.STATISTICAL
-    p_chance = None if statistical and config.marginals_scope == "per-leaf" else chance.p_chance
+    per_leaf = statistical and config.marginals_scope == "per-leaf"
+    p_chance = None if per_leaf else chance.p_chance
+    gates = config.alpha, config.phi_min, config.phi_sqrt
     # the model given p_chance's exact value as a fraction once, so that
     # chi_squared_gof does not convert p_chance for each leaf
-    exact = (chance._replace(p_chance_exact=p_chance.as_integer_ratio())
-             if statistical and p_chance is not None else None)
+    exact = chance._replace(p_chance_exact=chance.p_chance.as_integer_ratio())
     leaf_by_id = {leaf.leaf_id: leaf for leaf in leaves(tree)}
     for verdict in verdicts:
         leaf = leaf_by_id[verdict.leaf_id]
-        size = leaf.n_agree + leaf.n_disagree
-        if size == 0 or verdict.agree_ratio != leaf.n_agree / size:
+        if leaf.size == 0:
+            raise MalformedRulesError(f"leaf {leaf.leaf_id}: 'n_agree' and 'n_disagree' are 0")
+        if not statistical:
+            expected = label_leaf_hard(leaf, config.hard_threshold)
+        else:
+            expected = label_leaf_statistical(leaf, exact, *gates)
+            chi2 = math.inf if verdict.chi2 is None else verdict.chi2  # written null
+            if chi2 < 0:
+                raise MalformedRulesError(f"leaf {leaf.leaf_id}: 'chi2' {chi2!r} is negative")
+            if expected.chi2 is not None and (per_leaf or math.isclose(
+                    chi2, expected.chi2, rel_tol=1e-9, abs_tol=1e-9)):
+                expected = tested_verdict(leaf, chi2, p_chance, *gates)
+                if per_leaf and verdict.label is Label.CHANCE:
+                    expected = expected._replace(label=Label.CHANCE)
+        # unequal verdicts may still be written alike: an infinite chi2 is written null
+        if expected == verdict:
+            continue
+        written, stored = verdict_to_dict(expected), verdict_to_dict(verdict)
+        if written != stored:
+            key = next(key for key in written if written[key] != stored[key])
             raise MalformedRulesError(
-                f"leaf {leaf.leaf_id}: 'agree_ratio' {verdict.agree_ratio!r} is not n_agree / "
-                f"(n_agree + n_disagree) = {leaf.n_agree} / {size}")
-        if verdict.p_value is not None and not 0 <= verdict.p_value <= 1:
-            raise MalformedRulesError(
-                f"leaf {leaf.leaf_id}: 'p_value' {verdict.p_value!r} is not in [0, 1]")
-        for key in ("chi2", "phi_c"):
-            value = getattr(verdict, key)
-            if value is not None and value < 0:
-                raise MalformedRulesError(f"leaf {leaf.leaf_id}: {key!r} {value!r} is negative")
-        chi2 = verdict.chi2
-        follow = (((None, None), (0.0, None)) if chi2 is None  # not computed, or infinite
-                  else ((chi_square_survival(chi2), cramers_phi(chi2, size, config.phi_sqrt)),))
-        if (verdict.p_value, verdict.phi_c) not in follow:
-            raise MalformedRulesError(
-                f"leaf {leaf.leaf_id}: 'p_value' {verdict.p_value!r} and 'phi_c' "
-                f"{verdict.phi_c!r} do not follow from 'chi2' {chi2!r}")
-        if exact is not None and verdict.p_value is not None:
-            expected = chi_squared_gof((leaf.n_disagree, leaf.n_agree), exact)[0]
-            if not math.isclose(math.inf if chi2 is None else chi2, expected,
-                                rel_tol=1e-9, abs_tol=1e-9):
-                raise MalformedRulesError(
-                    f"leaf {leaf.leaf_id}: 'chi2' {chi2!r} is not {expected!r}, the statistic of "
-                    f"its counts under 'p_chance'")
-        ratio, tested = verdict.agree_ratio, verdict.p_value is not None
-        if tested != (statistical and ratio > 0.5):
-            raise MalformedRulesError(
-                f"leaf {leaf.leaf_id}: statistics are {'given' if tested else 'null'} beside "
-                f"'agree_ratio' {ratio!r} under {config.threshold_mode.value} labeling")
-        phi = math.inf if verdict.phi_c is None else verdict.phi_c
-        required = (
-            passes_gates(ratio, verdict.p_value, phi, config.alpha, config.phi_min, p_chance)
-            if tested else not statistical and ratio > config.hard_threshold)
-        if (verdict.label is Label.REQUIRED) != required and (p_chance is not None or not required):
-            raise MalformedRulesError(
-                f"leaf {leaf.leaf_id}: 'label' {verdict.label.value!r} is not what "
+                f"leaf {leaf.leaf_id}: {key!r} {stored[key]!r} is not {written[key]!r}, what "
                 f"{config.threshold_mode.value} labeling gives it")
 
 
@@ -506,17 +490,18 @@ class RulesDocument:
     hard_threshold, alpha and phi_min must lie within GATE_BOUNDS, the
     ranges the CLI accepts. A feature entry raises one naming the feature
     too when it lacks a key the loader reads, holds a value of the wrong
-    JSON type or an unknown name, or gives a training_size other than its
-    tree's; when its tree and leaf verdicts cannot be merged into a RuleSet
-    (see RuleSet); when its chance model or a leaf verdict's statistics
-    contradict the counts they come from, or a verdict's label its
-    statistics (see _checked_chance_model and _check_verdict_statistics),
-    so that report never prints them; or when its rules are not, in order,
-    what rule_to_dict writes for the merge of the tree's labeled leaves,
-    refs aside (the message names the first rule and key that differ, see
-    _checked_rule). The RuleSet is built with its constructor, not through
-    merge_rules, so that a tracer of merge_rules counts extraction only; it
-    keeps the document's refs, so it equals the one extract wrote. Its
+    JSON type or an unknown name, gives a training_size other than its
+    tree's, or holds a tree of another feature; when its tree and leaf
+    verdicts cannot be merged into a RuleSet (see RuleSet); when its chance
+    model contradicts the counts it comes from (see _checked_chance_model),
+    or a leaf verdict is not what the labeler its params configure gives
+    the leaf under that model (see _check_verdicts), so that report never
+    prints either; or when its rules are not, in order, what rule_to_dict
+    writes for the merge of the tree's labeled leaves, refs aside (the
+    message names the first rule and key that differ, see _checked_rule).
+    The RuleSet is built with its constructor, not through merge_rules, so
+    that a tracer of merge_rules counts extraction only; it keeps the
+    document's refs, so it equals the one extract wrote. Its
     training_triples are checked alike, when they are first read.
     """
 
@@ -558,6 +543,8 @@ class RulesDocument:
             self.absent.add(feature)
             return
         tree = self.trees[feature] = tree_from_dict(_get(entry, "tree", _OBJECT))
+        if tree.feature != feature:
+            raise MalformedRulesError(f"the tree's 'feature' {tree.feature!r} is not {feature!r}")
         chance = _get(entry, "chance_model", _OBJECT)
         self.chance_models[feature] = _checked_chance_model(ChanceModel(
             feature=feature,
@@ -567,7 +554,7 @@ class RulesDocument:
         verdicts = tuple(map(verdict_from_dict, _get_each(entry, "leaf_verdicts", _OBJECT)))
         ruleset = RuleSet(tree, verdicts, config.threshold_mode)
         # RuleSet checked that the verdicts list each leaf once
-        _check_verdict_statistics(tree, verdicts, config, self.chance_models[feature])
+        _check_verdicts(tree, verdicts, config, self.chance_models[feature])
         entries = _get_each(entry, "rules", _OBJECT)
         if len(entries) != len(ruleset.rules):
             raise MalformedRulesError(

@@ -213,6 +213,14 @@ def _hard(doc):
             verdict.update(chi2=None, p_value=None, phi_c=None)
 
 
+def _empty_first(doc):
+    """Gender's first leaf, of 276 agreeing and 4 disagreeing instances,
+    left with none, and both training_size counts lowered to match."""
+    gender = _gender(doc)
+    _first_leaf(gender["tree"]["root"]).update(n_agree=0, n_disagree=0)
+    gender["training_size"] = gender["tree"]["training_size"] = 800 - 280
+
+
 def _untested_first(doc):
     """Gender's first leaf given 252 of its 280 instances agreeing, a ratio
     of 0.9, and no statistics: as if the labeler had not tested it."""
@@ -294,30 +302,40 @@ RULES_FAULTS = [
     # statistics that contradict the document's own counts or chi2, each
     # once printed by report as it stood
     (lambda d: _gender(d)["leaf_verdicts"][0].update(agree_ratio=0.123), ("report",),
-     "leaf 1: 'agree_ratio' 0.123 is not n_agree / (n_agree + n_disagree) = 276 / 280"),
+     "leaf 1: 'agree_ratio' 0.123 is not 0.9857142857142858, what statistical labeling gives it"),
     (lambda d: _gender(d)["leaf_verdicts"][0].update(p_value=-3), ("report",),
-     "leaf 1: 'p_value' -3 is not in [0, 1]"),
-    *[
-        (lambda d, key=key: _gender(d)["leaf_verdicts"][0].update({key: -0.5}), ("report",),
-         f"leaf 1: '{key}' -0.5 is negative")
-        for key in ("chi2", "phi_c")
-    ],
+     "leaf 1: 'p_value' -3 is not 2.1808266043617394e-82, what statistical labeling gives it"),
+    (lambda d: _gender(d)["leaf_verdicts"][0].update(chi2=-0.5), ("report",),
+     "leaf 1: 'chi2' -0.5 is negative"),
+    (lambda d: _gender(d)["leaf_verdicts"][0].update(phi_c=-0.5), ("report",),
+     "leaf 1: 'phi_c' -0.5 is not 1.3203389739862796, what statistical labeling gives it"),
     (lambda d: _gender(d)["leaf_verdicts"][0].update(p_value=0.5, phi_c=0.001), ("report",),
-     "leaf 1: 'p_value' 0.5 and 'phi_c' 0.001 do not follow from 'chi2' 369.6949127161583"),
+     "leaf 1: 'p_value' 0.5 is not 2.1808266043617394e-82, what statistical labeling gives it"),
     (lambda d: _gender(d)["leaf_verdicts"][0].update(chi2=5e9), ("report",),
-     "leaf 1: 'p_value' 2.1808266043617394e-82 and 'phi_c' 1.3203389739862796 do not follow "
-     "from 'chi2' 5000000000.0"),
+     "leaf 1: 'chi2' 5000000000.0 is not 369.6949127161583, what statistical labeling gives it"),
     (lambda d: _gender(d)["leaf_verdicts"][1].update(p_value=0.0, phi_c=0.0), ("report",),
-     "leaf 2: 'p_value' 0.0 and 'phi_c' 0.0 do not follow from 'chi2' None"),
+     "leaf 2: 'p_value' 0.0 is not None, what statistical labeling gives it"),
     # a chi2, p_value and phi_c that follow from one another but not from
     # the leaf's 276 of 280 agreeing under p_chance 0.418809375; finite,
     # and infinite as rules.json writes it
     (lambda d: _gender(d)["leaf_verdicts"][0].update(
         chi2=400.0, p_value=chi_square_survival(400.0), phi_c=cramers_phi(400.0, 280)),
      ("report", "evaluate"),
-     "leaf 1: 'chi2' 400.0 is not 369.6949127161583, the statistic of its counts"),
+     "leaf 1: 'chi2' 400.0 is not 369.6949127161583, what statistical labeling gives it"),
     (lambda d: _gender(d)["leaf_verdicts"][0].update(chi2=None, p_value=0.0, phi_c=None),
-     ("report",), "leaf 1: 'chi2' None is not 369.6949127161583, the statistic of its counts"),
+     ("report",),
+     "leaf 1: 'chi2' None is not 369.6949127161583, what statistical labeling gives it"),
+    # under per-leaf marginals, whose p_chance is not stored, a chi2 is
+    # checked for its sign alone, and its p_value and phi_c follow from it,
+    # not from the global statistic
+    (lambda d: (d["params"].update(marginals_scope="per-leaf"),
+                _gender(d)["leaf_verdicts"][0].update(chi2=-2.0)),
+     ("report", "evaluate"), "leaf 1: 'chi2' -2.0 is negative"),
+    (lambda d: (d["params"].update(marginals_scope="per-leaf"),
+                _gender(d)["leaf_verdicts"][0].update(chi2=400.0, p_value=0.25)),
+     ("report", "evaluate"),
+     f"leaf 1: 'p_value' 0.25 is not {chi_square_survival(400.0)!r}, what statistical "
+     "labeling gives it"),
     (lambda d: _gender(d)["chance_model"].update(p_chance=0.99), ("report",),
      "'p_chance' 0.99 is not the sum of the squared 'value_probs', 0.418809375"),
     (lambda d: _gender(d)["chance_model"].update(value_probs={"Masc": 2.0}), ("report",),
@@ -328,11 +346,16 @@ RULES_FAULTS = [
     # once reported as "Rule 1 chance-agreement" beside p 2.2e-82 and
     # phi_c 1.32, and scored by evaluate with that label
     (_relabel_first, ("report", "evaluate"),
-     "leaf 1: 'label' 'chance' is not what statistical labeling gives it"),
+     "leaf 1: 'label' 'chance' is not 'required', what statistical labeling gives it"),
     (lambda d: (_hard(d), _relabel_first(d)), ("report", "evaluate"),
-     "leaf 1: 'label' 'chance' is not what hard labeling gives it"),
+     "leaf 1: 'label' 'chance' is not 'required', what hard labeling gives it"),
     (_untested_first, ("report",),
-     "leaf 1: statistics are null beside 'agree_ratio' 0.9 under statistical labeling"),
+     "leaf 1: 'chi2' None is not 266.3528518943873, what statistical labeling gives it"),
+    # once a ZeroDivisionError in report, had the loader not rejected it
+    (_empty_first, ("report", "evaluate"), "leaf 1: 'n_agree' and 'n_disagree' are 0"),
+    # once scored by hrm against Number's annotations: Gender's HRM read 0.6, not 0.4
+    (lambda d: _gender(d)["tree"].update(feature="Number"), ("hrm", "report"),
+     "the tree's 'feature' 'Number' is not 'Gender'"),
     # a param outside the CLI's range; at hard_threshold 0.3 a leaf with 203
     # of 520 instances agreeing would read as required
     (lambda d: d["params"].update(threshold_mode="hard", hard_threshold=0.3),
@@ -395,7 +418,8 @@ def test_labels_that_follow_from_their_statistics_load(tmp_path):
     gender["rules"] = _gender(golden)["rules"]
     doc["params"]["alpha"] = 1e-100  # leaf 1's p_value is 2.2e-82
     rules.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(MalformedRulesError, match="'label' 'required' is not what statistical"):
+    with pytest.raises(MalformedRulesError,
+                       match="'label' 'required' is not 'chance', what statistical"):
         load_rules(rules)
 
 

@@ -46,8 +46,9 @@ from morphagree.labeling import (
     chi_square_survival,
     rules_for,
 )
-from morphagree.pipeline import ExtractionConfig, FeatureRules
-from morphagree.serialization import load_rules, rule_to_dict, rules_document
+from morphagree.pipeline import ExtractionConfig, FeatureRules, label_leaves
+from morphagree.serialization import (load_rules, rule_to_dict, rules_document,
+                                      verdict_to_dict, write_json)
 from morphagree.tree import (
     SLOT_ORDER,
     DecisionTree,
@@ -538,6 +539,45 @@ def test_merge_tries_only_rules_that_share_a_signature(thousand_leaf_fits, monke
         # one call per merge at least; merge_to_fixpoint_pairwise makes
         # about 290 per leaf on these trees
         assert len(verdicts) - len(ruleset.rules) <= len(tried) < 2 * len(verdicts)
+
+
+_DEEP_CONFIGS = {
+    "statistical": ExtractionConfig(features=("Gender", "Case")),
+    "phi_sqrt": ExtractionConfig(features=("Gender", "Case"), phi_sqrt=True),
+    "per-leaf": ExtractionConfig(features=("Gender", "Case"), marginals_scope="per-leaf"),
+    "hard": ExtractionConfig(features=("Gender", "Case"), threshold_mode=ThresholdMode.HARD),
+}
+
+
+@pytest.mark.parametrize("mode", _DEEP_CONFIGS)
+def test_deep_documents_round_trip_in_every_labeling_mode(thousand_leaf_fits, tmp_path, mode):
+    config = _DEEP_CONFIGS[mode]
+    results = {}
+    for tree, _, dataset in thousand_leaf_fits:
+        chance = chance_agreement_prob(dataset.value_marginals, dataset.feature)
+        verdicts = label_leaves(tree, dataset, chance, config)
+        results[dataset.feature] = FeatureRules(
+            dataset.feature, False, dataset, chance, tree, verdicts,
+            merge_rules(tree, verdicts, dataset, config.threshold_mode))
+    path = tmp_path / "rules.json"
+    write_json(rules_document(results, config, ""), path)
+    loaded = load_rules(path)
+    for feature, result in results.items():
+        assert ([verdict_to_dict(v) for v in loaded.rulesets[feature].verdicts]
+                == [verdict_to_dict(v) for v in result.verdicts])
+    if mode == "statistical":
+        # the loader recomputes chi2 from the stored p_chance, not the exact
+        # fraction of counts extract used, so a stored chi2 within 1e-9 of
+        # its recomputation must be taken as it stands
+        differs = 0
+        for result in results.values():
+            stored = result.chance._replace(
+                p_chance_exact=result.chance.p_chance.as_integer_ratio())
+            for leaf, verdict in zip(leaves(result.tree), result.verdicts):
+                if verdict.chi2 is not None:
+                    differs += verdict.chi2 != chi_squared_gof(
+                        (leaf.n_disagree, leaf.n_agree), stored)[0]
+        assert differs > 0
 
 
 def test_merged_refs_are_the_first_hundred_of_the_leaves_refs():

@@ -53,7 +53,8 @@ class ChanceModel(NamedTuple):
 
     p_chance_exact carries p_chance as the integers (numerator,
     denominator) when the model was built from counts, so the statistic
-    can be computed without rounding error.
+    can be computed without rounding error; without it, p_chance is read
+    at its exact binary value.
     """
 
     feature: str
@@ -98,10 +99,10 @@ def chi_squared_gof(
     """Goodness-of-fit statistic and p-value for (disagree, agree) counts
     against the chance model's expected [1 - p_chance, p_chance] split.
 
-    With p_chance = a/b, the two cells' sum reduces to the closed form
+    With p_chance = a/b (p_chance_exact, else the float's exact binary
+    value), the two cells' sum reduces to the closed form
     (n_agree*b - n*a)^2 / (n*a*(b - a)), computed as one correctly rounded
-    quotient of integers (a hand-given float p_chance is read as its
-    shortest decimal), so an observation that matches the expectation
+    quotient of integers, so an observation that matches the expectation
     yields exactly chi2 = 0. When an expected count is zero (p_chance of 0
     or 1), the statistic is 0 if the observation matches the degenerate
     expectation exactly and +inf (p-value 0) otherwise; a quotient beyond
@@ -111,13 +112,7 @@ def chi_squared_gof(
     n = o_disagree + o_agree
     if n < 1:
         raise ValueError("observed counts must sum to >= 1")
-    if chance.p_chance_exact is not None:
-        a, b = chance.p_chance_exact
-    else:
-        # only a hand-built model gets here; extract never loads fractions
-        from fractions import Fraction
-
-        a, b = Fraction(str(chance.p_chance)).as_integer_ratio()
+    a, b = chance.p_chance_exact or chance.p_chance.as_integer_ratio()
     deviation = o_agree * b - n * a
     scale = n * a * (b - a)
     if scale == 0:
@@ -182,26 +177,22 @@ def label_leaf_hard(leaf: Leaf, threshold: float = 0.9) -> LeafVerdict:
 
 def label_leaf_statistical(leaf: Leaf, chance: ChanceModel, alpha: float = 0.01,
                            phi_min: float = 0.5, sqrt_variant: bool = False) -> LeafVerdict:
-    """Test an agreement-majority leaf against the chance null hypothesis.
+    """Test the leaf against the chance null hypothesis: gated_verdict of
+    its counts' chi_squared_gof statistic under the chance model."""
+    chi2 = chi_squared_gof((leaf.n_disagree, leaf.n_agree), chance)[0]
+    return gated_verdict(leaf, chi2, chance.p_chance, alpha, phi_min, sqrt_variant)
 
-    Leaves without agreement majority are chance without testing; the
-    others get tested_verdict of their counts' chi_squared_gof statistic.
-    """
+
+def gated_verdict(leaf: Leaf, chi2: float, p_chance: float | None, alpha: float,
+                  phi_min: float, sqrt_variant: bool) -> LeafVerdict:
+    """The verdict of a leaf whose statistic is chi2. Required needs all
+    four gates: agree ratio above 0.5 (else the leaf is chance untested,
+    without statistics, whatever chi2), agree ratio above p_chance (None
+    passes; deviations in the disagree direction are not evidence of
+    required agreement), p-value below alpha and effect size above phi_min."""
     ratio = leaf.agree_ratio
     if ratio <= 0.5:
         return LeafVerdict(leaf_id=leaf.leaf_id, label=Label.CHANCE, agree_ratio=ratio)
-    chi2 = chi_squared_gof((leaf.n_disagree, leaf.n_agree), chance)[0]
-    return tested_verdict(leaf, chi2, chance.p_chance, alpha, phi_min, sqrt_variant)
-
-
-def tested_verdict(leaf: Leaf, chi2: float, p_chance: float | None, alpha: float,
-                   phi_min: float, sqrt_variant: bool) -> LeafVerdict:
-    """The verdict of a tested leaf whose statistic is chi2, with its
-    p-value and effect size. Required needs all of: agreement ratio above
-    p_chance (None passes; two-sided deviations in the disagree direction
-    are not evidence of required agreement), p-value below alpha, and
-    effect size above phi_min."""
-    ratio = leaf.agree_ratio
     p_value = chi_square_survival(chi2)
     phi = cramers_phi(chi2, leaf.size, sqrt_variant)
     required = (p_chance is None or ratio > p_chance) and p_value < alpha and phi > phi_min

@@ -37,9 +37,9 @@ from .labeling import (
     LeafVerdict,
     RuleSet,
     ThresholdMode,
+    chi_squared_gof,
+    gated_verdict,
     label_leaf_hard,
-    label_leaf_statistical,
-    tested_verdict,
 )
 from .pipeline import ExtractionConfig, FeatureRules
 from .tree import SLOT_ORDER, DecisionTree, HyperParams, Internal, Leaf, SplitPredicate, leaves
@@ -426,20 +426,18 @@ def _check_verdicts(tree: DecisionTree, verdicts: tuple[LeafVerdict, ...],
     """Raise MalformedRulesError, naming the leaf and the first key that
     differs, unless each verdict is what config's labeler gives its leaf
     under the chance model, as verdict_to_dict writes both; a leaf with no
-    instances is rejected first. A tested verdict's chi2 within a relative
-    and an absolute 1e-9 of its counts' statistic is taken as it stands,
-    and the rest derived from it: extract computes the statistic from
-    p_chance's exact fraction, which the document does not store. Under
+    instances is rejected first. Under statistical labeling a leaf is
+    labeled once, by gated_verdict of its stored chi2 (null is +inf); a
+    tested leaf's chi2 beyond a relative and an absolute 1e-9 of its
+    counts' statistic under global marginals is replaced by it (extract
+    computes it from p_chance's exact fraction, which is not stored). Under
     per-leaf marginals the leaf's own p_chance is not stored either, so a
-    tested verdict's chi2 need only be at least 0, its label pass the gates
-    without the p_chance one, or be chance."""
+    tested verdict's chi2 need only be at least 0, its label pass the other
+    gates, or be chance."""
     statistical = config.threshold_mode is ThresholdMode.STATISTICAL
     per_leaf = statistical and config.marginals_scope == "per-leaf"
     p_chance = None if per_leaf else chance.p_chance
     gates = config.alpha, config.phi_min, config.phi_sqrt
-    # the model given p_chance's exact value as a fraction once, so that
-    # chi_squared_gof does not convert p_chance for each leaf
-    exact = chance._replace(p_chance_exact=chance.p_chance.as_integer_ratio())
     leaf_by_id = {leaf.leaf_id: leaf for leaf in leaves(tree)}
     for verdict in verdicts:
         leaf = leaf_by_id[verdict.leaf_id]
@@ -448,15 +446,16 @@ def _check_verdicts(tree: DecisionTree, verdicts: tuple[LeafVerdict, ...],
         if not statistical:
             expected = label_leaf_hard(leaf, config.hard_threshold)
         else:
-            expected = label_leaf_statistical(leaf, exact, *gates)
             chi2 = math.inf if verdict.chi2 is None else verdict.chi2  # written null
             if chi2 < 0:
                 raise MalformedRulesError(f"leaf {leaf.leaf_id}: 'chi2' {chi2!r} is negative")
-            if expected.chi2 is not None and (per_leaf or math.isclose(
-                    chi2, expected.chi2, rel_tol=1e-9, abs_tol=1e-9)):
-                expected = tested_verdict(leaf, chi2, p_chance, *gates)
-                if per_leaf and verdict.label is Label.CHANCE:
-                    expected = expected._replace(label=Label.CHANCE)
+            expected = gated_verdict(leaf, chi2, p_chance, *gates)
+            if per_leaf and verdict.label is Label.CHANCE:
+                expected = expected._replace(label=Label.CHANCE)
+            elif not per_leaf and expected.chi2 is not None:
+                counted = chi_squared_gof((leaf.n_disagree, leaf.n_agree), chance)[0]
+                if not math.isclose(chi2, counted, rel_tol=1e-9, abs_tol=1e-9):
+                    expected = gated_verdict(leaf, counted, p_chance, *gates)
         # unequal verdicts may still be written alike: an infinite chi2 is written null
         if expected == verdict:
             continue

@@ -58,12 +58,12 @@ from morphagree.triples import FeatureDataset, Triple, extract_instances
 def chi_squared_statistic_by_cells(observed: tuple[int, int], chance: ChanceModel) -> float:
     """The goodness-of-fit statistic of (disagree, agree) counts, summed
     over the two cells in exact rational arithmetic and rounded once. A
-    hand-given p_chance is read as its shortest decimal; a zero expected
+    hand-given p_chance is read as its exact binary value; a zero expected
     count gives 0 if its cell is 0 too, else +inf."""
     if chance.p_chance_exact is not None:
         p_agree = Fraction(*chance.p_chance_exact)
     else:
-        p_agree = Fraction(str(chance.p_chance))
+        p_agree = Fraction(chance.p_chance)
     n = sum(observed)
     chi2 = Fraction(0)
     for obs, exp in zip(observed, (n * (1 - p_agree), n * p_agree)):

@@ -17,7 +17,7 @@ import pytest
 import morphagree
 
 TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
-GOLDEN_TRAIN = Path(__file__).resolve().parent / "data" / "golden" / "train.conllu"
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 # each of these costs every command milliseconds of start-up, and at most
 # one command needs it: dataclasses (with inspect) none, fractions (with
 # decimal) none, html (with html.entities) report, complexity its own
@@ -59,9 +59,13 @@ def test_cli_import_loads_the_traced_modules_and_nothing_it_does_not_use(bare):
 
 
 def test_extract_loads_no_fractions(tmp_path):
-    argv = ["extract", "--train", str(GOLDEN_TRAIN), "--out", str(tmp_path / "rules.json")]
-    loaded = _modules_after(f"from morphagree.cli import main\nassert main({argv!r}) == 0")
-    assert not {"fractions", "decimal"} & loaded
+    # nor does a command that loads a rules.json and checks its statistics
+    for argv in (["extract", "--train", str(GOLDEN / "train.conllu"),
+                  "--out", str(tmp_path / "rules.json")],
+                 ["evaluate", "--rules", str(GOLDEN / "rules.json"),
+                  "--test", str(GOLDEN / "dev.conllu"), "--out", str(tmp_path / "eval.json")]):
+        loaded = _modules_after(f"from morphagree.cli import main\nassert main({argv!r}) == 0")
+        assert not {"fractions", "decimal"} & loaded, argv[0]
 
 
 def test_package_import_loads_no_submodule(bare):

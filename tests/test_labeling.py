@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,7 +25,7 @@ from morphagree import (
     label_triple,
     merge_rules,
 )
-from morphagree import labeling
+from morphagree import labeling, serialization
 from morphagree.conllu import Treebank
 from morphagree.errors import (
     EmptyMarginalsError,
@@ -101,7 +102,9 @@ def test_chance_prob_empty_rejected():
 # --- chi-squared goodness of fit ---
 
 def _model(p_chance: float) -> ChanceModel:
-    return ChanceModel(feature="F", value_probs={}, p_chance=p_chance)
+    """A model of the decimal p_chance, given as its exact fraction."""
+    return ChanceModel(feature="F", value_probs={}, p_chance=p_chance,
+                       p_chance_exact=Fraction(str(p_chance)).as_integer_ratio())
 
 
 def test_chi2_zero_when_observed_equals_expected():
@@ -138,6 +141,12 @@ def test_chi2_survival_monotone_and_anchored():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def test_chi2_reads_a_float_p_chance_at_its_exact_binary_value():
+    # 0.82 is stored as a binary fraction just below 82/100, so 82 of 100
+    # agreeing deviates from it, a little
+    assert 0 < chi_squared_gof((18, 82), ChanceModel("F", {}, 0.82))[0] < 1e-12
+
+
 def test_chi2_degenerate_expected_convention():
     assert chi_squared_gof((0, 7), _model(1.0)) == (0.0, 1.0)
     chi2, p = chi_squared_gof((3, 4), _model(1.0))
@@ -154,11 +163,13 @@ def test_chi2_beyond_the_largest_float_is_infinite():
 
 
 # models from counts as extract builds them, and hand-given p_chance
-# values, degenerate ones included
+# values, degenerate ones included, as exact decimal fractions and as
+# floats alone, read at their binary value
 _chance_models = st.one_of(
     st.dictionaries(st.sampled_from("ABCDE"), st.integers(1, 10**6), min_size=1).map(
         chance_agreement_prob),
     st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.82]), st.floats(0.0, 1.0)).map(_model),
+    st.floats(0.0, 1.0).map(lambda p_chance: ChanceModel("F", {}, p_chance)),
 )
 # (disagree, agree) counts of 1 to 10^7 instances
 _observations = st.integers(1, 10**7).flatmap(
@@ -274,6 +285,23 @@ def test_statistical_direction_gate_blocks_underagreement():
     assert verdict.p_value < 0.01
     assert verdict.phi_c > 0.5
     assert verdict.label is Label.CHANCE
+
+
+def test_a_leaf_without_an_agreement_majority_is_chance_whatever_its_chi2():
+    verdict = labeling.gated_verdict(_leaf(50, 50), 1e6, 0.3, 0.01, 0.5, False)
+    assert verdict == LeafVerdict(leaf_id=1, label=Label.CHANCE, agree_ratio=0.5)
+
+
+def test_each_gate_fails_at_its_boundary():
+    def label(chi2, p_chance=0.5, alpha=0.01, phi_min=0.5):
+        return labeling.gated_verdict(_leaf(90, 10), chi2, p_chance, alpha, phi_min, False).label
+
+    assert label(1000.0) is Label.REQUIRED
+    assert label(1000.0, p_chance=None) is Label.REQUIRED
+    # agree ratio 0.9 equal to p_chance, p-value equal to alpha, phi_c 50 / 100
+    assert label(1000.0, p_chance=0.9) is Label.CHANCE
+    assert label(60.0, alpha=chi_square_survival(60.0)) is Label.CHANCE
+    assert label(50.0) is Label.CHANCE
 
 
 def test_statistical_sqrt_variant_loosens_effect_gate():
@@ -550,7 +578,8 @@ _DEEP_CONFIGS = {
 
 
 @pytest.mark.parametrize("mode", _DEEP_CONFIGS)
-def test_deep_documents_round_trip_in_every_labeling_mode(thousand_leaf_fits, tmp_path, mode):
+def test_deep_documents_round_trip_in_every_labeling_mode(thousand_leaf_fits, tmp_path,
+                                                         monkeypatch, mode):
     config = _DEEP_CONFIGS[mode]
     results = {}
     for tree, _, dataset in thousand_leaf_fits:
@@ -561,10 +590,23 @@ def test_deep_documents_round_trip_in_every_labeling_mode(thousand_leaf_fits, tm
             merge_rules(tree, verdicts, dataset, config.threshold_mode))
     path = tmp_path / "rules.json"
     write_json(rules_document(results, config, ""), path)
+    calls = dict.fromkeys(("gated_verdict", "chi_squared_gof"), 0)
+    for name in calls:
+        def counted(*args, name=name, function=getattr(serialization, name)):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(serialization, name, counted)
     loaded = load_rules(path)
     for feature, result in results.items():
         assert ([verdict_to_dict(v) for v in loaded.rulesets[feature].verdicts]
                 == [verdict_to_dict(v) for v in result.verdicts])
+    # the loader labels each leaf once, and computes the statistic of a
+    # tested leaf's counts only under global marginals
+    statistical = config.threshold_mode is ThresholdMode.STATISTICAL
+    verdicts = [v for result in results.values() for v in result.verdicts]
+    assert calls["gated_verdict"] == (len(verdicts) if statistical else 0)
+    assert calls["chi_squared_gof"] == (sum(v.chi2 is not None for v in verdicts)
+                                        if statistical and mode != "per-leaf" else 0)
     if mode == "statistical":
         # the loader recomputes chi2 from the stored p_chance, not the exact
         # fraction of counts extract used, so a stored chi2 within 1e-9 of

@@ -26,7 +26,6 @@ from .serialization import (
     rules_document,
     write_json,
 )
-from .tree import leaf_count
 from .triples import DEFAULT_FEATURES, extract_instances
 
 
@@ -87,7 +86,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             print(
                 f"{feature}: {len(result.ruleset.rules)} rules "
                 f"({required} required) from {result.ruleset.training_size} instances, "
-                f"{leaf_count(result.ruleset.tree)} leaves"
+                f"{len(result.ruleset.verdicts)} leaves"
             )
     print(f"wrote {args.out}")
     if failures:
@@ -187,7 +186,7 @@ def cmd_hrm(args: argparse.Namespace) -> int:
 
 
 def _mean_leaf_count(doc) -> float | None:
-    counts = [leaf_count(ruleset.tree) for ruleset in doc.rulesets.values()]
+    counts = [len(ruleset.verdicts) for ruleset in doc.rulesets.values()]
     return sum(counts) / len(counts) if counts else None
 
 

@@ -349,21 +349,21 @@ class RegionTable:
 
 def _leaf_rules(
     regions: list[tuple[Leaf, dict[str, Constraint]]],
-    label_by_leaf: dict[int, Label],
+    verdicts: Sequence[LeafVerdict],
 ) -> list[LabeledRule]:
     """One rule per leaf of a tree, in leaf order, with its path's
     constraints (its region in regions, the tree's _leaf_regions), its
-    label or None and its counts; no example refs."""
+    verdict's label (verdicts in leaf order) and counts; no example refs."""
     return [
         LabeledRule(
             rule_id=0,
-            label=label_by_leaf.get(leaf.leaf_id),
+            label=verdict.label,
             constraints=region,
             n_agree=leaf.n_agree,
             n_disagree=leaf.n_disagree,
             source_leaf_ids=(leaf.leaf_id,),
         )
-        for leaf, region in regions
+        for (leaf, region), verdict in zip(regions, verdicts)
     ]
 
 
@@ -489,11 +489,11 @@ def _checked_labels(
     tree: DecisionTree,
     regions: list[tuple[Leaf, dict[str, Constraint]]],
     verdicts: tuple[LeafVerdict, ...],
-) -> dict[int, Label]:
-    """Each leaf's verdict label by leaf id, once it is checked that the
-    tree (its _leaf_regions given) and its verdicts agree: leaf ids are
-    distinct, leaf counts are at least 0 and sum to the tree's
-    training_size, and the verdicts list each leaf once; else an
+) -> tuple[LeafVerdict, ...]:
+    """The verdicts in leaf order, once it is checked that the tree (its
+    _leaf_regions given) and its verdicts agree: leaf ids are distinct,
+    leaf counts are at least 0 and sum to the tree's training_size, and the
+    verdicts, in any order, list each leaf once; else an
     InvalidRuleSetError."""
     leaf_by_id: dict[int, Leaf] = {}
     for leaf, _ in regions:
@@ -507,32 +507,32 @@ def _checked_labels(
         raise InvalidRuleSetError(
             f"'training_size' is not {total}, the sum of the tree's leaf counts"
         )
-    label_by_leaf = {verdict.leaf_id: verdict.label for verdict in verdicts}
-    if len(label_by_leaf) != len(verdicts) or label_by_leaf.keys() != leaf_by_id.keys():
+    verdict_by_leaf = {verdict.leaf_id: verdict for verdict in verdicts}
+    if len(verdict_by_leaf) != len(verdicts) or verdict_by_leaf.keys() != leaf_by_id.keys():
         raise VerdictMismatchError("'leaf_verdicts' do not list each leaf of the tree once")
-    return label_by_leaf
+    return tuple(map(verdict_by_leaf.__getitem__, leaf_by_id))
 
 
 class RuleSet:
-    """The rules merged from a tree's labeled leaves, the tree and its leaf
-    verdicts.
+    """The rules merged from a tree's labeled leaves, the tree, its leaves
+    and their verdicts, both in leaf order: verdicts[k] labels leaves[k].
 
-    Built from the tree and the verdicts alone (see merge_rules), so its
-    rules partition triple space and the RegionTable of its rules finds
-    each triple's one rule. Construction raises an InvalidRuleSetError
-    unless every split tests a slot of SLOT_ORDER and the tree and the
-    verdicts agree (see _checked_labels). Given the training dataset, each
-    rule gets its example refs. Treated as read-only once built.
+    Built from the tree and the verdicts, in any order, alone (see
+    merge_rules), so its rules partition triple space and the RegionTable
+    of its rules finds each triple's one rule. Construction walks the tree
+    once and raises an InvalidRuleSetError unless every split tests a slot
+    of SLOT_ORDER and the tree and the verdicts agree (see _checked_labels).
+    Given the training dataset, each rule gets its example refs. Read-only.
     """
 
-    __slots__ = ("feature", "rules", "threshold_mode", "tree", "verdicts", "_table")
+    __slots__ = ("feature", "leaves", "rules", "threshold_mode", "tree", "verdicts", "_table")
 
     def __init__(self, tree: DecisionTree, verdicts: Iterable[LeafVerdict],
                  threshold_mode: ThresholdMode = ThresholdMode.STATISTICAL,
                  dataset: FeatureDataset | None = None):
         regions = _leaf_regions(tree)  # first, so that an unknown slot fails here
-        verdicts = tuple(verdicts)
-        merged = _merge_to_fixpoint(_leaf_rules(regions, _checked_labels(tree, regions, verdicts)))
+        verdicts = _checked_labels(tree, regions, tuple(verdicts))
+        merged = _merge_to_fixpoint(_leaf_rules(regions, verdicts))
         groups = [()] * len(regions) if dataset is None else RegionTable(regions).groups(dataset)
         groups_of = {leaf.leaf_id: leaf_groups for (leaf, _), leaf_groups in zip(regions, groups)}
         instances = () if dataset is None else dataset.instances
@@ -549,6 +549,7 @@ class RuleSet:
         )
         self.threshold_mode = threshold_mode
         self.tree = tree
+        self.leaves = tuple(leaf for leaf, _ in regions)
         self.verdicts = verdicts
         self._table = RegionTable([(rule, rule.constraints) for rule in self.rules])
 

@@ -286,7 +286,7 @@ def render_index_page(doc: RulesDocument, eval_scores: dict[str, tuple]) -> str:
     body = ["<h1>Agreement rule report</h1>"]
     body.append(
         f'<p class="muted">treebank: {html.escape(doc.treebank)} &middot; '
-        f"threshold: {html.escape(doc.params.get('threshold_mode', '?'))}</p>"
+        f"threshold: {doc.threshold_mode.value}</p>"
     )
     rows = []
     for feature in doc.features:

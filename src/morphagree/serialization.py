@@ -42,8 +42,8 @@ from .labeling import (
     label_leaf_hard,
 )
 from .pipeline import ExtractionConfig, FeatureRules
-from .tree import SLOT_ORDER, DecisionTree, HyperParams, Internal, Leaf, SplitPredicate, leaves
-from .triples import Triple
+from .tree import SLOT_ORDER, DecisionTree, HyperParams, Internal, Leaf, SplitPredicate
+from .triples import Triple, rank_triples
 
 FORMAT_VERSION = "1"
 
@@ -421,26 +421,23 @@ def _checked_chance_model(chance: ChanceModel) -> ChanceModel:
     return chance
 
 
-def _check_verdicts(tree: DecisionTree, verdicts: tuple[LeafVerdict, ...],
-                    config: ExtractionConfig, chance: ChanceModel) -> None:
+def _check_verdicts(ruleset: RuleSet, config: ExtractionConfig, chance: ChanceModel) -> None:
     """Raise MalformedRulesError, naming the leaf and the first key that
-    differs, unless each verdict is what config's labeler gives its leaf
-    under the chance model, as verdict_to_dict writes both; a leaf with no
-    instances is rejected first. Under statistical labeling a leaf is
-    labeled once, by gated_verdict of its stored chi2 (null is +inf); a
-    tested leaf's chi2 beyond a relative and an absolute 1e-9 of its
-    counts' statistic under global marginals is replaced by it (extract
-    computes it from p_chance's exact fraction, which is not stored). Under
-    per-leaf marginals the leaf's own p_chance is not stored either, so a
-    tested verdict's chi2 need only be at least 0, its label pass the other
-    gates, or be chance."""
+    differs, unless each verdict is what config's labeler gives the leaf
+    the ruleset pairs it with under the chance model, as verdict_to_dict
+    writes both; a leaf with no instances is rejected first. Under
+    statistical labeling a leaf is labeled once, by gated_verdict of its
+    stored chi2 (null is +inf); a tested leaf's chi2 beyond a relative and
+    an absolute 1e-9 of its counts' statistic under global marginals is
+    replaced by it (extract computes it from p_chance's exact fraction,
+    which is not stored). Under per-leaf marginals the leaf's own p_chance
+    is not stored either, so a tested verdict's chi2 need only be at least
+    0, its label pass the other gates, or be chance."""
     statistical = config.threshold_mode is ThresholdMode.STATISTICAL
     per_leaf = statistical and config.marginals_scope == "per-leaf"
     p_chance = None if per_leaf else chance.p_chance
     gates = config.alpha, config.phi_min, config.phi_sqrt
-    leaf_by_id = {leaf.leaf_id: leaf for leaf in leaves(tree)}
-    for verdict in verdicts:
-        leaf = leaf_by_id[verdict.leaf_id]
+    for leaf, verdict in zip(ruleset.leaves, ruleset.verdicts):
         if leaf.size == 0:
             raise MalformedRulesError(f"leaf {leaf.leaf_id}: 'n_agree' and 'n_disagree' are 0")
         if not statistical:
@@ -482,26 +479,49 @@ def _naming(where: str):
         raise MalformedRulesError(f"{where}{exc}") from None
 
 
+def _check_ranking(listed: list[tuple[Triple, int]], training_size: int) -> None:
+    """Raise MalformedRulesError unless the (triple, count) pairs are what
+    extract writes as training_triples: distinct triples, counts of at
+    least 1 summing to training_size, in rank_triples order."""
+    count_of: dict[Triple, int] = {}
+    for triple, count in listed:
+        if triple in count_of or count < 1:
+            named = f"{triple.relation} {triple.head_pos} {triple.dep_pos}"
+            raise MalformedRulesError(
+                f"'training_triples' repeats the triple {named}" if triple in count_of
+                else f"'count' {count} of {named} is less than 1")
+        count_of[triple] = count
+    total = sum(count_of.values())
+    if total != training_size:
+        raise MalformedRulesError(
+            f"'training_triples' counts sum to {total}, not the 'training_size' {training_size}")
+    if list(rank_triples(count_of)) != [t for t, _ in listed]:
+        raise MalformedRulesError(
+            "'training_triples' are not most frequent first, ties in relation, head_pos, "
+            "dep_pos order")
+
+
 class RulesDocument:
     """A loaded rules.json: per-feature rule sets plus training metadata.
 
     Every MalformedRulesError it raises names the file at path. Its params
-    hard_threshold, alpha and phi_min must lie within GATE_BOUNDS, the
-    ranges the CLI accepts. A feature entry raises one naming the feature
-    too when it lacks a key the loader reads, holds a value of the wrong
-    JSON type or an unknown name, gives a training_size other than its
-    tree's, or holds a tree of another feature; when its tree and leaf
-    verdicts cannot be merged into a RuleSet (see RuleSet); when its chance
-    model contradicts the counts it comes from (see _checked_chance_model),
-    or a leaf verdict is not what the labeler its params configure gives
-    the leaf under that model (see _check_verdicts), so that report never
-    prints either; or when its rules are not, in order, what rule_to_dict
-    writes for the merge of the tree's labeled leaves, refs aside (the
-    message names the first rule and key that differ, see _checked_rule).
-    The RuleSet is built with its constructor, not through merge_rules, so
-    that a tracer of merge_rules counts extraction only; it keeps the
-    document's refs, so it equals the one extract wrote. Its
-    training_triples are checked alike, when they are first read.
+    configure the labeler, whose threshold_mode it keeps, and must lie
+    within GATE_BOUNDS, the ranges the CLI accepts. A feature entry raises
+    one naming the feature too when it lacks a key the loader reads, holds
+    a value of the wrong JSON type or an unknown name, gives a
+    training_size other than its tree's, or holds a tree of another
+    feature; when its tree and leaf verdicts cannot be merged into a
+    RuleSet (see RuleSet); when its chance model contradicts the counts it
+    comes from (see _checked_chance_model), or a leaf verdict is not what
+    the labeler gives the leaf the RuleSet pairs it with under that model
+    (see _check_verdicts), so that report never prints either; or when its
+    rules are not, in order, what rule_to_dict writes for the merge of the
+    tree's labeled leaves, refs aside (the message names the first rule
+    and key that differ, see _checked_rule). The RuleSet is built with its
+    constructor, not through merge_rules, so that a tracer of merge_rules
+    counts extraction only; it keeps the document's refs, so it equals the
+    one extract wrote. Its training_triples are checked alike, when they
+    are first read (see _check_ranking).
     """
 
     def __init__(self, doc: dict, path: str | Path):
@@ -514,7 +534,7 @@ class RulesDocument:
                     f"unsupported rules format_version {doc.get('format_version')!r}")
             self.raw = doc
             self.treebank: str = _get(doc, "treebank", _STRING, "")
-            params = self.params = _get(doc, "params", _OBJECT, {})
+            params = _get(doc, "params", _OBJECT, {})
             # the labeler's params, a missing one at its ExtractionConfig default
             config = ExtractionConfig(
                 threshold_mode=ThresholdMode(_get(params, "threshold_mode", _STRING, "statistical",
@@ -529,6 +549,7 @@ class RulesDocument:
                 if not bounds.holds(value):
                     raise MalformedRulesError(f"'{key}' {value!r} is not in {bounds}")
             features = _get_each(doc, "features", _OBJECT, _OBJECT, {})
+        self.threshold_mode: ThresholdMode = config.threshold_mode
         self.rulesets: dict[str, RuleSet] = {}
         self.absent: set[str] = set()
         self.trees: dict[str, DecisionTree] = {}
@@ -552,8 +573,7 @@ class RulesDocument:
         ))
         verdicts = tuple(map(verdict_from_dict, _get_each(entry, "leaf_verdicts", _OBJECT)))
         ruleset = RuleSet(tree, verdicts, config.threshold_mode)
-        # RuleSet checked that the verdicts list each leaf once
-        _check_verdicts(tree, verdicts, config, self.chance_models[feature])
+        _check_verdicts(ruleset, config, self.chance_models[feature])
         entries = _get_each(entry, "rules", _OBJECT)
         if len(entries) != len(ruleset.rules):
             raise MalformedRulesError(
@@ -573,16 +593,19 @@ class RulesDocument:
     def training_triples(self) -> dict[str, list[tuple[Triple, int]]]:
         """Each present feature's training triples and their counts, most
         frequent first. Only evaluate --top-k reads them, so they are read
-        and checked on first use, not when the document loads."""
+        and checked (see _check_ranking) on first use, not when the
+        document loads. A missing list reads as empty."""
         triples = {}
-        for feature in self.rulesets:
+        for feature, ruleset in self.rulesets.items():
             with _naming(f"{self.path}: feature {feature!r}: "):
-                triples[feature] = [
+                listed = triples[feature] = [
                     (Triple(*(_get(t, slot, _STRING) for slot in Triple._fields)),
                      _get(t, "count", _INT))
                     for t in _get_each(self.raw["features"][feature], "training_triples",
                                        _OBJECT, _LIST, [])
                 ]
+                if listed:
+                    _check_ranking(listed, ruleset.training_size)
         return triples
 
     @property

@@ -531,7 +531,8 @@ def merge_rules_restarting(tree, verdicts, dataset=None) -> tuple[LabeledRule, .
     package's fill after merging is checked against a path with no
     RegionTable."""
     regions = _leaf_regions(tree)
-    rules = _leaf_rules(regions, {v.leaf_id: v.label for v in verdicts})
+    verdict_by_leaf = {v.leaf_id: v for v in verdicts}
+    rules = _leaf_rules(regions, [verdict_by_leaf[leaf.leaf_id] for leaf, _ in regions])
     if dataset is not None:
         refs = leaf_refs_by_walking(tree, dataset)
         rules = [

@@ -23,7 +23,7 @@ from morphagree.conllu import parse_conllu_file
 from morphagree.errors import MalformedRulesError
 from morphagree.evaluation import HumanLabel
 from morphagree.labeling import chi_square_survival, cramers_phi
-from morphagree.serialization import load_rules
+from morphagree.serialization import load_rules, verdict_to_dict
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 REPLACEMENTS = ("x", 5, 2.5, None, True, [], {})
@@ -241,6 +241,15 @@ RULES_FAULTS = [
             {slot: value}), ("evaluate",), f"'{slot}' must be a string")
         for slot, value in (("relation", []), ("head_pos", {}), ("dep_pos", ["NOUN"]))
     ],
+    # once scored by evaluate --top-k 2 as its top two: the two least frequent
+    (lambda d: _gender(d)["training_triples"].reverse(), ("evaluate",),
+     "'training_triples' are not most frequent first"),
+    (lambda d: _gender(d)["training_triples"].append(_gender(d)["training_triples"][0]),
+     ("evaluate",), "'training_triples' repeats the triple"),
+    (lambda d: _gender(d)["training_triples"][-1].update(count=0), ("evaluate",),
+     "'count' 0 of"),
+    (lambda d: _gender(d)["training_triples"][0].update(count=86), ("evaluate",),
+     "'training_triples' counts sum to 801, not the 'training_size' 800"),
     *[
         (lambda d, key=key: _gender(d)["rules"][0].update({key: {}}), ("report",),
          f"rule 1: '{key}' must be an integer")
@@ -423,10 +432,59 @@ def test_labels_that_follow_from_their_statistics_load(tmp_path):
         load_rules(rules)
 
 
-# the RULES_FAULTS cases that break training_triples[0]
+def _outputs(tmp_path, train: str, rules: Path) -> dict[str, bytes]:
+    """The bytes of every file that evaluate --top-k and report write
+    from rules."""
+    out = tmp_path / "outputs"
+    out.mkdir(exist_ok=True)
+    assert main(["evaluate", "--rules", str(rules), "--test", train, "--top-k", "5",
+                 "--baseline", "--out", str(out / "eval.json")]) == 0
+    assert main(["report", "--rules", str(rules), "--train", train, "--examples", "2",
+                 "--out", str(out / "report")]) == 0
+    return {str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def test_verdicts_stored_out_of_leaf_order_load_in_leaf_order(workspace):
+    tmp_path, train = workspace
+    golden = json.loads((GOLDEN_DIR / "rules.json").read_text(encoding="utf-8"))
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(golden), encoding="utf-8")
+    in_order = _outputs(tmp_path, train, rules)
+    doc = json.loads(json.dumps(golden))
+    for entry in doc["features"].values():
+        entry.get("leaf_verdicts", []).reverse()
+    rules.write_text(json.dumps(doc), encoding="utf-8")
+    loaded = load_rules(rules)
+    for feature, ruleset in loaded.rulesets.items():
+        assert ([verdict_to_dict(v) for v in ruleset.verdicts]
+                == golden["features"][feature]["leaf_verdicts"])
+    assert _outputs(tmp_path, train, rules) == in_order
+
+
+def test_report_index_names_the_loaded_threshold_mode(workspace):
+    # once "threshold: ?" on the index beside "threshold: statistical", the
+    # loader's default, on each feature page
+    tmp_path, train = workspace
+    doc = json.loads((GOLDEN_DIR / "rules.json").read_text(encoding="utf-8"))
+    del doc["params"]
+    rules = tmp_path / "no-params.json"
+    rules.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_rules(rules).threshold_mode.value == "statistical"
+    assert main(["report", "--rules", str(rules), "--train", train, "--examples", "2",
+                 "--out", str(tmp_path / "report")]) == 0
+    for page in ("index.html", "feature-Gender.html", "feature-Number.html"):
+        assert "threshold: statistical" in (tmp_path / "report" / page).read_text(
+            encoding="utf-8"), page
+
+
+# the RULES_FAULTS cases that break Gender's training_triples
 TRAINING_TRIPLE_FAULTS = [
     (edit, named) for edit, _, named in RULES_FAULTS
-    if named in {f"'{slot}' must be a string" for slot in ("relation", "head_pos", "dep_pos")}
+    if named in {*(f"'{slot}' must be a string" for slot in ("relation", "head_pos", "dep_pos")),
+                 "'training_triples' are not most frequent first",
+                 "'training_triples' repeats the triple", "'count' 0 of",
+                 "'training_triples' counts sum to 801, not the 'training_size' 800"}
 ]
 
 

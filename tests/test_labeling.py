@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from morphagree import (
     label_triple,
     merge_rules,
 )
+import morphagree.tree
 from morphagree import labeling, serialization
 from morphagree.conllu import Treebank
 from morphagree.errors import (
@@ -590,12 +592,18 @@ def test_deep_documents_round_trip_in_every_labeling_mode(thousand_leaf_fits, tm
             merge_rules(tree, verdicts, dataset, config.threshold_mode))
     path = tmp_path / "rules.json"
     write_json(rules_document(results, config, ""), path)
-    calls = dict.fromkeys(("gated_verdict", "chi_squared_gof"), 0)
-    for name in calls:
-        def counted(*args, name=name, function=getattr(serialization, name)):
+    # leaves is counted in every module of the package that binds it
+    walk = morphagree.tree.leaves
+    counted_at = [(serialization, "gated_verdict"), (serialization, "chi_squared_gof"),
+                  (labeling, "_leaf_regions"),
+                  *((module, "leaves") for name, module in list(sys.modules.items())
+                    if name.startswith("morphagree") and getattr(module, "leaves", None) is walk)]
+    calls = dict.fromkeys((name for _, name in counted_at), 0)
+    for module, name in counted_at:
+        def counted(*args, name=name, function=getattr(module, name)):
             calls[name] += 1
             return function(*args)
-        monkeypatch.setattr(serialization, name, counted)
+        monkeypatch.setattr(module, name, counted)
     loaded = load_rules(path)
     for feature, result in results.items():
         assert ([verdict_to_dict(v) for v in loaded.rulesets[feature].verdicts]
@@ -607,6 +615,10 @@ def test_deep_documents_round_trip_in_every_labeling_mode(thousand_leaf_fits, tm
     assert calls["gated_verdict"] == (len(verdicts) if statistical else 0)
     assert calls["chi_squared_gof"] == (sum(v.chi2 is not None for v in verdicts)
                                         if statistical and mode != "per-leaf" else 0)
+    # each tree is walked once, by the RuleSet that pairs its leaves with
+    # their verdicts
+    assert calls["_leaf_regions"] == len(results)
+    assert calls["leaves"] == 0
     if mode == "statistical":
         # the loader recomputes chi2 from the stored p_chance, not the exact
         # fraction of counts extract used, so a stored chi2 within 1e-9 of

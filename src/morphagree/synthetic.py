@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 
 from .conllu import Sentence, Token, _gc_paused, treebank_to_conllu  # noqa: F401 (public name)
 from .errors import FeatureMismatchError, InvalidGrammarError
@@ -19,6 +19,21 @@ from .labeling import Label, RuleSet, label_triple
 from .triples import Triple
 
 WILDCARD = "*"
+
+# characters that end a CoNLL-U column, and those plus the ones that end a
+# FEATS name or value
+_COLUMN_BREAKS = "\t\r\n"
+_FEATS_BREAKS = _COLUMN_BREAKS + "|="
+
+
+def _check_text(kind: str, text: str, breaks: str) -> None:
+    """Raise if ``text`` is empty or holds one of ``breaks``: the written
+    corpus would read back as something else."""
+    if not text:
+        raise InvalidGrammarError(f"{kind} is empty")
+    for char in breaks:
+        if char in text:
+            raise InvalidGrammarError(f"{kind} {text!r} holds {char!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +74,18 @@ class PlantedGrammar:
             raise InvalidGrammarError("vocabularies must be non-empty")
         if not self.features:
             raise InvalidGrammarError("at least one feature must be declared")
+        names = [spec.name for spec in self.features]
+        if len(set(names)) < len(names):
+            repeated = next(name for name in names if names.count(name) > 1)
+            raise InvalidGrammarError(f"feature {repeated!r} is declared twice")
+        # each distinct entry once: the vocabularies may repeat entries
+        # to weight them
+        for entry in dict.fromkeys(chain(self.head_pos, self.relations, self.dep_pos)):
+            _check_text("vocabulary entry", entry, _COLUMN_BREAKS)
         for spec in self.features:
+            _check_text("feature name", spec.name, _FEATS_BREAKS)
+            for value in dict.fromkeys(spec.values):
+                _check_text(f"feature {spec.name!r}: value", value, _FEATS_BREAKS)
             if len(spec.values) != len(spec.marginals) or not spec.values:
                 raise InvalidGrammarError(
                     f"feature {spec.name!r}: values and marginals must align"
@@ -107,21 +133,27 @@ def generate(
     tokens_per_sentence must be odd and >= 3: one anchor plus head/dep
     pairs. Planted rules enforce agreement on every declared feature.
 
-    Each edge draws its triple with three ``rng.choice`` calls, then per
-    feature the head's value and, unless a planted rule covers the triple,
-    the dependent's: each value takes one ``random()`` through the
-    cumulative-weight bisection ``Random.choices`` uses. On a covered
-    triple the dependent copies the head's value, unless, with a noise
-    rate, one more ``random()`` makes it draw from the feature's other
-    values (a single-valued feature has none and draws nothing). So a seed
-    gives the same bytes on every supported Python. Tokens with equal
-    values share one read-only FEATS dict, as parsed tokens do.
+    Each edge draws its head POS, relation and dependent POS, each index
+    the way ``Random.choice`` draws it: ``getrandbits(k)`` for the
+    vocabulary's bit length k, drawn again while it is not below the
+    vocabulary's length. Then it draws per feature the head's value and,
+    unless a planted rule covers the triple, the dependent's: each value
+    takes one ``random()`` through the cumulative-weight bisection
+    ``Random.choices`` uses. On a covered triple the dependent copies the
+    head's value, unless, with a noise rate, one more ``random()`` makes it
+    draw from the feature's other values (a single-valued feature has none
+    and draws nothing). So a seed gives the same bytes on every supported
+    Python; the oracle test in ``tests/test_synthetic.py`` checks this
+    against a reference that calls ``rng.choice`` and ``rng.choices``, and
+    CI runs it on Python 3.10-3.13. Tokens with equal values share one
+    read-only FEATS dict, as parsed tokens do.
     """
     grammar.validate()
     if tokens_per_sentence < 3 or tokens_per_sentence % 2 == 0:
         raise InvalidGrammarError("tokens_per_sentence must be odd and >= 3")
     rng = random.Random(grammar.seed)
-    choice, draw = rng.choice, rng.random
+    bits, draw = rng.getrandbits, rng.random
+    new = tuple.__new__
     names = tuple(spec.name for spec in grammar.features)
     # per feature: its unrestricted draw table, and per value the table of
     # the other values (None for a single-valued feature, which cannot
@@ -134,6 +166,11 @@ def generate(
             excluded[value] = _draw_table(*zip(*others)) if others else None
         tables.append((_draw_table(spec.values, spec.marginals), excluded))
     noise_rate = grammar.noise_rate
+    # each vocabulary with its length n and bit length k
+    heads, relations, deps = grammar.head_pos, grammar.relations, grammar.dep_pos
+    n_heads, n_relations, n_deps = len(heads), len(relations), len(deps)
+    k_heads, k_relations, k_deps = (n_heads.bit_length(), n_relations.bit_length(),
+                                    n_deps.bit_length())
     required_of: dict[tuple[str, str, str], bool] = {}
     shared: dict[tuple[str, ...], dict[str, str]] = {}  # values -> their FEATS dict
     anchor = Token(1, "x0", "X", {}, 0, "root")
@@ -145,8 +182,20 @@ def generate(
         for s in range(1, n_sentences + 1):
             tokens = [anchor]
             for head_id, head_form, dep_id, dep_form in slots:
-                shape = (choice(grammar.head_pos), choice(grammar.relations),
-                         choice(grammar.dep_pos))
+                # Random.choice's index draws, inlined
+                i = bits(k_heads)
+                while i >= n_heads:
+                    i = bits(k_heads)
+                head_pos = heads[i]
+                i = bits(k_relations)
+                while i >= n_relations:
+                    i = bits(k_relations)
+                relation = relations[i]
+                i = bits(k_deps)
+                while i >= n_deps:
+                    i = bits(k_deps)
+                dep_pos = deps[i]
+                shape = (head_pos, relation, dep_pos)
                 required = required_of.get(shape)
                 if required is None:
                     required = required_of[shape] = grammar.is_required(Triple(*shape))
@@ -171,9 +220,10 @@ def generate(
                 dep_feats = shared.get(key)
                 if dep_feats is None:
                     dep_feats = shared[key] = dict(zip(names, key))
-                tokens.append(Token(head_id, head_form, shape[0], head_feats, 1, "link"))
-                tokens.append(Token(dep_id, dep_form, shape[2], dep_feats, head_id, shape[1]))
-            sentences.append(Sentence(f"synth-{s}", tuple(tokens)))
+                tokens.append(new(Token, (head_id, head_form, head_pos, head_feats, 1, "link")))
+                tokens.append(new(Token, (dep_id, dep_form, dep_pos, dep_feats, head_id,
+                                          relation)))
+            sentences.append(new(Sentence, (f"synth-{s}", tuple(tokens))))
     return tuple(sentences)
 
 

@@ -84,8 +84,12 @@ def _grammars(draw):
                                 max_size=len(values)))
         total = sum(weights)
         features.append(FeatureSpec(name, tuple(values), tuple(w / total for w in weights)))
-    # repeated entries, as the benchmark's Zipf-weighted vocabularies have
-    vocab = st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=4).map(tuple)
+    # lengths on both sides of several bit-length boundaries, so that every
+    # rejection rate of Random.choice's index draw is taken, with repeated
+    # entries, as the benchmark's Zipf-weighted vocabularies have
+    vocab = st.sampled_from((1, 2, 3, 4, 7, 8, 9, 16, 17, 33)).flatmap(
+        lambda n: st.lists(st.sampled_from(("a", "b", "c")), min_size=n, max_size=n)
+    ).map(tuple)
     relations, head_pos, dep_pos = draw(vocab), draw(vocab), draw(vocab)
     rules = draw(st.lists(st.builds(RulePattern, _slot(head_pos), _slot(relations),
                                     _slot(dep_pos)), max_size=3))
@@ -162,6 +166,36 @@ def test_grammar_validation():
         simple_grammar(required_rules=(RulePattern(relation="nope"),)).validate()
     with pytest.raises(InvalidGrammarError):
         generate(simple_grammar(), 10, 4)  # even token count
+
+
+def _spec(name="Gender", values=("Fem", "Masc")):
+    return FeatureSpec(name, values, (0.5,) * len(values))
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(features=(_spec(), _spec(values=("Sing", "Plur")))),  # Gender twice
+    dict(head_pos=("NOUN", "")),
+    dict(relations=("det", "nsubj\tx")),
+    dict(dep_pos=("DET\r",)),
+    dict(head_pos=("NO\nUN",)),
+    dict(features=(_spec(name=""),)),
+    dict(features=(_spec(name="Gen\tder"),)),
+    dict(features=(_spec(name="Gender|Case"),)),
+    dict(features=(_spec(name="Gender=Fem"),)),
+    dict(features=(_spec(values=("Fem", "")),)),
+    dict(features=(_spec(values=("Fem", "Masc\n")),)),
+    dict(features=(_spec(values=("Fem|Case=Nom", "Masc")),)),
+    dict(features=(_spec(values=("Fem", "=Masc")),)),
+], ids=["repeated feature", "empty head_pos", "tab in relation", "CR in dep_pos",
+        "LF in head_pos", "empty feature name", "tab in feature name",
+        "bar in feature name", "equals in feature name", "empty value", "LF in value",
+        "bar in value", "equals in value"])
+def test_validation_rejects_text_the_corpus_cannot_carry(overrides):
+    # each would write a corpus that reads back as another: a second Gender
+    # overwrites the first, "Fem|Case=Nom" parses as two features, an empty
+    # UPOS reads back as head_pos ''
+    with pytest.raises(InvalidGrammarError):
+        simple_grammar(**overrides).validate()
 
 
 def test_recovery_exact_match():
